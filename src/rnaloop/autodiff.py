@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -87,8 +88,9 @@ def _check_finite(arr: np.ndarray, opname: str) -> None:
 
 
 _node_ids = itertools.count()
-_tapes_created = itertools.count()
-_tape_snapshot = [0]
+# One-element box, bumped in place under the lock by every new Tape.
+_tapes_created = [0]
+_tapes_lock = threading.Lock()
 _tls = threading.local()
 
 
@@ -96,26 +98,32 @@ def tape_count() -> int:
     """Number of tapes created so far in this process.
 
     Instrumentation hook: forward-only code paths can be checked by
-    snapshotting this counter around the call.
+    reading this counter around the call. Reading it changes nothing.
     """
-    _tape_snapshot[0] = next(_tapes_created)
-    return _tape_snapshot[0]
+    return _tapes_created[0]
 
 
 def _active_tape() -> "Tape | None":
     return getattr(_tls, "tape", None)
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     nid: int
-    tape: "Tape"
+    # The tape owns its nodes and a node refers to it weakly, so a dropped
+    # tape and its graph are freed by reference counting, with no cycle.
+    tape_ref: "weakref.ref[Tape]"
     parents: tuple["Node | None", ...]
     # backward_fn(grad_out, needs) -> per-parent gradient contributions,
     # with None at positions whose needs flag is False. Leaf nodes have None.
     backward_fn: Callable | None
     needs_grad: bool
     shape: tuple[int, ...]
+
+    @property
+    def tape(self) -> "Tape | None":
+        """The recording tape, or None once it has been freed."""
+        return self.tape_ref()
 
 
 class Tape:
@@ -127,7 +135,8 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        next(_tapes_created)
+        with _tapes_lock:
+            _tapes_created[0] += 1
         self.nodes: list[Node] = []
         self.grads: dict[int, np.ndarray] = {}
         self._prev: Tape | None = None
@@ -144,7 +153,7 @@ class Tape:
     def leaf(self, value: np.ndarray, needs_grad: bool) -> "Tensor":
         """Register an input array as a leaf node on this tape."""
         arr = np.asarray(value, dtype=_F64)
-        node = Node(next(_node_ids), self, (), None, bool(needs_grad), arr.shape)
+        node = Node(next(_node_ids), weakref.ref(self), (), None, bool(needs_grad), arr.shape)
         self.nodes.append(node)
         return Tensor(arr, node)
 
@@ -204,7 +213,7 @@ def _record(out: np.ndarray, parents: Sequence[Tensor], backward_fn, opname: str
     for n in pnodes:
         if n is not None and n.tape is not tape:
             raise ContractError(f"{opname}: operand recorded on a different tape")
-    node = Node(next(_node_ids), tape, pnodes, backward_fn, True, out.shape)
+    node = Node(next(_node_ids), weakref.ref(tape), pnodes, backward_fn, True, out.shape)
     tape.nodes.append(node)
     return Tensor(out, node)
 
@@ -222,6 +231,8 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
     if root.array.shape != ():
         raise ContractError(f"backward: root must be scalar, got shape {root.array.shape}")
     t = root.node.tape
+    if t is None:
+        raise ContractError("backward: the root's tape no longer exists")
     if tape is not None and tape is not t:
         raise ContractError("backward: root does not belong to the given tape")
     grads: dict[int, np.ndarray] = {root.node.nid: np.ones((), dtype=_F64)}
@@ -462,6 +473,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     Kernel size must be odd. Output spatial size (H + 2*pad - k)/stride + 1
     must be integral.
+
+    Every stride runs the same stride-1 kernel, :func:`_conv_flat`. For
+    stride > 1 the output keeps every ``stride``-th row and column of the
+    stride-1 result; the backward pass places the incoming gradient at those
+    positions of a zeroed stride-1 gradient grid, so both gradients are the
+    stride-1 ones: the kernel gradient is that grid times the columns of the
+    forward pass, summed over the batch, and the input gradient is the
+    stride-1 correlation of the grid with the flipped, channel-transposed
+    kernel at pad ``k - 1 - pad``. The columns are kept for the backward
+    pass only when the kernel is a recorded tensor that needs a gradient.
     """
     from .errors import ConfigurationError
 
@@ -483,34 +504,27 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             f"conv2d: non-integral output size for input {h}x{w}, k={k}, "
             f"stride={stride}, pad={pad}"
         )
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-
-    out, cols = _conv_raw(xb, wv, stride, pad)
+    grid, cols = _conv_flat(xb, wv, pad)
+    _, o, h1, wp = grid.shape
+    w1 = wp - k + 1
+    out = np.ascontiguousarray(grid[:, :, ::stride, :w1:stride])
+    if kernel.node is None or not kernel.node.needs_grad:
+        cols = None  # only the kernel gradient reads the columns
     if squeezed:
         out = out[0]
 
     def bwd(g, needs):
-        gb = g[None] if squeezed else g
+        # the incoming gradient on the padded-width stride-1 grid of the forward
+        gfull = np.zeros((n, o, h1, wp))
+        gfull[:, :, ::stride, :w1:stride] = g[None] if squeezed else g
         gw = gx = None
         if needs[1]:
-            gcols = gb.transpose(0, 2, 3, 1).reshape(n * ho * wo, wv.shape[0])
-            gw = (gcols.T @ cols).reshape(wv.shape)
+            gw = (gfull.reshape(n, o, h1 * wp) @ cols.transpose(0, 2, 1)).sum(axis=0)
+            gw = gw.reshape(wv.shape)
         if needs[0]:
-            if stride == 1:
-                # full correlation with the flipped, channel-transposed kernel
-                wflip = wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-                gx, _ = _conv_raw(gb, np.ascontiguousarray(wflip), 1, k - 1 - pad)
-            else:
-                gcols = gb.transpose(0, 2, 3, 1).reshape(n * ho * wo, wv.shape[0])
-                dcols = (gcols @ wv.reshape(wv.shape[0], -1)).reshape(n, ho, wo, c, k, k)
-                gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-                for i in range(k):
-                    for j in range(k):
-                        gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                            dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                        )
-                gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+            wflip = np.ascontiguousarray(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            gxg, _ = _conv_flat(gfull[:, :, :, :w1], wflip, k - 1 - pad)
+            gx = np.ascontiguousarray(gxg[:, :, :, :w])
             if squeezed:
                 gx = gx[0]
         return (gx, gw)
@@ -518,19 +532,35 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return _record(out, (x, kernel), bwd, "conv2d")
 
 
-def _conv_raw(xb: np.ndarray, wv: np.ndarray, stride: int, pad: int):
-    """im2col cross-correlation: [N,C,H,W] x [O,C,k,k] -> [N,O,Ho,Wo]."""
+def _conv_flat(xb: np.ndarray, wv: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 cross-correlation of [N,C,H,W] with [O,C,k,k] as one GEMM.
+
+    The input is written into a zeroed buffer [N, C, Hp+1, Wp] (Hp = H +
+    2*pad, Wp = W + 2*pad; a negative pad, which the input gradient of a
+    conv with pad > k-1 needs, crops instead). With each channel
+    flattened, tap (i, j) reads the contiguous run of H1*Wp values that
+    starts at i*Wp + j, where H1 = Hp - k + 1; the extra zero row keeps the
+    last tap's run in bounds. Stacking the k*k runs of every channel gives
+    the columns [N, C*k*k, H1*Wp] by copying whole rows, with no gather.
+
+    Returns ``(grid, cols)``. ``grid`` is [N, O, H1, Wp]: the output on the
+    padded-width grid, whose last k-1 columns of every row wrap around into
+    the next row and are junk, so the valid output is ``grid[..., :Wp-k+1]``.
+    """
     n, c, h, w = xb.shape
-    k = wv.shape[2]
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xb
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [N,C,Ho,Wo,k,k]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k)
-    wmat = wv.reshape(wv.shape[0], c * k * k)
-    out = (cols @ wmat.T).reshape(n, ho, wo, wv.shape[0]).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out), cols
+    o, _, k, _ = wv.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    h1 = hp - k + 1
+    p, q = max(pad, 0), max(-pad, 0)
+    xp = np.zeros((n, c, hp + 1, wp))
+    xp[:, :, p : p + h - 2 * q, p : p + w - 2 * q] = xb[:, :, q : h - q, q : w - q]
+    sn, sc, sh, sw = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, k, k, h1 * wp), strides=(sn, sc, sh, sw, sw), writeable=False
+    )
+    cols = taps.reshape(n, c * k * k, h1 * wp)
+    grid = (wv.reshape(o, c * k * k) @ cols).reshape(n, o, h1, wp)
+    return grid, cols
 
 
 def avgpool2(x: Tensor) -> Tensor:

@@ -14,6 +14,7 @@ adaptation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError, SerializationError
 from . import serialize
 
 # Controller size relative to the main network, for shipped configs.
@@ -630,18 +631,14 @@ def load_model(path) -> tuple[Model, dict]:
     return model, meta
 
 
+# Version of the controller metadata; 2 stores every ControllerSpec field.
+CONTROLLER_FORMAT = 2
+
+
 def save_controller(path, h: Controller, meta: dict | None = None) -> None:
     info = {
-        "cspec": json.dumps(
-            {
-                "arch": h.cspec.arch,
-                "in_channels": h.cspec.in_channels,
-                "film_channels": h.cspec.film_channels,
-                "hidden": h.cspec.hidden,
-                "trunk": list(h.cspec.trunk),
-            },
-            sort_keys=True,
-        ),
+        "controller_format": CONTROLLER_FORMAT,
+        "cspec": json.dumps(dataclasses.asdict(h.cspec), sort_keys=True),
         "param_order": json.dumps(h.params.names()),
     }
     info.update(meta or {})
@@ -650,14 +647,18 @@ def save_controller(path, h: Controller, meta: dict | None = None) -> None:
 
 def load_controller(path) -> tuple[Controller, dict]:
     _, meta, arrays = serialize.load(path, expect_kind="controller")
+    if meta.get("controller_format") != CONTROLLER_FORMAT:
+        raise SerializationError(
+            f"controller format {meta.get('controller_format')!r} is not supported "
+            f"(expected {CONTROLLER_FORMAT}); save the controller again with the current tool"
+        )
     d = json.loads(meta["cspec"])
-    cspec = ControllerSpec(
-        arch=d["arch"],
-        in_channels=d["in_channels"],
-        film_channels=d["film_channels"],
-        hidden=d["hidden"],
-        trunk=tuple(d["trunk"]),
-    )
+    names = {f.name for f in dataclasses.fields(ControllerSpec)}
+    if set(d) != names:
+        raise SerializationError(
+            f"controller spec has fields {sorted(d)}, expected {sorted(names)}"
+        )
+    cspec = ControllerSpec(**{**d, "trunk": tuple(d["trunk"])})
     params = ParamSet()
     for name in json.loads(meta["param_order"]):
         params.add(name, arrays[name])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -56,6 +57,7 @@ def pack(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def unpack(data: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Parse a container; malformed input of any kind raises SerializationError."""
     if len(data) < 4 + 4 + 8 or data[:4] != MAGIC:
         raise SerializationError("not a container file (bad magic bytes)")
     version = struct.unpack("<I", data[4:8])[0]
@@ -64,29 +66,67 @@ def unpack(data: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
             f"container version {version} is not supported by this build "
             f"(expected {VERSION}); regenerate the artifact with the current tool"
         )
+    if len(data) < 4 + 4 + 8 + 8 + 32:
+        raise SerializationError("container is truncated")
     body, checksum = data[:-32], data[-32:]
     if hashlib.sha256(body).digest() != checksum:
         raise SerializationError("container checksum mismatch (file corrupt)")
     off = 8
-    (hlen,) = struct.unpack("<Q", body[off : off + 8])
+    (hlen,) = struct.unpack_from("<Q", body, off)
     off += 8
-    header = json.loads(body[off : off + hlen].decode("utf-8"))
+    if hlen > len(body) - off - 8:
+        raise SerializationError("container header length exceeds the file")
+    try:
+        header = json.loads(body[off : off + hlen].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise SerializationError(f"container header is not JSON: {exc}") from None
     off += hlen
-    (blen,) = struct.unpack("<Q", body[off : off + 8])
+    (blen,) = struct.unpack_from("<Q", body, off)
     off += 8
-    blob = body[off : off + blen]
+    if blen != len(body) - off:
+        raise SerializationError("container blob length does not match the file")
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("kind"), str)
+        and isinstance(header.get("meta"), dict)
+        and isinstance(header.get("arrays"), list)
+    ):
+        raise SerializationError("container header lacks a kind, meta or arrays entry")
+    blob = body[off:]
     arrays = {}
     pos = 0
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        arr = np.frombuffer(blob[pos : pos + nbytes], dtype=_DTYPES[entry["dtype"]])
-        arrays[entry["name"]] = arr.reshape(shape).copy()
+        name, shape, dtype = _directory_entry(entry)
+        if name in arrays:
+            raise SerializationError(f"container lists array {name!r} twice")
+        nbytes = math.prod(shape) * 8
+        if pos + nbytes > blen:
+            raise SerializationError(f"array {name!r} runs past the end of the blob")
+        arr = np.frombuffer(blob[pos : pos + nbytes], dtype=dtype)
+        try:
+            arrays[name] = arr.reshape(shape).copy()
+        except ValueError as exc:  # a zero-size shape numpy cannot represent
+            raise SerializationError(f"array {name!r} has an invalid shape {shape!r}: {exc}") from None
         pos += nbytes
     if pos != blen:
         raise SerializationError("container blob length does not match directory")
     return header["kind"], header["meta"], arrays
+
+
+def _directory_entry(entry) -> tuple[str, tuple[int, ...], str]:
+    """(name, shape, numpy dtype) of one array-directory entry, validated."""
+    if not isinstance(entry, dict):
+        raise SerializationError(f"array directory entry is not an object: {entry!r}")
+    name, shape, tag = entry.get("name"), entry.get("shape"), entry.get("dtype")
+    if not isinstance(name, str):
+        raise SerializationError(f"array directory entry has no name: {entry!r}")
+    if not isinstance(shape, list) or not all(
+        type(d) is int and d >= 0 for d in shape
+    ):
+        raise SerializationError(f"array {name!r} has an invalid shape {shape!r}")
+    if not isinstance(tag, str) or tag not in _DTYPES:
+        raise SerializationError(f"array {name!r} has an unsupported dtype {tag!r}")
+    return name, tuple(shape), _DTYPES[tag]
 
 
 def save(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:

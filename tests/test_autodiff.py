@@ -27,6 +27,10 @@ def t(x):
     return ad.as_tensor(np.asarray(x, dtype=np.float64))
 
 
+# (stride, pad, k) for a 7x5 input: every combination has an integral output size.
+CONV_GRID = [(s, p, k) for s in (1, 2) for p in (0, 1, 2) for k in (1, 3, 5)]
+
+
 class TestMatmul:
     def test_identity(self):
         a = np.eye(2)
@@ -77,6 +81,31 @@ class TestConv2d:
             out = ad.conv2d(t(x), t(w), stride=stride, pad=pad).array
             ref = conv2d_loops(x, w, stride=stride, pad=pad)
             assert np.max(np.abs(out - ref)) < 1e-12
+        xb = rng.normal(size=(2, 2, 7, 5))
+        for stride, pad, k in CONV_GRID:
+            wk = rng.normal(size=(3, 2, k, k))
+            out = ad.conv2d(t(xb), t(wk), stride=stride, pad=pad).array
+            for n in range(2):
+                ref = conv2d_loops(xb[n], wk, stride=stride, pad=pad)
+                assert np.max(np.abs(out[n] - ref)) < 1e-12, (stride, pad, k)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("stride,pad,k", CONV_GRID)
+    def test_gradients_finite_difference(self, stride, pad, k, batched):
+        rng = np.random.default_rng(100 * stride + 10 * pad + k)
+        x = rng.normal(size=(2, 2, 7, 5) if batched else (2, 7, 5))
+        w = rng.normal(size=(3, 2, k, k))
+        r = rng.normal(size=ad.conv2d(t(x), t(w), stride, pad).shape)
+
+        def loss(xt, wt):
+            return ad.sum_all(ad.mul(ad.conv2d(xt, wt, stride, pad), t(r)))
+
+        with ad.Tape() as tape:
+            xt, wt = tape.leaf(x, True), tape.leaf(w, True)
+            ad.backward(loss(xt, wt))
+        for arr, leaf in ((x, xt), (w, wt)):
+            fd = central_fd(lambda: loss(t(x), t(w)).item(), arr)
+            assert max_rel_err(tape.grad(leaf), fd) < 1e-7
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(3)
@@ -380,6 +409,20 @@ class TestTapeSemantics:
         c0 = ad.tape_count()
         ad.Tape()
         assert ad.tape_count() > c0
+
+    def test_tape_count_is_a_pure_read(self):
+        assert ad.tape_count() == ad.tape_count()
+
+    def test_backward_after_tape_freed_rejected(self):
+        def record():
+            with ad.Tape() as tape:
+                xt = tape.leaf(np.ones(3), True)
+                return ad.sum_all(ad.mul(xt, xt))
+
+        root = record()
+        assert root.node.tape is None
+        with pytest.raises(ContractError, match="no longer exists"):
+            ad.backward(root)
 
 
 class TestDeterminism:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -330,8 +333,63 @@ class TestSpecSerialization:
         assert loaded.cspec == h.cspec
         assert loaded.params.state_bytes() == h.params.state_bytes()
 
+    def test_raw_out_controller_round_trip(self, tmp_path):
+        _, h = presets.hypernet_x_setup(seed=3)
+        path = tmp_path / "ctrl.rnl"
+        nets.save_controller(path, h)
+        loaded, _ = nets.load_controller(path)
+        assert loaded.cspec == h.cspec
+        assert loaded.cspec.out_dim == h.cspec.out_dim == h.cspec.raw_out
+        assert loaded.params.state_bytes() == h.params.state_bytes()
+
+    def test_controller_file_missing_a_spec_field_rejected(self, tmp_path, dense_pair):
+        import json
+
+        from rnaloop import serialize
+        from rnaloop.errors import SerializationError
+
+        _, h = dense_pair
+        path = tmp_path / "ctrl.rnl"
+        nets.save_controller(path, h)
+        _, meta, arrays = serialize.load(path)
+        cspec = json.loads(meta["cspec"])
+        del cspec["raw_out"]
+        serialize.save(path, "controller", {**meta, "cspec": json.dumps(cspec)}, arrays)
+        with pytest.raises(SerializationError, match="raw_out"):
+            nets.load_controller(path)
+        del meta["controller_format"]
+        serialize.save(path, "controller", meta, arrays)
+        with pytest.raises(SerializationError, match="controller format None"):
+            nets.load_controller(path)
+
 
 class TestGradientsThroughModel:
+    def test_tto_step_graph_freed_without_garbage_collector(self, dense_pair):
+        # Nodes refer to their tape weakly, so reference counting alone frees
+        # a finished step's tape and the graph it holds.
+        f, _ = dense_pair
+        x = np.random.default_rng(20).random((1,) + f.spec.in_shape)
+        sites = range(len(f.spec.film_sites))
+        film = ad.ParamSet()
+        for s, (_, c) in zip(sites, f.spec.film_sites):
+            film.add(f"g{s}", np.ones(c))
+            film.add(f"b{s}", np.zeros(c))
+
+        def step():
+            with ad.Tape() as tape:
+                lifted = film.lift(tape)
+                fp = nets.FiLMParams([(lifted[f"g{s}"], lifted[f"b{s}"]) for s in sites])
+                loss = ad.mean_l1(f.forward(x, film=fp, tape=tape), np.zeros_like(x))
+                ad.backward(loss)
+            ad.sgd_step(film, film.grads_from(tape, lifted), 0.05)
+            return weakref.ref(tape)
+
+        gc.disable()
+        try:
+            assert step()() is None
+        finally:
+            gc.enable()
+
     def test_film_params_gradient_finite_difference(self, dense_pair):
         f, _ = dense_pair
         rng = np.random.default_rng(18)
