@@ -12,7 +12,8 @@ graphs). Tapes are thread-local, so independent episodes may run on
 separate threads with separate tapes.
 
 Shape discipline: no broadcasting except the channel-wise patterns of
-``film`` and ``add_bias``. All other operand shapes must match exactly.
+``film``, ``add_bias`` and the ``conv2d`` bias. All other operand shapes
+must match exactly.
 """
 
 from __future__ import annotations
@@ -468,20 +469,25 @@ def _as_batched(xv: np.ndarray, opname: str) -> tuple[np.ndarray, bool]:
     raise DimensionError(f"{opname}: expected [C,H,W] or [N,C,H,W], got {xv.shape}")
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation. x: [C,H,W] or [N,C,H,W]; kernel: [O,C,k,k].
+def conv2d(
+    x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None
+) -> Tensor:
+    """2-D cross-correlation plus an optional per-channel bias.
 
-    Kernel size must be odd. Output spatial size (H + 2*pad - k)/stride + 1
-    must be integral.
+    x: [C,H,W] or [N,C,H,W]; kernel: [O,C,k,k]; bias: [O] or None. Kernel
+    size must be odd. Output spatial size (H + 2*pad - k)/stride + 1 must be
+    integral. With a bias the result equals ``add_bias(conv2d(x, kernel,
+    stride, pad), bias)`` bit for bit, recorded as one node.
 
-    Every stride runs the same stride-1 kernel, :func:`_conv_flat`. For
-    stride > 1 the output keeps every ``stride``-th row and column of the
-    stride-1 result; the backward pass places the incoming gradient at those
-    positions of a zeroed stride-1 gradient grid, so both gradients are the
-    stride-1 ones: the kernel gradient is that grid times the columns of the
-    forward pass, summed over the batch, and the input gradient is the
-    stride-1 correlation of the grid with the flipped, channel-transposed
-    kernel at pad ``k - 1 - pad``. The columns are kept for the backward
+    Every stride runs the same stride-1 row-tap kernel, :func:`_conv_rows`.
+    For stride > 1 the output keeps every ``stride``-th row and column of the
+    stride-1 result. The input gradient is the stride-1 correlation of the
+    incoming gradient with the flipped, channel-transposed kernel at pad
+    ``k - 1 - pad``; for stride > 1 (or when the kernel needs a gradient)
+    the incoming gradient is first placed at its positions of a zeroed
+    stride-1 grid of the forward's padded width. The kernel gradient is
+    that grid times the forward's row matrix at each of the k horizontal
+    offsets, summed over the batch. The row matrix is kept for the backward
     pass only when the kernel is a recorded tensor that needs a gradient.
     """
     from .errors import ConfigurationError
@@ -489,9 +495,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     xv, wv = x.array, kernel.array
     if wv.ndim != 4 or wv.shape[2] != wv.shape[3]:
         raise DimensionError(f"conv2d: kernel must be [O,C,k,k], got {wv.shape}")
-    k = wv.shape[2]
+    o, _, k, _ = wv.shape
     if k % 2 == 0:
         raise ConfigurationError(f"conv2d: kernel size must be odd, got {k}")
+    if bias is not None and bias.array.shape != (o,):
+        raise DimensionError(f"conv2d: bias must be [{o}], got {bias.array.shape}")
     xb, squeezed = _as_batched(xv, "conv2d")
     n, c, h, w = xb.shape
     if wv.shape[1] != c:
@@ -504,99 +512,132 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             f"conv2d: non-integral output size for input {h}x{w}, k={k}, "
             f"stride={stride}, pad={pad}"
         )
-    grid, cols = _conv_flat(xb, wv, pad)
-    _, o, h1, wp = grid.shape
+    grid, rows = _conv_rows(xb, wv, pad)
+    _, _, h1, wp = grid.shape
     w1 = wp - k + 1
-    out = np.ascontiguousarray(grid[:, :, ::stride, :w1:stride])
+    valid = grid[:, :, ::stride, :w1:stride]
+    if bias is None:
+        out = np.ascontiguousarray(valid)
+    else:
+        out = valid + bias.array[None, :, None, None]
     if kernel.node is None or not kernel.node.needs_grad:
-        cols = None  # only the kernel gradient reads the columns
+        rows = None  # only the kernel gradient reads the row matrix
     if squeezed:
         out = out[0]
 
     def bwd(g, needs):
-        # the incoming gradient on the padded-width stride-1 grid of the forward
-        gfull = np.zeros((n, o, h1, wp))
-        gfull[:, :, ::stride, :w1:stride] = g[None] if squeezed else g
+        g4 = g[None] if squeezed else g
         gw = gx = None
+        if stride > 1 or needs[1]:
+            # the incoming gradient on the padded-width stride-1 grid of the forward
+            gfull = np.zeros((n, o, h1, wp))
+            gfull[:, :, ::stride, :w1:stride] = g4
+            g4 = gfull[:, :, :, :w1]
         if needs[1]:
-            gw = (gfull.reshape(n, o, h1 * wp) @ cols.transpose(0, 2, 1)).sum(axis=0)
-            gw = gw.reshape(wv.shape)
+            gw = _conv_kernel_grad(gfull, rows, k)
         if needs[0]:
             wflip = np.ascontiguousarray(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            gxg, _ = _conv_flat(gfull[:, :, :, :w1], wflip, k - 1 - pad)
+            gxg, _ = _conv_rows(g4, wflip, k - 1 - pad)
             gx = np.ascontiguousarray(gxg[:, :, :, :w])
             if squeezed:
                 gx = gx[0]
-        return (gx, gw)
+        if bias is None:
+            return (gx, gw)
+        gbias = g.sum(axis=(1, 2) if squeezed else (0, 2, 3)) if needs[2] else None
+        return (gx, gw, gbias)
 
-    return _record(out, (x, kernel), bwd, "conv2d")
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _record(out, parents, bwd, "conv2d")
 
 
-def _conv_flat(xb: np.ndarray, wv: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1 cross-correlation of [N,C,H,W] with [O,C,k,k] as one GEMM.
+def _conv_rows(xb: np.ndarray, wv: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 cross-correlation of [N,C,H,W] with [O,C,k,k] as k GEMMs.
 
     The input is written into a zeroed buffer [N, C, Hp+1, Wp] (Hp = H +
     2*pad, Wp = W + 2*pad; a negative pad, which the input gradient of a
     conv with pad > k-1 needs, crops instead). With each channel
     flattened, tap (i, j) reads the contiguous run of H1*Wp values that
     starts at i*Wp + j, where H1 = Hp - k + 1; the extra zero row keeps the
-    last tap's run in bounds. Stacking the k*k runs of every channel gives
-    the columns [N, C*k*k, H1*Wp] by copying whole rows, with no gather.
+    last tap's run in bounds. The row matrix [N, C*k, H1*Wp + k-1] copies,
+    for every channel c and kernel row i, the run that starts at i*Wp: k
+    copies of the input, not k*k. Kernel column j reads the window
+    ``rows[:, :, j : j + H1*Wp]`` of it, a strided view, so the output is
+    the sum over j of ``W[:, :, :, j] @ window_j``, with no further copy
+    (the partial-im2col scheme of Anderson et al. 2017, arXiv:1709.03395).
+    A 1x1 kernel with pad 0 uses the input itself as the row matrix.
 
-    Returns ``(grid, cols)``. ``grid`` is [N, O, H1, Wp]: the output on the
+    Returns ``(grid, rows)``. ``grid`` is [N, O, H1, Wp]: the output on the
     padded-width grid, whose last k-1 columns of every row wrap around into
     the next row and are junk, so the valid output is ``grid[..., :Wp-k+1]``.
     """
     n, c, h, w = xb.shape
     o, _, k, _ = wv.shape
+    if k == 1 and pad == 0:
+        rows = xb.reshape(n, c, h * w)
+        return (wv.reshape(o, c) @ rows).reshape(n, o, h, w), rows
     hp, wp = h + 2 * pad, w + 2 * pad
     h1 = hp - k + 1
+    run = h1 * wp
     p, q = max(pad, 0), max(-pad, 0)
     xp = np.zeros((n, c, hp + 1, wp))
     xp[:, :, p : p + h - 2 * q, p : p + w - 2 * q] = xb[:, :, q : h - q, q : w - q]
-    sn, sc, sh, sw = xp.strides
-    taps = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, c, k, k, h1 * wp), strides=(sn, sc, sh, sw, sw), writeable=False
-    )
-    cols = taps.reshape(n, c * k * k, h1 * wp)
-    grid = (wv.reshape(o, c * k * k) @ cols).reshape(n, o, h1, wp)
-    return grid, cols
+    # The k row taps of every channel as an overlapping view of the buffer
+    # (built with the ndarray constructor: as_strided costs more than the
+    # copy at these sizes), then copied, so each window is a GEMM operand
+    # with a row stride at least its width.
+    taps = np.ndarray((n, c, k, run + k - 1), _F64, xp, 0, xp.strides)
+    rows = np.ascontiguousarray(taps).reshape(n, c * k, run + k - 1)
+    # wcols[j] = W[:, :, :, j] as [O, C*k], rows ordered like the row matrix
+    wcols = wv.transpose(3, 0, 1, 2).reshape(k, o, c * k)
+    grid = wcols[0] @ rows[:, :, :run]
+    for j in range(1, k):
+        grid += wcols[j] @ rows[:, :, j : j + run]
+    return grid.reshape(n, o, h1, wp), rows
+
+
+def _conv_kernel_grad(gfull: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Kernel gradient [O,C,k,k] from the padded-width gradient grid and the
+    forward's row matrix: column j is ``gfull @ window_jᵀ`` summed over N."""
+    n, o, h1, wp = gfull.shape
+    run = h1 * wp
+    gf = gfull.reshape(n, o, run)
+    gw = np.empty((o, rows.shape[1], k))
+    for j in range(k):
+        gw[:, :, j] = (gf @ rows[:, :, j : j + run].transpose(0, 2, 1)).sum(axis=0)
+    return gw.reshape(o, rows.shape[1] // k, k, k)
+
+
+def _quad_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of every 2x2 block of the last two axes, as ``(v00 + v01) +
+    (v10 + v11)`` over four strided views: the order in which numpy's own
+    reduction over the block axes of ``reshape(..., h/2, 2, w/2, 2)`` adds
+    them when the output is more than one column wide."""
+    return (v[..., ::2, ::2] + v[..., ::2, 1::2]) + (v[..., 1::2, ::2] + v[..., 1::2, 1::2])
+
+
+def _quad_spread(v: np.ndarray) -> np.ndarray:
+    """Every value of the last two axes copied into its 2x2 block."""
+    out = np.empty(v.shape[:-2] + (2 * v.shape[-2], 2 * v.shape[-1]))
+    out[..., ::2, ::2] = v
+    out[..., ::2, 1::2] = v
+    out[..., 1::2, ::2] = v
+    out[..., 1::2, 1::2] = v
+    return out
 
 
 def avgpool2(x: Tensor) -> Tensor:
     """2x2 average pooling with stride 2. Spatial dims must be even."""
-    xv = x.array
-    xb, squeezed = _as_batched(xv, "avgpool2")
-    n, c, h, w = xb.shape
+    h, w = _as_batched(x.array, "avgpool2")[0].shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(f"avgpool2: odd spatial size {h}x{w}")
-    out = xb.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-    if squeezed:
-        out = out[0]
-
-    def bwd(g, needs):
-        gb = g[None] if squeezed else g
-        gx = np.repeat(np.repeat(gb, 2, axis=2), 2, axis=3) * 0.25
-        return ((gx[0] if squeezed else gx),)
-
-    return _record(out, (x,), bwd, "avgpool2")
+    out = _quad_sum(x.array) / 4.0
+    return _record(out, (x,), lambda g, n: (_quad_spread(g * 0.25),), "avgpool2")
 
 
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling."""
-    xv = x.array
-    xb, squeezed = _as_batched(xv, "upsample2")
-    out = np.repeat(np.repeat(xb, 2, axis=2), 2, axis=3)
-    if squeezed:
-        out = out[0]
-
-    def bwd(g, needs):
-        gb = g[None] if squeezed else g
-        n, c, h2, w2 = gb.shape
-        gx = gb.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
-        return ((gx[0] if squeezed else gx),)
-
-    return _record(out, (x,), bwd, "upsample2")
+    _as_batched(x.array, "upsample2")
+    return _record(_quad_spread(x.array), (x,), lambda g, n: (_quad_sum(g),), "upsample2")
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
@@ -611,8 +652,9 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
 
     def bwd(g, needs):
         offs = np.cumsum([0] + sizes)
+        lead = (slice(None),) * axis
         return tuple(
-            np.take(g, range(offs[i], offs[i + 1]), axis=axis) if needs[i] else None
+            g[lead + (slice(offs[i], offs[i + 1]),)] if needs[i] else None
             for i in range(len(arrs))
         )
 
@@ -696,7 +738,6 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
 
 def expand_batch(x: Tensor) -> Tensor:
     """[C,H,W] -> [1,C,H,W] (or [K] -> [1,K])."""
-    old = x.array.shape
     return _record(x.array[None].copy(), (x,), lambda g, n: (g[0],), "expand_batch")
 
 

@@ -191,9 +191,8 @@ class Model:
         for i, layer in enumerate(self.spec.layers):
             kind = layer["kind"]
             if kind == "conv":
-                cur = ad.conv2d(cur, lifted[f"L{i}.w"], layer["stride"], layer["pad"])
-                if layer.get("bias", True):
-                    cur = ad.add_bias(cur, lifted[f"L{i}.b"])
+                bias = lifted[f"L{i}.b"] if layer.get("bias", True) else None
+                cur = ad.conv2d(cur, lifted[f"L{i}.w"], layer["stride"], layer["pad"], bias=bias)
             elif kind == "relu":
                 cur = ad.relu(cur)
             elif kind == "pool":
@@ -414,9 +413,9 @@ class Controller:
                 raise DimensionError(
                     f"controller expects [N,{c.in_channels},H,W] feedback, got {fb.shape}"
                 )
-            h = ad.relu(ad.add_bias(ad.conv2d(fb, lifted["c1.w"], 1, 1), lifted["c1.b"]))
+            h = ad.relu(ad.conv2d(fb, lifted["c1.w"], 1, 1, bias=lifted["c1.b"]))
             h = ad.avgpool2(h)
-            h = ad.relu(ad.add_bias(ad.conv2d(h, lifted["c2.w"], 1, 1), lifted["c2.b"]))
+            h = ad.relu(ad.conv2d(h, lifted["c2.w"], 1, 1, bias=lifted["c2.b"]))
             h = ad.avgpool2(h)
             h = ad.global_avg_pool(h)
         elif c.arch == "mlp":
@@ -497,13 +496,6 @@ def build_side_controller(cspec: ControllerSpec, seed: int) -> Controller:
     if cspec.raw_out is None and not cspec.film_channels:
         raise ConfigurationError("side controller needs film channels or raw_out")
     return Controller(cspec, _init_controller_params(cspec, seed))
-
-
-def controller_forward(h: Controller, prediction, signal) -> FiLMParams:
-    """Convenience: encode feedback from (prediction, signal) and run h."""
-    from .signals import encode_feedback
-
-    return h.forward(encode_feedback(prediction, signal))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +585,7 @@ class InputAdapter:
                 off += wsz + cout
                 w = ad.add(ad.reshape(wres, (cout, cin, k, k)), ad.as_tensor(bw))
                 b = ad.add(ad.reshape(bres, (cout,)), ad.as_tensor(bb))
-                h = ad.add_bias(ad.conv2d(h, w, 1, k // 2), b)
+                h = ad.conv2d(h, w, 1, k // 2, bias=b)
                 if li < len(self.base) - 1:
                     h = ad.relu(h)
             outs.append(ad.add(xi, h))
@@ -609,16 +601,26 @@ def build_input_adapter(variant: str, seed: int, in_ch: int = 1) -> InputAdapter
 # ---------------------------------------------------------------------------
 
 
+def _with_meta(info: dict, meta: dict | None) -> dict:
+    """``info`` plus the caller's metadata, which may not replace its keys."""
+    clash = sorted(set(info) & set(meta or {}))
+    if clash:
+        raise ContractError(f"metadata keys {clash} are reserved for the file format")
+    return {**info, **(meta or {})}
+
+
 def save_model(path, model: Model, meta: dict | None = None) -> None:
-    info = {"spec": model.spec.to_json()}
-    info.update(meta or {})
+    info = _with_meta({"spec": model.spec.to_json()}, meta)
     arrays = {name: p.value for name, p in model.params.items()}
     serialize.save(path, "model", info, arrays)
 
 
 def load_model(path) -> tuple[Model, dict]:
     _, meta, arrays = serialize.load(path, expect_kind="model")
-    spec = ModelSpec.from_json(meta["spec"])
+    try:
+        spec = ModelSpec.from_json(meta["spec"])
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise SerializationError(f"model file spec is missing or malformed: {exc!r}") from None
     params = ParamSet()
     for i, layer in enumerate(spec.layers):
         for suffix in ("w", "b"):
@@ -636,12 +638,11 @@ CONTROLLER_FORMAT = 2
 
 
 def save_controller(path, h: Controller, meta: dict | None = None) -> None:
-    info = {
+    info = _with_meta({
         "controller_format": CONTROLLER_FORMAT,
         "cspec": json.dumps(dataclasses.asdict(h.cspec), sort_keys=True),
         "param_order": json.dumps(h.params.names()),
-    }
-    info.update(meta or {})
+    }, meta)
     serialize.save(path, "controller", info, {n: p.value for n, p in h.params.items()})
 
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -130,11 +131,27 @@ def _directory_entry(entry) -> tuple[str, tuple[int, ...], str]:
 
 
 def save(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Atomic write: the target never holds a partial container."""
+    """Atomic write: the target never holds a partial container.
+
+    The container goes to a temporary file of its own in the target's
+    directory, is flushed to disk, then renamed over the target, so
+    concurrent writers to one path never share a file; the last rename wins.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(pack(kind, meta, arrays))
-    os.replace(tmp, path)
+    data = pack(kind, meta, arrays)
+    # a fresh name and exclusive creation: no other writer opens this file,
+    # and it gets the permissions a plain write would
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:

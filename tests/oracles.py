@@ -41,6 +41,32 @@ def conv2d_loops(x, w, stride=1, pad=0):
     return out
 
 
+def avgpool2_loops(x):
+    """Mean of every 2x2 block, summed in reading order. x: [C,H,W]."""
+    c, h, w = x.shape
+    out = np.zeros((c, h // 2, w // 2))
+    for ic in range(c):
+        for i in range(h // 2):
+            for j in range(w // 2):
+                acc = 0.0
+                for di in range(2):
+                    for dj in range(2):
+                        acc += x[ic, 2 * i + di, 2 * j + dj]
+                out[ic, i, j] = acc / 4.0
+    return out
+
+
+def upsample2_loops(x):
+    """Nearest-neighbour 2x upsampling, one output pixel at a time. x: [C,H,W]."""
+    c, h, w = x.shape
+    out = np.zeros((c, 2 * h, 2 * w))
+    for ic in range(c):
+        for i in range(2 * h):
+            for j in range(2 * w):
+                out[ic, i, j] = x[ic, i // 2, j // 2]
+    return out
+
+
 def film_loops(x, gamma, beta):
     """Elementwise FiLM. x: [C,H,W]."""
     out = np.zeros_like(x)

@@ -13,6 +13,7 @@ from rnaloop.errors import (
 )
 
 from oracles import (
+    avgpool2_loops,
     central_fd,
     conv2d_loops,
     entropy_mp,
@@ -20,6 +21,7 @@ from oracles import (
     matmul_loops,
     max_rel_err,
     softmax_ce_mp,
+    upsample2_loops,
 )
 
 
@@ -95,17 +97,45 @@ class TestConv2d:
         rng = np.random.default_rng(100 * stride + 10 * pad + k)
         x = rng.normal(size=(2, 2, 7, 5) if batched else (2, 7, 5))
         w = rng.normal(size=(3, 2, k, k))
+        b = rng.normal(size=3)
         r = rng.normal(size=ad.conv2d(t(x), t(w), stride, pad).shape)
 
-        def loss(xt, wt):
-            return ad.sum_all(ad.mul(ad.conv2d(xt, wt, stride, pad), t(r)))
+        # without a bias, then with a fused bias (gradients for x, kernel and bias)
+        for arrs in ([x, w], [x, w, b]):
+            def loss(ts):
+                return ad.sum_all(ad.mul(ad.conv2d(ts[0], ts[1], stride, pad, *ts[2:]), t(r)))
 
-        with ad.Tape() as tape:
-            xt, wt = tape.leaf(x, True), tape.leaf(w, True)
-            ad.backward(loss(xt, wt))
-        for arr, leaf in ((x, xt), (w, wt)):
-            fd = central_fd(lambda: loss(t(x), t(w)).item(), arr)
-            assert max_rel_err(tape.grad(leaf), fd) < 1e-7
+            with ad.Tape() as tape:
+                leaves = [tape.leaf(a, True) for a in arrs]
+                ad.backward(loss(leaves))
+            for arr, leaf in zip(arrs, leaves):
+                fd = central_fd(lambda: loss([t(a) for a in arrs]).item(), arr)
+                assert max_rel_err(tape.grad(leaf), fd) < 1e-7, len(arrs)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_fused_bias_equals_add_bias_bitwise(self, batched):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 2, 7, 5) if batched else (2, 7, 5))
+        for stride, pad, k in CONV_GRID:
+            w, b = rng.normal(size=(3, 2, k, k)), rng.normal(size=3)
+            r = rng.normal(size=ad.conv2d(t(x), t(w), stride, pad).shape)
+            runs = []
+            for fused in (True, False):
+                with ad.Tape() as tape:
+                    xt, wt, bt = (tape.leaf(a, True) for a in (x, w, b))
+                    if fused:
+                        out = ad.conv2d(xt, wt, stride, pad, bias=bt)
+                    else:
+                        out = ad.add_bias(ad.conv2d(xt, wt, stride, pad), bt)
+                    ad.backward(ad.sum_all(ad.mul(out, t(r))))
+                runs.append([out.array] + [tape.grad(lt) for lt in (xt, wt, bt)])
+            for fused, unfused in zip(*runs):
+                assert fused.shape == unfused.shape
+                assert fused.tobytes() == unfused.tobytes(), (stride, pad, k)
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(DimensionError, match="bias"):
+            ad.conv2d(t(np.zeros((1, 4, 4))), t(np.zeros((2, 1, 3, 3))), 1, 1, bias=t(np.zeros(3)))
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(3)
@@ -121,6 +151,66 @@ class TestConv2d:
 
         with pytest.raises(ConfigurationError):
             ad.conv2d(t(np.zeros((1, 6, 6))), t(np.zeros((1, 1, 3, 3))), stride=2, pad=0)
+
+
+class TestResampling:
+    """avgpool2/upsample2 against loop oracles and, bit for bit, against the
+    6-D reshape and ``np.repeat`` expressions they replace."""
+
+    SHAPES = [(1, 8, 32, 32), (2, 16, 16, 16), (3, 24, 8, 8), (2, 5, 6, 4), (1, 3, 4, 4), (2, 3, 6, 2)]
+
+    @staticmethod
+    def block_sum(v):
+        n, c, h, w = v.shape
+        return v.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+
+    @staticmethod
+    def repeat2(v):
+        return np.repeat(np.repeat(v, 2, axis=2), 2, axis=3)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_against_loop_oracles(self, batched):
+        rng = np.random.default_rng(30)
+        for shape in self.SHAPES:
+            x = rng.normal(size=shape)
+            pooled = ad.avgpool2(t(x if batched else x[0])).array
+            upsampled = ad.upsample2(t(x if batched else x[0])).array
+            if not batched:
+                pooled, upsampled = pooled[None], upsampled[None]
+            for n in range(x.shape[0] if batched else 1):
+                assert np.max(np.abs(pooled[n] - avgpool2_loops(x[n]))) < 1e-15
+                assert np.array_equal(upsampled[n], upsample2_loops(x[n]))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_bitwise_equal_to_reshape_expressions(self, batched):
+        # Width 2 is left out: there numpy coalesces each 2x2 block into one
+        # run of 4 and adds it left to right, so the last bit can differ.
+        rng = np.random.default_rng(31)
+        for shape in [s for s in self.SHAPES if s[3] > 2]:
+            x = rng.normal(size=shape)
+            small = rng.normal(size=shape[:2] + (shape[2] // 2, shape[3] // 2))
+            xs, smalls = (x, small) if batched else (x[0], small[0])
+            with ad.Tape() as tape:
+                xt, st_ = tape.leaf(xs, True), tape.leaf(smalls, True)
+                pooled, upsampled = ad.avgpool2(xt), ad.upsample2(st_)
+                gp, gu = rng.normal(size=pooled.shape), rng.normal(size=upsampled.shape)
+                ad.backward(ad.add(ad.sum_all(ad.mul(pooled, t(gp))), ad.sum_all(ad.mul(upsampled, t(gu)))))
+            gp4, gu4 = (gp, gu) if batched else (gp[None], gu[None])
+            expected = [
+                (pooled.array, x.reshape(shape[0], shape[1], shape[2] // 2, 2, shape[3] // 2, 2).mean(axis=(3, 5))),
+                (upsampled.array, self.repeat2(small)),
+                (tape.grad(xt), self.repeat2(gp4) * 0.25),
+                (tape.grad(st_), self.block_sum(gu4)),
+            ]
+            for got, want in expected:
+                want = want if batched else want[0]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
+
+    def test_odd_size_and_rank_rejected(self):
+        with pytest.raises(DimensionError, match="odd"):
+            ad.avgpool2(t(np.zeros((1, 3, 4))))
+        with pytest.raises(DimensionError):
+            ad.upsample2(t(np.zeros((4, 4))))
 
 
 class TestFilm:
@@ -445,7 +535,7 @@ class TestOtherOpGradients:
     @pytest.mark.parametrize(
         "name",
         [
-            "add_bias_2d", "add_bias_4d", "avgpool", "upsample", "concat",
+            "add_bias_2d", "add_bias_4d", "avgpool", "upsample", "concat", "concat_4d",
             "slice", "gap", "entropy_pix", "bernoulli", "masked_ce", "coarse_ce",
         ],
     )
@@ -469,6 +559,12 @@ class TestOtherOpGradients:
             arrs = [x]
         elif name == "concat":
             a, b = rng.normal(size=(2, 3, 3)), rng.normal(size=(1, 3, 3))
+            build = lambda xs: ad.sum_all(
+                ad.mul(ad.concat_channels(xs), ad.concat_channels(xs))
+            )
+            arrs = [a, b]
+        elif name == "concat_4d":
+            a, b = rng.normal(size=(2, 2, 3, 3)), rng.normal(size=(2, 3, 3, 3))
             build = lambda xs: ad.sum_all(
                 ad.mul(ad.concat_channels(xs), ad.concat_channels(xs))
             )

@@ -1,5 +1,7 @@
 import gc
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -363,6 +365,32 @@ class TestSpecSerialization:
             nets.load_controller(path)
 
 
+    def test_model_meta_may_not_replace_reserved_keys(self, tmp_path):
+        path = tmp_path / "model.rnl"
+        with pytest.raises(ContractError, match="spec"):
+            nets.save_model(path, presets.cls_main(seed=2), meta={"spec": "x"})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key", ["cspec", "param_order", "controller_format"])
+    def test_controller_meta_may_not_replace_reserved_keys(self, tmp_path, dense_pair, key):
+        path = tmp_path / "ctrl.rnl"
+        with pytest.raises(ContractError, match=key):
+            nets.save_controller(path, dense_pair[1], meta={key: "[]"})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("spec", [None, 5, "not json {", '{"task_kind": "x"}', "[1, 2]"])
+    def test_model_file_with_missing_or_bad_spec_rejected(self, tmp_path, spec):
+        from rnaloop import serialize
+        from rnaloop.errors import SerializationError
+
+        f = presets.cls_main(seed=2)
+        path = tmp_path / "model.rnl"
+        meta = {} if spec is None else {"spec": spec}
+        serialize.save(path, "model", meta, {n: p.value for n, p in f.params.items()})
+        with pytest.raises(SerializationError, match="spec"):
+            nets.load_model(path)
+
+
 class TestGradientsThroughModel:
     def test_tto_step_graph_freed_without_garbage_collector(self, dense_pair):
         # Nodes refer to their tape weakly, so reference counting alone frees
@@ -426,3 +454,47 @@ class TestGradientsThroughModel:
         fd_b = central_fd(lambda: loss_value(gamma, beta), beta)
         assert max_rel_err(tape.grad(gt), fd_g) < 1e-4
         assert max_rel_err(tape.grad(bt), fd_b) < 1e-4
+
+
+class TestConcurrentEpisodes:
+    @staticmethod
+    def tto_episode(f, x, target, mask, steps=3, lr=0.05) -> bytes:
+        """FiLM-only TTO on one image with the main network frozen."""
+        sites = range(len(f.spec.film_sites))
+        film = ad.ParamSet()
+        for s, (_, c) in zip(sites, f.spec.film_sites):
+            film.add(f"g{s}", np.ones(c))
+            film.add(f"b{s}", np.zeros(c))
+
+        def film_of(values):
+            return nets.FiLMParams([(values[f"g{s}"], values[f"b{s}"]) for s in sites])
+
+        for _ in range(steps):
+            with ad.Tape() as tape:
+                lifted = film.lift(tape)
+                pred = f.forward(x, film=film_of(lifted), tape=tape)
+                ad.backward(ad.masked_l1(pred, target, mask))
+            ad.sgd_step(film, film.grads_from(tape, lifted), lr)
+        return film.state_bytes() + f.forward(x, film=film_of(film.lift(None))).array.tobytes()
+
+    def test_threaded_tto_episodes_equal_sequential_bitwise(self):
+        # Tapes are thread-local and the kernels keep no shared work
+        # buffer, so episodes interleaved on threads give the sequential bits.
+        f = presets.dense_main(seed=11)
+        f.params.set_frozen(True)
+        rng = np.random.default_rng(12)
+        cases = [
+            (rng.random((1,) + f.spec.in_shape), rng.random((1,) + f.spec.in_shape),
+             (rng.random((1,) + f.spec.in_shape[1:]) < 0.1).astype(float))
+            for _ in range(6)
+        ]
+        sequential = [self.tto_episode(f, *case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(self.tto_episode, f, *case) for case in cases]
+                threaded = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential

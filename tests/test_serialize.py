@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -134,3 +137,41 @@ def test_fuzz_edited_container(edit):
     for pos, chunk in edit:
         data[pos : pos + len(chunk)] = chunk
     _check_unpack(reseal(bytes(data)))
+
+
+def test_concurrent_saves_to_one_path_always_load_and_leave_no_temp_file(tmp_path):
+    path = tmp_path / "shared.rnl"
+    payloads = [np.full((32, 32), float(i)) for i in range(3)]
+
+    def writer(i):
+        for _ in range(20):
+            serialize.save(path, "model", {"writer": i}, {"w": payloads[i]})
+            _, meta, arrays = serialize.load(path)
+            assert np.array_equal(arrays["w"], payloads[meta["writer"]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for fut in [pool.submit(writer, i) for i in range(3)]:
+                fut.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    _, meta, arrays = serialize.load(path)
+    assert np.array_equal(arrays["w"], payloads[meta["writer"]])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.rnl"]
+
+
+def test_failed_save_removes_its_temp_file_and_keeps_the_target(tmp_path, monkeypatch):
+    path = tmp_path / "kept.rnl"
+    serialize.save(path, "model", {"v": 1}, {})
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        serialize.save(path, "model", {"v": 2}, {})
+    monkeypatch.undo()
+    assert serialize.load(path)[1] == {"v": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.rnl"]
