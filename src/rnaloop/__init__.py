@@ -2,11 +2,12 @@
 
 A frozen main network is adapted at test time either by explicit gradient
 descent on a proxy loss (test-time optimization) or by a small learned
-controller that emits feature-wise modulation parameters in a single
-forward pass. The package bundles the numerics (a minimal reverse-mode
-autodiff engine), network builders, procedural task generators, synthetic
-distribution shifts, adaptation-signal generators, the adaptation engine,
-and a benchmarking harness.
+controller that emits feature-wise modulation parameters in one forward
+pass. The package holds the numerics (a minimal reverse-mode autodiff
+engine), network builders, procedural task generators, synthetic
+distribution shifts, adaptation-signal generators and a file format for
+models, controllers and datasets. The adaptation episodes themselves are
+not part of it yet.
 """
 
 __version__ = "0.1.0"

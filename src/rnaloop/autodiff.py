@@ -11,13 +11,18 @@ plain numpy forward passes (used for inference paths that must not build
 graphs). Tapes are thread-local, so independent episodes may run on
 separate threads with separate tapes.
 
-Shape discipline: no broadcasting except the channel-wise patterns of
-``film``, ``add_bias`` and the ``conv2d`` bias. All other operand shapes
-must match exactly.
+Shape discipline: op bodies see batched operands only, with the batch on
+axis 0 ([N,C,H,W] maps, [N,K] rows). One sample ([C,H,W] or [K]) enters
+through one boundary, :func:`_one_sample`, which gives it a batch of one and
+drops that axis from the result again. There is no broadcasting except the
+channel-wise patterns of ``film``, ``add_bias`` and the ``conv2d`` bias. All
+other operand shapes must match exactly.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import threading
 import weakref
@@ -178,19 +183,11 @@ class Tensor:
         return self.array.shape
 
     @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the underlying values."""
-        return self.array.reshape(-1)
-
-    @property
     def node_id(self) -> int | None:
         return None if self.node is None else self.node.nid
 
     def item(self) -> float:
         return float(self.array)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.array, None)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, node_id={self.node_id})"
@@ -290,27 +287,18 @@ class ParamSet:
     def get(self, name: str) -> np.ndarray:
         return self._entries[name].value
 
-    def entry(self, name: str) -> Param:
-        return self._entries[name]
-
     def items(self) -> Iterable[tuple[str, Param]]:
         return self._entries.items()
 
-    def set_frozen(self, frozen: bool, names: Iterable[str] | None = None) -> None:
-        for name in names if names is not None else list(self._entries):
-            self._entries[name].frozen = frozen
+    def set_frozen(self, frozen: bool) -> None:
+        for p in self._entries.values():
+            p.frozen = frozen
 
     def clone(self) -> "ParamSet":
         out = ParamSet()
         for name, p in self._entries.items():
             out.add(name, p.value.copy(), p.trainable, p.frozen)
         return out
-
-    def copy_values_from(self, other: "ParamSet") -> None:
-        if other.names() != self.names():
-            raise ContractError("parameter sets do not match")
-        for name, p in self._entries.items():
-            np.copyto(p.value, other.get(name))
 
     def count(self) -> int:
         return sum(p.value.size for p in self._entries.values())
@@ -368,6 +356,56 @@ def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# one-sample boundary
+# ---------------------------------------------------------------------------
+
+
+def _one_sample(ranks: tuple[int, ...], *operands: str):
+    """Decorator: the one entry point for unbatched samples into a batched op.
+
+    ``ranks`` are the batched ranks the op body accepts; ``operands`` name
+    the arguments that carry the batch axis, the first argument first. When
+    the first argument has one axis fewer than a batched rank, every named
+    operand gains a leading axis of 1 (a tensor through a recorded
+    ``expand_batch``, anything else through ``[None]``), the body runs on
+    that batch of one, and a non-scalar result loses the axis again through
+    ``squeeze_batch``. Values and gradients are the batch-of-one ones bit
+    for bit. A batched call costs one rank test and goes straight to the
+    body; any other rank reaches the body, which raises ``DimensionError``.
+
+    On a tape an unbatched call records those two extra nodes. Networks
+    avoid them: ``Model.forward`` batches a [C,H,W] input once, so an
+    unbatched forward records 2 extra nodes, not 2 per op.
+    """
+    sample_ranks = frozenset(r - 1 for r in ranks)
+
+    def wrap(op):
+        sig = inspect.signature(op)
+
+        @functools.wraps(op)
+        def batched_or_one(x, *args, **kwargs):
+            if x.array.ndim not in sample_ranks:
+                return op(x, *args, **kwargs)
+            bound = sig.bind(x, *args, **kwargs)
+            for name in operands:
+                v = bound.arguments[name]
+                bound.arguments[name] = expand_batch(v) if isinstance(v, Tensor) else np.asarray(v)[None]
+            out = op(*bound.args, **bound.kwargs)
+            return out if out.array.ndim == 0 else squeeze_batch(out)
+
+        return batched_or_one
+
+    return wrap
+
+
+def _need_rank(xv: np.ndarray, rank: int, opname: str) -> None:
+    if xv.ndim != rank:
+        raise DimensionError(
+            f"{opname}: expected a rank-{rank} batch or one rank-{rank - 1} sample, got {xv.shape}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # elementwise and linear-algebra ops
 # ---------------------------------------------------------------------------
 
@@ -402,10 +440,11 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(a.array * c, (a,), lambda g, n: (g * c,), "scale")
 
 
+@_one_sample((2, 4), "x")
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a 1-D bias to x using one of the supported channel patterns.
 
-    Supported: [N,K]+[K], [C,H,W]+[C], [N,C,H,W]+[C].
+    Supported: [N,K]+[K] and [N,C,H,W]+[C].
     """
     xv, bv = x.array, b.array
     if bv.ndim != 1:
@@ -413,9 +452,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if xv.ndim == 2 and xv.shape[1] == bv.shape[0]:
         out = xv + bv[None, :]
         axes = (0,)
-    elif xv.ndim == 3 and xv.shape[0] == bv.shape[0]:
-        out = xv + bv[:, None, None]
-        axes = (1, 2)
     elif xv.ndim == 4 and xv.shape[1] == bv.shape[0]:
         out = xv + bv[None, :, None, None]
         axes = (0, 2, 3)
@@ -461,20 +497,13 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _as_batched(xv: np.ndarray, opname: str) -> tuple[np.ndarray, bool]:
-    if xv.ndim == 3:
-        return xv[None], True
-    if xv.ndim == 4:
-        return xv, False
-    raise DimensionError(f"{opname}: expected [C,H,W] or [N,C,H,W], got {xv.shape}")
-
-
+@_one_sample((4,), "x")
 def conv2d(
     x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None
 ) -> Tensor:
     """2-D cross-correlation plus an optional per-channel bias.
 
-    x: [C,H,W] or [N,C,H,W]; kernel: [O,C,k,k]; bias: [O] or None. Kernel
+    x: [N,C,H,W]; kernel: [O,C,k,k]; bias: [O] or None. Kernel
     size must be odd. Output spatial size (H + 2*pad - k)/stride + 1 must be
     integral. With a bias the result equals ``add_bias(conv2d(x, kernel,
     stride, pad), bias)`` bit for bit, recorded as one node.
@@ -500,8 +529,8 @@ def conv2d(
         raise ConfigurationError(f"conv2d: kernel size must be odd, got {k}")
     if bias is not None and bias.array.shape != (o,):
         raise DimensionError(f"conv2d: bias must be [{o}], got {bias.array.shape}")
-    xb, squeezed = _as_batched(xv, "conv2d")
-    n, c, h, w = xb.shape
+    _need_rank(xv, 4, "conv2d")
+    n, c, h, w = xv.shape
     if wv.shape[1] != c:
         raise DimensionError(
             f"conv2d: input has {c} channels but kernel expects {wv.shape[1]} "
@@ -512,7 +541,7 @@ def conv2d(
             f"conv2d: non-integral output size for input {h}x{w}, k={k}, "
             f"stride={stride}, pad={pad}"
         )
-    grid, rows = _conv_rows(xb, wv, pad)
+    grid, rows = _conv_rows(xv, wv, pad)
     _, _, h1, wp = grid.shape
     w1 = wp - k + 1
     valid = grid[:, :, ::stride, :w1:stride]
@@ -522,28 +551,24 @@ def conv2d(
         out = valid + bias.array[None, :, None, None]
     if kernel.node is None or not kernel.node.needs_grad:
         rows = None  # only the kernel gradient reads the row matrix
-    if squeezed:
-        out = out[0]
 
     def bwd(g, needs):
-        g4 = g[None] if squeezed else g
         gw = gx = None
+        gs = g
         if stride > 1 or needs[1]:
             # the incoming gradient on the padded-width stride-1 grid of the forward
             gfull = np.zeros((n, o, h1, wp))
-            gfull[:, :, ::stride, :w1:stride] = g4
-            g4 = gfull[:, :, :, :w1]
+            gfull[:, :, ::stride, :w1:stride] = g
+            gs = gfull[:, :, :, :w1]
         if needs[1]:
             gw = _conv_kernel_grad(gfull, rows, k)
         if needs[0]:
             wflip = np.ascontiguousarray(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            gxg, _ = _conv_rows(g4, wflip, k - 1 - pad)
+            gxg, _ = _conv_rows(gs, wflip, k - 1 - pad)
             gx = np.ascontiguousarray(gxg[:, :, :, :w])
-            if squeezed:
-                gx = gx[0]
         if bias is None:
             return (gx, gw)
-        gbias = g.sum(axis=(1, 2) if squeezed else (0, 2, 3)) if needs[2] else None
+        gbias = g.sum(axis=(0, 2, 3)) if needs[2] else None
         return (gx, gw, gbias)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
@@ -625,37 +650,36 @@ def _quad_spread(v: np.ndarray) -> np.ndarray:
     return out
 
 
+@_one_sample((4,), "x")
 def avgpool2(x: Tensor) -> Tensor:
-    """2x2 average pooling with stride 2. Spatial dims must be even."""
-    h, w = _as_batched(x.array, "avgpool2")[0].shape[2:]
+    """2x2 average pooling with stride 2 of [N,C,H,W]. H and W must be even."""
+    _need_rank(x.array, 4, "avgpool2")
+    h, w = x.array.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(f"avgpool2: odd spatial size {h}x{w}")
     out = _quad_sum(x.array) / 4.0
     return _record(out, (x,), lambda g, n: (_quad_spread(g * 0.25),), "avgpool2")
 
 
+@_one_sample((4,), "x")
 def upsample2(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling."""
-    _as_batched(x.array, "upsample2")
+    """Nearest-neighbour 2x upsampling of [N,C,H,W]."""
+    _need_rank(x.array, 4, "upsample2")
     return _record(_quad_spread(x.array), (x,), lambda g, n: (_quad_sum(g),), "upsample2")
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the channel axis ([C,H,W] axis 0, [N,C,H,W] axis 1)."""
+    """Concatenate [N,C,H,W] (or [C,H,W]) maps along the channel axis, -3."""
     arrs = [p.array for p in parts]
-    nd = arrs[0].ndim
-    if any(a.ndim != nd for a in arrs) or nd not in (3, 4):
+    if any(a.ndim != arrs[0].ndim for a in arrs) or arrs[0].ndim not in (3, 4):
         raise DimensionError(f"concat_channels: mixed ranks {[a.shape for a in arrs]}")
-    axis = 0 if nd == 3 else 1
-    sizes = [a.shape[axis] for a in arrs]
-    out = np.concatenate(arrs, axis=axis)
+    sizes = [a.shape[-3] for a in arrs]
+    out = np.concatenate(arrs, axis=-3)
 
     def bwd(g, needs):
         offs = np.cumsum([0] + sizes)
-        lead = (slice(None),) * axis
         return tuple(
-            g[lead + (slice(offs[i], offs[i + 1]),)] if needs[i] else None
-            for i in range(len(arrs))
+            g[..., offs[i] : offs[i + 1], :, :] if needs[i] else None for i in range(len(arrs))
         )
 
     return _record(out, tuple(parts), bwd, "concat_channels")
@@ -676,33 +700,26 @@ def slice_channels(x: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
     return _record(out, (x,), bwd, "slice_channels")
 
 
+@_one_sample((4,), "x")
 def film(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Channel-wise affine modulation: out[c] = gamma[c]*x[c] + beta[c].
 
-    x: [C,H,W] or [N,C,H,W]; gamma/beta: [C] (shared) or [N,C] (per sample,
-    batched x only). gamma=1, beta=0 is the exact identity.
+    x: [N,C,H,W]; gamma/beta: [C] (shared) or [N,C] (per sample).
+    gamma=1, beta=0 is the exact identity.
     """
     xv, gv, bv = x.array, gamma.array, beta.array
     if gv.shape != bv.shape:
         raise DimensionError(f"film: gamma {gv.shape} and beta {bv.shape} differ")
-    if xv.ndim == 3:
-        c = xv.shape[0]
-        if gv.shape != (c,):
-            raise DimensionError(f"film: x has {c} channels, gamma is {gv.shape}")
-        gexp, bexp = gv[:, None, None], bv[:, None, None]
-        sum_axes = (1, 2)
-    elif xv.ndim == 4:
-        n, c = xv.shape[:2]
-        if gv.shape == (c,):
-            gexp, bexp = gv[None, :, None, None], bv[None, :, None, None]
-            sum_axes = (0, 2, 3)
-        elif gv.shape == (n, c):
-            gexp, bexp = gv[:, :, None, None], bv[:, :, None, None]
-            sum_axes = (2, 3)
-        else:
-            raise DimensionError(f"film: x is {xv.shape}, gamma is {gv.shape}")
+    _need_rank(xv, 4, "film")
+    n, c = xv.shape[:2]
+    if gv.shape == (c,):
+        gexp, bexp = gv[None, :, None, None], bv[None, :, None, None]
+        sum_axes = (0, 2, 3)
+    elif gv.shape == (n, c):
+        gexp, bexp = gv[:, :, None, None], bv[:, :, None, None]
+        sum_axes = (2, 3)
     else:
-        raise DimensionError(f"film: expected [C,H,W] or [N,C,H,W], got {xv.shape}")
+        raise DimensionError(f"film: x is {xv.shape}, gamma is {gv.shape}")
 
     out = gexp * xv + bexp
 
@@ -748,17 +765,13 @@ def squeeze_batch(x: Tensor) -> Tensor:
     return _record(x.array[0].copy(), (x,), lambda g, n: (g[None],), "squeeze_batch")
 
 
+@_one_sample((4,), "x")
 def flatten_batch(x: Tensor) -> Tensor:
-    """[N,C,H,W] -> [N,C*H*W] (or [C,H,W] -> [C*H*W])."""
+    """[N,C,H,W] -> [N,C*H*W]."""
     xv = x.array
-    if xv.ndim == 4:
-        out = xv.reshape(xv.shape[0], -1)
-    elif xv.ndim == 3:
-        out = xv.reshape(-1)
-    else:
-        raise DimensionError(f"flatten_batch: got {xv.shape}")
+    _need_rank(xv, 4, "flatten_batch")
     shape = xv.shape
-    return _record(out.copy(), (x,), lambda g, n: (g.reshape(shape),), "flatten_batch")
+    return _record(xv.reshape(shape[0], -1).copy(), (x,), lambda g, n: (g.reshape(shape),), "flatten_batch")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -787,21 +800,15 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _as_logit_rows(xv: np.ndarray, opname: str) -> tuple[np.ndarray, bool]:
-    if xv.ndim == 1:
-        return xv[None], True
-    if xv.ndim == 2:
-        return xv, False
-    raise DimensionError(f"{opname}: expected [K] or [N,K] logits, got {xv.shape}")
-
-
+@_one_sample((2,), "logits", "target")
 def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
     """Mean -log softmax(logits)[target] over the batch.
 
-    logits: [K] with an int target, or [N,K] with a length-N index vector.
+    logits: [N,K] with a length-N index vector (one sample: [K], int target).
     """
-    rows, single = _as_logit_rows(logits.array, "softmax_cross_entropy")
-    t = np.atleast_1d(np.asarray(target, dtype=np.int64))
+    rows = logits.array
+    _need_rank(rows, 2, "softmax_cross_entropy")
+    t = np.asarray(target, dtype=np.int64)
     n, k = rows.shape
     if t.shape != (n,):
         raise DimensionError(f"softmax_cross_entropy: {n} rows but targets {t.shape}")
@@ -814,23 +821,21 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
         gl = p.copy()
         gl[np.arange(n), t] -= 1.0
         gl *= float(g) / n
-        return ((gl[0] if single else gl),)
+        return (gl,)
 
     return _record(np.asarray(loss), (logits,), bwd, "softmax_cross_entropy")
 
 
+@_one_sample((4,), "logits", "labels", "mask")
 def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     """Per-pixel cross-entropy averaged over masked positions.
 
-    logits: [K,H,W] or [N,K,H,W]; labels/mask: [H,W] or [N,H,W]. The mask is
-    binary; at least one position must be selected.
+    logits: [N,K,H,W]; labels/mask: [N,H,W]. The mask is binary; at least
+    one position must be selected.
     """
     xv = logits.array
-    single = xv.ndim == 3
     lb = np.asarray(labels, dtype=np.int64)
     mk = np.asarray(mask, dtype=_F64)
-    if single:
-        xv, lb, mk = xv[None], lb[None], mk[None]
     if xv.ndim != 4 or lb.shape != (xv.shape[0],) + xv.shape[2:] or mk.shape != lb.shape:
         raise DimensionError(
             f"masked_cross_entropy: logits {logits.shape}, labels {lb.shape}, mask {mk.shape}"
@@ -852,23 +857,25 @@ def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
         gl = p.copy()
         gl[n_idx, lb, h_idx, w_idx] -= 1.0
         gl *= (mk[:, None] * float(g)) / nvalid
-        return ((gl[0] if single else gl),)
+        return (gl,)
 
     return _record(np.asarray(loss), (logits,), bwd, "masked_cross_entropy")
 
 
+@_one_sample((2,), "logits", "coarse_target")
 def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarray) -> Tensor:
     """Marginalized cross-entropy: -log sum_{fine in group} softmax(logits)[fine].
 
     ``group_of_fine`` maps each fine class index to its coarse class.
-    logits: [K] with int target, or [N,K] with a length-N target vector.
+    logits: [N,K] with a length-N target vector (one sample: [K], int target).
     """
-    rows, single = _as_logit_rows(logits.array, "coarse_cross_entropy")
+    rows = logits.array
+    _need_rank(rows, 2, "coarse_cross_entropy")
     n, k = rows.shape
     gmap = np.asarray(group_of_fine, dtype=np.int64)
     if gmap.shape != (k,):
         raise DimensionError(f"coarse_cross_entropy: grouping covers {gmap.shape}, logits have {k}")
-    t = np.atleast_1d(np.asarray(coarse_target, dtype=np.int64))
+    t = np.asarray(coarse_target, dtype=np.int64)
     if t.shape != (n,):
         raise DimensionError(f"coarse_cross_entropy: {n} rows but targets {t.shape}")
     if np.any(t < 0) or np.any(t >= gmap.max() + 1):
@@ -883,29 +890,25 @@ def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarra
     def bwd(g, needs):
         gl = p - p * member / mass[:, None]
         gl *= float(g) / n
-        return ((gl[0] if single else gl),)
+        return (gl,)
 
     return _record(np.asarray(loss), (logits,), bwd, "coarse_cross_entropy")
 
 
+@_one_sample((2, 4), "logits")
 def prediction_entropy(logits: Tensor) -> Tensor:
     """Mean Shannon entropy of softmax(logits) over batch/pixels.
 
-    Accepts [K], [N,K], [K,H,W] or [N,K,H,W]; the class axis is axis 0 for
-    unbatched input and axis 1 otherwise (pixels are extra trailing axes).
+    Accepts [N,K] or [N,K,H,W] (one sample: [K] or [K,H,W]); the class axis
+    is axis 1.
     """
     xv = logits.array
-    if xv.ndim == 1:
-        rows = xv[None]
-    elif xv.ndim == 2:
+    if xv.ndim == 2:
         rows = xv
-    elif xv.ndim == 3:  # [K,H,W]
-        rows = xv.reshape(xv.shape[0], -1).T
-    elif xv.ndim == 4:  # [N,K,H,W]
-        k = xv.shape[1]
-        rows = xv.transpose(0, 2, 3, 1).reshape(-1, k)
+    elif xv.ndim == 4:
+        rows = xv.transpose(0, 2, 3, 1).reshape(-1, xv.shape[1])
     else:
-        raise DimensionError(f"prediction_entropy: got {xv.shape}")
+        raise DimensionError(f"prediction_entropy: expected [N,K] or [N,K,H,W], got {xv.shape}")
     p = softmax(rows, axis=1)
     logp = np.log(np.maximum(p, 1e-300))  # p*log p -> 0 as p -> 0
     ent = -(p * logp).sum(axis=1)
@@ -914,16 +917,10 @@ def prediction_entropy(logits: Tensor) -> Tensor:
 
     def bwd(g, needs):
         grows = -p * (logp + ent[:, None]) * (float(g) / m)
-        if xv.ndim == 1:
-            gx = grows[0]
-        elif xv.ndim == 2:
-            gx = grows
-        elif xv.ndim == 3:
-            gx = grows.T.reshape(xv.shape)
-        else:
-            n, k, h, w = xv.shape
-            gx = grows.reshape(n, h, w, k).transpose(0, 3, 1, 2)
-        return (gx,)
+        if xv.ndim == 2:
+            return (grows,)
+        n, k, h, w = xv.shape
+        return (grows.reshape(n, h, w, k).transpose(0, 3, 1, 2),)
 
     return _record(np.asarray(loss), (logits,), bwd, "prediction_entropy")
 
@@ -949,23 +946,22 @@ def bernoulli_entropy(x: Tensor, eps: float = 1e-4) -> Tensor:
     return _record(np.asarray(loss), (x,), bwd, "bernoulli_entropy")
 
 
+@_one_sample((4,), "pred", "target", "mask")
 def masked_l1(pred: Tensor, target: Tensor, mask) -> Tensor:
     """Mean absolute error over masked positions.
 
-    pred/target: [C,H,W] or [N,C,H,W] (or matching 2-D); mask matches the
-    spatial (and batch) axes and is broadcast over channels. The gradient
-    is zero at unmasked positions.
+    pred/target: [N,C,H,W]; mask: [N,C,H,W], or [N,H,W] broadcast over
+    channels. The gradient is zero at unmasked positions.
     """
     pv = pred.array
     tv = target.array if isinstance(target, Tensor) else np.asarray(target, dtype=_F64)
     if pv.shape != tv.shape:
         raise DimensionError(f"masked_l1: pred {pv.shape} vs target {tv.shape}")
+    _need_rank(pv, 4, "masked_l1")
     mk = np.asarray(mask, dtype=_F64)
     if mk.shape == pv.shape:
         mfull = mk
-    elif pv.ndim == 3 and mk.shape == pv.shape[1:]:
-        mfull = np.broadcast_to(mk[None], pv.shape)
-    elif pv.ndim == 4 and mk.shape == (pv.shape[0],) + pv.shape[2:]:
+    elif mk.shape == (pv.shape[0],) + pv.shape[2:]:
         mfull = np.broadcast_to(mk[:, None], pv.shape)
     else:
         raise DimensionError(f"masked_l1: mask {mk.shape} does not align with pred {pv.shape}")
@@ -986,11 +982,4 @@ def masked_l1(pred: Tensor, target: Tensor, mask) -> Tensor:
 
 def mean_l1(pred: Tensor, target) -> Tensor:
     """Plain mean absolute error (masked_l1 with a full mask)."""
-    tv = target.array if isinstance(target, Tensor) else np.asarray(target, dtype=_F64)
-    if pred.array.ndim == 4:
-        mk = np.ones((pred.array.shape[0],) + pred.array.shape[2:])
-    elif pred.array.ndim == 3:
-        mk = np.ones(pred.array.shape[1:])
-    else:
-        mk = np.ones(pred.array.shape)
-    return masked_l1(pred, as_tensor(tv), mk)
+    return masked_l1(pred, target, np.ones(pred.shape))

@@ -139,9 +139,6 @@ class FiLMParams:
     def identity(channel_counts: list[int]) -> "FiLMParams":
         return FiLMParams([(np.ones(c), np.zeros(c)) for c in channel_counts])
 
-    def channel_counts(self) -> list[int]:
-        return [g.shape[-1] for g, _ in self.sites]
-
     def __len__(self) -> int:
         return len(self.sites)
 
@@ -353,15 +350,6 @@ def param_count(obj) -> int:
     return obj.params.count()
 
 
-def adapted_forward(f: Model, fp: FiLMParams | None, x, lifted=None, tape=None):
-    """Forward pass of f with its site activations modulated by fp."""
-    if fp is not None and len(fp) != len(f.spec.film_sites):
-        raise ContractError(
-            f"adapter emits {len(fp)} sites, model has {len(f.spec.film_sites)}"
-        )
-    return f.forward(x, film=fp, lifted=lifted, tape=tape)
-
-
 # ---------------------------------------------------------------------------
 # controller
 # ---------------------------------------------------------------------------
@@ -521,59 +509,55 @@ def _film_x_adapter_spec(in_ch: int = 1) -> ModelSpec:
     return spec
 
 
-class InputAdapter:
+class FilmXAdapter:
     """Adapts the input image instead of the main network's features.
 
-    kind "film_x": a small modulated encoder/decoder computes a residual
-    update of x; the controller drives the adapter's film sites.
-    kind "hypernetwork_x": the controller emits the full weight vector of
-    a fixed 3-layer conv net whose output is added to x.
-    Both are exact identities at initialization.
+    A small modulated encoder/decoder computes a residual update of x; the
+    controller drives the adapter's film sites. The residual head starts at
+    zero, so the adapter is the exact identity at initialization.
+    """
+
+    def __init__(self, seed: int, in_ch: int = 1):
+        spec = _film_x_adapter_spec(in_ch)
+        self.model = build_main(spec, seed)
+        self.model.params.get("L9.w")[:] = 0.0
+        self.params = self.model.params
+        self.film_channels = [c for _, c in spec.film_sites]
+
+    def apply(self, x, film: FiLMParams, lifted=None) -> Tensor:
+        """x -> adapted x, with the adapter's sites modulated by ``film``."""
+        xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
+        return ad.add(xt, self.model.forward(xt, film=film, lifted=lifted))
+
+
+class HypernetXAdapter:
+    """Adapts the input image with a fixed 3-layer conv net whose weights
+    the controller emits; the net's output is added to x.
+
+    The emitted vector holds residuals on the base weights; the base output
+    layer is zero, so a zero emission is the exact identity.
     """
 
     TARGET_LAYERS = ((6, 1, 3), (6, 6, 3), (1, 6, 3))  # (cout, cin, k) per layer
 
-    def __init__(self, kind: str, seed: int, in_ch: int = 1):
-        self.kind = kind
-        if kind == "film_x":
-            spec = _film_x_adapter_spec(in_ch)
-            self.model = build_main(spec, seed)
-            # residual head starts at zero so adapter(x) == x
-            self.model.params.get("L9.w")[:] = 0.0
-            self.params = self.model.params
-            self.film_channels = [c for _, c in spec.film_sites]
-        elif kind == "hypernetwork_x":
-            rng = np.random.default_rng(seed)
-            base = []
-            for li, (cout, cin, k) in enumerate(self.TARGET_LAYERS):
-                fan = cin * k * k
-                w = rng.normal(0, np.sqrt(2.0 / fan), size=(cout, cin, k, k))
-                if li == len(self.TARGET_LAYERS) - 1:
-                    w[:] = 0.0  # emitted residuals alone drive the output layer
-                base.append((w, np.zeros(cout)))
-            self.base = base
-            self.params = ParamSet()  # the conv net's weights come from the controller
-            self.film_channels = []
-        else:
-            raise ConfigurationError(f"unknown input adapter variant {kind!r}")
+    def __init__(self, seed: int):
+        rng = np.random.default_rng(seed)
+        self.base = []
+        for li, (cout, cin, k) in enumerate(self.TARGET_LAYERS):
+            w = rng.normal(0, np.sqrt(2.0 / (cin * k * k)), size=(cout, cin, k, k))
+            if li == len(self.TARGET_LAYERS) - 1:
+                w[:] = 0.0  # emitted residuals alone drive the output layer
+            self.base.append((w, np.zeros(cout)))
+        self.params = ParamSet()  # the conv net's weights come from the controller
+        # emitted-vector length: every layer's weights, then its bias
+        self.weight_count = sum(w.size + b.size for w, b in self.base)
 
-    @property
-    def weight_count(self) -> int:
-        """Emitted-vector length for the hypernetwork variant."""
-        if self.kind != "hypernetwork_x":
-            raise ContractError("weight_count applies to the hypernetwork variant")
-        return sum(w.size + b.size for w, b in self.base)
-
-    def apply(self, x, emitted, lifted=None):
-        """x -> adapted x. ``emitted`` is FiLMParams (film_x) or the raw
-        weight-residual tensor [N, weight_count] (hypernetwork_x)."""
+    def apply(self, x, emitted: Tensor) -> Tensor:
+        """x [N,C,H,W] -> adapted x, from the emitted weight residuals
+        [N, weight_count], one conv net per sample."""
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
-        if self.kind == "film_x":
-            delta = self.model.forward(xt, film=emitted, lifted=lifted)
-            return ad.add(xt, delta)
-        n = xt.array.shape[0]
         outs = []
-        for i in range(n):
+        for i in range(xt.array.shape[0]):
             xi = ad.slice_channels(xt, i, i + 1, axis=0)
             wvec = ad.slice_channels(emitted, i, i + 1, axis=0)
             h = xi
@@ -590,10 +574,6 @@ class InputAdapter:
                     h = ad.relu(h)
             outs.append(ad.add(xi, h))
         return ad.stack_rows(outs)
-
-
-def build_input_adapter(variant: str, seed: int, in_ch: int = 1) -> InputAdapter:
-    return InputAdapter(variant, seed, in_ch=in_ch)
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +633,20 @@ def load_controller(path) -> tuple[Controller, dict]:
             f"controller format {meta.get('controller_format')!r} is not supported "
             f"(expected {CONTROLLER_FORMAT}); save the controller again with the current tool"
         )
-    d = json.loads(meta["cspec"])
     names = {f.name for f in dataclasses.fields(ControllerSpec)}
-    if set(d) != names:
+    try:
+        d = json.loads(meta["cspec"])
+        order = json.loads(meta["param_order"])
+        if set(d) != names:
+            raise ValueError(f"spec fields {sorted(d)}, expected {sorted(names)}")
+        cspec = ControllerSpec(**{**d, "trunk": tuple(d["trunk"])})
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise SerializationError(f"controller file spec is missing or malformed: {exc}") from None
+    if not isinstance(order, list) or sorted(order, key=str) != sorted(arrays):
         raise SerializationError(
-            f"controller spec has fields {sorted(d)}, expected {sorted(names)}"
+            f"controller param_order {order!r} does not list the file's arrays {sorted(arrays)}"
         )
-    cspec = ControllerSpec(**{**d, "trunk": tuple(d["trunk"])})
     params = ParamSet()
-    for name in json.loads(meta["param_order"]):
+    for name in order:
         params.add(name, arrays[name])
     return Controller(cspec, params), meta

@@ -91,7 +91,7 @@ def control_controller(main: nets.Model, seed: int) -> nets.Controller:
 
 def film_x_setup(seed: int):
     """Input-space variant: controller drives film sites of an x-adapter."""
-    adapter = nets.build_input_adapter("film_x", seed)
+    adapter = nets.FilmXAdapter(seed)
     cspec = nets.ControllerSpec(
         arch="conv",
         in_channels=3,
@@ -103,7 +103,7 @@ def film_x_setup(seed: int):
 
 def hypernet_x_setup(seed: int):
     """Input-space variant: controller emits the 3-layer conv net's weights."""
-    adapter = nets.build_input_adapter("hypernetwork_x", seed)
+    adapter = nets.HypernetXAdapter(seed)
     cspec = nets.ControllerSpec(
         arch="conv",
         in_channels=3,

@@ -288,19 +288,6 @@ def train_main(
     return model, curve
 
 
-def eval_task_error(model: Model, dataset: Dataset, batch_size: int = 32) -> float:
-    """Mean task metric over a dataset (L1 / top-1 error / pixel CE error)."""
-    from .harness import metrics
-
-    errs = []
-    for start in range(0, len(dataset), batch_size):
-        xb = dataset.inputs[start : start + batch_size]
-        yb = dataset.targets[start : start + batch_size]
-        pred = model.forward(xb).array
-        errs.append(metrics(pred, yb, dataset.task_kind))
-    return float(np.mean(errs))
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------

@@ -610,6 +610,74 @@ class TestOtherOpGradients:
             assert max_rel_err(tape.grad(lt), fd) < 1e-4
 
 
+def _sample_cases():
+    """op name -> (call, [(array, is_leaf, gains_batch_axis)], top batched rank)
+    for one sample of every op that takes unbatched input through
+    ``autodiff._one_sample``."""
+    rng = np.random.default_rng(40)
+    n = rng.normal
+    return {
+        "conv2d": (lambda a: ad.conv2d(a[0], a[1], 1, 1, bias=a[2]),
+                   [(n(size=(2, 7, 5)), True, True), (n(size=(3, 2, 3, 3)), True, False),
+                    (n(size=3), True, False)], 4),
+        "avgpool2": (lambda a: ad.avgpool2(a[0]), [(n(size=(2, 4, 6)), True, True)], 4),
+        "upsample2": (lambda a: ad.upsample2(a[0]), [(n(size=(2, 3, 3)), True, True)], 4),
+        "film": (lambda a: ad.film(*a), [(n(size=(3, 4, 4)), True, True), (n(size=3), True, False),
+                                         (n(size=3), True, False)], 4),
+        "flatten_batch": (lambda a: ad.flatten_batch(a[0]), [(n(size=(2, 3, 3)), True, True)], 4),
+        "add_bias_rows": (lambda a: ad.add_bias(*a), [(n(size=4), True, True), (n(size=4), True, False)], 4),
+        "add_bias_maps": (lambda a: ad.add_bias(*a),
+                          [(n(size=(3, 2, 2)), True, True), (n(size=3), True, False)], 4),
+        "softmax_cross_entropy": (lambda a: ad.softmax_cross_entropy(*a),
+                                  [(n(size=5), True, True), (np.int64(2), False, True)], 2),
+        "coarse_cross_entropy": (lambda a: ad.coarse_cross_entropy(*a),
+                                 [(n(size=8), True, True), (np.int64(1), False, True),
+                                  (np.repeat(np.arange(4), 2), False, False)], 2),
+        "masked_cross_entropy": (lambda a: ad.masked_cross_entropy(*a),
+                                 [(n(size=(3, 4, 4)), True, True),
+                                  (rng.integers(0, 3, size=(4, 4)), False, True),
+                                  ((rng.random((4, 4)) < 0.5).astype(float), False, True)], 4),
+        "prediction_entropy_rows": (lambda a: ad.prediction_entropy(a[0]), [(n(size=6), True, True)], 4),
+        "prediction_entropy_maps": (lambda a: ad.prediction_entropy(a[0]),
+                                    [(n(size=(9, 3, 2)), True, True)], 4),
+        "masked_l1": (lambda a: ad.masked_l1(*a),
+                      [(n(size=(2, 4, 4)), True, True), (n(size=(2, 4, 4)), True, True),
+                       ((rng.random((4, 4)) < 0.5).astype(float), False, True)], 4),
+    }
+
+
+class TestOneSampleBoundary:
+    @staticmethod
+    def run(call, arrays):
+        """Output and every leaf's gradient, all as arrays."""
+        with ad.Tape() as tape:
+            args = [tape.leaf(a, True) if leaf else a for a, leaf, _ in arrays]
+            out = call(args)
+            weights = np.random.default_rng(41).normal(size=out.shape)
+            ad.backward(out if out.shape == () else ad.sum_all(ad.mul(out, t(weights))))
+        return [out.array] + [tape.grad(a) for a, (_, leaf, _) in zip(args, arrays) if leaf]
+
+    @pytest.mark.parametrize("name", list(_sample_cases()))
+    def test_sample_equals_batch_of_one_bitwise(self, name):
+        call, arrays, _ = _sample_cases()[name]
+        got = self.run(call, arrays)
+        batch = self.run(call, [(np.asarray(a)[None] if ax else a, leaf, ax) for a, leaf, ax in arrays])
+        leaf_axes = [ax for _, leaf, ax in arrays if leaf]
+        want = [batch[0] if batch[0].ndim == 0 else batch[0][0]]
+        want += [g[0] if ax else g for g, ax in zip(batch[1:], leaf_axes)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", list(_sample_cases()))
+    def test_rank_neither_batched_nor_sample_rejected(self, name):
+        call, arrays, top = _sample_cases()[name]
+        lead = top + 1 - np.ndim(arrays[0][0])
+        args = [np.reshape(a, (1,) * lead + np.shape(a)) if ax else a for a, _, ax in arrays]
+        with pytest.raises(DimensionError):
+            call([t(a) if leaf else a for a, (_, leaf, _) in zip(args, arrays)])
+
+
 class TestCoarseCrossEntropy:
     def test_identity_grouping_equals_plain_ce(self):
         rng = np.random.default_rng(21)

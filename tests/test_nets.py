@@ -156,7 +156,7 @@ class TestController:
             with ad.Tape() as tape:
                 lifted = h.params.lift(tape)
                 fp = h.forward(fb, lifted=lifted)
-                out = nets.adapted_forward(f, fp, x, tape=tape)
+                out = f.forward(x, film=fp, tape=tape)
                 loss = ad.mean_l1(out, target)
                 ad.backward(loss)
             ad.sgd_step(h.params, h.params.grads_from(tape, lifted), lr=0.5)
@@ -180,15 +180,13 @@ class TestAdaptedForward:
         f, h = dense_pair
         x = np.random.default_rng(9).random((1, 32, 32))
         ident = nets.FiLMParams.identity([c for _, c in f.spec.film_sites])
-        assert np.array_equal(
-            nets.adapted_forward(f, ident, x).array, f.forward(x).array
-        )
+        assert np.array_equal(f.forward(x, film=ident).array, f.forward(x).array)
 
     def test_site_mismatch_rejected(self, dense_pair):
         f, _ = dense_pair
         bad = nets.FiLMParams.identity([16, 24])
-        with pytest.raises(ContractError):
-            nets.adapted_forward(f, bad, np.zeros((1, 32, 32)))
+        with pytest.raises(ContractError, match="2 sites, model declares 4"):
+            f.forward(np.zeros((1, 32, 32)), film=bad)
 
     def test_gamma_zero_final_site_blanks_activation(self, dense_pair):
         f, _ = dense_pair
@@ -209,6 +207,7 @@ class TestAdaptedForward:
 class TestInputAdapters:
     def test_film_x_identity_at_init(self):
         adapter, controller = presets.film_x_setup(seed=21)
+        assert isinstance(adapter, nets.FilmXAdapter)
         x = np.random.default_rng(11).random((2, 1, 32, 32))
         fb = np.random.default_rng(12).random((2, 3, 32, 32))
         fp = controller.forward(fb)
@@ -217,8 +216,9 @@ class TestInputAdapters:
 
     def test_hypernet_weight_count(self):
         adapter, controller = presets.hypernet_x_setup(seed=22)
+        assert isinstance(adapter, nets.HypernetXAdapter)
         # conv 1->6 (60), conv 6->6 (330), conv 6->1 (55)
-        assert adapter.weight_count == 445
+        assert adapter.weight_count == nets.HypernetXAdapter(0).weight_count == 445
         assert controller.cspec.out_dim == 445
 
     def test_hypernet_identity_at_init(self):
@@ -243,9 +243,20 @@ class TestInputAdapters:
         grads = controller.params.grads_from(tape, lifted)
         assert np.abs(grads["head.w"]).max() > 0
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigurationError):
-            nets.build_input_adapter("mystery", 0)
+    def test_film_x_gradient_reaches_emitter(self):
+        adapter, controller = presets.film_x_setup(seed=25)
+        # a zero residual head hides the sites; stand in for a trained adapter
+        adapter.params.get("L9.w")[:] = 0.1
+        adapter.params.set_frozen(True)
+        x = np.random.default_rng(18).random((2, 1, 32, 32))
+        fb = np.random.default_rng(19).random((2, 3, 32, 32))
+        target = np.random.default_rng(20).random((2, 1, 32, 32))
+        with ad.Tape() as tape:
+            lifted = controller.params.lift(tape)
+            out = adapter.apply(x, controller.forward(fb, lifted=lifted), lifted=adapter.params.lift(tape))
+            ad.backward(ad.mean_l1(out, target))
+        grads = controller.params.grads_from(tape, lifted)
+        assert np.abs(grads["head.w"]).max() > 0
 
 
 class TestParamCount:
@@ -364,6 +375,36 @@ class TestSpecSerialization:
         with pytest.raises(SerializationError, match="controller format None"):
             nets.load_controller(path)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["no_cspec", "no_param_order", "cspec_not_json", "trunk_not_a_list", "name_without_array",
+         "unlisted_array"],
+    )
+    def test_malformed_controller_file_rejected(self, tmp_path, dense_pair, case):
+        import json
+
+        from rnaloop import serialize
+        from rnaloop.errors import SerializationError
+
+        path = tmp_path / "ctrl.rnl"
+        nets.save_controller(path, dense_pair[1])
+        _, meta, arrays = serialize.load(path)
+        order = json.loads(meta["param_order"])
+        if case == "no_cspec":
+            del meta["cspec"]
+        elif case == "no_param_order":
+            del meta["param_order"]
+        elif case == "cspec_not_json":
+            meta["cspec"] = "{not json"
+        elif case == "trunk_not_a_list":
+            meta["cspec"] = json.dumps({**json.loads(meta["cspec"]), "trunk": 5})
+        elif case == "name_without_array":
+            meta["param_order"] = json.dumps(order + ["extra.w"])
+        else:
+            arrays["extra.w"] = np.zeros(3)
+        serialize.save(path, "controller", meta, arrays)
+        with pytest.raises(SerializationError):
+            nets.load_controller(path)
 
     def test_model_meta_may_not_replace_reserved_keys(self, tmp_path):
         path = tmp_path / "model.rnl"
