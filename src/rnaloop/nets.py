@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -110,7 +111,22 @@ def _trace_channels(spec: ModelSpec) -> list[int | None]:
     return out
 
 
+# Integer fields every layer kind needs, with their least allowed value.
+_INT_FIELDS = {
+    "conv": {"cin": 1, "cout": 1, "k": 1, "stride": 1, "pad": 0},
+    "linear": {"nin": 1, "nout": 1},
+    "concat": {"skip_from": 0},
+}
+
+
 def validate_spec(spec: ModelSpec) -> None:
+    for i, layer in enumerate(spec.layers):
+        for key, least in _INT_FIELDS.get(layer["kind"], {}).items():
+            if type(layer.get(key)) is not int or layer[key] < least:
+                raise ConfigurationError(
+                    f"layer {i}: {layer['kind']} needs an integer {key} >= {least}, "
+                    f"got {layer.get(key)!r}"
+                )
     channels = _trace_channels(spec)
     for idx, c in spec.film_sites:
         if not (0 <= idx < len(spec.layers)):
@@ -157,6 +173,8 @@ class Model:
     def __init__(self, spec: ModelSpec, params: ParamSet):
         self.spec = spec
         self.params = params
+        # Per thread, the last unmodulated gradient-free pass (see forward).
+        self._memo = threading.local()
 
     def lift(self, tape) -> dict[str, Tensor]:
         return self.params.lift(tape)
@@ -174,6 +192,23 @@ class Model:
         ``film`` replaces each site's activation with its modulation.
         ``lifted`` reuses already-lifted parameters (training loops); when
         absent, parameters are lifted onto ``tape`` (or used as constants).
+
+        A call is gradient-free when neither ``x`` nor any lifted parameter
+        needs a gradient (untaped calls, and taped ones with frozen weights
+        as in test-time optimization); the ops then record nothing before
+        the first FiLM site. Per thread, the model keeps its last
+        unmodulated gradient-free pass on one image (a batch of one, as an
+        adaptation episode runs): copies of the input, of every weight read,
+        of the activations up to and including the first site's layer
+        (every layer when there are no sites) and of the output. Batched
+        passes are not kept: in index building and set-up training they are
+        never or rarely repeated, and their activations cost peak memory. A
+        later gradient-free call on the same thread whose input (as a batch)
+        and weights read are byte-equal to the kept ones reuses it: an
+        unmodulated call without ``return_acts`` gets a copy of the kept
+        output, any other call resumes at the first site from the kept
+        activations. Results, ``return_acts`` lists and gradients are those
+        of the full pass bit for bit, and no array handed out is kept.
         """
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
         squeeze = xt.array.ndim == 3
@@ -182,10 +217,24 @@ class Model:
         if lifted is None:
             lifted = self.params.lift(tape)
         site_map = dict_from_sites(self.spec.film_sites, film)
-
+        layers = self.spec.layers
+        keep = min(self.spec.film_sites)[0] + 1 if self.spec.film_sites else len(layers)
+        grad_free = all(t.node is None or not t.node.needs_grad for t in (xt, *lifted.values()))
+        memo = getattr(self._memo, "last", None) if grad_free else None
+        whole = not site_map and not return_acts
         acts: list[Tensor] = []
-        cur = xt
-        for i, layer in enumerate(self.spec.layers):
+        if memo is not None and memo.matches(xt.array, lifted, len(layers) if whole else keep):
+            if whole:
+                out = Tensor(memo.out.copy())
+                return ad.squeeze_batch(out) if squeeze else out
+            acts = [Tensor(a.copy() if return_acts else a) for a in memo.acts]
+            if keep - 1 in site_map:
+                acts[-1] = ad.film(acts[-1], *site_map[keep - 1])
+        resumed = bool(acts)
+
+        cur = acts[-1] if acts else xt
+        for i in range(len(acts), len(layers)):
+            layer = layers[i]
             kind = layer["kind"]
             if kind == "conv":
                 bias = lifted[f"L{i}.b"] if layer.get("bias", True) else None
@@ -210,6 +259,8 @@ class Model:
             acts.append(cur)
 
         out = acts[-1]
+        if grad_free and not site_map and not resumed and len(xt.array) == 1:
+            self._memo.last = _Pass.record(xt.array, lifted, self.spec, acts[:keep], out)
         if squeeze:
             out = ad.squeeze_batch(out)
         if return_acts:
@@ -218,6 +269,42 @@ class Model:
 
     def clone(self) -> "Model":
         return Model(self.spec, self.params.clone())
+
+
+@dataclass(slots=True)
+class _Pass:
+    """One unmodulated gradient-free pass of a Model, held for reuse.
+
+    Holds private copies only, so neither the caller of that pass nor of a
+    later reuse can change what a reuse returns.
+    """
+
+    x_shape: tuple[int, ...]
+    x_bytes: bytes
+    weights: list[tuple[int, str, tuple[int, ...], bytes]]  # (layer, name, shape, bytes)
+    acts: list[np.ndarray]  # activations of the first len(acts) layers
+    out: np.ndarray
+
+    @staticmethod
+    def record(xv: np.ndarray, lifted, spec: ModelSpec, kept: list[Tensor], out: Tensor) -> "_Pass":
+        weights = []
+        for i, name, _ in _param_layout(spec):
+            w = lifted[name].array
+            weights.append((i, name, w.shape, w.tobytes()))
+        acts = [a.array.copy() for a in kept]
+        out_copy = acts[-1] if kept[-1] is out else out.array.copy()
+        return _Pass(xv.shape, xv.tobytes(), weights, acts, out_copy)
+
+    def matches(self, xv: np.ndarray, lifted: dict[str, Tensor], stop: int) -> bool:
+        """Same input bytes, and same weight bytes in the layers before ``stop``."""
+        if xv.shape != self.x_shape or xv.tobytes() != self.x_bytes:
+            return False
+        for i, name, shape, data in self.weights:
+            if i < stop:
+                w = lifted[name].array
+                if w.shape != shape or w.tobytes() != data:
+                    return False
+        return True
 
 
 def dict_from_sites(sites: list[tuple[int, int]], film: FiLMParams | None):
@@ -307,21 +394,31 @@ def build_main(spec: ModelSpec, seed: int) -> Model:
     validate_spec(spec)
     rng = np.random.default_rng(seed)
     params = ParamSet()
+    for _, name, shape in _param_layout(spec):
+        if name.endswith(".b"):
+            params.add(name, np.zeros(shape))
+        else:
+            # fan-in: cin*k*k of a conv kernel [O,C,k,k], nin of a linear weight [nin,nout]
+            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+            params.add(name, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
+    return Model(spec, params)
+
+
+def _param_layout(spec: ModelSpec) -> list[tuple[int, str, tuple[int, ...]]]:
+    """(layer index, name, shape) of every parameter the layers read, in creation order."""
+    out = []
     for i, layer in enumerate(spec.layers):
         if layer["kind"] == "conv":
-            fan_in = layer["cin"] * layer["k"] * layer["k"]
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                           size=(layer["cout"], layer["cin"], layer["k"], layer["k"]))
-            params.add(f"L{i}.w", w)
-            if layer.get("bias", True):
-                params.add(f"L{i}.b", np.zeros(layer["cout"]))
+            out.append((i, f"L{i}.w", (layer["cout"], layer["cin"], layer["k"], layer["k"])))
+            width = layer["cout"]
         elif layer["kind"] == "linear":
-            w = rng.normal(0.0, np.sqrt(2.0 / layer["nin"]),
-                           size=(layer["nin"], layer["nout"]))
-            params.add(f"L{i}.w", w)
-            if layer.get("bias", True):
-                params.add(f"L{i}.b", np.zeros(layer["nout"]))
-    return Model(spec, params)
+            out.append((i, f"L{i}.w", (layer["nin"], layer["nout"])))
+            width = layer["nout"]
+        else:
+            continue
+        if layer.get("bias", True):
+            out.append((i, f"L{i}.b", (width,)))
+    return out
 
 
 def insert_film_sites(model: Model, k: int) -> Model:
@@ -556,8 +653,14 @@ class HypernetXAdapter:
         """x [N,C,H,W] -> adapted x, from the emitted weight residuals
         [N, weight_count], one conv net per sample."""
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
+        n = xt.array.shape[0]
+        if emitted.shape != (n, self.weight_count):
+            raise DimensionError(
+                f"hypernet adapter: {n} images need emitted weights [{n}, {self.weight_count}], "
+                f"got {emitted.shape}"
+            )
         outs = []
-        for i in range(xt.array.shape[0]):
+        for i in range(n):
             xi = ad.slice_channels(xt, i, i + 1, axis=0)
             wvec = ad.slice_channels(emitted, i, i + 1, axis=0)
             h = xi
@@ -599,18 +702,19 @@ def load_model(path) -> tuple[Model, dict]:
     _, meta, arrays = serialize.load(path, expect_kind="model")
     try:
         spec = ModelSpec.from_json(meta["spec"])
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        validate_spec(spec)
+        layout = {name: shape for _, name, shape in _param_layout(spec)}
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
         raise SerializationError(f"model file spec is missing or malformed: {exc!r}") from None
+    found = {name: a.shape for name, a in arrays.items()}
+    if found != layout:
+        bad = {n: (found.get(n), layout.get(n)) for n in sorted(found.keys() | layout.keys())
+               if found.get(n) != layout.get(n)}
+        raise SerializationError(f"model file arrays do not match its spec, (file, spec) shapes: {bad}")
     params = ParamSet()
-    for i, layer in enumerate(spec.layers):
-        for suffix in ("w", "b"):
-            name = f"L{i}.{suffix}"
-            if name in arrays:
-                params.add(name, arrays[name])
-    model = Model(spec, params)
-    if set(params.names()) != set(arrays):
-        raise ContractError("model file arrays do not match its spec")
-    return model, meta
+    for name in layout:
+        params.add(name, arrays[name])
+    return Model(spec, params), meta
 
 
 # Version of the controller metadata; 2 stores every ControllerSpec field.

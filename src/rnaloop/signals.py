@@ -233,13 +233,22 @@ def knn_coarse(
     k: int = 20,
     grouping: CoarseGrouping | None = None,
 ) -> AdaptationSignal:
-    """Normalized label histogram of the k nearest training items."""
-    if len(index) < k:
-        raise ContractError(f"index holds {len(index)} items, need k={k}")
+    """Normalized label histogram of the k nearest training items.
+
+    Nearest means largest cosine similarity; among items tied with the
+    k-th largest, the lowest indices are taken (the set a stable sort picks).
+    """
+    n = len(index)
+    if not 1 <= k <= n:
+        raise ContractError(f"index holds {n} items, need 1 <= k={k} <= {n}")
     emb = classifier_embedding(index.model, test_image)
     emb = emb / max(np.linalg.norm(emb), 1e-12)
     sims = index.embeddings @ emb
-    top = np.argsort(-sims, kind="stable")[:k]
+    if np.isnan(sims).any():
+        raise ContractError("knn_coarse: a similarity is NaN; the embedding is not finite")
+    kth = np.partition(sims, n - k)[n - k]
+    top = np.flatnonzero(sims > kth)
+    top = np.concatenate([top, np.flatnonzero(sims == kth)[: k - len(top)]])
     labels = index.labels[top]
     if grouping is not None:
         labels = grouping.as_array()[labels]

@@ -8,7 +8,7 @@ import pytest
 
 from rnaloop import autodiff as ad
 from rnaloop import nets, presets
-from rnaloop.errors import ConfigurationError, ContractError
+from rnaloop.errors import ConfigurationError, ContractError, DimensionError, SerializationError
 
 from oracles import central_fd, max_rel_err
 
@@ -243,6 +243,14 @@ class TestInputAdapters:
         grads = controller.params.grads_from(tape, lifted)
         assert np.abs(grads["head.w"]).max() > 0
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_hypernet_rows_must_match_the_batch(self, rows):
+        adapter = nets.HypernetXAdapter(0)
+        x = np.random.default_rng(13).random((2, 1, 32, 32))
+        emitted = ad.as_tensor(np.zeros((rows, adapter.weight_count)))
+        with pytest.raises(DimensionError, match=f"got \\({rows}, 445\\)"):
+            adapter.apply(x, emitted)
+
     def test_film_x_gradient_reaches_emitter(self):
         adapter, controller = presets.film_x_setup(seed=25)
         # a zero residual head hides the sites; stand in for a trained adapter
@@ -432,6 +440,37 @@ class TestSpecSerialization:
             nets.load_model(path)
 
 
+    @pytest.mark.parametrize(
+        "case",
+        ["layers_not_a_list", "site_without_channels", "conv_without_stride", "missing_array",
+         "wrong_shape", "extra_array"],
+    )
+    def test_malformed_model_file_rejected(self, tmp_path, case):
+        import json
+
+        from rnaloop import serialize
+
+        path = tmp_path / "model.rnl"
+        nets.save_model(path, presets.cls_main(seed=2))
+        _, meta, arrays = serialize.load(path)
+        spec = json.loads(meta["spec"])
+        if case == "layers_not_a_list":
+            spec["layers"] = 5
+        elif case == "site_without_channels":
+            spec["film_sites"] = [[1]]
+        elif case == "conv_without_stride":
+            del spec["layers"][0]["stride"]
+        elif case == "missing_array":
+            del arrays["L0.b"]
+        elif case == "wrong_shape":
+            arrays["L0.w"] = np.zeros((2, 2))
+        else:
+            arrays["L99.w"] = np.zeros(3)
+        serialize.save(path, "model", {**meta, "spec": json.dumps(spec)}, arrays)
+        with pytest.raises(SerializationError):
+            nets.load_model(path)
+
+
 class TestGradientsThroughModel:
     def test_tto_step_graph_freed_without_garbage_collector(self, dense_pair):
         # Nodes refer to their tape weakly, so reference counting alone frees
@@ -500,7 +539,12 @@ class TestGradientsThroughModel:
 class TestConcurrentEpisodes:
     @staticmethod
     def tto_episode(f, x, target, mask, steps=3, lr=0.05) -> bytes:
-        """FiLM-only TTO on one image with the main network frozen."""
+        """FiLM-only TTO on one image with the main network frozen.
+
+        The unadapted pass comes first, so every later pass of the episode
+        resumes from it at the first site.
+        """
+        before = f.forward(x).array.tobytes()
         sites = range(len(f.spec.film_sites))
         film = ad.ParamSet()
         for s, (_, c) in zip(sites, f.spec.film_sites):
@@ -516,7 +560,8 @@ class TestConcurrentEpisodes:
                 pred = f.forward(x, film=film_of(lifted), tape=tape)
                 ad.backward(ad.masked_l1(pred, target, mask))
             ad.sgd_step(film, film.grads_from(tape, lifted), lr)
-        return film.state_bytes() + f.forward(x, film=film_of(film.lift(None))).array.tobytes()
+        after = f.forward(x, film=film_of(film.lift(None))).array.tobytes()
+        return before + film.state_bytes() + after
 
     def test_threaded_tto_episodes_equal_sequential_bitwise(self):
         # Tapes are thread-local and the kernels keep no shared work
@@ -539,3 +584,177 @@ class TestConcurrentEpisodes:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == sequential
+
+
+class TestPassReuse:
+    """Model.forward reuses its last unmodulated gradient-free pass."""
+
+    @staticmethod
+    def film_leaves(model, tape, seed):
+        rng = np.random.default_rng(seed)
+        return nets.FiLMParams([
+            (tape.leaf(1.0 + 0.1 * rng.normal(size=c), True), tape.leaf(0.1 * rng.normal(size=c), True))
+            for _, c in model.spec.film_sites
+        ])
+
+    @classmethod
+    def episode(cls, model, x, seed=3) -> list[bytes]:
+        """The calls of an adaptation episode on one image, as bytes."""
+        out = [model.forward(x).array.tobytes(), model.forward(x).array.tobytes()]
+        _, acts = model.forward(x, return_acts=True)
+        out += [a.array.tobytes() for a in acts]
+        if model.spec.film_sites:
+            with ad.Tape() as tape:
+                film = cls.film_leaves(model, tape, seed)
+                pred, acts = model.forward(x, film=film, tape=tape, return_acts=True)
+                ad.backward(ad.sum_all(ad.relu(pred)))
+            out += [a.array.tobytes() for a in acts]
+            out += [tape.grad(t).tobytes() for site in film.sites for t in site]
+            film = nets.FiLMParams([(g.array, b.array) for g, b in film.sites])
+            out.append(model.forward(x, film=film).array.tobytes())
+        out.append(model.forward(x).array.tobytes())
+        return out
+
+    @staticmethod
+    def models():
+        dense = presets.dense_main(seed=31)
+        cls_sites = presets.cls_main(seed=32)
+        plain = nets.build_main(nets.classifier_spec(), 33)  # no sites: every layer is kept
+        return [dense, cls_sites, plain]
+
+    @staticmethod
+    def conv_calls(monkeypatch) -> list[int]:
+        calls = [0]
+        conv = ad.conv2d
+
+        def spy(*args, **kwargs):
+            calls[0] += 1
+            return conv(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "conv2d", spy)
+        return calls
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [None, 1, 2])
+    def test_episode_bit_identical_to_a_fresh_model(self, which, batch):
+        model = self.models()[which]
+        model.params.set_frozen(True)
+        shape = model.spec.in_shape if batch is None else (batch,) + model.spec.in_shape
+        x = np.random.default_rng(34).random(shape)
+        assert self.episode(model, x) == self.episode(_FreshEveryCall(model), x)
+
+    def test_reuse_skips_the_prefix_and_only_there(self, monkeypatch):
+        model = presets.dense_main(seed=35)  # 8 convs, 2 before the first site (layer 4)
+        model.params.set_frozen(True)
+        x = np.random.default_rng(36).random((1,) + model.spec.in_shape)
+        film = nets.FiLMParams.identity([c for _, c in model.spec.film_sites])
+        calls = self.conv_calls(monkeypatch)
+
+        def convs(*args, **kwargs):
+            before = calls[0]
+            model.forward(*args, **kwargs)
+            return calls[0] - before
+
+        assert convs(x) == 8
+        assert convs(x) == 0
+        assert convs(x, film=film) == 6
+        assert convs(x, return_acts=True) == 6
+        with ad.Tape() as tape:
+            assert convs(x, film=film, tape=tape) == 6  # frozen main weights: TTO
+        with ad.Tape() as tape:
+            assert convs(tape.leaf(x, True)) == 8  # taped input needing a gradient
+        model.params.set_frozen(False)
+        with ad.Tape() as tape:
+            assert convs(x, tape=tape) == 8  # trainable parameters
+            assert convs(x, tape=tape) == 8
+        model.params.set_frozen(True)
+        # gradient calls neither reused nor replaced the kept pass
+        assert convs(x) == 0
+        assert convs(x.copy()) == 0  # equal values, another array
+        assert convs(x[0]) == 0  # one sample is compared as a batch of one
+        pair = np.concatenate([x, x])
+        assert convs(pair) == 8  # another shape
+        assert convs(pair) == 8  # a batch of two is not kept
+        assert convs(x) == 0  # nor does it replace the kept pass
+
+    def test_in_place_edits_defeat_reuse(self, monkeypatch):
+        model = presets.dense_main(seed=37)
+        model.params.set_frozen(True)
+        x = np.random.default_rng(38).random((1,) + model.spec.in_shape)
+        film = nets.FiLMParams.identity([c for _, c in model.spec.film_sites])
+        calls = self.conv_calls(monkeypatch)
+
+        def check(*args, **kwargs):
+            before = calls[0]
+            got = model.forward(*args, **kwargs).array
+            ran = calls[0] - before
+            want = nets.Model(model.spec, model.params).forward(*args, **kwargs).array
+            assert got.tobytes() == want.tobytes()
+            return ran
+
+        assert check(x) == 8
+        x[0, 0, 5, 5] += 0.5
+        assert check(x) == 8
+        assert check(x, film=film) == 6
+        model.params.get("L0.w")[0, 0, 1, 1] += 0.25  # before the first site
+        assert check(x, film=film) == 8
+        assert check(x) == 8
+        model.params.get("L23.b")[0] -= 0.125  # after the first site
+        assert check(x, film=film) == 6  # the kept prefix is still valid
+        assert check(x) == 8
+        lifted = {n: ad.Tensor(v.value + 1e-3) for n, v in model.params.items()}
+        assert check(x, lifted=lifted) == 8  # the weights a call reads, not the store's
+
+    def test_returned_arrays_cannot_corrupt_a_later_reuse(self):
+        for model in self.models():
+            model.params.set_frozen(True)
+            x = np.random.default_rng(39).random((1,) + model.spec.in_shape)
+            want = self.episode(_FreshEveryCall(model), x)
+            out, acts = model.forward(x, return_acts=True)
+            for t in [out, *acts]:
+                t.array[...] = 7.0
+            x[...] = np.random.default_rng(39).random(x.shape)  # same values again
+            model.forward(x).array[...] = 7.0
+            assert self.episode(model, x) == want
+            for t in model.forward(x, return_acts=True)[1]:
+                t.array[...] = 7.0
+            assert self.episode(model, x) == want
+
+    def test_threads_keep_their_own_pass(self, monkeypatch):
+        model = presets.dense_main(seed=40)
+        model.params.set_frozen(True)
+        x = np.random.default_rng(41).random((1,) + model.spec.in_shape)
+        calls = self.conv_calls(monkeypatch)
+        model.forward(x)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            before = calls[0]
+            pool.submit(model.forward, x).result(timeout=60)
+            assert calls[0] - before == 8
+            before = calls[0]
+            pool.submit(model.forward, x).result(timeout=60)
+            assert calls[0] - before == 0
+        before = calls[0]
+        model.forward(x)
+        assert calls[0] - before == 0
+
+    def test_kept_pass_is_bounded_and_dies_with_the_model(self):
+        model = presets.cls_main(seed=42)
+        rng = np.random.default_rng(43)
+        model.forward(rng.random((1,) + model.spec.in_shape))
+        first = weakref.ref(model._memo.last.out)
+        model.forward(rng.random((1,) + model.spec.in_shape))
+        assert first() is None  # one pass per model and thread
+        second = weakref.ref(model._memo.last.out)
+        del model
+        gc.collect()
+        assert second() is None
+
+
+class _FreshEveryCall:
+    """A model whose every forward runs on a new Model instance."""
+
+    def __init__(self, model):
+        self.spec, self.params = model.spec, model.params
+
+    def forward(self, *args, **kwargs):
+        return nets.Model(self.spec, self.params).forward(*args, **kwargs)

@@ -192,6 +192,38 @@ class TestKnnCoarse:
         sig = signals.knn_coarse(img, index, k=20)
         assert np.allclose(sig.values, hist, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3, 7, 20, 41])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_ties_resolve_like_a_stable_sort(self, setup, k, grouped):
+        # every embedding appears five times with different labels, so the
+        # k-th similarity is tied and the cut falls inside a tied run
+        model, ds, index = setup
+        rows = np.repeat(index.embeddings[:60], 5, axis=0)
+        labels = np.arange(len(rows)) % presets.NUM_CLASSES
+        tied = signals.EmbeddingIndex(model, rows, labels)
+        g = signals.make_coarse_grouping(presets.NUM_CLASSES, 5) if grouped else None
+        img = ds.inputs[11]
+        sig = signals.knn_coarse(img, tied, k=k, grouping=g)
+
+        emb = signals.classifier_embedding(model, img)
+        emb = emb / max(np.linalg.norm(emb), 1e-12)
+        top = np.argsort(-(tied.embeddings @ emb), kind="stable")[:k]
+        picked = tied.labels[top] if g is None else g.as_array()[tied.labels[top]]
+        hist = np.bincount(picked, minlength=5 if grouped else presets.NUM_CLASSES).astype(float)
+        assert sig.values.tobytes() == (hist / hist.sum()).tobytes()
+
+    def test_nan_similarity_rejected(self, setup):
+        model, ds, index = setup
+        rows = index.embeddings.copy()
+        rows[4] = np.nan
+        with pytest.raises(ContractError, match="NaN"):
+            signals.knn_coarse(ds.inputs[0], signals.EmbeddingIndex(model, rows, index.labels))
+
+    def test_k_below_one_rejected(self, setup):
+        _, ds, index = setup
+        with pytest.raises(ContractError):
+            signals.knn_coarse(ds.inputs[0], index, k=0)
+
     def test_with_grouping(self, setup):
         _, ds, index = setup
         g = signals.make_coarse_grouping(presets.NUM_CLASSES, 5)
