@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     ContractError,
     DegenerateSupervisionError,
     DimensionError,
@@ -47,7 +48,6 @@ __all__ = [
     "tape_count",
     "set_debug_checks",
     "add",
-    "sub",
     "mul",
     "scale",
     "add_bias",
@@ -193,6 +193,39 @@ class Tensor:
         return f"Tensor(shape={self.shape}, node_id={self.node_id})"
 
 
+class _Constant(Tensor):
+    """A frozen parameter's read-only value, as a constant with no tape node.
+
+    ``derived`` holds what ops compute from the value alone (the tap columns
+    of a conv kernel), so they compute it once. The parameter owns the
+    constant, so the cache dies with the model; unfreezing sets ``derived``
+    to None, after which nothing is cached on this constant again.
+    """
+
+    __slots__ = ("derived",)
+
+    def __init__(self, array: np.ndarray):
+        super().__init__(array, None)
+        self.derived: dict[str, np.ndarray] | None = {}
+
+
+def _derived(t: Tensor, key: str, make: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``make(t.array)``, kept on ``t`` when it is a frozen parameter's constant.
+
+    Filled lazily. Threads that race on a first fill compute equal arrays and
+    ``dict.setdefault`` keeps one of them, so every caller sees the same one.
+    """
+    cache = getattr(t, "derived", None)
+    if cache is None:
+        return make(t.array)
+    got = cache.get(key)
+    if got is None:
+        got = make(t.array)
+        got.flags.writeable = False
+        got = cache.setdefault(key, got)
+    return got
+
+
 def as_tensor(value) -> Tensor:
     """Wrap an array as a constant (non-differentiable) tensor."""
     if isinstance(value, Tensor):
@@ -219,10 +252,10 @@ def _record(out: np.ndarray, parents: Sequence[Tensor], backward_fn, opname: str
 def backward(root: Tensor, tape: Tape | None = None) -> None:
     """Populate ``tape.grads`` for every grad-requiring ancestor of ``root``.
 
-    ``root`` must be a scalar recorded on a tape. Leaves registered with
-    ``needs_grad=False`` (frozen parameters, plain inputs) are skipped:
-    gradient still flows *through* the ops that consume them, but their own
-    gradients are neither computed nor stored.
+    ``root`` must be a scalar recorded on a tape. Constants (frozen
+    parameters, plain inputs) and leaves registered with ``needs_grad=False``
+    are skipped: gradient still flows *through* the ops that consume them,
+    but their own gradients are neither computed nor stored.
     """
     if root.node is None:
         raise ContractError("backward: root is not recorded on any tape")
@@ -258,22 +291,57 @@ class Param:
     value: np.ndarray
     trainable: bool = True
     frozen: bool = False
+    # While frozen: the read-only value as a constant tensor (see _freeze).
+    const: _Constant | None = None
+
+
+def _freeze(p: Param, frozen: bool) -> None:
+    """Make ``p`` an immutable constant, or writable again.
+
+    Freezing marks the value read-only. A value that is a view of other
+    memory is first replaced by a private copy, so no other view can write
+    it. Unfreezing drops the constant and its cache and makes the value
+    writable again.
+    """
+    if frozen and p.const is None:
+        if p.value.base is not None:
+            p.value = p.value.copy()
+        p.value.flags.writeable = False
+        p.const = _Constant(p.value)
+    elif not frozen and p.const is not None:
+        p.const.derived = None
+        p.const = None
+        p.value.flags.writeable = True
+    p.frozen = frozen
 
 
 class ParamSet:
     """Named parameter arrays with {trainable, frozen} flags.
 
     Iteration order is insertion order and therefore deterministic. Frozen
-    parameters never receive gradients or optimizer updates.
+    parameters never receive gradients or optimizer updates, and their
+    values are read-only: an in-place write raises ``ValueError``.
+    ``version`` changes whenever a parameter is added or the set is frozen
+    or unfrozen.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, Param] = {}
+        self.version = 0
+        # The lift of a fully frozen set, handed out until the version changes.
+        self._consts: dict[str, Tensor] | None = None
+
+    def _changed(self) -> None:
+        self.version += 1
+        self._consts = None
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True, frozen: bool = False) -> None:
         if name in self._entries:
             raise ContractError(f"duplicate parameter name {name!r}")
-        self._entries[name] = Param(np.asarray(value, dtype=_F64), trainable, frozen)
+        p = Param(np.asarray(value, dtype=_F64), trainable)
+        _freeze(p, frozen)
+        self._entries[name] = p
+        self._changed()
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -291,8 +359,12 @@ class ParamSet:
         return self._entries.items()
 
     def set_frozen(self, frozen: bool) -> None:
+        """Freeze every parameter, or unfreeze every one; either way the
+        version changes. A frozen value is read-only and :meth:`lift` hands
+        it out as a constant; an unfrozen one is writable again."""
         for p in self._entries.values():
-            p.frozen = frozen
+            _freeze(p, frozen)
+        self._changed()
 
     def clone(self) -> "ParamSet":
         out = ParamSet()
@@ -310,16 +382,29 @@ class ParamSet:
         )
 
     def lift(self, tape: Tape | None) -> dict[str, Tensor]:
-        """Register every parameter as a leaf on ``tape``.
+        """The parameters as tensors for one pass, by name.
 
-        With no tape, returns plain constant tensors (pure inference).
+        A trainable, unfrozen parameter becomes a leaf that needs a gradient
+        on ``tape``. Every other one is a constant with no tape node: a
+        frozen parameter is its read-only constant, the same object on every
+        call while it stays frozen (ops cache what they derive from it),
+        and a non-trainable one or any parameter with no tape is a plain
+        constant. A fully frozen set hands back the same constants, in a new
+        dict, until its version changes.
         """
+        if self._consts is not None:
+            return dict(self._consts)
         out = {}
         for name, p in self._entries.items():
-            if tape is None:
+            if p.const is not None:
+                out[name] = p.const
+            elif tape is None or not p.trainable:
                 out[name] = Tensor(p.value, None)
             else:
-                out[name] = tape.leaf(p.value, p.trainable and not p.frozen)
+                out[name] = tape.leaf(p.value, True)
+        if all(p.frozen for p in self._entries.values()):
+            self._consts = out
+            return dict(out)
         return out
 
     def grads_from(self, tape: Tape, lifted: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -420,11 +505,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.array + b.array, (a, b), lambda g, n: (g, g), "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    return _record(a.array - b.array, (a, b), lambda g, n: (g, -g), "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     av, bv = a.array, b.array
@@ -479,9 +559,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0), bit for bit ``np.where(x > 0, x, 0.0)`` on finite input.
+
+    ``np.maximum`` is several times cheaper than ``np.where`` on large
+    arrays; it may keep a -0.0 input, which adding +0.0 turns into +0.0.
+    The backward keeps only the bool mask ``x > 0``.
+    """
     xv = x.array
+    out = np.maximum(xv, 0.0)
+    out += 0.0
     mask = xv > 0
-    return _record(np.where(mask, xv, 0.0), (x,), lambda g, n: (g * mask,), "relu")
+    return _record(out, (x,), lambda g, n: (g * mask,), "relu")
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -518,9 +606,12 @@ def conv2d(
     that grid times the forward's row matrix at each of the k horizontal
     offsets, summed over the batch. The row matrix is kept for the backward
     pass only when the kernel is a recorded tensor that needs a gradient.
-    """
-    from .errors import ConfigurationError
 
+    The kernel's GEMM operands (its tap columns, and for the input gradient
+    those of the flipped, channel-transposed kernel) are cached on a frozen
+    parameter's constant (see :meth:`ParamSet.lift`) and built on every
+    call for any other kernel; both give the same bits.
+    """
     xv, wv = x.array, kernel.array
     if wv.ndim != 4 or wv.shape[2] != wv.shape[3]:
         raise DimensionError(f"conv2d: kernel must be [O,C,k,k], got {wv.shape}")
@@ -541,7 +632,7 @@ def conv2d(
             f"conv2d: non-integral output size for input {h}x{w}, k={k}, "
             f"stride={stride}, pad={pad}"
         )
-    grid, rows = _conv_rows(xv, wv, pad)
+    grid, rows = _conv_rows(xv, _derived(kernel, "taps", _tap_cols), pad)
     _, _, h1, wp = grid.shape
     w1 = wp - k + 1
     valid = grid[:, :, ::stride, :w1:stride]
@@ -563,8 +654,7 @@ def conv2d(
         if needs[1]:
             gw = _conv_kernel_grad(gfull, rows, k)
         if needs[0]:
-            wflip = np.ascontiguousarray(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            gxg, _ = _conv_rows(gs, wflip, k - 1 - pad)
+            gxg, _ = _conv_rows(gs, _derived(kernel, "flipped_taps", _flipped_tap_cols), k - 1 - pad)
             gx = np.ascontiguousarray(gxg[:, :, :, :w])
         if bias is None:
             return (gx, gw)
@@ -575,8 +665,23 @@ def conv2d(
     return _record(out, parents, bwd, "conv2d")
 
 
-def _conv_rows(xb: np.ndarray, wv: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1 cross-correlation of [N,C,H,W] with [O,C,k,k] as k GEMMs.
+def _tap_cols(wv: np.ndarray) -> np.ndarray:
+    """The kernel [O,C,k,k] as k GEMM operands, C-contiguous [k, O, C*k]:
+    ``[j]`` is ``W[:, :, :, j]`` with its rows ordered like the row matrix
+    of :func:`_conv_rows`."""
+    o, c, k, _ = wv.shape
+    return np.ascontiguousarray(wv.transpose(3, 0, 1, 2).reshape(k, o, c * k))
+
+
+def _flipped_tap_cols(wv: np.ndarray) -> np.ndarray:
+    """:func:`_tap_cols` of the flipped, channel-transposed kernel [C,O,k,k],
+    with which the input gradient is a stride-1 correlation."""
+    return _tap_cols(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+
+
+def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 cross-correlation of [N,C,H,W] with a kernel [O,C,k,k],
+    given as its tap columns ``wcols`` (:func:`_tap_cols`), as k GEMMs.
 
     The input is written into a zeroed buffer [N, C, Hp+1, Wp] (Hp = H +
     2*pad, Wp = W + 2*pad; a negative pad, which the input gradient of a
@@ -596,10 +701,10 @@ def _conv_rows(xb: np.ndarray, wv: np.ndarray, pad: int) -> tuple[np.ndarray, np
     the next row and are junk, so the valid output is ``grid[..., :Wp-k+1]``.
     """
     n, c, h, w = xb.shape
-    o, _, k, _ = wv.shape
+    k, o, _ = wcols.shape
     if k == 1 and pad == 0:
         rows = xb.reshape(n, c, h * w)
-        return (wv.reshape(o, c) @ rows).reshape(n, o, h, w), rows
+        return (wcols[0] @ rows).reshape(n, o, h, w), rows
     hp, wp = h + 2 * pad, w + 2 * pad
     h1 = hp - k + 1
     run = h1 * wp
@@ -612,8 +717,6 @@ def _conv_rows(xb: np.ndarray, wv: np.ndarray, pad: int) -> tuple[np.ndarray, np
     # with a row stride at least its width.
     taps = np.ndarray((n, c, k, run + k - 1), _F64, xp, 0, xp.strides)
     rows = np.ascontiguousarray(taps).reshape(n, c * k, run + k - 1)
-    # wcols[j] = W[:, :, :, j] as [O, C*k], rows ordered like the row matrix
-    wcols = wv.transpose(3, 0, 1, 2).reshape(k, o, c * k)
     grid = wcols[0] @ rows[:, :, :run]
     for j in range(1, k):
         grid += wcols[j] @ rows[:, :, j : j + run]
@@ -673,11 +776,10 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     arrs = [p.array for p in parts]
     if any(a.ndim != arrs[0].ndim for a in arrs) or arrs[0].ndim not in (3, 4):
         raise DimensionError(f"concat_channels: mixed ranks {[a.shape for a in arrs]}")
-    sizes = [a.shape[-3] for a in arrs]
+    offs = [0, *itertools.accumulate(a.shape[-3] for a in arrs)]
     out = np.concatenate(arrs, axis=-3)
 
     def bwd(g, needs):
-        offs = np.cumsum([0] + sizes)
         return tuple(
             g[..., offs[i] : offs[i + 1], :, :] if needs[i] else None for i in range(len(arrs))
         )
@@ -741,11 +843,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate along axis 0 (batch assembly)."""
     arrs = [p.array for p in parts]
-    sizes = [a.shape[0] for a in arrs]
+    offs = [0, *itertools.accumulate(a.shape[0] for a in arrs)]
     out = np.concatenate(arrs, axis=0)
 
     def bwd(g, needs):
-        offs = np.cumsum([0] + sizes)
         return tuple(
             g[offs[i] : offs[i + 1]] if needs[i] else None for i in range(len(arrs))
         )

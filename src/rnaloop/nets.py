@@ -81,33 +81,65 @@ class ModelSpec:
         return isinstance(other, ModelSpec) and self.to_json() == other.to_json()
 
 
-def _trace_channels(spec: ModelSpec) -> list[int | None]:
-    """Channel count after every layer (None once spatial structure is gone)."""
-    out: list[int | None] = []
-    ch = spec.in_shape[0]
+def _trace_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
+    """The shape of one sample after every layer: (C, H, W) while the
+    activation is spatial, (F,) once it is flat.
+
+    Raises ``ConfigurationError`` where a layer cannot take its input: a
+    channel count that does not match, an odd kernel size, a non-integral
+    or empty conv output, an odd size before ``pool``, spatial sizes that
+    differ at ``concat``, a spatial layer after ``flatten`` or a ``linear``
+    whose ``nin`` is not the flat size it receives.
+    """
+    out: list[tuple[int, ...]] = []
+    shape = tuple(spec.in_shape)
     for i, layer in enumerate(spec.layers):
         kind = layer["kind"]
+        if kind in ("conv", "pool", "upsample", "concat", "flatten") and len(shape) != 3:
+            raise ConfigurationError(f"layer {i}: {kind} needs a spatial input, gets flat {shape}")
         if kind == "conv":
-            if layer["cin"] != ch:
+            c, h, w = shape
+            k, s, p = layer["k"], layer["stride"], layer["pad"]
+            if layer["cin"] != c:
+                raise ConfigurationError(f"layer {i}: conv expects {layer['cin']} channels, gets {c}")
+            if k % 2 == 0:
+                raise ConfigurationError(f"layer {i}: conv kernel size must be odd, got {k}")
+            if h + 2 * p < k or w + 2 * p < k or (h + 2 * p - k) % s or (w + 2 * p - k) % s:
                 raise ConfigurationError(
-                    f"layer {i}: conv expects {layer['cin']} channels, gets {ch}"
+                    f"layer {i}: conv k={k}, stride={s}, pad={p} has no integral output "
+                    f"for a {h}x{w} input"
                 )
-            ch = layer["cout"]
+            shape = (layer["cout"], (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+        elif kind == "pool":
+            c, h, w = shape
+            if h % 2 or w % 2:
+                raise ConfigurationError(f"layer {i}: pool needs an even size, gets {h}x{w}")
+            shape = (c, h // 2, w // 2)
+        elif kind == "upsample":
+            c, h, w = shape
+            shape = (c, 2 * h, 2 * w)
         elif kind == "concat":
             src = layer["skip_from"]
             if not (0 <= src < i):
                 raise ConfigurationError(f"layer {i}: concat skip_from {src} out of range")
-            skip_ch = out[src]
-            if skip_ch is None:
+            skip = out[src]
+            if len(skip) != 3:
                 raise ConfigurationError(f"layer {i}: concat source {src} is not spatial")
-            ch = ch + skip_ch
+            if skip[1:] != shape[1:]:
+                raise ConfigurationError(
+                    f"layer {i}: concat of a {shape[1]}x{shape[2]} map with layer {src}'s "
+                    f"{skip[1]}x{skip[2]} map"
+                )
+            shape = (shape[0] + skip[0],) + shape[1:]
         elif kind == "flatten":
-            ch = None
+            shape = (shape[0] * shape[1] * shape[2],)
         elif kind == "linear":
-            ch = None
-        elif kind not in ("relu", "pool", "upsample"):
+            if shape != (layer["nin"],):
+                raise ConfigurationError(f"layer {i}: linear expects nin={layer['nin']}, gets {shape}")
+            shape = (layer["nout"],)
+        elif kind != "relu":
             raise ConfigurationError(f"layer {i}: unknown kind {kind!r}")
-        out.append(ch)
+        out.append(shape)
     return out
 
 
@@ -120,6 +152,14 @@ _INT_FIELDS = {
 
 
 def validate_spec(spec: ModelSpec) -> None:
+    """Raise ``ConfigurationError`` unless ``spec`` builds a network that
+    runs on inputs of ``in_shape``: integer layer fields, shapes that fit
+    from layer to layer (traced from ``in_shape``) and FiLM sites on
+    spatial layers with the declared channel count."""
+    shape = spec.in_shape
+    if (not isinstance(shape, (tuple, list)) or len(shape) != 3
+            or any(type(v) is not int or v < 1 for v in shape)):
+        raise ConfigurationError(f"in_shape must be three positive integers (C, H, W), got {shape!r}")
     for i, layer in enumerate(spec.layers):
         for key, least in _INT_FIELDS.get(layer["kind"], {}).items():
             if type(layer.get(key)) is not int or layer[key] < least:
@@ -127,13 +167,13 @@ def validate_spec(spec: ModelSpec) -> None:
                     f"layer {i}: {layer['kind']} needs an integer {key} >= {least}, "
                     f"got {layer.get(key)!r}"
                 )
-    channels = _trace_channels(spec)
+    shapes = _trace_shapes(spec)
     for idx, c in spec.film_sites:
         if not (0 <= idx < len(spec.layers)):
             raise ConfigurationError(f"film site at layer {idx} out of range")
-        if channels[idx] != c:
+        if len(shapes[idx]) != 3 or shapes[idx][0] != c:
             raise ConfigurationError(
-                f"film site at layer {idx} declares {c} channels, layer has {channels[idx]}"
+                f"film site at layer {idx} declares {c} channels, layer gives {shapes[idx]}"
             )
 
 
@@ -198,23 +238,33 @@ class Model:
         as in test-time optimization); the ops then record nothing before
         the first FiLM site. Per thread, the model keeps its last
         unmodulated gradient-free pass on one image (a batch of one, as an
-        adaptation episode runs): copies of the input, of every weight read,
-        of the activations up to and including the first site's layer
-        (every layer when there are no sites) and of the output. Batched
-        passes are not kept: in index building and set-up training they are
-        never or rarely repeated, and their activations cost peak memory. A
-        later gradient-free call on the same thread whose input (as a batch)
-        and weights read are byte-equal to the kept ones reuses it: an
-        unmodulated call without ``return_acts`` gets a copy of the kept
-        output, any other call resumes at the first site from the kept
-        activations. Results, ``return_acts`` lists and gradients are those
-        of the full pass bit for bit, and no array handed out is kept.
+        adaptation episode runs): copies of the input, of the activations up
+        to and including the first site's layer (every layer when there are
+        no sites) and of the output, and the weights read. Batched passes are
+        not kept: in index building and set-up training they are never or
+        rarely repeated, and their activations cost peak memory.
+
+        A later gradient-free call on the same thread reuses the kept pass
+        when its input (as a batch) is byte-equal to the kept one and it
+        reads the same weights. Frozen weights are read-only, so one this
+        call lifts itself is checked by identity, as long as the store's
+        ``version`` has not changed since (it changes when the store is
+        frozen, unfrozen or added to). Every other weight, from a caller's ``lifted``
+        or writable, is checked by its bytes, and so is every weight once
+        the version has changed. On reuse an unmodulated call without
+        ``return_acts`` gets a copy of the kept output; any other call
+        resumes at the first site from the kept activations. Results,
+        ``return_acts`` lists and gradients are those of the full pass bit
+        for bit, and no array handed out is kept.
         """
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
         squeeze = xt.array.ndim == 3
         if squeeze:
             xt = ad.expand_batch(xt)
+        # The store's version, when this call lifts the weights itself.
+        version = None
         if lifted is None:
+            version = self.params.version
             lifted = self.params.lift(tape)
         site_map = dict_from_sites(self.spec.film_sites, film)
         layers = self.spec.layers
@@ -223,7 +273,7 @@ class Model:
         memo = getattr(self._memo, "last", None) if grad_free else None
         whole = not site_map and not return_acts
         acts: list[Tensor] = []
-        if memo is not None and memo.matches(xt.array, lifted, len(layers) if whole else keep):
+        if memo is not None and memo.matches(xt.array, lifted, version, len(layers) if whole else keep):
             if whole:
                 out = Tensor(memo.out.copy())
                 return ad.squeeze_batch(out) if squeeze else out
@@ -260,7 +310,7 @@ class Model:
 
         out = acts[-1]
         if grad_free and not site_map and not resumed and len(xt.array) == 1:
-            self._memo.last = _Pass.record(xt.array, lifted, self.spec, acts[:keep], out)
+            self._memo.last = _Pass.record(xt.array, lifted, version, self.spec, acts[:keep], out)
         if squeeze:
             out = ad.squeeze_batch(out)
         if return_acts:
@@ -275,35 +325,49 @@ class Model:
 class _Pass:
     """One unmodulated gradient-free pass of a Model, held for reuse.
 
-    Holds private copies only, so neither the caller of that pass nor of a
-    later reuse can change what a reuse returns.
+    Holds private copies of the input, the activations and the weight
+    bytes, so neither the caller of that pass nor of a later reuse can
+    change what a reuse returns. A frozen weight the pass lifted itself is
+    read-only, so while the store's version is unchanged it is matched by
+    identity. Any other weight (writable, or from a caller's ``lifted``),
+    and every weight once the version has changed, is matched by its bytes.
     """
 
     x_shape: tuple[int, ...]
     x_bytes: bytes
-    weights: list[tuple[int, str, tuple[int, ...], bytes]]  # (layer, name, shape, bytes)
+    version: int | None  # the store's version if the pass lifted the weights itself
+    # (layer, name, held read-only array or None, shape, bytes)
+    weights: list[tuple[int, str, np.ndarray | None, tuple[int, ...], bytes]]
     acts: list[np.ndarray]  # activations of the first len(acts) layers
     out: np.ndarray
 
     @staticmethod
-    def record(xv: np.ndarray, lifted, spec: ModelSpec, kept: list[Tensor], out: Tensor) -> "_Pass":
+    def record(xv: np.ndarray, lifted, version: int | None, spec: ModelSpec,
+               kept: list[Tensor], out: Tensor) -> "_Pass":
         weights = []
         for i, name, _ in _param_layout(spec):
             w = lifted[name].array
-            weights.append((i, name, w.shape, w.tobytes()))
+            held = w if version is not None and not w.flags.writeable else None
+            weights.append((i, name, held, w.shape, w.tobytes()))
         acts = [a.array.copy() for a in kept]
         out_copy = acts[-1] if kept[-1] is out else out.array.copy()
-        return _Pass(xv.shape, xv.tobytes(), weights, acts, out_copy)
+        return _Pass(xv.shape, xv.tobytes(), version, weights, acts, out_copy)
 
-    def matches(self, xv: np.ndarray, lifted: dict[str, Tensor], stop: int) -> bool:
-        """Same input bytes, and same weight bytes in the layers before ``stop``."""
+    def matches(self, xv: np.ndarray, lifted: dict[str, Tensor], version: int | None,
+                stop: int) -> bool:
+        """Same input bytes, and the same weights in the layers before
+        ``stop``: the held arrays at the same store version, or equal bytes."""
         if xv.shape != self.x_shape or xv.tobytes() != self.x_bytes:
             return False
-        for i, name, shape, data in self.weights:
-            if i < stop:
-                w = lifted[name].array
-                if w.shape != shape or w.tobytes() != data:
-                    return False
+        same_version = version is not None and version == self.version
+        for i, name, held, shape, data in self.weights:
+            if i >= stop:
+                break
+            w = lifted[name].array
+            if same_version and w is held:
+                continue
+            if w.shape != shape or w.tobytes() != data:
+                return False
         return True
 
 

@@ -515,6 +515,141 @@ class TestTapeSemantics:
             ad.backward(root)
 
 
+class TestFrozenParams:
+    @staticmethod
+    def frozen_set():
+        ps = ad.ParamSet()
+        ps.add("w", np.random.default_rng(30).normal(size=(3, 3)))
+        ps.add("v", np.arange(4.0))
+        ps.set_frozen(True)
+        return ps
+
+    def test_frozen_values_are_read_only_until_unfrozen(self):
+        ps = self.frozen_set()
+        with pytest.raises(ValueError):
+            ps.get("w")[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ps.get("v")[...] += 1.0
+        ps.set_frozen(False)
+        ps.get("w")[0, 0] = 1.0
+        assert ps.get("w")[0, 0] == 1.0
+
+    def test_version_changes_on_add_freeze_and_unfreeze(self):
+        ps = ad.ParamSet()
+        seen = [ps.version]
+        ps.add("w", np.zeros(2))
+        seen.append(ps.version)
+        ps.set_frozen(True)
+        seen.append(ps.version)
+        ps.set_frozen(False)
+        seen.append(ps.version)
+        ps.set_frozen(True)
+        seen.append(ps.version)
+        assert len(set(seen)) == len(seen)
+
+    def test_lift_hands_out_frozen_entries_as_constants(self):
+        ps = self.frozen_set()
+        with ad.Tape() as tape:
+            a = ps.lift(tape)
+        b = ps.lift(None)
+        assert a is not b and a == b  # the same constants, in a new dict
+        assert all(t.node is None for t in a.values()) and tape.nodes == []
+        assert a["w"].array is ps.get("w")
+        ps.set_frozen(False)
+        with ad.Tape() as tape:
+            c = ps.lift(tape)
+        assert all(t.node is not None and t.node.needs_grad for t in c.values())
+        ps.set_frozen(True)
+        assert ps.lift(None)["w"] is not a["w"]
+
+    def test_partly_frozen_set(self):
+        ps = ad.ParamSet()
+        ps.add("w", np.ones(2), frozen=True)
+        ps.add("v", np.ones(2))
+        ps.add("fixed", np.ones(2), trainable=False)
+        with ad.Tape() as tape:
+            lifted = ps.lift(tape)
+        assert lifted["w"].node is None and lifted["fixed"].node is None
+        assert lifted["v"].node.needs_grad
+        assert lifted["w"] is ps.lift(tape)["w"]
+        assert len(tape.nodes) == 2  # one leaf for v per lift
+        with pytest.raises(ValueError):
+            ps.get("w")[0] = 2.0
+        ps.get("fixed")[0] = 2.0  # non-trainable but not frozen: writable
+
+    def test_clone_of_a_frozen_set_is_frozen_and_read_only(self):
+        ps = self.frozen_set()
+        twin = ps.clone()
+        assert twin.state_bytes() == ps.state_bytes()
+        assert all(p.frozen for _, p in twin.items())
+        with pytest.raises(ValueError):
+            twin.get("w")[0, 0] = 1.0
+        assert twin.get("w") is not ps.get("w")
+        assert twin.lift(None)["w"].node is None
+
+    def test_freezing_copies_a_value_that_views_other_memory(self):
+        base = np.arange(6.0)
+        ps = ad.ParamSet()
+        ps.add("w", base[:3])
+        ps.set_frozen(True)
+        base[0] = 7.0  # the caller's array stays writable and is not the parameter
+        assert ps.get("w").tolist() == [0.0, 1.0, 2.0]
+        assert base.flags.writeable
+
+    @pytest.mark.parametrize("stride,pad,k", CONV_GRID)
+    def test_cached_conv_operands_give_the_same_bits(self, stride, pad, k):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(2, 3, 7, 5))
+        w = rng.normal(size=(4, 3, k, k))
+        ps = ad.ParamSet()
+        ps.add("w", w.copy())
+        ps.set_frozen(True)
+
+        def run(kernel):
+            with ad.Tape() as tape:
+                xt = tape.leaf(x, True)
+                out = ad.conv2d(xt, kernel, stride, pad)
+                ad.backward(ad.sum_all(ad.mul(out, ad.as_tensor(np.cos(out.array)))))
+            return out.array.tobytes(), tape.grad(xt).tobytes()
+
+        plain = run(ad.as_tensor(w))
+        const = ps.lift(None)["w"]
+        assert run(const) == plain  # fills the cache
+        assert set(const.derived) == {"taps", "flipped_taps"}
+        assert run(const) == plain  # reads it
+        with pytest.raises(ValueError):
+            const.derived["taps"][...] = 0.0
+
+
+class TestRelu:
+    @pytest.mark.parametrize("n", [7, 64, 8192, 8193, 16384, 40000])
+    def test_bitwise_equal_to_where(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        x[::5] = -0.0
+        x[::7] = 0.0
+        x[::11] = -5e-324
+        x[::13] = 5e-324
+        g = rng.normal(size=n)
+        for xv in (x, x.reshape(-1, 1)[::2, 0], x[::-1]):
+            with ad.Tape() as tape:
+                xt = tape.leaf(xv, True)
+                out = ad.relu(xt)
+                ad.backward(ad.sum_all(ad.mul(out, ad.as_tensor(g[: xv.size]))))
+            want = np.where(xv > 0, xv, 0.0)
+            assert out.array.tobytes() == want.tobytes()
+            assert not np.signbit(out.array).any()
+            assert tape.grad(xt).tobytes() == (g[: xv.size] * (xv > 0)).tobytes()
+
+    def test_backward_keeps_only_the_mask(self):
+        with ad.Tape() as tape:
+            xt = tape.leaf(np.array([-1.0, 2.0]), True)
+            out = ad.relu(xt)
+        fn = out.node.backward_fn
+        kept = [c.cell_contents for c in fn.__closure__ or ()]
+        assert len(kept) == 1 and kept[0].dtype == bool
+
+
 class TestDeterminism:
     def test_forward_and_grads_bit_identical(self):
         def run():

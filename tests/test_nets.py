@@ -267,6 +267,71 @@ class TestInputAdapters:
         assert np.abs(grads["head.w"]).max() > 0
 
 
+def _bad_spec(case: str) -> nets.ModelSpec:
+    """A spec with one spatial inconsistency that only a shape trace finds."""
+    if case == "linear_nin_255":
+        spec = nets.classifier_spec()
+        spec.layers[9]["nin"] = 255
+    elif case == "in_shape_99":
+        spec = nets.classifier_spec()
+        spec.in_shape = (1, 99, 99)
+    elif case == "odd_size_before_pool":
+        spec = nets.unet_spec("dense_regression")
+        spec.in_shape = (1, 36, 36)  # 36 -> 18 -> 9, then a third pool
+    elif case == "concat_size_mismatch":
+        spec = nets.unet_spec("dense_regression")
+        spec.layers[12]["skip_from"] = 4  # an 8x8 map with a 16x16 one
+        spec.layers[13]["cin"] = 32 + 16  # the channels do add up
+    elif case == "non_integral_conv":
+        spec = nets.classifier_spec()
+        spec.layers[0].update(stride=2, pad=0)  # (16 - 3) / 2
+    elif case == "even_kernel":
+        spec = nets.ModelSpec("dense_regression", (1, 8, 8), [nets._conv(1, 4, k=2, pad=0)], [])
+    else:  # spatial_after_flatten
+        spec = nets.classifier_spec()
+        spec.layers.insert(9, {"kind": "pool"})
+    return spec
+
+
+_BAD_SPECS = ["linear_nin_255", "in_shape_99", "odd_size_before_pool", "concat_size_mismatch",
+              "non_integral_conv", "even_kernel", "spatial_after_flatten"]
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("case", _BAD_SPECS)
+    def test_build_main_rejects(self, case):
+        with pytest.raises(ConfigurationError):
+            nets.build_main(_bad_spec(case), 0)
+
+    @pytest.mark.parametrize("case", _BAD_SPECS)
+    def test_load_model_rejects(self, tmp_path, case):
+        # The arrays fit the spec's own layout, so only the shape trace can fail.
+        from rnaloop import serialize
+
+        spec = _bad_spec(case)
+        arrays = {name: np.zeros(shape) for _, name, shape in nets._param_layout(spec)}
+        path = tmp_path / "model.rnl"
+        serialize.save(path, "model", {"spec": spec.to_json()}, arrays)
+        with pytest.raises(SerializationError, match="spec"):
+            nets.load_model(path)
+
+    @pytest.mark.parametrize("in_shape", [(1, 16), (0, 16, 16), (1, 16.0, 16), "116"])
+    def test_malformed_in_shape_rejected(self, in_shape):
+        spec = nets.classifier_spec()
+        spec.in_shape = in_shape
+        with pytest.raises(ConfigurationError, match="in_shape"):
+            nets.build_main(spec, 0)
+
+    def test_every_shipped_preset_validates(self):
+        models = [presets.dense_main(0), presets.seg_main(0), presets.cls_main(0),
+                  presets.densification_dense(0), *presets.control_mains(0),
+                  nets.FilmXAdapter(0).model]
+        for m in models:
+            nets.validate_spec(m.spec)
+            x = np.zeros((1,) + m.spec.in_shape)
+            assert np.all(np.isfinite(m.forward(x).array))
+
+
 class TestParamCount:
     def test_linear_with_bias(self):
         spec = nets.ModelSpec(
@@ -472,6 +537,23 @@ class TestSpecSerialization:
 
 
 class TestGradientsThroughModel:
+    def test_tto_step_records_only_film_dependent_nodes(self, dense_pair):
+        # Frozen main weights are constants, not tape leaves: a FiLM TTO step
+        # on the UNet records 8 FiLM leaves, 23 ops from the first site on
+        # and the loss.
+        f, _ = dense_pair
+        f.params.set_frozen(True)
+        try:
+            x = np.random.default_rng(21).random((1,) + f.spec.in_shape)
+            f.forward(x)  # the unadapted pass an episode starts with
+            with ad.Tape() as tape:
+                film = TestPassReuse.film_leaves(f, tape, 22)
+                loss = ad.mean_l1(f.forward(x, film=film, tape=tape), np.zeros_like(x))
+                ad.backward(loss)
+        finally:
+            f.params.set_frozen(False)
+        assert len(tape.nodes) == 32
+
     def test_tto_step_graph_freed_without_garbage_collector(self, dense_pair):
         # Nodes refer to their tape weakly, so reference counting alone frees
         # a finished step's tape and the graph it holds.
@@ -692,18 +774,73 @@ class TestPassReuse:
             assert got.tobytes() == want.tobytes()
             return ran
 
+        def edit(name, index, delta):
+            model.params.set_frozen(False)
+            model.params.get(name)[index] += delta
+            model.params.set_frozen(True)
+
         assert check(x) == 8
         x[0, 0, 5, 5] += 0.5
         assert check(x) == 8
         assert check(x, film=film) == 6
-        model.params.get("L0.w")[0, 0, 1, 1] += 0.25  # before the first site
+        # frozen weights are read-only: unfreeze, edit, refreeze
+        edit("L0.w", (0, 0, 1, 1), 0.25)  # before the first site
         assert check(x, film=film) == 8
         assert check(x) == 8
-        model.params.get("L23.b")[0] -= 0.125  # after the first site
+        edit("L23.b", 0, -0.125)  # after the first site
         assert check(x, film=film) == 6  # the kept prefix is still valid
+        assert check(x) == 8
+        # writable weights are compared by their bytes
+        model.params.set_frozen(False)
+        assert check(x) == 0
+        model.params.get("L0.w")[0, 0, 1, 1] -= 0.25  # before the first site
+        assert check(x, film=film) == 8
+        assert check(x) == 8
+        model.params.get("L23.b")[0] += 0.125  # after the first site
+        assert check(x, film=film) == 6
         assert check(x) == 8
         lifted = {n: ad.Tensor(v.value + 1e-3) for n, v in model.params.items()}
         assert check(x, lifted=lifted) == 8  # the weights a call reads, not the store's
+
+    def test_frozen_weights_are_read_only(self):
+        model = presets.dense_main(seed=44)
+        model.params.set_frozen(True)
+        with pytest.raises(ValueError, match="read-only"):
+            model.params.get("L0.w")[0, 0, 1, 1] += 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            model.params.lift(None)["L23.b"].array[0] = 1.0
+        model.params.set_frozen(False)
+        model.params.get("L0.w")[0, 0, 1, 1] += 0.25
+
+    def test_conv_operand_cache_dies_with_the_model(self):
+        model = presets.dense_main(seed=45)
+        model.params.set_frozen(True)
+        x = np.random.default_rng(46).random((1,) + model.spec.in_shape)
+        with ad.Tape() as tape:
+            film = self.film_leaves(model, tape, 47)
+            ad.backward(ad.sum_all(model.forward(x, film=film, tape=tape)))
+        kernel = model.params.lift(None)["L21.w"]
+        forward_cols = weakref.ref(kernel.derived["taps"])
+        backward_cols = weakref.ref(kernel.derived["flipped_taps"])
+        del model, kernel, tape, film
+        gc.collect()
+        assert forward_cols() is None and backward_cols() is None
+
+    def test_unfreezing_drops_the_conv_operand_cache(self):
+        model = presets.dense_main(seed=48)
+        model.params.set_frozen(True)
+        x = np.random.default_rng(49).random((1,) + model.spec.in_shape)
+        kernel = model.params.lift(None)["L3.w"]
+        model.forward(x)
+        assert set(kernel.derived) == {"taps"}
+        model.params.set_frozen(False)
+        assert kernel.derived is None
+        model.params.get("L3.w")[...] *= 2.0
+        model.params.set_frozen(True)
+        assert model.params.lift(None)["L3.w"] is not kernel
+        want = nets.build_main(model.spec, 48)
+        want.params.get("L3.w")[...] *= 2.0
+        assert model.forward(x).array.tobytes() == want.forward(x).array.tobytes()
 
     def test_returned_arrays_cannot_corrupt_a_later_reuse(self):
         for model in self.models():
