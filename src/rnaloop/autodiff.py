@@ -290,9 +290,12 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
 class Param:
     value: np.ndarray
     trainable: bool = True
-    frozen: bool = False
     # While frozen: the read-only value as a constant tensor (see _freeze).
     const: _Constant | None = None
+
+    @property
+    def frozen(self) -> bool:
+        return self.const is not None
 
 
 def _freeze(p: Param, frozen: bool) -> None:
@@ -312,7 +315,6 @@ def _freeze(p: Param, frozen: bool) -> None:
         p.const.derived = None
         p.const = None
         p.value.flags.writeable = True
-    p.frozen = frozen
 
 
 class ParamSet:
