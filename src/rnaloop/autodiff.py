@@ -301,14 +301,12 @@ class Param:
 def _freeze(p: Param, frozen: bool) -> None:
     """Make ``p`` an immutable constant, or writable again.
 
-    Freezing marks the value read-only. A value that is a view of other
-    memory is first replaced by a private copy, so no other view can write
-    it. Unfreezing drops the constant and its cache and makes the value
-    writable again.
+    Freezing replaces the value by a read-only private copy, so no array
+    taken before, nor any view of one, can write it. Unfreezing drops the
+    constant and its cache and makes the value writable again.
     """
     if frozen and p.const is None:
-        if p.value.base is not None:
-            p.value = p.value.copy()
+        p.value = p.value.copy()
         p.value.flags.writeable = False
         p.const = _Constant(p.value)
     elif not frozen and p.const is not None:
@@ -330,12 +328,6 @@ class ParamSet:
     def __init__(self) -> None:
         self._entries: dict[str, Param] = {}
         self.version = 0
-        # The lift of a fully frozen set, handed out until the version changes.
-        self._consts: dict[str, Tensor] | None = None
-
-    def _changed(self) -> None:
-        self.version += 1
-        self._consts = None
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True, frozen: bool = False) -> None:
         if name in self._entries:
@@ -343,7 +335,7 @@ class ParamSet:
         p = Param(np.asarray(value, dtype=_F64), trainable)
         _freeze(p, frozen)
         self._entries[name] = p
-        self._changed()
+        self.version += 1
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -366,7 +358,7 @@ class ParamSet:
         it out as a constant; an unfrozen one is writable again."""
         for p in self._entries.values():
             _freeze(p, frozen)
-        self._changed()
+        self.version += 1
 
     def clone(self) -> "ParamSet":
         out = ParamSet()
@@ -391,11 +383,8 @@ class ParamSet:
         frozen parameter is its read-only constant, the same object on every
         call while it stays frozen (ops cache what they derive from it),
         and a non-trainable one or any parameter with no tape is a plain
-        constant. A fully frozen set hands back the same constants, in a new
-        dict, until its version changes.
+        constant.
         """
-        if self._consts is not None:
-            return dict(self._consts)
         out = {}
         for name, p in self._entries.items():
             if p.const is not None:
@@ -404,9 +393,6 @@ class ParamSet:
                 out[name] = Tensor(p.value, None)
             else:
                 out[name] = tape.leaf(p.value, True)
-        if all(p.frozen for p in self._entries.values()):
-            self._consts = out
-            return dict(out)
         return out
 
     def grads_from(self, tape: Tape, lifted: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -561,14 +547,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0), bit for bit ``np.where(x > 0, x, 0.0)`` on finite input.
+    """max(x, 0), bit for bit ``np.where(x > 0, x, 0.0)`` on every input.
 
-    ``np.maximum`` is several times cheaper than ``np.where`` on large
-    arrays; it may keep a -0.0 input, which adding +0.0 turns into +0.0.
-    The backward keeps only the bool mask ``x > 0``.
+    ``np.fmax`` is several times cheaper than ``np.where`` on large arrays.
+    Like the ``np.where`` form it gives 0.0 for NaN; it may keep a -0.0
+    input, which adding +0.0 turns into +0.0. The backward keeps only the
+    bool mask ``x > 0``.
     """
     xv = x.array
-    out = np.maximum(xv, 0.0)
+    out = np.fmax(xv, 0.0)
     out += 0.0
     mask = xv > 0
     return _record(out, (x,), lambda g, n: (g * mask,), "relu")

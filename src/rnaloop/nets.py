@@ -246,14 +246,14 @@ class Model:
 
         A later gradient-free call on the same thread reuses the kept pass
         when its input (as a batch) is byte-equal to the kept one and it
-        reads the same weights. Frozen weights are read-only, so one this
-        call lifts itself is checked by identity, as long as the store's
-        ``version`` has not changed since (it changes when the store is
-        frozen, unfrozen or added to). Every other weight, from a caller's ``lifted``
-        or writable, is checked by its bytes, and so is every weight once
-        the version has changed. On reuse an unmodulated call without
-        ``return_acts`` gets a copy of the kept output; any other call
-        resumes at the first site from the kept activations. Results,
+        reads the same weights. A frozen weight is a private read-only copy,
+        so one this call lifts itself is checked by identity, as long as the
+        store's ``version`` has not changed since (it changes when the store
+        is frozen, unfrozen or added to). Every other weight, from a caller's
+        ``lifted`` or unfrozen, is checked by its bytes, and so is every
+        weight once the version has changed. On reuse an unmodulated call
+        without ``return_acts`` gets a copy of the kept output; any other
+        call resumes at the first site from the kept activations. Results,
         ``return_acts`` lists and gradients are those of the full pass bit
         for bit, and no array handed out is kept.
         """
@@ -327,16 +327,18 @@ class _Pass:
 
     Holds private copies of the input, the activations and the weight
     bytes, so neither the caller of that pass nor of a later reuse can
-    change what a reuse returns. A frozen weight the pass lifted itself is
-    read-only, so while the store's version is unchanged it is matched by
-    identity. Any other weight (writable, or from a caller's ``lifted``),
-    and every weight once the version has changed, is matched by its bytes.
+    change what a reuse returns. A weight the pass lifted itself as a
+    frozen parameter's constant is a private read-only copy (see
+    ``autodiff._freeze``), so while the store's version is unchanged it is
+    matched by identity. Any other weight (unfrozen, or from a caller's
+    ``lifted``), and every weight once the version has changed, is matched
+    by its bytes.
     """
 
     x_shape: tuple[int, ...]
     x_bytes: bytes
     version: int | None  # the store's version if the pass lifted the weights itself
-    # (layer, name, held read-only array or None, shape, bytes)
+    # (layer, name, the frozen constant's array or None, shape, bytes)
     weights: list[tuple[int, str, np.ndarray | None, tuple[int, ...], bytes]]
     acts: list[np.ndarray]  # activations of the first len(acts) layers
     out: np.ndarray
@@ -347,7 +349,7 @@ class _Pass:
         weights = []
         for i, name, _ in _param_layout(spec):
             w = lifted[name].array
-            held = w if version is not None and not w.flags.writeable else None
+            held = w if version is not None and isinstance(lifted[name], ad._Constant) else None
             weights.append((i, name, held, w.shape, w.tobytes()))
         acts = [a.array.copy() for a in kept]
         out_copy = acts[-1] if kept[-1] is out else out.array.copy()

@@ -596,6 +596,20 @@ class TestFrozenParams:
         assert ps.get("w").tolist() == [0.0, 1.0, 2.0]
         assert base.flags.writeable
 
+    def test_arrays_taken_before_freezing_cannot_write_it(self):
+        given = np.arange(4.0)
+        ps = ad.ParamSet()
+        ps.add("w", given)
+        ps.add("v", given, frozen=True)
+        value = ps.get("w")
+        view = value[1:]
+        ps.set_frozen(True)
+        view[0] = 9.0
+        value[0] = 9.0
+        given[2] = 9.0  # the caller's array stays writable and is not the parameter
+        assert ps.get("w").tolist() == ps.get("v").tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert ps.lift(None)["w"].array is ps.get("w")
+
     @pytest.mark.parametrize("stride,pad,k", CONV_GRID)
     def test_cached_conv_operands_give_the_same_bits(self, stride, pad, k):
         rng = np.random.default_rng(31)
@@ -640,6 +654,12 @@ class TestRelu:
             assert out.array.tobytes() == want.tobytes()
             assert not np.signbit(out.array).any()
             assert tape.grad(xt).tobytes() == (g[: xv.size] * (xv > 0)).tobytes()
+
+    def test_non_finite_input_as_where(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEBUG_CHECKS", False)
+        x = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 1.0])
+        out = ad.relu(ad.as_tensor(x)).array
+        assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()  # NaN -> +0.0
 
     def test_backward_keeps_only_the_mask(self):
         with ad.Tape() as tape:

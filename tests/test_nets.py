@@ -802,6 +802,37 @@ class TestPassReuse:
         lifted = {n: ad.Tensor(v.value + 1e-3) for n, v in model.params.items()}
         assert check(x, lifted=lifted) == 8  # the weights a call reads, not the store's
 
+    def test_read_only_unfrozen_weight_is_compared_by_bytes(self, monkeypatch):
+        src = presets.dense_main(seed=50)
+        base = src.params.get("L0.w").copy()
+        view = base[...]
+        view.flags.writeable = False
+        params = ad.ParamSet()
+        for name, p in src.params.items():
+            params.add(name, view if name == "L0.w" else p.value)
+        model = nets.Model(src.spec, params)
+        x = np.random.default_rng(51).random((1,) + model.spec.in_shape)
+        calls = self.conv_calls(monkeypatch)
+        model.forward(x)
+        base[0, 0, 1, 1] += 0.25  # the parameter is a view of this writable array
+        before = calls[0]
+        got = model.forward(x).array
+        assert calls[0] - before == 8
+        assert got.tobytes() == nets.Model(model.spec, params).forward(x).array.tobytes()
+
+    def test_views_taken_before_freezing_cannot_stale_the_kept_pass(self, monkeypatch):
+        model = presets.dense_main(seed=52)
+        view = model.params.get("L0.w")[...]
+        model.params.set_frozen(True)
+        x = np.random.default_rng(53).random((1,) + model.spec.in_shape)
+        model.forward(x)
+        view[0, 0, 1, 1] += 0.25  # writes the array the parameter had before freezing
+        calls = self.conv_calls(monkeypatch)
+        got = model.forward(x).array.tobytes()
+        assert calls[0] == 0
+        assert got == presets.dense_main(seed=52).forward(x).array.tobytes()
+        assert got == nets.Model(model.spec, model.params.clone()).forward(x).array.tobytes()
+
     def test_frozen_weights_are_read_only(self):
         model = presets.dense_main(seed=44)
         model.params.set_frozen(True)
