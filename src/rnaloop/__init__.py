@@ -6,8 +6,8 @@ controller that emits feature-wise modulation parameters in one forward
 pass. The package holds the numerics (a minimal reverse-mode autodiff
 engine), network builders, procedural task generators, synthetic
 distribution shifts, adaptation-signal generators and a file format for
-models, controllers and datasets. The adaptation episodes themselves are
-not part of it yet.
+models and controllers. The adaptation episodes themselves are not part
+of it yet.
 """
 
 __version__ = "0.1.0"

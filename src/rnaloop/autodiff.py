@@ -196,17 +196,18 @@ class Tensor:
 class _Constant(Tensor):
     """A frozen parameter's read-only value, as a constant with no tape node.
 
-    ``derived`` holds what ops compute from the value alone (the tap columns
-    of a conv kernel), so they compute it once. The parameter owns the
-    constant, so the cache dies with the model; unfreezing sets ``derived``
-    to None, after which nothing is cached on this constant again.
+    Immutable for life: nothing writes its array, and unfreezing gives the
+    parameter a new array instead of releasing this one. So ``derived``,
+    which holds what ops compute from the value alone (the tap columns of a
+    conv kernel), stays valid for as long as anything holds the constant.
+    The parameter owns it while frozen, so the cache dies with the model.
     """
 
     __slots__ = ("derived",)
 
     def __init__(self, array: np.ndarray):
         super().__init__(array, None)
-        self.derived: dict[str, np.ndarray] | None = {}
+        self.derived: dict[str, np.ndarray] = {}
 
 
 def _derived(t: Tensor, key: str, make: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -215,14 +216,13 @@ def _derived(t: Tensor, key: str, make: Callable[[np.ndarray], np.ndarray]) -> n
     Filled lazily. Threads that race on a first fill compute equal arrays and
     ``dict.setdefault`` keeps one of them, so every caller sees the same one.
     """
-    cache = getattr(t, "derived", None)
-    if cache is None:
+    if not isinstance(t, _Constant):
         return make(t.array)
-    got = cache.get(key)
+    got = t.derived.get(key)
     if got is None:
         got = make(t.array)
         got.flags.writeable = False
-        got = cache.setdefault(key, got)
+        got = t.derived.setdefault(key, got)
     return got
 
 
@@ -289,7 +289,6 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
 @dataclass
 class Param:
     value: np.ndarray
-    trainable: bool = True
     # While frozen: the read-only value as a constant tensor (see _freeze).
     const: _Constant | None = None
 
@@ -302,40 +301,36 @@ def _freeze(p: Param, frozen: bool) -> None:
     """Make ``p`` an immutable constant, or writable again.
 
     Freezing replaces the value by a read-only private copy, so no array
-    taken before, nor any view of one, can write it. Unfreezing drops the
-    constant and its cache and makes the value writable again.
+    taken before, nor any view of one, can write it. Unfreezing gives the
+    parameter a writable copy and drops its constant, which with its array
+    and cache stays as it was for whoever still holds it.
     """
     if frozen and p.const is None:
         p.value = p.value.copy()
         p.value.flags.writeable = False
         p.const = _Constant(p.value)
     elif not frozen and p.const is not None:
-        p.const.derived = None
+        p.value = p.value.copy()
         p.const = None
-        p.value.flags.writeable = True
 
 
 class ParamSet:
-    """Named parameter arrays with {trainable, frozen} flags.
+    """Named parameter arrays, each frozen or not.
 
     Iteration order is insertion order and therefore deterministic. Frozen
     parameters never receive gradients or optimizer updates, and their
     values are read-only: an in-place write raises ``ValueError``.
-    ``version`` changes whenever a parameter is added or the set is frozen
-    or unfrozen.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, Param] = {}
-        self.version = 0
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True, frozen: bool = False) -> None:
+    def add(self, name: str, value: np.ndarray, frozen: bool = False) -> None:
         if name in self._entries:
             raise ContractError(f"duplicate parameter name {name!r}")
-        p = Param(np.asarray(value, dtype=_F64), trainable)
+        p = Param(np.asarray(value, dtype=_F64))
         _freeze(p, frozen)
         self._entries[name] = p
-        self.version += 1
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -353,17 +348,16 @@ class ParamSet:
         return self._entries.items()
 
     def set_frozen(self, frozen: bool) -> None:
-        """Freeze every parameter, or unfreeze every one; either way the
-        version changes. A frozen value is read-only and :meth:`lift` hands
-        it out as a constant; an unfrozen one is writable again."""
+        """Freeze every parameter, or unfreeze every one. A frozen value is
+        read-only and :meth:`lift` hands it out as a constant; unfreezing
+        gives each parameter a writable copy of its value."""
         for p in self._entries.values():
             _freeze(p, frozen)
-        self.version += 1
 
     def clone(self) -> "ParamSet":
         out = ParamSet()
         for name, p in self._entries.items():
-            out.add(name, p.value.copy(), p.trainable, p.frozen)
+            out.add(name, p.value.copy(), p.frozen)
         return out
 
     def count(self) -> int:
@@ -378,52 +372,51 @@ class ParamSet:
     def lift(self, tape: Tape | None) -> dict[str, Tensor]:
         """The parameters as tensors for one pass, by name.
 
-        A trainable, unfrozen parameter becomes a leaf that needs a gradient
-        on ``tape``. Every other one is a constant with no tape node: a
-        frozen parameter is its read-only constant, the same object on every
-        call while it stays frozen (ops cache what they derive from it),
-        and a non-trainable one or any parameter with no tape is a plain
-        constant.
+        An unfrozen parameter becomes a leaf that needs a gradient on
+        ``tape``. Every other one is a constant with no tape node: a frozen
+        parameter is its read-only constant, the same object on every call
+        while it stays frozen (ops cache what they derive from it), and an
+        unfrozen one with no tape is a plain constant.
         """
         out = {}
         for name, p in self._entries.items():
             if p.const is not None:
                 out[name] = p.const
-            elif tape is None or not p.trainable:
+            elif tape is None:
                 out[name] = Tensor(p.value, None)
             else:
                 out[name] = tape.leaf(p.value, True)
         return out
 
     def grads_from(self, tape: Tape, lifted: dict[str, Tensor]) -> dict[str, np.ndarray]:
-        """Collect gradients for trainable, unfrozen parameters.
+        """Collect gradients for the unfrozen parameters.
 
-        Raises if a trainable parameter ended up with no gradient (it was
+        Raises if an unfrozen parameter ended up with no gradient (it was
         never used in the recorded graph), which indicates a wiring bug.
         """
         out = {}
         for name, p in self._entries.items():
-            if not p.trainable or p.frozen:
+            if p.frozen:
                 continue
             g = tape.grad(lifted[name])
             if g is None:
-                raise ContractError(f"missing gradient for trainable parameter {name!r}")
+                raise ContractError(f"missing gradient for unfrozen parameter {name!r}")
             out[name] = g
         return out
 
 
 def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place p <- p - lr*g for trainable, unfrozen parameters.
+    """In-place p <- p - lr*g for the unfrozen parameters.
 
     lr == 0 is an allowed null step; negative lr is rejected.
     """
     if lr < 0:
         raise ContractError(f"sgd_step: negative learning rate {lr}")
     for name, p in params.items():
-        if not p.trainable or p.frozen:
+        if p.frozen:
             continue
         if name not in grads:
-            raise ContractError(f"sgd_step: missing gradient for trainable parameter {name!r}")
+            raise ContractError(f"sgd_step: missing gradient for unfrozen parameter {name!r}")
         if lr != 0.0:
             p.value -= lr * grads[name]
 

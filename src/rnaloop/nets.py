@@ -213,7 +213,7 @@ class Model:
     def __init__(self, spec: ModelSpec, params: ParamSet):
         self.spec = spec
         self.params = params
-        # Per thread, the last unmodulated gradient-free pass (see forward).
+        # Per thread, the last unmodulated pass on frozen weights (see forward).
         self._memo = threading.local()
 
     def lift(self, tape) -> dict[str, Tensor]:
@@ -233,48 +233,43 @@ class Model:
         ``lifted`` reuses already-lifted parameters (training loops); when
         absent, parameters are lifted onto ``tape`` (or used as constants).
 
-        A call is gradient-free when neither ``x`` nor any lifted parameter
-        needs a gradient (untaped calls, and taped ones with frozen weights
-        as in test-time optimization); the ops then record nothing before
-        the first FiLM site. Per thread, the model keeps its last
-        unmodulated gradient-free pass on one image (a batch of one, as an
-        adaptation episode runs): copies of the input, of the activations up
-        to and including the first site's layer (every layer when there are
-        no sites) and of the output, and the weights read. Batched passes are
-        not kept: in index building and set-up training they are never or
-        rarely repeated, and their activations cost peak memory.
+        A call runs on frozen weights when every lifted parameter is a
+        frozen parameter's constant (``autodiff._Constant``) and ``x`` needs
+        no gradient, as in test-time optimization and controller
+        adaptation; the ops then record nothing before the first FiLM site.
+        Per thread, the model keeps its last unmodulated pass on frozen
+        weights and one image (a batch of one, as an adaptation episode
+        runs): copies of the input, of the activations up to and including
+        the first site's layer (every layer when there are no sites) and of
+        the output, and the constants read. Batched passes are not kept: in
+        index building and set-up training they are never or rarely
+        repeated, and their activations cost peak memory.
 
-        A later gradient-free call on the same thread reuses the kept pass
-        when its input (as a batch) is byte-equal to the kept one and it
-        reads the same weights. A frozen weight is a private read-only copy,
-        so one this call lifts itself is checked by identity, as long as the
-        store's ``version`` has not changed since (it changes when the store
-        is frozen, unfrozen or added to). Every other weight, from a caller's
-        ``lifted`` or unfrozen, is checked by its bytes, and so is every
-        weight once the version has changed. On reuse an unmodulated call
-        without ``return_acts`` gets a copy of the kept output; any other
-        call resumes at the first site from the kept activations. Results,
+        A later call on frozen weights and the same thread reuses the kept
+        pass when its input (as a batch) is byte-equal to the kept one and
+        it reads the same constant objects. A constant never changes, so
+        that is the same weights. On reuse an unmodulated call without
+        ``return_acts`` gets a copy of the kept output; any other call
+        resumes at the first site from the kept activations. Results,
         ``return_acts`` lists and gradients are those of the full pass bit
-        for bit, and no array handed out is kept.
+        for bit, and no array handed out is kept. A call on unfrozen weights
+        neither reuses nor replaces the kept pass.
         """
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
         squeeze = xt.array.ndim == 3
         if squeeze:
             xt = ad.expand_batch(xt)
-        # The store's version, when this call lifts the weights itself.
-        version = None
         if lifted is None:
-            version = self.params.version
             lifted = self.params.lift(tape)
         site_map = dict_from_sites(self.spec.film_sites, film)
         layers = self.spec.layers
         keep = min(self.spec.film_sites)[0] + 1 if self.spec.film_sites else len(layers)
-        grad_free = all(t.node is None or not t.node.needs_grad for t in (xt, *lifted.values()))
-        memo = getattr(self._memo, "last", None) if grad_free else None
-        whole = not site_map and not return_acts
+        frozen = (xt.node is None or not xt.node.needs_grad) and all(
+            isinstance(t, ad._Constant) for t in lifted.values())
+        memo = getattr(self._memo, "last", None) if frozen else None
         acts: list[Tensor] = []
-        if memo is not None and memo.matches(xt.array, lifted, version, len(layers) if whole else keep):
-            if whole:
+        if memo is not None and memo.matches(xt.array, lifted):
+            if not site_map and not return_acts:
                 out = Tensor(memo.out.copy())
                 return ad.squeeze_batch(out) if squeeze else out
             acts = [Tensor(a.copy() if return_acts else a) for a in memo.acts]
@@ -309,8 +304,8 @@ class Model:
             acts.append(cur)
 
         out = acts[-1]
-        if grad_free and not site_map and not resumed and len(xt.array) == 1:
-            self._memo.last = _Pass.record(xt.array, lifted, version, self.spec, acts[:keep], out)
+        if frozen and not site_map and not resumed and len(xt.array) == 1:
+            self._memo.last = _Pass.record(xt.array, lifted, acts[:keep], out)
         if squeeze:
             out = ad.squeeze_batch(out)
         if return_acts:
@@ -323,54 +318,31 @@ class Model:
 
 @dataclass(slots=True)
 class _Pass:
-    """One unmodulated gradient-free pass of a Model, held for reuse.
+    """One unmodulated pass of a Model on frozen weights, held for reuse.
 
-    Holds private copies of the input, the activations and the weight
-    bytes, so neither the caller of that pass nor of a later reuse can
-    change what a reuse returns. A weight the pass lifted itself as a
-    frozen parameter's constant is a private read-only copy (see
-    ``autodiff._freeze``), so while the store's version is unchanged it is
-    matched by identity. Any other weight (unfrozen, or from a caller's
-    ``lifted``), and every weight once the version has changed, is matched
-    by its bytes.
+    Holds private copies of the input and the activations, so neither the
+    caller of that pass nor of a later reuse can change what a reuse
+    returns, and the frozen constants the pass read. A constant is
+    immutable for life (see ``autodiff._Constant``), so a later call reads
+    the same weights exactly when it holds the same constant objects.
     """
 
     x_shape: tuple[int, ...]
     x_bytes: bytes
-    version: int | None  # the store's version if the pass lifted the weights itself
-    # (layer, name, the frozen constant's array or None, shape, bytes)
-    weights: list[tuple[int, str, np.ndarray | None, tuple[int, ...], bytes]]
+    held: dict[str, Tensor]  # the constants read, by name
     acts: list[np.ndarray]  # activations of the first len(acts) layers
     out: np.ndarray
 
     @staticmethod
-    def record(xv: np.ndarray, lifted, version: int | None, spec: ModelSpec,
-               kept: list[Tensor], out: Tensor) -> "_Pass":
-        weights = []
-        for i, name, _ in _param_layout(spec):
-            w = lifted[name].array
-            held = w if version is not None and isinstance(lifted[name], ad._Constant) else None
-            weights.append((i, name, held, w.shape, w.tobytes()))
+    def record(xv: np.ndarray, lifted: dict[str, Tensor], kept: list[Tensor], out: Tensor) -> "_Pass":
         acts = [a.array.copy() for a in kept]
         out_copy = acts[-1] if kept[-1] is out else out.array.copy()
-        return _Pass(xv.shape, xv.tobytes(), version, weights, acts, out_copy)
+        return _Pass(xv.shape, xv.tobytes(), dict(lifted), acts, out_copy)
 
-    def matches(self, xv: np.ndarray, lifted: dict[str, Tensor], version: int | None,
-                stop: int) -> bool:
-        """Same input bytes, and the same weights in the layers before
-        ``stop``: the held arrays at the same store version, or equal bytes."""
-        if xv.shape != self.x_shape or xv.tobytes() != self.x_bytes:
-            return False
-        same_version = version is not None and version == self.version
-        for i, name, held, shape, data in self.weights:
-            if i >= stop:
-                break
-            w = lifted[name].array
-            if same_version and w is held:
-                continue
-            if w.shape != shape or w.tobytes() != data:
-                return False
-        return True
+    def matches(self, xv: np.ndarray, lifted: dict[str, Tensor]) -> bool:
+        """Same input bytes, and the same constant under every held name."""
+        return (xv.shape == self.x_shape and xv.tobytes() == self.x_bytes
+                and all(lifted.get(n) is c for n, c in self.held.items()))
 
 
 def dict_from_sites(sites: list[tuple[int, int]], film: FiLMParams | None):

@@ -1,4 +1,4 @@
-"""Versioned binary container for datasets, models, and controllers.
+"""Versioned binary container for models and controllers.
 
 Layout: magic bytes, format version, a JSON header (kind, metadata, array
 directory), a little-endian 64-bit payload blob, and a trailing SHA-256

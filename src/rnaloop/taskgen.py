@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import serialize
-from .errors import ConfigurationError, TrainingError
+from .errors import ConfigurationError, ContractError, TrainingError
 from .nets import Model
 
 _STREAM_SCENE = 101
@@ -262,6 +261,8 @@ def train_main(
         raise ConfigurationError(
             f"dataset task {dataset.task_kind!r} != model task {model.spec.task_kind!r}"
         )
+    if all(p.frozen for _, p in model.params.items()):
+        raise ContractError("train_main: every parameter is frozen; call params.set_frozen(False) first")
     rng = _rng(seed, _STREAM_TRAIN)
     n = len(dataset)
     curve: list[float] = []
@@ -287,39 +288,3 @@ def train_main(
         curve.append(float(np.mean(losses)))
     return model, curve
 
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-
-def save_dataset(path, dataset: Dataset, meta: dict | None = None) -> None:
-    info = {
-        "task_kind": dataset.task_kind,
-        "seed": dataset.seed,
-        "split": dataset.split,
-        "scalars": {k: v for k, v in dataset.extra.items() if not isinstance(v, np.ndarray)},
-    }
-    info.update(meta or {})
-    arrays = {"inputs": dataset.inputs, "targets": dataset.targets}
-    for k, v in dataset.extra.items():
-        if isinstance(v, np.ndarray):
-            arrays[f"extra.{k}"] = v
-    serialize.save(path, "dataset", info, arrays)
-
-
-def load_dataset(path) -> tuple[Dataset, dict]:
-    _, meta, arrays = serialize.load(path, expect_kind="dataset")
-    extra = dict(meta.get("scalars", {}))
-    for k, v in arrays.items():
-        if k.startswith("extra."):
-            extra[k[len("extra.") :]] = v
-    ds = Dataset(
-        meta["task_kind"],
-        arrays["inputs"],
-        arrays["targets"],
-        meta["seed"],
-        meta.get("split", "train"),
-        extra,
-    )
-    return ds, meta

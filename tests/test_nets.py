@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnaloop import autodiff as ad
 from rnaloop import nets, presets
@@ -669,7 +671,7 @@ class TestConcurrentEpisodes:
 
 
 class TestPassReuse:
-    """Model.forward reuses its last unmodulated gradient-free pass."""
+    """Model.forward reuses its last unmodulated pass on frozen weights."""
 
     @staticmethod
     def film_leaves(model, tape, seed):
@@ -745,19 +747,21 @@ class TestPassReuse:
             assert convs(x, film=film, tape=tape) == 6  # frozen main weights: TTO
         with ad.Tape() as tape:
             assert convs(tape.leaf(x, True)) == 8  # taped input needing a gradient
-        model.params.set_frozen(False)
-        with ad.Tape() as tape:
-            assert convs(x, tape=tape) == 8  # trainable parameters
-            assert convs(x, tape=tape) == 8
-        model.params.set_frozen(True)
-        # gradient calls neither reused nor replaced the kept pass
-        assert convs(x) == 0
+        assert convs(x) == 0  # which neither reused nor replaced the kept pass
         assert convs(x.copy()) == 0  # equal values, another array
         assert convs(x[0]) == 0  # one sample is compared as a batch of one
         pair = np.concatenate([x, x])
         assert convs(pair) == 8  # another shape
         assert convs(pair) == 8  # a batch of two is not kept
         assert convs(x) == 0  # nor does it replace the kept pass
+        model.params.set_frozen(False)
+        with ad.Tape() as tape:
+            assert convs(x, tape=tape) == 8  # unfrozen parameters
+        assert convs(x) == 8  # are never reused
+        assert convs(x) == 8  # nor kept
+        model.params.set_frozen(True)
+        assert convs(x) == 8  # new constants, though with the same values
+        assert convs(x) == 0
 
     def test_in_place_edits_defeat_reuse(self, monkeypatch):
         model = presets.dense_main(seed=37)
@@ -787,22 +791,27 @@ class TestPassReuse:
         edit("L0.w", (0, 0, 1, 1), 0.25)  # before the first site
         assert check(x, film=film) == 8
         assert check(x) == 8
-        edit("L23.b", 0, -0.125)  # after the first site
-        assert check(x, film=film) == 6  # the kept prefix is still valid
-        assert check(x) == 8
-        # writable weights are compared by their bytes
-        model.params.set_frozen(False)
         assert check(x) == 0
-        model.params.get("L0.w")[0, 0, 1, 1] -= 0.25  # before the first site
+        edit("L23.b", 0, -0.125)  # after the first site
         assert check(x, film=film) == 8
         assert check(x) == 8
-        model.params.get("L23.b")[0] += 0.125  # after the first site
-        assert check(x, film=film) == 6
+        # unfrozen weights are never reused, edited or not
+        model.params.set_frozen(False)
+        lifted = model.params.lift(None)  # plain tensors over the writable values
         assert check(x) == 8
+        assert check(x, lifted=lifted) == 8
+        model.params.get("L0.w")[0, 0, 1, 1] -= 0.25
+        assert check(x, lifted=lifted) == 8  # the same tensors, new values
+        assert check(x) == 8
+        model.params.set_frozen(True)
+        assert check(x) == 8
+        assert check(x, lifted=model.params.lift(None)) == 0  # a caller's lift of the same constants
+        twin = model.params.clone()
+        assert check(x, lifted=twin.lift(None)) == 8  # equal values, other constants
         lifted = {n: ad.Tensor(v.value + 1e-3) for n, v in model.params.items()}
         assert check(x, lifted=lifted) == 8  # the weights a call reads, not the store's
 
-    def test_read_only_unfrozen_weight_is_compared_by_bytes(self, monkeypatch):
+    def test_unfrozen_weights_are_never_reused(self, monkeypatch):
         src = presets.dense_main(seed=50)
         base = src.params.get("L0.w").copy()
         view = base[...]
@@ -814,10 +823,11 @@ class TestPassReuse:
         x = np.random.default_rng(51).random((1,) + model.spec.in_shape)
         calls = self.conv_calls(monkeypatch)
         model.forward(x)
+        model.forward(x)
+        assert calls[0] == 16  # read-only, but not frozen
         base[0, 0, 1, 1] += 0.25  # the parameter is a view of this writable array
-        before = calls[0]
         got = model.forward(x).array
-        assert calls[0] - before == 8
+        assert calls[0] == 24
         assert got.tobytes() == nets.Model(model.spec, params).forward(x).array.tobytes()
 
     def test_views_taken_before_freezing_cannot_stale_the_kept_pass(self, monkeypatch):
@@ -857,18 +867,22 @@ class TestPassReuse:
         gc.collect()
         assert forward_cols() is None and backward_cols() is None
 
-    def test_unfreezing_drops_the_conv_operand_cache(self):
+    def test_unfreezing_leaves_the_old_constant_and_its_cache(self):
         model = presets.dense_main(seed=48)
         model.params.set_frozen(True)
         x = np.random.default_rng(49).random((1,) + model.spec.in_shape)
         kernel = model.params.lift(None)["L3.w"]
         model.forward(x)
+        taps = kernel.derived["taps"]
         assert set(kernel.derived) == {"taps"}
         model.params.set_frozen(False)
-        assert kernel.derived is None
         model.params.get("L3.w")[...] *= 2.0
+        assert set(kernel.derived) == {"taps"} and kernel.derived["taps"] is taps
+        assert kernel.array.tobytes() == nets.build_main(model.spec, 48).params.get("L3.w").tobytes()
+        assert not kernel.array.flags.writeable
         model.params.set_frozen(True)
-        assert model.params.lift(None)["L3.w"] is not kernel
+        fresh = model.params.lift(None)["L3.w"]
+        assert fresh is not kernel and fresh.derived == {}
         want = nets.build_main(model.spec, 48)
         want.params.get("L3.w")[...] *= 2.0
         assert model.forward(x).array.tobytes() == want.forward(x).array.tobytes()
@@ -907,6 +921,7 @@ class TestPassReuse:
 
     def test_kept_pass_is_bounded_and_dies_with_the_model(self):
         model = presets.cls_main(seed=42)
+        model.params.set_frozen(True)
         rng = np.random.default_rng(43)
         model.forward(rng.random((1,) + model.spec.in_shape))
         first = weakref.ref(model._memo.last.out)
@@ -916,6 +931,101 @@ class TestPassReuse:
         del model
         gc.collect()
         assert second() is None
+
+
+class TestKeptPassProperty:
+    """Any sequence of calls, freezes and edits gives a fresh model's bits."""
+
+    OPS = ["plain", "film", "acts", "tto", "edit", "unfreeze", "refreeze", "new_input"]
+
+    @staticmethod
+    def call(model, op, x, film_values) -> list[bytes]:
+        if op == "plain":
+            return [model.forward(x).array.tobytes()]
+        if op == "film":
+            return [model.forward(x, film=nets.FiLMParams(film_values)).array.tobytes()]
+        if op == "acts":
+            out, acts = model.forward(x, return_acts=True)
+            return [t.array.tobytes() for t in [out, *acts]]
+        # a taped FiLM TTO step
+        with ad.Tape() as tape:
+            film = nets.FiLMParams([(tape.leaf(g, True), tape.leaf(b, True)) for g, b in film_values])
+            pred = model.forward(x, film=film, tape=tape)
+            ad.backward(ad.sum_all(ad.relu(pred)))
+        return [pred.array.tobytes()] + [tape.grad(t).tobytes() for site in film.sites for t in site]
+
+    @given(which=st.sampled_from(["dense", "cls"]),
+           ops=st.lists(st.sampled_from(OPS), max_size=10),
+           seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_every_call_matches_a_fresh_model(self, which, ops, seed):
+        model = presets.dense_main(seed=60) if which == "dense" else presets.cls_main(seed=61)
+        model.params.set_frozen(True)
+        fresh = _FreshEveryCall(model)
+        rng = np.random.default_rng(seed)
+        x = rng.random((1,) + model.spec.in_shape)
+        names = model.params.names()
+
+        def check(op):
+            film_values = [(1.0 + 0.1 * rng.normal(size=c), 0.1 * rng.normal(size=c))
+                           for _, c in model.spec.film_sites]
+            assert self.call(model, op, x, film_values) == self.call(fresh, op, x, film_values)
+
+        for op in ops:
+            if op in ("plain", "film", "acts", "tto"):
+                check(op)
+            elif op == "edit":
+                kernel = model.params.lift(None)["L0.w"]
+                if isinstance(kernel, ad._Constant):
+                    check("plain")  # a frozen forward fills the first kernel's tap columns
+                    taps = kernel.derived["taps"]
+                    held = (kernel.array.tobytes(), taps.tobytes())
+                model.params.set_frozen(False)
+                value = model.params.get(names[int(rng.integers(len(names)))])
+                value.flat[int(rng.integers(value.size))] += 0.25
+                model.params.set_frozen(True)
+                if isinstance(kernel, ad._Constant):
+                    assert (kernel.array.tobytes(), taps.tobytes()) == held
+                    assert not kernel.array.flags.writeable
+                    assert kernel.derived["taps"] is taps
+            elif op == "unfreeze":
+                model.params.set_frozen(False)
+            elif op == "refreeze":
+                model.params.set_frozen(True)
+            else:
+                shape = model.spec.in_shape if rng.random() < 0.5 else (1,) + model.spec.in_shape
+                x = rng.random(shape)
+        check("plain")
+
+
+class TestAdaptationInvariants:
+    def test_tto_at_lr_zero_changes_nothing(self):
+        f = presets.dense_main(seed=13)
+        f.params.set_frozen(True)
+        rng = np.random.default_rng(14)
+        x = rng.random((1,) + f.spec.in_shape)
+        target = rng.random(x.shape)
+        mask = (rng.random((1,) + f.spec.in_shape[1:]) < 0.1).astype(float)
+        before = f.forward(x).array.tobytes()
+        film = ad.ParamSet()
+        for s, (_, c) in enumerate(f.spec.film_sites):
+            film.add(f"g{s}", np.ones(c))
+            film.add(f"b{s}", np.zeros(c))
+        identity, main = film.state_bytes(), f.params.state_bytes()
+
+        def film_of(values):
+            return nets.FiLMParams([(values[f"g{s}"], values[f"b{s}"])
+                                    for s in range(len(f.spec.film_sites))])
+
+        for _ in range(5):
+            with ad.Tape() as tape:
+                lifted = film.lift(tape)
+                pred = f.forward(x, film=film_of(lifted), tape=tape)
+                ad.backward(ad.masked_l1(pred, target, mask))
+            ad.sgd_step(film, film.grads_from(tape, lifted), 0.0)
+        assert film.state_bytes() == identity
+        assert f.params.state_bytes() == main
+        assert f.forward(x, film=film_of(film.lift(None))).array.tobytes() == before
 
 
 class _FreshEveryCall:

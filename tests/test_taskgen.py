@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rnaloop import nets, presets, taskgen
-from rnaloop.errors import ConfigurationError, TrainingError
+from rnaloop.errors import ConfigurationError, ContractError, TrainingError
 
 
 def painter_oracle(config, shapes):
@@ -143,10 +143,19 @@ class TestTrainMain:
         model = presets.dense_main(seed=0)
         autodiff.set_debug_checks(False)  # let the overflow reach the loss
         try:
-            with pytest.raises(TrainingError, match="lr="):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError, match="lr="):
                 taskgen.train_main(model, ds, epochs=5, lr=1e200, seed=0)
         finally:
             autodiff.set_debug_checks(True)
+
+    def test_fully_frozen_model_rejected_before_training(self):
+        ds = taskgen.gen_classification(presets.NUM_CLASSES, 8, proto_seed=0, seed=0)
+        model = presets.cls_main(1)
+        model.params.set_frozen(True)
+        before = model.params.state_bytes()
+        with pytest.raises(ContractError, match=r"every parameter is frozen.*set_frozen\(False\)"):
+            taskgen.train_main(model, ds, epochs=1, lr=0.01, seed=0)
+        assert model.params.state_bytes() == before
 
     def test_loss_decreases_on_small_run(self):
         cfg = taskgen.SceneWorldConfig()
@@ -155,15 +164,3 @@ class TestTrainMain:
         _, curve = taskgen.train_main(model, ds, epochs=4, lr=0.05, seed=0)
         assert curve[-1] < curve[0]
 
-
-class TestDatasetPersistence:
-    def test_round_trip(self, tmp_path):
-        ds = taskgen.gen_classification(4, 12, proto_seed=1, seed=2)
-        path = tmp_path / "data.rnl"
-        taskgen.save_dataset(path, ds)
-        loaded, _ = taskgen.load_dataset(path)
-        assert loaded.task_kind == ds.task_kind
-        assert np.array_equal(loaded.inputs, ds.inputs)
-        assert np.array_equal(loaded.targets, ds.targets)
-        assert np.array_equal(loaded.extra["prototypes"], ds.extra["prototypes"])
-        assert loaded.extra["num_classes"] == 4
