@@ -287,4 +287,3 @@ def train_main(
             ad.sgd_step(model.params, model.params.grads_from(tape, lifted), lr)
         curve.append(float(np.mean(losses)))
     return model, curve
-

@@ -163,4 +163,3 @@ class TestTrainMain:
         model = presets.dense_main(seed=0)
         _, curve = taskgen.train_main(model, ds, epochs=4, lr=0.05, seed=0)
         assert curve[-1] < curve[0]
-
