@@ -49,7 +49,6 @@ __all__ = [
     "set_debug_checks",
     "add",
     "mul",
-    "scale",
     "add_bias",
     "matmul",
     "conv2d",
@@ -59,8 +58,6 @@ __all__ = [
     "concat_channels",
     "slice_channels",
     "film",
-    "reshape",
-    "stack_rows",
     "expand_batch",
     "squeeze_batch",
     "flatten_batch",
@@ -122,8 +119,8 @@ class Node:
     parents: tuple["Node | None", ...]
     # backward_fn(grad_out, needs) -> per-parent gradient contributions,
     # with None at positions whose needs flag is False. Leaf nodes have None.
+    # Every node needs a gradient; constants are not recorded at all.
     backward_fn: Callable | None
-    needs_grad: bool
     shape: tuple[int, ...]
 
     @property
@@ -156,10 +153,10 @@ class Tape:
         _tls.tape = self._prev
         self._prev = None
 
-    def leaf(self, value: np.ndarray, needs_grad: bool) -> "Tensor":
-        """Register an input array as a leaf node on this tape."""
+    def leaf(self, value: np.ndarray) -> "Tensor":
+        """Register an input array as a leaf node that needs a gradient."""
         arr = np.asarray(value, dtype=_F64)
-        node = Node(next(_node_ids), weakref.ref(self), (), None, bool(needs_grad), arr.shape)
+        node = Node(next(_node_ids), weakref.ref(self), (), None, arr.shape)
         self.nodes.append(node)
         return Tensor(arr, node)
 
@@ -239,12 +236,12 @@ def _record(out: np.ndarray, parents: Sequence[Tensor], backward_fn, opname: str
     if tape is None:
         return Tensor(out, None)
     pnodes = tuple(p.node for p in parents)
-    if not any(n is not None and n.needs_grad for n in pnodes):
+    if all(n is None for n in pnodes):
         return Tensor(out, None)
     for n in pnodes:
         if n is not None and n.tape is not tape:
             raise ContractError(f"{opname}: operand recorded on a different tape")
-    node = Node(next(_node_ids), weakref.ref(tape), pnodes, backward_fn, True, out.shape)
+    node = Node(next(_node_ids), weakref.ref(tape), pnodes, backward_fn, out.shape)
     tape.nodes.append(node)
     return Tensor(out, node)
 
@@ -253,9 +250,9 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
     """Populate ``tape.grads`` for every grad-requiring ancestor of ``root``.
 
     ``root`` must be a scalar recorded on a tape. Constants (frozen
-    parameters, plain inputs) and leaves registered with ``needs_grad=False``
-    are skipped: gradient still flows *through* the ops that consume them,
-    but their own gradients are neither computed nor stored.
+    parameters, plain inputs) have no node and are skipped: gradient still
+    flows *through* the ops that consume them, but their own gradients are
+    neither computed nor stored.
     """
     if root.node is None:
         raise ContractError("backward: root is not recorded on any tape")
@@ -271,10 +268,10 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
         g = grads.get(node.nid)
         if g is None or node.backward_fn is None:
             continue
-        needs = tuple(p is not None and p.needs_grad for p in node.parents)
+        needs = tuple(p is not None for p in node.parents)
         pgrads = node.backward_fn(g, needs)
         for parent, pg in zip(node.parents, pgrads):
-            if pg is None or parent is None or not parent.needs_grad:
+            if pg is None or parent is None:
                 continue
             acc = grads.get(parent.nid)
             grads[parent.nid] = pg if acc is None else acc + pg
@@ -385,7 +382,7 @@ class ParamSet:
             elif tape is None:
                 out[name] = Tensor(p.value, None)
             else:
-                out[name] = tape.leaf(p.value, True)
+                out[name] = tape.leaf(p.value)
         return out
 
     def grads_from(self, tape: Tape, lifted: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -494,11 +491,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return (g * bv if needs[0] else None, g * av if needs[1] else None)
 
     return _record(av * bv, (a, b), bwd, "mul")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _record(a.array * c, (a,), lambda g, n: (g * c,), "scale")
 
 
 @_one_sample((2, 4), "x")
@@ -622,7 +614,7 @@ def conv2d(
         out = np.ascontiguousarray(valid)
     else:
         out = valid + bias.array[None, :, None, None]
-    if kernel.node is None or not kernel.node.needs_grad:
+    if kernel.node is None:
         rows = None  # only the kernel gradient reads the row matrix
 
     def bwd(g, needs):
@@ -769,16 +761,14 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), bwd, "concat_channels")
 
 
-def slice_channels(x: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
-    """Contiguous slice along one axis (used to split controller heads)."""
+def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
+    """Contiguous slice along axis 1 (used to split controller heads)."""
     xv = x.array
-    idx = [slice(None)] * xv.ndim
-    idx[axis] = slice(start, stop)
-    out = xv[tuple(idx)].copy()
+    out = xv[:, start:stop].copy()
 
     def bwd(g, needs):
         gx = np.zeros_like(xv)
-        gx[tuple(idx)] = g
+        gx[:, start:stop] = g
         return (gx,)
 
     return _record(out, (x,), bwd, "slice_channels")
@@ -814,26 +804,6 @@ def film(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         return (gx, gg, gb)
 
     return _record(out, (x, gamma, beta), bwd, "film")
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = x.array.shape
-    out = x.array.reshape(shape).copy()
-    return _record(out, (x,), lambda g, n: (g.reshape(old),), "reshape")
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 0 (batch assembly)."""
-    arrs = [p.array for p in parts]
-    offs = [0, *itertools.accumulate(a.shape[0] for a in arrs)]
-    out = np.concatenate(arrs, axis=0)
-
-    def bwd(g, needs):
-        return tuple(
-            g[offs[i] : offs[i + 1]] if needs[i] else None for i in range(len(arrs))
-        )
-
-    return _record(out, tuple(parts), bwd, "stack_rows")
 
 
 def expand_batch(x: Tensor) -> Tensor:

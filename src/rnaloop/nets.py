@@ -1,4 +1,4 @@
-"""Network builders: main task networks, FiLM sites, controllers, adapters.
+"""Network builders: main task networks, their FiLM sites and controllers.
 
 Main networks are layer-list models (conv / relu / avg-pool / nearest
 upsample / channel concat / flatten / linear) over the autodiff ops. FiLM
@@ -7,9 +7,9 @@ modulation; with gamma=1, beta=0 the modulated network is bit-identical
 to the unmodulated one.
 
 Controllers map an error-feedback encoding to FiLM coefficients for every
-site. Their final layer is zero-initialized and gamma is emitted as
-1 + residual, so a freshly built controller is exactly the identity
-adaptation.
+site of the main network, the only network they adapt. Their final layer
+is zero-initialized and gamma is emitted as 1 + residual, so a freshly
+built controller is exactly the identity adaptation.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ class Model:
         site_map = dict_from_sites(self.spec.film_sites, film)
         layers = self.spec.layers
         keep = min(self.spec.film_sites)[0] + 1 if self.spec.film_sites else len(layers)
-        frozen = (xt.node is None or not xt.node.needs_grad) and all(
+        frozen = xt.node is None and all(
             isinstance(t, ad._Constant) for t in lifted.values())
         memo = getattr(self._memo, "last", None) if frozen else None
         acts: list[Tensor] = []
@@ -430,32 +430,39 @@ _CLASSIFIER_SITE_LADDER = [(1, 8), (4, 16), (7, 16)]
 def build_main(spec: ModelSpec, seed: int) -> Model:
     """Instantiate parameters (He-style init) for a validated spec."""
     validate_spec(spec)
+    return Model(spec, _init_params(_param_layout(spec), seed))
+
+
+def _init_params(layout: dict[str, tuple[int, ...]], seed: int) -> ParamSet:
+    """He-style init, drawn in layout order: a weight is normal with std
+    sqrt(2 / fan-in); a bias (``*.b``) and a controller head (``head.*``)
+    start at zero."""
     rng = np.random.default_rng(seed)
     params = ParamSet()
-    for _, name, shape in _param_layout(spec):
-        if name.endswith(".b"):
+    for name, shape in layout.items():
+        if name.endswith(".b") or name.startswith("head."):
             params.add(name, np.zeros(shape))
         else:
             # fan-in: cin*k*k of a conv kernel [O,C,k,k], nin of a linear weight [nin,nout]
             fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
             params.add(name, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
-    return Model(spec, params)
+    return params
 
 
-def _param_layout(spec: ModelSpec) -> list[tuple[int, str, tuple[int, ...]]]:
-    """(layer index, name, shape) of every parameter the layers read, in creation order."""
-    out = []
+def _param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter the layers read, in creation order."""
+    out = {}
     for i, layer in enumerate(spec.layers):
         if layer["kind"] == "conv":
-            out.append((i, f"L{i}.w", (layer["cout"], layer["cin"], layer["k"], layer["k"])))
+            out[f"L{i}.w"] = (layer["cout"], layer["cin"], layer["k"], layer["k"])
             width = layer["cout"]
         elif layer["kind"] == "linear":
-            out.append((i, f"L{i}.w", (layer["nin"], layer["nout"])))
+            out[f"L{i}.w"] = (layer["nin"], layer["nout"])
             width = layer["nout"]
         else:
             continue
         if layer.get("bias", True):
-            out.append((i, f"L{i}.b", (width,)))
+            out[f"L{i}.b"] = (width,)
     return out
 
 
@@ -479,7 +486,7 @@ def insert_film_sites(model: Model, k: int) -> Model:
 
 
 def param_count(obj) -> int:
-    """Total scalar parameters of a Model, Controller, adapter, or ParamSet."""
+    """Total scalar parameters of a Model, Controller or ParamSet."""
     if isinstance(obj, ParamSet):
         return obj.count()
     return obj.params.count()
@@ -506,12 +513,9 @@ class ControllerSpec:
     film_channels: list[int]
     hidden: int = 16
     trunk: tuple[int, int] = (8, 16)
-    raw_out: int | None = None  # set for heads that emit a flat vector instead
 
     @property
     def out_dim(self) -> int:
-        if self.raw_out is not None:
-            return self.raw_out
         return 2 * sum(self.film_channels)
 
 
@@ -525,8 +529,10 @@ class Controller:
     def lift(self, tape) -> dict[str, Tensor]:
         return self.params.lift(tape)
 
-    def head_raw(self, feedback, lifted=None, tape=None) -> Tensor:
-        """Raw head output [N, out_dim] before the identity offset."""
+    def forward(self, feedback, lifted=None, tape=None) -> FiLMParams:
+        """Emit FiLMParams from the head output [N, out_dim], which holds
+        each site's gamma residual, then its beta: gamma = 1 + residual,
+        beta = residual."""
         fb = feedback if isinstance(feedback, Tensor) else ad.as_tensor(feedback)
         if lifted is None:
             lifted = self.params.lift(tape)
@@ -550,43 +556,34 @@ class Controller:
         else:
             raise ConfigurationError(f"unknown controller arch {c.arch!r}")
         h = ad.relu(ad.add_bias(ad.matmul(h, lifted["fc.w"]), lifted["fc.b"]))
-        return ad.add_bias(ad.matmul(h, lifted["head.w"]), lifted["head.b"])
-
-    def forward(self, feedback, lifted=None, tape=None) -> FiLMParams:
-        """Emit FiLMParams; gamma = 1 + residual, beta = residual."""
-        if self.cspec.raw_out is not None:
-            raise ContractError("raw-output controllers do not emit film params")
-        raw = self.head_raw(feedback, lifted=lifted, tape=tape)
+        raw = ad.add_bias(ad.matmul(h, lifted["head.w"]), lifted["head.b"])
         sites = []
         off = 0
-        for c in self.cspec.film_channels:
-            gres = ad.slice_channels(raw, off, off + c)
-            beta = ad.slice_channels(raw, off + c, off + 2 * c)
+        for ch in c.film_channels:
+            gres = ad.slice_channels(raw, off, off + ch)
+            beta = ad.slice_channels(raw, off + ch, off + 2 * ch)
             gamma = ad.add(gres, ad.as_tensor(np.ones_like(gres.array)))
             sites.append((gamma, beta))
-            off += 2 * c
+            off += 2 * ch
         return FiLMParams(sites)
 
 
-def _init_controller_params(cspec: ControllerSpec, seed: int) -> ParamSet:
-    rng = np.random.default_rng(seed)
-    params = ParamSet()
-    t1, t2 = cspec.trunk
+def _controller_layout(cspec: ControllerSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every controller parameter, in creation order.
+
+    Raises ``ConfigurationError`` for an unknown ``arch``.
+    """
     if cspec.arch == "conv":
-        fan1 = cspec.in_channels * 9
-        params.add("c1.w", rng.normal(0, np.sqrt(2.0 / fan1), size=(t1, cspec.in_channels, 3, 3)))
-        params.add("c1.b", np.zeros(t1))
-        params.add("c2.w", rng.normal(0, np.sqrt(2.0 / (t1 * 9)), size=(t2, t1, 3, 3)))
-        params.add("c2.b", np.zeros(t2))
+        t1, t2 = cspec.trunk
+        trunk = {"c1.w": (t1, cspec.in_channels, 3, 3), "c1.b": (t1,),
+                 "c2.w": (t2, t1, 3, 3), "c2.b": (t2,)}
         feat = t2
+    elif cspec.arch == "mlp":
+        trunk, feat = {}, cspec.in_channels
     else:
-        feat = cspec.in_channels
-    params.add("fc.w", rng.normal(0, np.sqrt(2.0 / feat), size=(feat, cspec.hidden)))
-    params.add("fc.b", np.zeros(cspec.hidden))
-    # zero head => identity adaptation at initialization
-    params.add("head.w", np.zeros((cspec.hidden, cspec.out_dim)))
-    params.add("head.b", np.zeros(cspec.out_dim))
-    return params
+        raise ConfigurationError(f"unknown controller arch {cspec.arch!r}")
+    return {**trunk, "fc.w": (feat, cspec.hidden), "fc.b": (cspec.hidden,),
+            "head.w": (cspec.hidden, cspec.out_dim), "head.b": (cspec.out_dim,)}
 
 
 def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controller:
@@ -603,7 +600,7 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
         raise ConfigurationError(
             f"controller film channels {cspec.film_channels} != model sites {expected}"
         )
-    h = Controller(cspec, _init_controller_params(cspec, seed))
+    h = Controller(cspec, _init_params(_controller_layout(cspec), seed))
     ratio = param_count(h) / param_count(main)
     if not (BUDGET_RANGE[0] <= ratio <= BUDGET_RANGE[1]):
         warnings.warn(
@@ -612,109 +609,6 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
             BudgetWarning,
         )
     return h
-
-
-def build_side_controller(cspec: ControllerSpec, seed: int) -> Controller:
-    """Controller for an input adapter (drives the adapter, not the main net)."""
-    if cspec.raw_out is None and not cspec.film_channels:
-        raise ConfigurationError("side controller needs film channels or raw_out")
-    return Controller(cspec, _init_controller_params(cspec, seed))
-
-
-# ---------------------------------------------------------------------------
-# input adapters (alternative controller targets)
-# ---------------------------------------------------------------------------
-
-
-def _film_x_adapter_spec(in_ch: int = 1) -> ModelSpec:
-    layers = [
-        _conv(in_ch, 6),             # 0
-        {"kind": "relu"},            # 1
-        {"kind": "pool"},            # 2
-        _conv(6, 12),                # 3
-        {"kind": "relu"},            # 4
-        {"kind": "upsample"},        # 5
-        {"kind": "concat", "skip_from": 1},  # 6 -> 18
-        _conv(18, 6),                # 7
-        {"kind": "relu"},            # 8
-        _conv(6, in_ch, k=1, pad=0),  # 9 head, zero-init
-    ]
-    spec = ModelSpec("input_adapter", (in_ch, 32, 32), layers,
-                     [(1, 6), (4, 12), (8, 6)])
-    return spec
-
-
-class FilmXAdapter:
-    """Adapts the input image instead of the main network's features.
-
-    A small modulated encoder/decoder computes a residual update of x; the
-    controller drives the adapter's film sites. The residual head starts at
-    zero, so the adapter is the exact identity at initialization.
-    """
-
-    def __init__(self, seed: int, in_ch: int = 1):
-        spec = _film_x_adapter_spec(in_ch)
-        self.model = build_main(spec, seed)
-        self.model.params.get("L9.w")[:] = 0.0
-        self.params = self.model.params
-        self.film_channels = [c for _, c in spec.film_sites]
-
-    def apply(self, x, film: FiLMParams, lifted=None) -> Tensor:
-        """x -> adapted x, with the adapter's sites modulated by ``film``."""
-        xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
-        return ad.add(xt, self.model.forward(xt, film=film, lifted=lifted))
-
-
-class HypernetXAdapter:
-    """Adapts the input image with a fixed 3-layer conv net whose weights
-    the controller emits; the net's output is added to x.
-
-    The emitted vector holds residuals on the base weights; the base output
-    layer is zero, so a zero emission is the exact identity.
-    """
-
-    TARGET_LAYERS = ((6, 1, 3), (6, 6, 3), (1, 6, 3))  # (cout, cin, k) per layer
-
-    def __init__(self, seed: int):
-        rng = np.random.default_rng(seed)
-        self.base = []
-        for li, (cout, cin, k) in enumerate(self.TARGET_LAYERS):
-            w = rng.normal(0, np.sqrt(2.0 / (cin * k * k)), size=(cout, cin, k, k))
-            if li == len(self.TARGET_LAYERS) - 1:
-                w[:] = 0.0  # emitted residuals alone drive the output layer
-            self.base.append((w, np.zeros(cout)))
-        self.params = ParamSet()  # the conv net's weights come from the controller
-        # emitted-vector length: every layer's weights, then its bias
-        self.weight_count = sum(w.size + b.size for w, b in self.base)
-
-    def apply(self, x, emitted: Tensor) -> Tensor:
-        """x [N,C,H,W] -> adapted x, from the emitted weight residuals
-        [N, weight_count], one conv net per sample."""
-        xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
-        n = xt.array.shape[0]
-        if emitted.shape != (n, self.weight_count):
-            raise DimensionError(
-                f"hypernet adapter: {n} images need emitted weights [{n}, {self.weight_count}], "
-                f"got {emitted.shape}"
-            )
-        outs = []
-        for i in range(n):
-            xi = ad.slice_channels(xt, i, i + 1, axis=0)
-            wvec = ad.slice_channels(emitted, i, i + 1, axis=0)
-            h = xi
-            off = 0
-            for li, ((bw, bb), (cout, cin, k)) in enumerate(zip(self.base, self.TARGET_LAYERS)):
-                wsz = cout * cin * k * k
-                wres = ad.slice_channels(wvec, off, off + wsz)
-                bres = ad.slice_channels(wvec, off + wsz, off + wsz + cout)
-                off += wsz + cout
-                w = ad.add(ad.reshape(wres, (cout, cin, k, k)), ad.as_tensor(bw))
-                b = ad.add(ad.reshape(bres, (cout,)), ad.as_tensor(bb))
-                h = ad.conv2d(h, w, 1, k // 2, bias=b)
-                if li < len(self.base) - 1:
-                    h = ad.relu(h)
-            outs.append(ad.add(xi, h))
-        return ad.stack_rows(outs)
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +624,20 @@ def _with_meta(info: dict, meta: dict | None) -> dict:
     return {**info, **(meta or {})}
 
 
+def _params_from_file(kind: str, arrays: dict[str, np.ndarray], layout: dict) -> ParamSet:
+    """The file's arrays in layout order; ``SerializationError`` unless they
+    have exactly the layout's names and shapes."""
+    found = {name: a.shape for name, a in arrays.items()}
+    if found != layout:
+        bad = {n: (found.get(n), layout.get(n)) for n in sorted(found.keys() | layout.keys())
+               if found.get(n) != layout.get(n)}
+        raise SerializationError(f"{kind} file arrays do not match its spec, (file, spec) shapes: {bad}")
+    params = ParamSet()
+    for name in layout:
+        params.add(name, arrays[name])
+    return params
+
+
 def save_model(path, model: Model, meta: dict | None = None) -> None:
     info = _with_meta({"spec": model.spec.to_json()}, meta)
     arrays = {name: p.value for name, p in model.params.items()}
@@ -741,29 +649,21 @@ def load_model(path) -> tuple[Model, dict]:
     try:
         spec = ModelSpec.from_json(meta["spec"])
         validate_spec(spec)
-        layout = {name: shape for _, name, shape in _param_layout(spec)}
+        layout = _param_layout(spec)
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
         raise SerializationError(f"model file spec is missing or malformed: {exc!r}") from None
-    found = {name: a.shape for name, a in arrays.items()}
-    if found != layout:
-        bad = {n: (found.get(n), layout.get(n)) for n in sorted(found.keys() | layout.keys())
-               if found.get(n) != layout.get(n)}
-        raise SerializationError(f"model file arrays do not match its spec, (file, spec) shapes: {bad}")
-    params = ParamSet()
-    for name in layout:
-        params.add(name, arrays[name])
-    return Model(spec, params), meta
+    return Model(spec, _params_from_file("model", arrays, layout)), meta
 
 
-# Version of the controller metadata; 2 stores every ControllerSpec field.
-CONTROLLER_FORMAT = 2
+# Version of the controller metadata; 3 stores every ControllerSpec field,
+# and the spec alone fixes the parameters' names, order and shapes.
+CONTROLLER_FORMAT = 3
 
 
 def save_controller(path, h: Controller, meta: dict | None = None) -> None:
     info = _with_meta({
         "controller_format": CONTROLLER_FORMAT,
         "cspec": json.dumps(dataclasses.asdict(h.cspec), sort_keys=True),
-        "param_order": json.dumps(h.params.names()),
     }, meta)
     serialize.save(path, "controller", info, {n: p.value for n, p in h.params.items()})
 
@@ -778,17 +678,10 @@ def load_controller(path) -> tuple[Controller, dict]:
     names = {f.name for f in dataclasses.fields(ControllerSpec)}
     try:
         d = json.loads(meta["cspec"])
-        order = json.loads(meta["param_order"])
         if set(d) != names:
             raise ValueError(f"spec fields {sorted(d)}, expected {sorted(names)}")
         cspec = ControllerSpec(**{**d, "trunk": tuple(d["trunk"])})
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        layout = _controller_layout(cspec)
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
         raise SerializationError(f"controller file spec is missing or malformed: {exc}") from None
-    if not isinstance(order, list) or sorted(order, key=str) != sorted(arrays):
-        raise SerializationError(
-            f"controller param_order {order!r} does not list the file's arrays {sorted(arrays)}"
-        )
-    params = ParamSet()
-    for name in order:
-        params.add(name, arrays[name])
-    return Controller(cspec, params), meta
+    return Controller(cspec, _params_from_file("controller", arrays, layout)), meta

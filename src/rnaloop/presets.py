@@ -1,8 +1,8 @@
 """Shipped default configurations for each task family.
 
 Everything here is a thin composition of the builders in :mod:`nets`;
-the same presets back the tests, the benchmark harness, and the CLI, so
-parameter budgets and encodings stay consistent.
+the same presets back the tests and the benchmark harness, so parameter
+budgets and encodings stay consistent.
 """
 
 from __future__ import annotations
@@ -88,29 +88,3 @@ def control_mains(seed: int) -> tuple[nets.Model, nets.Model]:
 def control_controller(main: nets.Model, seed: int) -> nets.Controller:
     return dense_controller(main, seed)
 
-
-def film_x_setup(seed: int):
-    """Input-space variant: controller drives film sites of an x-adapter."""
-    adapter = nets.FilmXAdapter(seed)
-    cspec = nets.ControllerSpec(
-        arch="conv",
-        in_channels=3,
-        film_channels=list(adapter.film_channels),
-    )
-    controller = nets.build_side_controller(cspec, seed + 1)
-    return adapter, controller
-
-
-def hypernet_x_setup(seed: int):
-    """Input-space variant: controller emits the 3-layer conv net's weights."""
-    adapter = nets.HypernetXAdapter(seed)
-    cspec = nets.ControllerSpec(
-        arch="conv",
-        in_channels=3,
-        film_channels=[],
-        hidden=8,
-        trunk=(6, 8),
-        raw_out=adapter.weight_count,
-    )
-    controller = nets.build_side_controller(cspec, seed + 1)
-    return adapter, controller

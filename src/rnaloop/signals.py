@@ -143,41 +143,15 @@ class CoarseGrouping:
         return np.asarray(self.group_of_fine, dtype=np.int64)
 
 
-def make_coarse_grouping(
-    K: int,
-    C: int,
-    proto_features: np.ndarray | None = None,
-    mode: str = "contiguous",
-    seed: int = 0,
-) -> CoarseGrouping:
-    """Deterministic fine-to-coarse class grouping.
-
-    contiguous: consecutive classes share a group (sizes differ by <= 1
-    when C does not divide K). feature_cluster: k-means over prototype
-    features, a stand-in for a semantic hierarchy.
-    """
+def make_coarse_grouping(K: int, C: int) -> CoarseGrouping:
+    """Deterministic fine-to-coarse class grouping: consecutive classes
+    share a group (sizes differ by <= 1 when C does not divide K)."""
     if not (2 <= C < K) and C != K:
         raise ConfigurationError(f"need 2 <= C <= K, got C={C}, K={K}")
-    if C == K:
-        return CoarseGrouping(tuple(range(K)), K)
-    if mode == "contiguous":
-        gmap = np.empty(K, dtype=np.int64)
-        for c, block in enumerate(np.array_split(np.arange(K), C)):
-            gmap[block] = c
-        return CoarseGrouping(tuple(int(v) for v in gmap), C)
-    if mode == "feature_cluster":
-        if proto_features is None:
-            raise ConfigurationError("feature_cluster mode needs prototype features")
-        from scipy.cluster.vq import kmeans2
-
-        feats = proto_features.reshape(K, -1)
-        for attempt in range(10):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
-            _, labels = kmeans2(feats, C, minit="++", seed=rng)
-            if len(set(labels.tolist())) == C:
-                return CoarseGrouping(tuple(int(v) for v in labels), C)
-        raise ConfigurationError("k-means produced an empty coarse class repeatedly")
-    raise ConfigurationError(f"unknown grouping mode {mode!r}")
+    gmap = np.empty(K, dtype=np.int64)
+    for c, block in enumerate(np.array_split(np.arange(K), C)):
+        gmap[block] = c
+    return CoarseGrouping(tuple(int(v) for v in gmap), C)
 
 
 def coarse_label(y_fine: int, grouping: CoarseGrouping) -> AdaptationSignal:

@@ -106,7 +106,7 @@ class TestConv2d:
                 return ad.sum_all(ad.mul(ad.conv2d(ts[0], ts[1], stride, pad, *ts[2:]), t(r)))
 
             with ad.Tape() as tape:
-                leaves = [tape.leaf(a, True) for a in arrs]
+                leaves = [tape.leaf(a) for a in arrs]
                 ad.backward(loss(leaves))
             for arr, leaf in zip(arrs, leaves):
                 fd = central_fd(lambda: loss([t(a) for a in arrs]).item(), arr)
@@ -122,7 +122,7 @@ class TestConv2d:
             runs = []
             for fused in (True, False):
                 with ad.Tape() as tape:
-                    xt, wt, bt = (tape.leaf(a, True) for a in (x, w, b))
+                    xt, wt, bt = (tape.leaf(a) for a in (x, w, b))
                     if fused:
                         out = ad.conv2d(xt, wt, stride, pad, bias=bt)
                     else:
@@ -191,7 +191,7 @@ class TestResampling:
             small = rng.normal(size=shape[:2] + (shape[2] // 2, shape[3] // 2))
             xs, smalls = (x, small) if batched else (x[0], small[0])
             with ad.Tape() as tape:
-                xt, st_ = tape.leaf(xs, True), tape.leaf(smalls, True)
+                xt, st_ = tape.leaf(xs), tape.leaf(smalls)
                 pooled, upsampled = ad.avgpool2(xt), ad.upsample2(st_)
                 gp, gu = rng.normal(size=pooled.shape), rng.normal(size=upsampled.shape)
                 ad.backward(ad.add(ad.sum_all(ad.mul(pooled, t(gp))), ad.sum_all(ad.mul(upsampled, t(gu)))))
@@ -321,7 +321,7 @@ class TestMaskedL1:
         mask = np.zeros((3, 3))
         mask[1, 1] = 1.0
         with ad.Tape() as tape:
-            pred = tape.leaf(a, True)
+            pred = tape.leaf(a)
             loss = ad.masked_l1(pred, t(b), mask)
             ad.backward(loss)
         g = tape.grad(pred)
@@ -365,7 +365,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = np.random.default_rng(15).normal(size=(3, 4))
         with ad.Tape() as tape:
-            xt = tape.leaf(x, True)
+            xt = tape.leaf(x)
             loss = ad.sum_all(xt)
             ad.backward(loss)
         assert np.array_equal(tape.grad(xt), np.ones((3, 4)))
@@ -374,14 +374,14 @@ class TestBackward:
     def test_quadratic(self):
         x = np.random.default_rng(16).normal(size=(5,))
         with ad.Tape() as tape:
-            xt = tape.leaf(x, True)
+            xt = tape.leaf(x)
             loss = ad.sum_all(ad.mul(xt, xt))
             ad.backward(loss)
         assert np.allclose(tape.grad(xt), 2 * x, atol=1e-15)
 
     def test_non_scalar_root_rejected(self):
         with ad.Tape() as tape:
-            xt = tape.leaf(np.zeros(3), True)
+            xt = tape.leaf(np.zeros(3))
             y = ad.mul(xt, xt)
             with pytest.raises(ContractError):
                 ad.backward(y)
@@ -411,7 +411,7 @@ class TestBackward:
             return ad.softmax_cross_entropy(logits, [1])
 
         with ad.Tape() as tape:
-            lifted = {k: tape.leaf(v, True) for k, v in params.items()}
+            lifted = {k: tape.leaf(v) for k, v in params.items()}
             loss = forward(lifted)
             ad.backward(loss)
 
@@ -460,10 +460,10 @@ class TestTapeSemantics:
     def test_tape_isolation(self):
         x = np.random.default_rng(18).normal(size=(4,))
         with ad.Tape() as t1:
-            x1 = t1.leaf(x, True)
+            x1 = t1.leaf(x)
             l1 = ad.sum_all(ad.mul(x1, x1))
         with ad.Tape() as t2:
-            x2 = t2.leaf(x, True)
+            x2 = t2.leaf(x)
             l2 = ad.sum_all(x2)
             ad.backward(l2)
         assert t1.grads == {}
@@ -472,7 +472,7 @@ class TestTapeSemantics:
 
     def test_cross_tape_mixing_rejected(self):
         with ad.Tape() as t1:
-            a = t1.leaf(np.zeros(3), True)
+            a = t1.leaf(np.zeros(3))
         with ad.Tape():
             with pytest.raises(ContractError):
                 ad.mul(a, a)
@@ -506,7 +506,7 @@ class TestTapeSemantics:
     def test_backward_after_tape_freed_rejected(self):
         def record():
             with ad.Tape() as tape:
-                xt = tape.leaf(np.ones(3), True)
+                xt = tape.leaf(np.ones(3))
                 return ad.sum_all(ad.mul(xt, xt))
 
         root = record()
@@ -557,7 +557,7 @@ class TestFrozenParams:
         ps.set_frozen(False)
         with ad.Tape() as tape:
             c = ps.lift(tape)
-        assert all(t.node is not None and t.node.needs_grad for t in c.values())
+        assert all(t.node is not None for t in c.values())
         ps.set_frozen(True)
         assert ps.lift(None)["w"] is not a["w"]
 
@@ -568,7 +568,7 @@ class TestFrozenParams:
         with ad.Tape() as tape:
             lifted = ps.lift(tape)
         assert lifted["w"].node is None
-        assert lifted["v"].node.needs_grad
+        assert lifted["v"].node is not None
         assert lifted["w"] is ps.lift(tape)["w"]
         assert len(tape.nodes) == 2  # one leaf for v per lift
         with pytest.raises(ValueError):
@@ -620,7 +620,7 @@ class TestFrozenParams:
 
         def run(kernel):
             with ad.Tape() as tape:
-                xt = tape.leaf(x, True)
+                xt = tape.leaf(x)
                 out = ad.conv2d(xt, kernel, stride, pad)
                 ad.backward(ad.sum_all(ad.mul(out, ad.as_tensor(np.cos(out.array)))))
             return out.array.tobytes(), tape.grad(xt).tobytes()
@@ -646,7 +646,7 @@ class TestRelu:
         g = rng.normal(size=n)
         for xv in (x, x.reshape(-1, 1)[::2, 0], x[::-1]):
             with ad.Tape() as tape:
-                xt = tape.leaf(xv, True)
+                xt = tape.leaf(xv)
                 out = ad.relu(xt)
                 ad.backward(ad.sum_all(ad.mul(out, ad.as_tensor(g[: xv.size]))))
             want = np.where(xv > 0, xv, 0.0)
@@ -662,7 +662,7 @@ class TestRelu:
 
     def test_backward_keeps_only_the_mask(self):
         with ad.Tape() as tape:
-            xt = tape.leaf(np.array([-1.0, 2.0]), True)
+            xt = tape.leaf(np.array([-1.0, 2.0]))
             out = ad.relu(xt)
         fn = out.node.backward_fn
         kept = [c.cell_contents for c in fn.__closure__ or ()]
@@ -676,7 +676,7 @@ class TestDeterminism:
             x = rng.normal(size=(1, 2, 8, 8))
             w = rng.normal(scale=0.1, size=(3, 2, 3, 3))
             with ad.Tape() as tape:
-                wt = tape.leaf(w, True)
+                wt = tape.leaf(w)
                 out = ad.relu(ad.conv2d(ad.as_tensor(x), wt, 1, 1))
                 loss = ad.sum_all(out)
                 ad.backward(loss)
@@ -755,7 +755,7 @@ class TestOtherOpGradients:
             arrs = [x]
 
         with ad.Tape() as tape:
-            lifted = [tape.leaf(a, True) for a in arrs]
+            lifted = [tape.leaf(a) for a in arrs]
             loss = build(lifted)
             ad.backward(loss)
 
@@ -805,7 +805,7 @@ class TestOneSampleBoundary:
     def run(call, arrays):
         """Output and every leaf's gradient, all as arrays."""
         with ad.Tape() as tape:
-            args = [tape.leaf(a, True) if leaf else a for a, leaf, _ in arrays]
+            args = [tape.leaf(a) if leaf else a for a, leaf, _ in arrays]
             out = call(args)
             weights = np.random.default_rng(41).normal(size=out.shape)
             ad.backward(out if out.shape == () else ad.sum_all(ad.mul(out, t(weights))))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rnaloop import autodiff as ad
 from rnaloop import nets, presets
-from rnaloop.errors import ConfigurationError, ContractError, DimensionError, SerializationError
+from rnaloop.errors import ConfigurationError, ContractError, SerializationError
 
 from oracles import central_fd, max_rel_err
 
@@ -126,6 +126,32 @@ class TestController:
                                     film_channels=[8, 16, 16, 8])
         assert cspec.out_dim == 96
 
+    @pytest.mark.parametrize("preset", ["dense_controller", "cls_controller"])
+    def test_init_matches_the_explicit_draws(self, preset):
+        # The draws written out one parameter at a time: the He-init rule of
+        # build_main, in the order c1.w, c2.w, fc.w, with a zero head.
+        main = presets.dense_main(seed=0) if preset == "dense_controller" else presets.cls_main(seed=0)
+        h = getattr(presets, preset)(main, 31)
+        cspec = h.cspec
+        rng = np.random.default_rng(31)
+        params = ad.ParamSet()
+        t1, t2 = cspec.trunk
+        if cspec.arch == "conv":
+            fan1 = cspec.in_channels * 9
+            params.add("c1.w", rng.normal(0, np.sqrt(2.0 / fan1), size=(t1, cspec.in_channels, 3, 3)))
+            params.add("c1.b", np.zeros(t1))
+            params.add("c2.w", rng.normal(0, np.sqrt(2.0 / (t1 * 9)), size=(t2, t1, 3, 3)))
+            params.add("c2.b", np.zeros(t2))
+            feat = t2
+        else:
+            feat = cspec.in_channels
+        params.add("fc.w", rng.normal(0, np.sqrt(2.0 / feat), size=(feat, cspec.hidden)))
+        params.add("fc.b", np.zeros(cspec.hidden))
+        params.add("head.w", np.zeros((cspec.hidden, cspec.out_dim)))
+        params.add("head.b", np.zeros(cspec.out_dim))
+        assert h.params.names() == params.names()
+        assert h.params.state_bytes() == params.state_bytes()
+
     def test_requires_film_sites(self):
         base = nets.build_main(nets.unet_spec("dense_regression"), 0)
         cspec = nets.ControllerSpec(arch="conv", in_channels=3, film_channels=[])
@@ -206,69 +232,6 @@ class TestAdaptedForward:
             assert np.array_equal(a, acts[0])
 
 
-class TestInputAdapters:
-    def test_film_x_identity_at_init(self):
-        adapter, controller = presets.film_x_setup(seed=21)
-        assert isinstance(adapter, nets.FilmXAdapter)
-        x = np.random.default_rng(11).random((2, 1, 32, 32))
-        fb = np.random.default_rng(12).random((2, 3, 32, 32))
-        fp = controller.forward(fb)
-        out = adapter.apply(x, fp)
-        assert np.array_equal(out.array, x)
-
-    def test_hypernet_weight_count(self):
-        adapter, controller = presets.hypernet_x_setup(seed=22)
-        assert isinstance(adapter, nets.HypernetXAdapter)
-        # conv 1->6 (60), conv 6->6 (330), conv 6->1 (55)
-        assert adapter.weight_count == nets.HypernetXAdapter(0).weight_count == 445
-        assert controller.cspec.out_dim == 445
-
-    def test_hypernet_identity_at_init(self):
-        adapter, controller = presets.hypernet_x_setup(seed=23)
-        x = np.random.default_rng(13).random((2, 1, 32, 32))
-        fb = np.random.default_rng(14).random((2, 3, 32, 32))
-        raw = controller.head_raw(fb)
-        out = adapter.apply(x, raw)
-        assert np.array_equal(out.array, x)
-
-    def test_hypernet_gradient_reaches_emitter(self):
-        adapter, controller = presets.hypernet_x_setup(seed=24)
-        x = np.random.default_rng(15).random((2, 1, 32, 32))
-        fb = np.random.default_rng(16).random((2, 3, 32, 32))
-        target = np.random.default_rng(17).random((2, 1, 32, 32))
-        with ad.Tape() as tape:
-            lifted = controller.params.lift(tape)
-            raw = controller.head_raw(fb, lifted=lifted)
-            out = adapter.apply(x, raw)
-            loss = ad.mean_l1(out, target)
-            ad.backward(loss)
-        grads = controller.params.grads_from(tape, lifted)
-        assert np.abs(grads["head.w"]).max() > 0
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_hypernet_rows_must_match_the_batch(self, rows):
-        adapter = nets.HypernetXAdapter(0)
-        x = np.random.default_rng(13).random((2, 1, 32, 32))
-        emitted = ad.as_tensor(np.zeros((rows, adapter.weight_count)))
-        with pytest.raises(DimensionError, match=f"got \\({rows}, 445\\)"):
-            adapter.apply(x, emitted)
-
-    def test_film_x_gradient_reaches_emitter(self):
-        adapter, controller = presets.film_x_setup(seed=25)
-        # a zero residual head hides the sites; stand in for a trained adapter
-        adapter.params.get("L9.w")[:] = 0.1
-        adapter.params.set_frozen(True)
-        x = np.random.default_rng(18).random((2, 1, 32, 32))
-        fb = np.random.default_rng(19).random((2, 3, 32, 32))
-        target = np.random.default_rng(20).random((2, 1, 32, 32))
-        with ad.Tape() as tape:
-            lifted = controller.params.lift(tape)
-            out = adapter.apply(x, controller.forward(fb, lifted=lifted), lifted=adapter.params.lift(tape))
-            ad.backward(ad.mean_l1(out, target))
-        grads = controller.params.grads_from(tape, lifted)
-        assert np.abs(grads["head.w"]).max() > 0
-
-
 def _bad_spec(case: str) -> nets.ModelSpec:
     """A spec with one spatial inconsistency that only a shape trace finds."""
     if case == "linear_nin_255":
@@ -311,7 +274,7 @@ class TestSpecValidation:
         from rnaloop import serialize
 
         spec = _bad_spec(case)
-        arrays = {name: np.zeros(shape) for _, name, shape in nets._param_layout(spec)}
+        arrays = {name: np.zeros(shape) for name, shape in nets._param_layout(spec).items()}
         path = tmp_path / "model.rnl"
         serialize.save(path, "model", {"spec": spec.to_json()}, arrays)
         with pytest.raises(SerializationError, match="spec"):
@@ -326,8 +289,7 @@ class TestSpecValidation:
 
     def test_every_shipped_preset_validates(self):
         models = [presets.dense_main(0), presets.seg_main(0), presets.cls_main(0),
-                  presets.densification_dense(0), *presets.control_mains(0),
-                  nets.FilmXAdapter(0).model]
+                  presets.densification_dense(0), *presets.control_mains(0)]
         for m in models:
             nets.validate_spec(m.spec)
             x = np.zeros((1,) + m.spec.in_shape)
@@ -373,16 +335,6 @@ class TestBudgetsAllShippedConfigs:
         for main, ctrl in hs:
             ratio = nets.param_count(ctrl) / nets.param_count(main)
             assert 0.05 <= ratio <= 0.20, ratio
-        # input-adapter variants count the adapter as part of the side network
-        fx_adapter, fx_ctrl = presets.film_x_setup(seed=0)
-        hx_adapter, hx_ctrl = presets.hypernet_x_setup(seed=0)
-        fmain = presets.dense_main(seed=0)
-        for side in (
-            nets.param_count(fx_adapter.params) + nets.param_count(fx_ctrl),
-            nets.param_count(hx_ctrl),
-        ):
-            ratio = side / nets.param_count(fmain)
-            assert 0.05 <= ratio <= 0.20, ratio
 
 
 class TestSpecSerialization:
@@ -421,14 +373,18 @@ class TestSpecSerialization:
         assert loaded.cspec == h.cspec
         assert loaded.params.state_bytes() == h.params.state_bytes()
 
-    def test_raw_out_controller_round_trip(self, tmp_path):
-        _, h = presets.hypernet_x_setup(seed=3)
+    def test_mlp_controller_round_trip(self, tmp_path):
+        h = presets.cls_controller(presets.cls_main(seed=3), seed=4)
+        h.params.get("head.w")[:] = np.random.default_rng(3).normal(0, 0.05, h.params.get("head.w").shape)
         path = tmp_path / "ctrl.rnl"
         nets.save_controller(path, h)
         loaded, _ = nets.load_controller(path)
         assert loaded.cspec == h.cspec
-        assert loaded.cspec.out_dim == h.cspec.out_dim == h.cspec.raw_out
+        assert loaded.params.names() == h.params.names()
         assert loaded.params.state_bytes() == h.params.state_bytes()
+        fb = np.random.default_rng(4).random((2, h.cspec.in_channels))
+        for (g, b), (g2, b2) in zip(h.forward(fb).numpy(), loaded.forward(fb).numpy()):
+            assert np.array_equal(g, g2) and np.array_equal(b, b2)
 
     def test_controller_file_missing_a_spec_field_rejected(self, tmp_path, dense_pair):
         import json
@@ -441,9 +397,12 @@ class TestSpecSerialization:
         nets.save_controller(path, h)
         _, meta, arrays = serialize.load(path)
         cspec = json.loads(meta["cspec"])
-        del cspec["raw_out"]
+        del cspec["hidden"]
         serialize.save(path, "controller", {**meta, "cspec": json.dumps(cspec)}, arrays)
-        with pytest.raises(SerializationError, match="raw_out"):
+        with pytest.raises(SerializationError, match="hidden"):
+            nets.load_controller(path)
+        serialize.save(path, "controller", {**meta, "controller_format": 2}, arrays)
+        with pytest.raises(SerializationError, match="controller format 2 .*save the controller again"):
             nets.load_controller(path)
         del meta["controller_format"]
         serialize.save(path, "controller", meta, arrays)
@@ -452,8 +411,8 @@ class TestSpecSerialization:
 
     @pytest.mark.parametrize(
         "case",
-        ["no_cspec", "no_param_order", "cspec_not_json", "trunk_not_a_list", "name_without_array",
-         "unlisted_array"],
+        ["no_cspec", "cspec_not_json", "trunk_not_a_list", "unlisted_array", "missing_array",
+         "hidden_disagrees", "film_channels_disagree", "unknown_arch"],
     )
     def test_malformed_controller_file_rejected(self, tmp_path, dense_pair, case):
         import json
@@ -464,21 +423,28 @@ class TestSpecSerialization:
         path = tmp_path / "ctrl.rnl"
         nets.save_controller(path, dense_pair[1])
         _, meta, arrays = serialize.load(path)
-        order = json.loads(meta["param_order"])
+        cspec = json.loads(meta["cspec"])
         if case == "no_cspec":
             del meta["cspec"]
-        elif case == "no_param_order":
-            del meta["param_order"]
         elif case == "cspec_not_json":
             meta["cspec"] = "{not json"
         elif case == "trunk_not_a_list":
-            meta["cspec"] = json.dumps({**json.loads(meta["cspec"]), "trunk": 5})
-        elif case == "name_without_array":
-            meta["param_order"] = json.dumps(order + ["extra.w"])
-        else:
+            meta["cspec"] = json.dumps({**cspec, "trunk": 5})
+        elif case == "unlisted_array":
             arrays["extra.w"] = np.zeros(3)
+        elif case == "missing_array":
+            for name in ("c1.w", "c1.b", "c2.w", "c2.b"):
+                del arrays[name]
+        elif case == "hidden_disagrees":
+            # the arrays are still those of hidden=16, so fc.w is 16 wide
+            meta["cspec"] = json.dumps({**cspec, "hidden": 5})
+        elif case == "film_channels_disagree":
+            # the head still fits [16, 24, 24, 16]; the spec says the last site has 8
+            meta["cspec"] = json.dumps({**cspec, "film_channels": [16, 24, 24, 8]})
+        else:  # unknown_arch
+            meta["cspec"] = json.dumps({**cspec, "arch": "rnn"})
         serialize.save(path, "controller", meta, arrays)
-        with pytest.raises(SerializationError):
+        with pytest.raises(SerializationError, match="spec"):
             nets.load_controller(path)
 
     def test_model_meta_may_not_replace_reserved_keys(self, tmp_path):
@@ -487,7 +453,7 @@ class TestSpecSerialization:
             nets.save_model(path, presets.cls_main(seed=2), meta={"spec": "x"})
         assert not path.exists()
 
-    @pytest.mark.parametrize("key", ["cspec", "param_order", "controller_format"])
+    @pytest.mark.parametrize("key", ["cspec", "controller_format"])
     def test_controller_meta_may_not_replace_reserved_keys(self, tmp_path, dense_pair, key):
         path = tmp_path / "ctrl.rnl"
         with pytest.raises(ContractError, match=key):
@@ -607,8 +573,8 @@ class TestGradientsThroughModel:
             return ad.mean_l1(out, target).item()
 
         with ad.Tape() as tape:
-            gt = tape.leaf(gamma, True)
-            bt = tape.leaf(beta, True)
+            gt = tape.leaf(gamma)
+            bt = tape.leaf(beta)
             fp = nets.FiLMParams([(gt, bt)])
             out = m.forward(x, film=fp, tape=tape)
             loss = ad.mean_l1(out, target)
@@ -677,7 +643,7 @@ class TestPassReuse:
     def film_leaves(model, tape, seed):
         rng = np.random.default_rng(seed)
         return nets.FiLMParams([
-            (tape.leaf(1.0 + 0.1 * rng.normal(size=c), True), tape.leaf(0.1 * rng.normal(size=c), True))
+            (tape.leaf(1.0 + 0.1 * rng.normal(size=c)), tape.leaf(0.1 * rng.normal(size=c)))
             for _, c in model.spec.film_sites
         ])
 
@@ -746,7 +712,7 @@ class TestPassReuse:
         with ad.Tape() as tape:
             assert convs(x, film=film, tape=tape) == 6  # frozen main weights: TTO
         with ad.Tape() as tape:
-            assert convs(tape.leaf(x, True)) == 8  # taped input needing a gradient
+            assert convs(tape.leaf(x)) == 8  # taped input needing a gradient
         assert convs(x) == 0  # which neither reused nor replaced the kept pass
         assert convs(x.copy()) == 0  # equal values, another array
         assert convs(x[0]) == 0  # one sample is compared as a batch of one
@@ -949,7 +915,7 @@ class TestKeptPassProperty:
             return [t.array.tobytes() for t in [out, *acts]]
         # a taped FiLM TTO step
         with ad.Tape() as tape:
-            film = nets.FiLMParams([(tape.leaf(g, True), tape.leaf(b, True)) for g, b in film_values])
+            film = nets.FiLMParams([(tape.leaf(g), tape.leaf(b)) for g, b in film_values])
             pred = model.forward(x, film=film, tape=tape)
             ad.backward(ad.sum_all(ad.relu(pred)))
         return [pred.array.tobytes()] + [tape.grad(t).tobytes() for site in film.sites for t in site]

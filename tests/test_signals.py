@@ -121,13 +121,6 @@ class TestCoarseGrouping:
         g = signals.make_coarse_grouping(20, 7)
         assert set(g.as_array().tolist()) == set(range(7))
 
-    def test_feature_cluster_mode(self):
-        protos = taskgen.make_prototypes(20, proto_seed=0)
-        g = signals.make_coarse_grouping(20, 5, proto_features=protos, mode="feature_cluster")
-        assert set(g.as_array().tolist()) == set(range(5))
-        g2 = signals.make_coarse_grouping(20, 5, proto_features=protos, mode="feature_cluster")
-        assert g.as_array().tolist() == g2.as_array().tolist()
-
 
 class TestCoarseLabel:
     def test_identity_grouping_equals_fine_one_hot(self):

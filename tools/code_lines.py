@@ -1,0 +1,56 @@
+"""Count the code lines of each ``src/rnaloop`` module and their total.
+
+A code line is a source line that holds at least one token other than a
+comment, and that is not part of a docstring (the string statement that
+opens a module, class or function). Blank lines, comment-only lines and
+docstring lines are left out.
+
+Usage: ``python tools/code_lines.py [package_dir]`` (default: the
+``src/rnaloop`` directory next to this script's parent).
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _docstring_lines(tree: ast.Module) -> set[int]:
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in ``source``."""
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - _docstring_lines(ast.parse(source)))
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "rnaloop"
+    total = 0
+    for path in sorted(root.glob("*.py")):
+        n = code_lines(path.read_text(encoding="utf-8"))
+        total += n
+        print(f"{path.name:<16} {n:>5}")
+    print(f"{'total':<16} {total:>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
