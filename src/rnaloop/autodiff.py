@@ -11,18 +11,16 @@ plain numpy forward passes (used for inference paths that must not build
 graphs). Tapes are thread-local, so independent episodes may run on
 separate threads with separate tapes.
 
-Shape discipline: op bodies see batched operands only, with the batch on
-axis 0 ([N,C,H,W] maps, [N,K] rows). One sample ([C,H,W] or [K]) enters
-through one boundary, :func:`_one_sample`, which gives it a batch of one and
-drops that axis from the result again. There is no broadcasting except the
-channel-wise patterns of ``film``, ``add_bias`` and the ``conv2d`` bias. All
-other operand shapes must match exactly.
+Shape discipline: every op takes batches only, with the batch on axis 0:
+[N,C,H,W] maps and [N,K] rows. One sample is a batch of one ([1,C,H,W] or
+[1,K]); an operand of any other rank raises ``DimensionError``. There is no
+broadcasting except the per-channel patterns of ``film``, the ``conv2d``
+bias and the [N,K]+[K] rows of ``add_bias``. All other operand shapes must
+match exactly.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import itertools
 import threading
 import weakref
@@ -58,8 +56,6 @@ __all__ = [
     "concat_channels",
     "slice_channels",
     "film",
-    "expand_batch",
-    "squeeze_batch",
     "flatten_batch",
     "global_avg_pool",
     "sum_all",
@@ -419,56 +415,6 @@ def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# one-sample boundary
-# ---------------------------------------------------------------------------
-
-
-def _one_sample(ranks: tuple[int, ...], *operands: str):
-    """Decorator: the one entry point for unbatched samples into a batched op.
-
-    ``ranks`` are the batched ranks the op body accepts; ``operands`` name
-    the arguments that carry the batch axis, the first argument first. When
-    the first argument has one axis fewer than a batched rank, every named
-    operand gains a leading axis of 1 (a tensor through a recorded
-    ``expand_batch``, anything else through ``[None]``), the body runs on
-    that batch of one, and a non-scalar result loses the axis again through
-    ``squeeze_batch``. Values and gradients are the batch-of-one ones bit
-    for bit. A batched call costs one rank test and goes straight to the
-    body; any other rank reaches the body, which raises ``DimensionError``.
-
-    On a tape an unbatched call records those two extra nodes. Networks
-    avoid them: ``Model.forward`` batches a [C,H,W] input once, so an
-    unbatched forward records 2 extra nodes, not 2 per op.
-    """
-    sample_ranks = frozenset(r - 1 for r in ranks)
-
-    def wrap(op):
-        sig = inspect.signature(op)
-
-        @functools.wraps(op)
-        def batched_or_one(x, *args, **kwargs):
-            if x.array.ndim not in sample_ranks:
-                return op(x, *args, **kwargs)
-            bound = sig.bind(x, *args, **kwargs)
-            for name in operands:
-                v = bound.arguments[name]
-                bound.arguments[name] = expand_batch(v) if isinstance(v, Tensor) else np.asarray(v)[None]
-            out = op(*bound.args, **bound.kwargs)
-            return out if out.array.ndim == 0 else squeeze_batch(out)
-
-        return batched_or_one
-
-    return wrap
-
-
-def _need_rank(xv: np.ndarray, rank: int, opname: str) -> None:
-    if xv.ndim != rank:
-        raise DimensionError(
-            f"{opname}: expected a rank-{rank} batch or one rank-{rank - 1} sample, got {xv.shape}"
-        )
-
-
-# ---------------------------------------------------------------------------
 # elementwise and linear-algebra ops
 # ---------------------------------------------------------------------------
 
@@ -476,6 +422,11 @@ def _need_rank(xv: np.ndarray, rank: int, opname: str) -> None:
 def _same_shape(a: Tensor, b: Tensor, opname: str) -> None:
     if a.shape != b.shape:
         raise DimensionError(f"{opname}: shapes {a.shape} and {b.shape} differ")
+
+
+def _need_rank(xv: np.ndarray, rank: int, opname: str) -> None:
+    if xv.ndim != rank:
+        raise DimensionError(f"{opname}: expected a rank-{rank} batch, got {xv.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -493,29 +444,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(av * bv, (a, b), bwd, "mul")
 
 
-@_one_sample((2, 4), "x")
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-D bias to x using one of the supported channel patterns.
-
-    Supported: [N,K]+[K] and [N,C,H,W]+[C].
-    """
+    """Rows plus a bias: [N,K] + [K]."""
     xv, bv = x.array, b.array
-    if bv.ndim != 1:
-        raise DimensionError(f"add_bias: bias must be 1-D, got {bv.shape}")
-    if xv.ndim == 2 and xv.shape[1] == bv.shape[0]:
-        out = xv + bv[None, :]
-        axes = (0,)
-    elif xv.ndim == 4 and xv.shape[1] == bv.shape[0]:
-        out = xv + bv[None, :, None, None]
-        axes = (0, 2, 3)
-    else:
-        raise DimensionError(f"add_bias: no channel pattern for {xv.shape} + {bv.shape}")
+    if xv.ndim != 2 or bv.shape != xv.shape[1:]:
+        raise DimensionError(f"add_bias: expected [N,K] rows and a [K] bias, got {xv.shape} + {bv.shape}")
 
     def bwd(g, needs):
-        gb = g.sum(axis=axes) if needs[1] else None
-        return (g if needs[0] else None, gb)
+        return (g if needs[0] else None, g.sum(axis=0) if needs[1] else None)
 
-    return _record(out, (x, b), bwd, "add_bias")
+    return _record(xv + bv[None, :], (x, b), bwd, "add_bias")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -559,7 +497,6 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@_one_sample((4,), "x")
 def conv2d(
     x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None
 ) -> Tensor:
@@ -567,8 +504,9 @@ def conv2d(
 
     x: [N,C,H,W]; kernel: [O,C,k,k]; bias: [O] or None. Kernel
     size must be odd. Output spatial size (H + 2*pad - k)/stride + 1 must be
-    integral. With a bias the result equals ``add_bias(conv2d(x, kernel,
-    stride, pad), bias)`` bit for bit, recorded as one node.
+    integral. With a bias the result equals ``conv2d(x, kernel, stride,
+    pad)`` plus ``bias[None, :, None, None]`` bit for bit, recorded as one
+    node.
 
     Every stride runs the same stride-1 row-tap kernel, :func:`_conv_rows`.
     For stride > 1 the output keeps every ``stride``-th row and column of the
@@ -727,7 +665,6 @@ def _quad_spread(v: np.ndarray) -> np.ndarray:
     return out
 
 
-@_one_sample((4,), "x")
 def avgpool2(x: Tensor) -> Tensor:
     """2x2 average pooling with stride 2 of [N,C,H,W]. H and W must be even."""
     _need_rank(x.array, 4, "avgpool2")
@@ -738,7 +675,6 @@ def avgpool2(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g, n: (_quad_spread(g * 0.25),), "avgpool2")
 
 
-@_one_sample((4,), "x")
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling of [N,C,H,W]."""
     _need_rank(x.array, 4, "upsample2")
@@ -746,17 +682,15 @@ def upsample2(x: Tensor) -> Tensor:
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate [N,C,H,W] (or [C,H,W]) maps along the channel axis, -3."""
+    """Concatenate [N,C,H,W] maps along the channel axis, 1."""
     arrs = [p.array for p in parts]
-    if any(a.ndim != arrs[0].ndim for a in arrs) or arrs[0].ndim not in (3, 4):
-        raise DimensionError(f"concat_channels: mixed ranks {[a.shape for a in arrs]}")
-    offs = [0, *itertools.accumulate(a.shape[-3] for a in arrs)]
-    out = np.concatenate(arrs, axis=-3)
+    if any(a.ndim != 4 for a in arrs):
+        raise DimensionError(f"concat_channels: expected [N,C,H,W] maps, got {[a.shape for a in arrs]}")
+    offs = [0, *itertools.accumulate(a.shape[1] for a in arrs)]
+    out = np.concatenate(arrs, axis=1)
 
     def bwd(g, needs):
-        return tuple(
-            g[..., offs[i] : offs[i + 1], :, :] if needs[i] else None for i in range(len(arrs))
-        )
+        return tuple(g[:, offs[i] : offs[i + 1]] if needs[i] else None for i in range(len(arrs)))
 
     return _record(out, tuple(parts), bwd, "concat_channels")
 
@@ -774,7 +708,6 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     return _record(out, (x,), bwd, "slice_channels")
 
 
-@_one_sample((4,), "x")
 def film(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Channel-wise affine modulation: out[c] = gamma[c]*x[c] + beta[c].
 
@@ -806,19 +739,6 @@ def film(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record(out, (x, gamma, beta), bwd, "film")
 
 
-def expand_batch(x: Tensor) -> Tensor:
-    """[C,H,W] -> [1,C,H,W] (or [K] -> [1,K])."""
-    return _record(x.array[None].copy(), (x,), lambda g, n: (g[0],), "expand_batch")
-
-
-def squeeze_batch(x: Tensor) -> Tensor:
-    """[1,...] -> [...]."""
-    if x.array.shape[0] != 1:
-        raise DimensionError(f"squeeze_batch: leading axis is {x.array.shape[0]}, not 1")
-    return _record(x.array[0].copy(), (x,), lambda g, n: (g[None],), "squeeze_batch")
-
-
-@_one_sample((4,), "x")
 def flatten_batch(x: Tensor) -> Tensor:
     """[N,C,H,W] -> [N,C*H*W]."""
     xv = x.array
@@ -853,11 +773,10 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-@_one_sample((2,), "logits", "target")
 def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
     """Mean -log softmax(logits)[target] over the batch.
 
-    logits: [N,K] with a length-N index vector (one sample: [K], int target).
+    logits: [N,K] with a length-N index vector.
     """
     rows = logits.array
     _need_rank(rows, 2, "softmax_cross_entropy")
@@ -879,7 +798,6 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
     return _record(np.asarray(loss), (logits,), bwd, "softmax_cross_entropy")
 
 
-@_one_sample((4,), "logits", "labels", "mask")
 def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     """Per-pixel cross-entropy averaged over masked positions.
 
@@ -915,12 +833,11 @@ def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     return _record(np.asarray(loss), (logits,), bwd, "masked_cross_entropy")
 
 
-@_one_sample((2,), "logits", "coarse_target")
 def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarray) -> Tensor:
     """Marginalized cross-entropy: -log sum_{fine in group} softmax(logits)[fine].
 
     ``group_of_fine`` maps each fine class index to its coarse class.
-    logits: [N,K] with a length-N target vector (one sample: [K], int target).
+    logits: [N,K] with a length-N target vector.
     """
     rows = logits.array
     _need_rank(rows, 2, "coarse_cross_entropy")
@@ -948,12 +865,10 @@ def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarra
     return _record(np.asarray(loss), (logits,), bwd, "coarse_cross_entropy")
 
 
-@_one_sample((2, 4), "logits")
 def prediction_entropy(logits: Tensor) -> Tensor:
     """Mean Shannon entropy of softmax(logits) over batch/pixels.
 
-    Accepts [N,K] or [N,K,H,W] (one sample: [K] or [K,H,W]); the class axis
-    is axis 1.
+    Accepts [N,K] or [N,K,H,W]; the class axis is axis 1.
     """
     xv = logits.array
     if xv.ndim == 2:
@@ -999,7 +914,6 @@ def bernoulli_entropy(x: Tensor, eps: float = 1e-4) -> Tensor:
     return _record(np.asarray(loss), (x,), bwd, "bernoulli_entropy")
 
 
-@_one_sample((4,), "pred", "target", "mask")
 def masked_l1(pred: Tensor, target: Tensor, mask) -> Tensor:
     """Mean absolute error over masked positions.
 

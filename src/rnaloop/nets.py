@@ -227,7 +227,8 @@ class Model:
         tape=None,
         return_acts: bool = False,
     ):
-        """Run the network. x: [C,H,W] / [N,C,H,W] array or Tensor.
+        """Run the network on a batch x: an [N,C,H,W] array or Tensor (one
+        image is a batch of one). Any other rank raises ``DimensionError``.
 
         ``film`` replaces each site's activation with its modulation.
         ``lifted`` reuses already-lifted parameters (training loops); when
@@ -241,14 +242,14 @@ class Model:
         weights and one image (a batch of one, as an adaptation episode
         runs): copies of the input, of the activations up to and including
         the first site's layer (every layer when there are no sites) and of
-        the output, and the constants read. Batched passes are not kept: in
-        index building and set-up training they are never or rarely
-        repeated, and their activations cost peak memory.
+        the output, and the constants read. Passes on more than one image are
+        not kept: in index building and set-up training they are never or
+        rarely repeated, and their activations cost peak memory.
 
         A later call on frozen weights and the same thread reuses the kept
-        pass when its input (as a batch) is byte-equal to the kept one and
-        it reads the same constant objects. A constant never changes, so
-        that is the same weights. On reuse an unmodulated call without
+        pass when its input is byte-equal to the kept one and it reads the
+        same constant objects. A constant never changes, so that is the same
+        weights. On reuse an unmodulated call without
         ``return_acts`` gets a copy of the kept output; any other call
         resumes at the first site from the kept activations. Results,
         ``return_acts`` lists and gradients are those of the full pass bit
@@ -256,9 +257,8 @@ class Model:
         neither reuses nor replaces the kept pass.
         """
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
-        squeeze = xt.array.ndim == 3
-        if squeeze:
-            xt = ad.expand_batch(xt)
+        if xt.array.ndim != 4:
+            raise DimensionError(f"Model.forward: expected an [N,C,H,W] batch, got {xt.shape}")
         if lifted is None:
             lifted = self.params.lift(tape)
         site_map = dict_from_sites(self.spec.film_sites, film)
@@ -270,8 +270,7 @@ class Model:
         acts: list[Tensor] = []
         if memo is not None and memo.matches(xt.array, lifted):
             if not site_map and not return_acts:
-                out = Tensor(memo.out.copy())
-                return ad.squeeze_batch(out) if squeeze else out
+                return Tensor(memo.out.copy())
             acts = [Tensor(a.copy() if return_acts else a) for a in memo.acts]
             if keep - 1 in site_map:
                 acts[-1] = ad.film(acts[-1], *site_map[keep - 1])
@@ -306,8 +305,6 @@ class Model:
         out = acts[-1]
         if frozen and not site_map and not resumed and len(xt.array) == 1:
             self._memo.last = _Pass.record(xt.array, lifted, acts[:keep], out)
-        if squeeze:
-            out = ad.squeeze_batch(out)
         if return_acts:
             return out, acts
         return out

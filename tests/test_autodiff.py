@@ -60,7 +60,7 @@ class TestMatmul:
 class TestConv2d:
     def test_delta_kernel_identity(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 6, 6))
+        x = rng.normal(size=(1, 2, 6, 6))
         w = np.zeros((2, 2, 3, 3))
         w[0, 0, 1, 1] = 1.0
         w[1, 1, 1, 1] = 1.0
@@ -68,9 +68,9 @@ class TestConv2d:
         assert np.array_equal(out.array, x)
 
     def test_ones_kernel_counts_interior(self):
-        x = np.ones((1, 4, 4))
+        x = np.ones((1, 1, 4, 4))
         w = np.ones((1, 1, 3, 3))
-        out = ad.conv2d(t(x), t(w), stride=1, pad=1).array
+        out = ad.conv2d(t(x), t(w), stride=1, pad=1).array[0]
         assert np.all(out[0, 1:3, 1:3] == 9.0)
         assert out[0, 0, 0] == 4.0  # corner sees a 2x2 patch
 
@@ -80,7 +80,7 @@ class TestConv2d:
         x8 = rng.normal(size=(2, 8, 8))
         x9 = rng.normal(size=(2, 9, 9))
         for x, stride, pad in [(x8, 1, 0), (x8, 1, 1), (x9, 2, 1), (x9, 2, 0)]:
-            out = ad.conv2d(t(x), t(w), stride=stride, pad=pad).array
+            out = ad.conv2d(t(x[None]), t(w), stride=stride, pad=pad).array[0]
             ref = conv2d_loops(x, w, stride=stride, pad=pad)
             assert np.max(np.abs(out - ref)) < 1e-12
         xb = rng.normal(size=(2, 2, 7, 5))
@@ -91,11 +91,11 @@ class TestConv2d:
                 ref = conv2d_loops(xb[n], wk, stride=stride, pad=pad)
                 assert np.max(np.abs(out[n] - ref)) < 1e-12, (stride, pad, k)
 
-    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("several", [False, True])  # a batch of two, or of one
     @pytest.mark.parametrize("stride,pad,k", CONV_GRID)
-    def test_gradients_finite_difference(self, stride, pad, k, batched):
+    def test_gradients_finite_difference(self, stride, pad, k, several):
         rng = np.random.default_rng(100 * stride + 10 * pad + k)
-        x = rng.normal(size=(2, 2, 7, 5) if batched else (2, 7, 5))
+        x = rng.normal(size=(2 if several else 1, 2, 7, 5))
         w = rng.normal(size=(3, 2, k, k))
         b = rng.normal(size=3)
         r = rng.normal(size=ad.conv2d(t(x), t(w), stride, pad).shape)
@@ -112,10 +112,12 @@ class TestConv2d:
                 fd = central_fd(lambda: loss([t(a) for a in arrs]).item(), arr)
                 assert max_rel_err(tape.grad(leaf), fd) < 1e-7, len(arrs)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_fused_bias_equals_add_bias_bitwise(self, batched):
+    @pytest.mark.parametrize("several", [False, True])  # a batch of two, or of one
+    def test_fused_bias_equals_add_bias_bitwise(self, several):
+        # Unfused, the bias is added by film with unit gamma: 1.0 * x is x,
+        # and the beta gradient sums over N, H and W as the fused one does.
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 2, 7, 5) if batched else (2, 7, 5))
+        x = rng.normal(size=(2 if several else 1, 2, 7, 5))
         for stride, pad, k in CONV_GRID:
             w, b = rng.normal(size=(3, 2, k, k)), rng.normal(size=3)
             r = rng.normal(size=ad.conv2d(t(x), t(w), stride, pad).shape)
@@ -126,7 +128,7 @@ class TestConv2d:
                     if fused:
                         out = ad.conv2d(xt, wt, stride, pad, bias=bt)
                     else:
-                        out = ad.add_bias(ad.conv2d(xt, wt, stride, pad), bt)
+                        out = ad.film(ad.conv2d(xt, wt, stride, pad), t(np.ones(3)), bt)
                     ad.backward(ad.sum_all(ad.mul(out, t(r))))
                 runs.append([out.array] + [tape.grad(lt) for lt in (xt, wt, bt)])
             for fused, unfused in zip(*runs):
@@ -135,7 +137,7 @@ class TestConv2d:
 
     def test_bias_shape_checked(self):
         with pytest.raises(DimensionError, match="bias"):
-            ad.conv2d(t(np.zeros((1, 4, 4))), t(np.zeros((2, 1, 3, 3))), 1, 1, bias=t(np.zeros(3)))
+            ad.conv2d(t(np.zeros((1, 1, 4, 4))), t(np.zeros((2, 1, 3, 3))), 1, 1, bias=t(np.zeros(3)))
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(3)
@@ -143,14 +145,14 @@ class TestConv2d:
         w = rng.normal(size=(3, 2, 3, 3))
         out = ad.conv2d(t(xb), t(w), stride=1, pad=1).array
         for n in range(4):
-            single = ad.conv2d(t(xb[n]), t(w), stride=1, pad=1).array
-            assert np.array_equal(out[n], single)
+            single = ad.conv2d(t(xb[n : n + 1]), t(w), stride=1, pad=1).array
+            assert np.array_equal(out[n], single[0])
 
     def test_non_integral_output_rejected(self):
         from rnaloop.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            ad.conv2d(t(np.zeros((1, 6, 6))), t(np.zeros((1, 1, 3, 3))), stride=2, pad=0)
+            ad.conv2d(t(np.zeros((1, 1, 6, 6))), t(np.zeros((1, 1, 3, 3))), stride=2, pad=0)
 
 
 class TestResampling:
@@ -168,47 +170,46 @@ class TestResampling:
     def repeat2(v):
         return np.repeat(np.repeat(v, 2, axis=2), 2, axis=3)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_against_loop_oracles(self, batched):
+    @pytest.mark.parametrize("several", [False, True])  # each shape's batch, or its first sample
+    def test_against_loop_oracles(self, several):
         rng = np.random.default_rng(30)
         for shape in self.SHAPES:
             x = rng.normal(size=shape)
-            pooled = ad.avgpool2(t(x if batched else x[0])).array
-            upsampled = ad.upsample2(t(x if batched else x[0])).array
-            if not batched:
-                pooled, upsampled = pooled[None], upsampled[None]
-            for n in range(x.shape[0] if batched else 1):
+            x = x if several else x[:1]
+            pooled = ad.avgpool2(t(x)).array
+            upsampled = ad.upsample2(t(x)).array
+            for n in range(len(x)):
                 assert np.max(np.abs(pooled[n] - avgpool2_loops(x[n]))) < 1e-15
                 assert np.array_equal(upsampled[n], upsample2_loops(x[n]))
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_bitwise_equal_to_reshape_expressions(self, batched):
+    @pytest.mark.parametrize("several", [False, True])  # each shape's batch, or its first sample
+    def test_bitwise_equal_to_reshape_expressions(self, several):
         # Width 2 is left out: there numpy coalesces each 2x2 block into one
         # run of 4 and adds it left to right, so the last bit can differ.
         rng = np.random.default_rng(31)
         for shape in [s for s in self.SHAPES if s[3] > 2]:
             x = rng.normal(size=shape)
             small = rng.normal(size=shape[:2] + (shape[2] // 2, shape[3] // 2))
-            xs, smalls = (x, small) if batched else (x[0], small[0])
+            if not several:
+                x, small = x[:1], small[:1]
             with ad.Tape() as tape:
-                xt, st_ = tape.leaf(xs), tape.leaf(smalls)
+                xt, st_ = tape.leaf(x), tape.leaf(small)
                 pooled, upsampled = ad.avgpool2(xt), ad.upsample2(st_)
                 gp, gu = rng.normal(size=pooled.shape), rng.normal(size=upsampled.shape)
                 ad.backward(ad.add(ad.sum_all(ad.mul(pooled, t(gp))), ad.sum_all(ad.mul(upsampled, t(gu)))))
-            gp4, gu4 = (gp, gu) if batched else (gp[None], gu[None])
+            n = len(x)
             expected = [
-                (pooled.array, x.reshape(shape[0], shape[1], shape[2] // 2, 2, shape[3] // 2, 2).mean(axis=(3, 5))),
+                (pooled.array, x.reshape(n, shape[1], shape[2] // 2, 2, shape[3] // 2, 2).mean(axis=(3, 5))),
                 (upsampled.array, self.repeat2(small)),
-                (tape.grad(xt), self.repeat2(gp4) * 0.25),
-                (tape.grad(st_), self.block_sum(gu4)),
+                (tape.grad(xt), self.repeat2(gp) * 0.25),
+                (tape.grad(st_), self.block_sum(gu)),
             ]
             for got, want in expected:
-                want = want if batched else want[0]
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
 
     def test_odd_size_and_rank_rejected(self):
         with pytest.raises(DimensionError, match="odd"):
-            ad.avgpool2(t(np.zeros((1, 3, 4))))
+            ad.avgpool2(t(np.zeros((1, 1, 3, 4))))
         with pytest.raises(DimensionError):
             ad.upsample2(t(np.zeros((4, 4))))
 
@@ -216,28 +217,28 @@ class TestResampling:
 class TestFilm:
     def test_identity(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 5, 5))
+        x = rng.normal(size=(1, 3, 5, 5))
         out = ad.film(t(x), t(np.ones(3)), t(np.zeros(3)))
         assert np.array_equal(out.array, x)
 
     def test_constant_case(self):
-        x = np.random.default_rng(5).normal(size=(3, 4, 4))
+        x = np.random.default_rng(5).normal(size=(1, 3, 4, 4))
         b = np.array([1.0, -2.0, 0.5])
         out = ad.film(t(x), t(np.zeros(3)), t(b)).array
         for c in range(3):
-            assert np.all(out[c] == b[c])
+            assert np.all(out[0, c] == b[c])
 
     def test_against_elementwise_oracle(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 6, 6))
         g = rng.normal(size=4)
         b = rng.normal(size=4)
-        out = ad.film(t(x), t(g), t(b)).array
+        out = ad.film(t(x[None]), t(g), t(b)).array[0]
         assert np.max(np.abs(out - film_loops(x, g, b))) < 1e-15
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            ad.film(t(np.zeros((3, 2, 2))), t(np.ones(4)), t(np.zeros(4)))
+            ad.film(t(np.zeros((1, 3, 2, 2))), t(np.ones(4)), t(np.zeros(4)))
 
     def test_per_sample_params(self):
         rng = np.random.default_rng(7)
@@ -255,101 +256,101 @@ class TestFilm:
     )
     @settings(max_examples=25, deadline=None)
     def test_identity_property(self, c, h, seed):
-        x = np.random.default_rng(seed).normal(size=(c, h, h))
+        x = np.random.default_rng(seed).normal(size=(1, c, h, h))
         out = ad.film(t(x), t(np.ones(c)), t(np.zeros(c)))
         assert np.array_equal(out.array, x)
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        out = ad.softmax_cross_entropy(t(np.zeros(4)), 2)
+        out = ad.softmax_cross_entropy(t(np.zeros((1, 4))), [2])
         assert abs(out.item() - math.log(4)) < 1e-12
 
     def test_near_certain(self):
-        out = ad.softmax_cross_entropy(t([10.0, -10.0]), 0)
+        out = ad.softmax_cross_entropy(t([[10.0, -10.0]]), [0])
         assert abs(out.item() - 2.061153622438558e-09) < 1e-15
 
     def test_against_extended_precision(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(scale=3.0, size=10)
-        got = ad.softmax_cross_entropy(t(logits), 7).item()
+        got = ad.softmax_cross_entropy(t(logits[None]), [7]).item()
         assert abs(got - softmax_ce_mp(logits, 7)) < 1e-10
 
     def test_large_logits_stable(self):
-        out = ad.softmax_cross_entropy(t([1000.0, 999.0]), 0)
+        out = ad.softmax_cross_entropy(t([[1000.0, 999.0]]), [0])
         assert np.isfinite(out.item())
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.softmax_cross_entropy(t(np.zeros(4)), 4)
+            ad.softmax_cross_entropy(t(np.zeros((1, 4))), [4])
 
 
 class TestMaskedL1:
     def test_zero_residual(self):
-        x = np.random.default_rng(9).normal(size=(1, 4, 4))
-        mask = np.ones((4, 4))
+        x = np.random.default_rng(9).normal(size=(1, 1, 4, 4))
+        mask = np.ones((1, 4, 4))
         out = ad.masked_l1(t(x), t(x.copy()), mask)
         assert out.item() == 0.0
 
     def test_full_mask_is_mean_l1(self):
         rng = np.random.default_rng(10)
-        a = rng.normal(size=(1, 4, 4))
-        b = rng.normal(size=(1, 4, 4))
-        out = ad.masked_l1(t(a), t(b), np.ones((4, 4)))
+        a = rng.normal(size=(1, 1, 4, 4))
+        b = rng.normal(size=(1, 1, 4, 4))
+        out = ad.masked_l1(t(a), t(b), np.ones((1, 4, 4)))
         assert abs(out.item() - np.abs(a - b).mean()) < 1e-15
 
     def test_sparse_mask_against_index_loop(self):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(1, 4, 4))
-        b = rng.normal(size=(1, 4, 4))
-        mask = np.zeros((4, 4))
+        a = rng.normal(size=(1, 1, 4, 4))
+        b = rng.normal(size=(1, 1, 4, 4))
+        mask = np.zeros((1, 4, 4))
         pts = [(0, 1), (1, 3), (2, 0), (3, 3), (2, 2)]
         for i, j in pts:
-            mask[i, j] = 1.0
-        acc = sum(abs(a[0, i, j] - b[0, i, j]) for i, j in pts) / len(pts)
+            mask[0, i, j] = 1.0
+        acc = sum(abs(a[0, 0, i, j] - b[0, 0, i, j]) for i, j in pts) / len(pts)
         out = ad.masked_l1(t(a), t(b), mask)
         assert abs(out.item() - acc) < 1e-14
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DegenerateSupervisionError):
-            ad.masked_l1(t(np.zeros((1, 2, 2))), t(np.zeros((1, 2, 2))), np.zeros((2, 2)))
+            ad.masked_l1(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 2, 2))), np.zeros((1, 2, 2)))
 
     def test_gradient_zero_off_mask(self):
         rng = np.random.default_rng(12)
-        a = rng.normal(size=(1, 3, 3))
-        b = rng.normal(size=(1, 3, 3))
-        mask = np.zeros((3, 3))
-        mask[1, 1] = 1.0
+        a = rng.normal(size=(1, 1, 3, 3))
+        b = rng.normal(size=(1, 1, 3, 3))
+        mask = np.zeros((1, 3, 3))
+        mask[0, 1, 1] = 1.0
         with ad.Tape() as tape:
             pred = tape.leaf(a)
             loss = ad.masked_l1(pred, t(b), mask)
             ad.backward(loss)
         g = tape.grad(pred)
-        assert g[0, 1, 1] != 0.0
+        assert g[0, 0, 1, 1] != 0.0
         g2 = g.copy()
-        g2[0, 1, 1] = 0.0
+        g2[0, 0, 1, 1] = 0.0
         assert np.all(g2 == 0.0)
 
 
 class TestPredictionEntropy:
     def test_uniform_is_log_k(self):
-        out = ad.prediction_entropy(t(np.zeros(4)))
+        out = ad.prediction_entropy(t(np.zeros((1, 4))))
         assert abs(out.item() - math.log(4)) < 1e-12
 
     def test_one_hot_like_near_zero(self):
-        out = ad.prediction_entropy(t([100.0, 0.0, 0.0, 0.0]))
+        out = ad.prediction_entropy(t([[100.0, 0.0, 0.0, 0.0]]))
         assert out.item() < 1e-10
 
     def test_against_extended_precision(self):
         rng = np.random.default_rng(13)
         logits = rng.normal(scale=2.0, size=6)
-        got = ad.prediction_entropy(t(logits)).item()
+        got = ad.prediction_entropy(t(logits[None])).item()
         assert abs(got - entropy_mp(logits)) < 1e-10
 
     def test_pixelwise_mean(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(3, 2, 2))
-        got = ad.prediction_entropy(t(x)).item()
+        got = ad.prediction_entropy(t(x[None])).item()
         ref = np.mean([entropy_mp(x[:, i, j]) for i in range(2) for j in range(2)])
         assert abs(got - ref) < 1e-10
 
@@ -357,7 +358,7 @@ class TestPredictionEntropy:
     @settings(max_examples=25, deadline=None)
     def test_bounds_property(self, k, seed):
         logits = np.random.default_rng(seed).normal(scale=3.0, size=k)
-        h = ad.prediction_entropy(t(logits)).item()
+        h = ad.prediction_entropy(t(logits[None])).item()
         assert -1e-12 <= h <= math.log(k) + 1e-12
 
 
@@ -689,7 +690,7 @@ class TestOtherOpGradients:
     @pytest.mark.parametrize(
         "name",
         [
-            "add_bias_2d", "add_bias_4d", "avgpool", "upsample", "concat", "concat_4d",
+            "add_bias_2d", "avgpool", "upsample", "concat", "concat_4d",
             "slice", "gap", "entropy_pix", "bernoulli", "masked_ce", "coarse_ce",
         ],
     )
@@ -699,20 +700,16 @@ class TestOtherOpGradients:
             x, b = rng.normal(size=(3, 4)), rng.normal(size=4)
             build = lambda xs: ad.sum_all(ad.mul(ad.add_bias(xs[0], xs[1]), ad.add_bias(xs[0], xs[1])))
             arrs = [x, b]
-        elif name == "add_bias_4d":
-            x, b = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=3)
-            build = lambda xs: ad.sum_all(ad.mul(ad.add_bias(xs[0], xs[1]), ad.add_bias(xs[0], xs[1])))
-            arrs = [x, b]
         elif name == "avgpool":
-            x = rng.normal(size=(2, 4, 4))
+            x = rng.normal(size=(1, 2, 4, 4))
             build = lambda xs: ad.sum_all(ad.mul(ad.avgpool2(xs[0]), ad.avgpool2(xs[0])))
             arrs = [x]
         elif name == "upsample":
-            x = rng.normal(size=(2, 3, 3))
+            x = rng.normal(size=(1, 2, 3, 3))
             build = lambda xs: ad.sum_all(ad.mul(ad.upsample2(xs[0]), ad.upsample2(xs[0])))
             arrs = [x]
         elif name == "concat":
-            a, b = rng.normal(size=(2, 3, 3)), rng.normal(size=(1, 3, 3))
+            a, b = rng.normal(size=(1, 2, 3, 3)), rng.normal(size=(1, 1, 3, 3))
             build = lambda xs: ad.sum_all(
                 ad.mul(ad.concat_channels(xs), ad.concat_channels(xs))
             )
@@ -766,8 +763,10 @@ class TestOtherOpGradients:
 
 def _sample_cases():
     """op name -> (call, [(array, is_leaf, gains_batch_axis)], top batched rank)
-    for one sample of every op that takes unbatched input through
-    ``autodiff._one_sample``."""
+    for one sample, without a batch axis, of every op with a batched operand;
+    ``gains_batch_axis`` marks the operands that carry the batch.
+    ``add_bias_maps`` is the [C,H,W]+[C] pattern, which add_bias takes in no
+    rank."""
     rng = np.random.default_rng(40)
     n = rng.normal
     return {
@@ -801,27 +800,14 @@ def _sample_cases():
 
 
 class TestOneSampleBoundary:
-    @staticmethod
-    def run(call, arrays):
-        """Output and every leaf's gradient, all as arrays."""
-        with ad.Tape() as tape:
-            args = [tape.leaf(a) if leaf else a for a, leaf, _ in arrays]
-            out = call(args)
-            weights = np.random.default_rng(41).normal(size=out.shape)
-            ad.backward(out if out.shape == () else ad.sum_all(ad.mul(out, t(weights))))
-        return [out.array] + [tape.grad(a) for a, (_, leaf, _) in zip(args, arrays) if leaf]
+    """Ops take batches only: one sample without its batch axis, or an
+    operand with an axis too many, raises ``DimensionError``."""
 
     @pytest.mark.parametrize("name", list(_sample_cases()))
-    def test_sample_equals_batch_of_one_bitwise(self, name):
+    def test_unbatched_sample_rejected(self, name):
         call, arrays, _ = _sample_cases()[name]
-        got = self.run(call, arrays)
-        batch = self.run(call, [(np.asarray(a)[None] if ax else a, leaf, ax) for a, leaf, ax in arrays])
-        leaf_axes = [ax for _, leaf, ax in arrays if leaf]
-        want = [batch[0] if batch[0].ndim == 0 else batch[0][0]]
-        want += [g[0] if ax else g for g, ax in zip(batch[1:], leaf_axes)]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        with pytest.raises(DimensionError):
+            call([t(a) if leaf else a for a, leaf, _ in arrays])
 
     @pytest.mark.parametrize("name", list(_sample_cases()))
     def test_rank_neither_batched_nor_sample_rejected(self, name):
@@ -832,18 +818,24 @@ class TestOneSampleBoundary:
             call([t(a) if leaf else a for a, (_, leaf, _) in zip(args, arrays)])
 
 
+def test_add_bias_takes_rows_only():
+    x, b = np.zeros((2, 3, 4, 4)), np.zeros(3)
+    with pytest.raises(DimensionError, match="add_bias"):
+        ad.add_bias(t(x), t(b))
+
+
 class TestCoarseCrossEntropy:
     def test_identity_grouping_equals_plain_ce(self):
         rng = np.random.default_rng(21)
         logits = rng.normal(size=8)
         gmap = np.arange(8)
-        a = ad.coarse_cross_entropy(t(logits), 3, gmap).item()
-        b = ad.softmax_cross_entropy(t(logits), 3).item()
+        a = ad.coarse_cross_entropy(t(logits[None]), [3], gmap).item()
+        b = ad.softmax_cross_entropy(t(logits[None]), [3]).item()
         assert abs(a - b) < 1e-14
 
     def test_uniform_logits_equal_groups(self):
         # C groups of size K/C each hold mass K/C * 1/K = 1/C
         logits = np.zeros(12)
         gmap = np.repeat(np.arange(4), 3)
-        out = ad.coarse_cross_entropy(t(logits), 2, gmap).item()
+        out = ad.coarse_cross_entropy(t(logits[None]), [2], gmap).item()
         assert abs(out - math.log(4)) < 1e-12

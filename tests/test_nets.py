@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rnaloop import autodiff as ad
 from rnaloop import nets, presets
-from rnaloop.errors import ConfigurationError, ContractError, SerializationError
+from rnaloop.errors import ConfigurationError, ContractError, DimensionError, SerializationError
 
 from oracles import central_fd, max_rel_err
 
@@ -25,15 +25,15 @@ def dense_pair():
 class TestBuildMain:
     def test_dense_shape_contract(self):
         f = presets.dense_main(seed=0)
-        x = np.random.default_rng(0).random((1, 32, 32))
+        x = np.random.default_rng(0).random((1, 1, 32, 32))
         out = f.forward(x)
-        assert out.shape == (1, 32, 32)
+        assert out.shape == (1, 1, 32, 32)
 
     def test_classifier_shape_contract(self):
         f = presets.cls_main(seed=0)
-        x = np.random.default_rng(0).random((1, 16, 16))
+        x = np.random.default_rng(0).random((1, 1, 16, 16))
         out = f.forward(x)
-        assert out.shape == (presets.NUM_CLASSES,)
+        assert out.shape == (1, presets.NUM_CLASSES)
 
     def test_seed_determinism(self):
         a = presets.dense_main(seed=3)
@@ -48,6 +48,15 @@ class TestBuildMain:
         with pytest.raises(ConfigurationError):
             nets.build_main(spec, 0)
 
+    @pytest.mark.parametrize("preset", ["dense_main", "cls_main"])
+    def test_unbatched_input_rejected(self, preset):
+        f = getattr(presets, preset)(seed=0)
+        x = np.zeros(f.spec.in_shape)
+        with pytest.raises(DimensionError, match=r"Model\.forward.*\[N,C,H,W\]"):
+            f.forward(x)
+        with pytest.raises(DimensionError, match=r"Model\.forward"):
+            f.forward(x[None, None])
+
     def test_batched_forward_matches_single(self):
         # bit-exactness across batch sizes is not promised (BLAS blocking);
         # agreement at float64 resolution is
@@ -55,14 +64,14 @@ class TestBuildMain:
         xb = np.random.default_rng(1).random((3, 1, 32, 32))
         out = f.forward(xb).array
         for n in range(3):
-            assert np.allclose(out[n], f.forward(xb[n]).array, atol=1e-12, rtol=0)
+            assert np.allclose(out[n], f.forward(xb[n : n + 1]).array[0], atol=1e-12, rtol=0)
 
 
 class TestFilmSites:
     def test_identity_insertion(self):
         spec = nets.unet_spec("dense_regression")
         base = nets.build_main(spec, 11)
-        x = np.random.default_rng(2).random((1, 32, 32))
+        x = np.random.default_rng(2).random((1, 1, 32, 32))
         before = base.forward(x).array
         filmed = nets.insert_film_sites(base, 4)
         ident = nets.FiLMParams.identity([c for _, c in filmed.spec.film_sites])
@@ -73,7 +82,7 @@ class TestFilmSites:
         base = nets.build_main(nets.unet_spec("dense_regression"), 11)
         filmed = nets.insert_film_sites(base, 0)
         assert filmed.spec.film_sites == []
-        x = np.random.default_rng(3).random((1, 32, 32))
+        x = np.random.default_rng(3).random((1, 1, 32, 32))
         assert np.array_equal(base.forward(x).array, filmed.forward(x).array)
 
     def test_k_exceeds_eligible_layers(self):
@@ -90,7 +99,7 @@ class TestFilmSites:
         )
         changed = 0
         for _ in range(10):
-            x = rng.random((1, 32, 32))
+            x = rng.random((1, 1, 32, 32))
             if not np.array_equal(f.forward(x).array, f.forward(x, film=fp).array):
                 changed += 1
         assert changed >= 1
@@ -206,7 +215,7 @@ class TestController:
 class TestAdaptedForward:
     def test_identity_params_reproduce_baseline(self, dense_pair):
         f, h = dense_pair
-        x = np.random.default_rng(9).random((1, 32, 32))
+        x = np.random.default_rng(9).random((1, 1, 32, 32))
         ident = nets.FiLMParams.identity([c for _, c in f.spec.film_sites])
         assert np.array_equal(f.forward(x, film=ident).array, f.forward(x).array)
 
@@ -214,7 +223,7 @@ class TestAdaptedForward:
         f, _ = dense_pair
         bad = nets.FiLMParams.identity([16, 24])
         with pytest.raises(ContractError, match="2 sites, model declares 4"):
-            f.forward(np.zeros((1, 32, 32)), film=bad)
+            f.forward(np.zeros((1, 1, 32, 32)), film=bad)
 
     def test_gamma_zero_final_site_blanks_activation(self, dense_pair):
         f, _ = dense_pair
@@ -685,12 +694,11 @@ class TestPassReuse:
         return calls
 
     @pytest.mark.parametrize("which", [0, 1, 2])
-    @pytest.mark.parametrize("batch", [None, 1, 2])
+    @pytest.mark.parametrize("batch", [1, 2])
     def test_episode_bit_identical_to_a_fresh_model(self, which, batch):
         model = self.models()[which]
         model.params.set_frozen(True)
-        shape = model.spec.in_shape if batch is None else (batch,) + model.spec.in_shape
-        x = np.random.default_rng(34).random(shape)
+        x = np.random.default_rng(34).random((batch,) + model.spec.in_shape)
         assert self.episode(model, x) == self.episode(_FreshEveryCall(model), x)
 
     def test_reuse_skips_the_prefix_and_only_there(self, monkeypatch):
@@ -715,7 +723,6 @@ class TestPassReuse:
             assert convs(tape.leaf(x)) == 8  # taped input needing a gradient
         assert convs(x) == 0  # which neither reused nor replaced the kept pass
         assert convs(x.copy()) == 0  # equal values, another array
-        assert convs(x[0]) == 0  # one sample is compared as a batch of one
         pair = np.concatenate([x, x])
         assert convs(pair) == 8  # another shape
         assert convs(pair) == 8  # a batch of two is not kept
@@ -959,8 +966,7 @@ class TestKeptPassProperty:
             elif op == "refreeze":
                 model.params.set_frozen(True)
             else:
-                shape = model.spec.in_shape if rng.random() < 0.5 else (1,) + model.spec.in_shape
-                x = rng.random(shape)
+                x = rng.random((1,) + model.spec.in_shape)
         check("plain")
 
 

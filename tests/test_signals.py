@@ -29,7 +29,7 @@ class TestMaskedGt:
         target = np.random.default_rng(3).random((1, 16, 16))
         sig = signals.masked_gt(target, 0.1, seed=4)
         loss = ad.masked_l1(
-            ad.as_tensor(target), ad.as_tensor(sig.values[None]), sig.mask
+            ad.as_tensor(target[None]), ad.as_tensor(sig.values[None, None]), sig.mask[None]
         )
         assert loss.item() == 0.0
 
@@ -144,7 +144,7 @@ class TestCoarseLabel:
         for coarse in range(5):
             direct = probs[g.as_array() == coarse].sum()
             via_loss = np.exp(-ad.coarse_cross_entropy(
-                ad.as_tensor(logits), coarse, g.as_array()
+                ad.as_tensor(logits[None]), [coarse], g.as_array()
             ).item())
             assert abs(direct - via_loss) < 1e-12
 
