@@ -473,8 +473,8 @@ def insert_film_sites(model: Model, k: int) -> Model:
         ladder = _CLASSIFIER_SITE_LADDER
     else:
         ladder = _UNET_SITE_LADDER
-    if k > len(ladder):
-        raise ConfigurationError(f"k={k} exceeds the {len(ladder)} eligible layers")
+    if type(k) is not int or not 0 <= k <= len(ladder):
+        raise ConfigurationError(f"k={k!r} must be an integer in [0, {len(ladder)}], the eligible layers")
     spec = ModelSpec(
         model.spec.task_kind, model.spec.in_shape, model.spec.layers, list(ladder[:k])
     )
@@ -568,10 +568,19 @@ class Controller:
 def _controller_layout(cspec: ControllerSpec) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every controller parameter, in creation order.
 
-    Raises ``ConfigurationError`` for an unknown ``arch``.
+    Raises ``ConfigurationError`` for an unknown ``arch``, and unless
+    ``in_channels``, ``hidden`` and both ``trunk`` entries are integers >= 1
+    and ``film_channels`` is a non-empty list of them.
     """
+    widths, film = cspec.trunk, cspec.film_channels
+    if not (isinstance(widths, (tuple, list)) and len(widths) == 2 and isinstance(film, list) and film
+            and all(type(v) is int and v >= 1 for v in [cspec.in_channels, cspec.hidden, *widths, *film])):
+        raise ConfigurationError(
+            "controller spec needs integers >= 1 for in_channels, hidden and the two trunk "
+            f"widths, and a non-empty list of them for film_channels; got {cspec}"
+        )
     if cspec.arch == "conv":
-        t1, t2 = cspec.trunk
+        t1, t2 = widths
         trunk = {"c1.w": (t1, cspec.in_channels, 3, 3), "c1.b": (t1,),
                  "c2.w": (t2, t1, 3, 3), "c2.b": (t2,)}
         feat = t2

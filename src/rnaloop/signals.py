@@ -80,7 +80,7 @@ def noisy_sparse(
     Simulates sparse-reconstruction measurements: valid values are not
     clipped, and a fraction of them are replaced by uniform draws.
     """
-    if not (0 <= outlier_rate <= 1) or noise_sigma < 0:
+    if not (0 <= outlier_rate <= 1 and noise_sigma >= 0):  # NaN fails both
         raise ConfigurationError("noise_sigma must be >= 0 and outlier_rate in [0,1]")
     sig = masked_gt(target, fraction, seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SIGNAL, 2]))
@@ -146,7 +146,7 @@ class CoarseGrouping:
 def make_coarse_grouping(K: int, C: int) -> CoarseGrouping:
     """Deterministic fine-to-coarse class grouping: consecutive classes
     share a group (sizes differ by <= 1 when C does not divide K)."""
-    if not (2 <= C < K) and C != K:
+    if not 2 <= C <= K:
         raise ConfigurationError(f"need 2 <= C <= K, got C={C}, K={K}")
     gmap = np.empty(K, dtype=np.int64)
     for c, block in enumerate(np.array_split(np.arange(K), C)):

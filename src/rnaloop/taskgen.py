@@ -163,6 +163,8 @@ def gen_dense_regression(config: SceneWorldConfig, n: int, seed: int) -> Dataset
 
 def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) -> Dataset:
     """Shape kind+texture decides the class; background is class 0."""
+    if n < 1:
+        raise ConfigurationError("n must be >= 1")
     if K < 2:
         raise ConfigurationError("segmentation needs K >= 2")
     combos = [c for c in SEG_COMBOS if c[0] in config.kinds and c[1] in config.textures]
@@ -205,6 +207,8 @@ def gen_classification(
     noise_sigma: float = 0.05,
 ) -> Dataset:
     """Jittered noisy renderings of K prototype patterns, labels balanced."""
+    if n < 1:
+        raise ConfigurationError("n must be >= 1")
     if K < 2:
         raise ConfigurationError("classification needs K >= 2")
     protos = make_prototypes(K, proto_seed, grid)
@@ -257,6 +261,10 @@ def train_main(
     batch_size: int = 8,
 ) -> tuple[Model, list[float]]:
     """Minibatch SGD on the task loss; returns the model and per-epoch means."""
+    if type(epochs) is not int or epochs < 1 or type(batch_size) is not int or batch_size < 1:
+        raise ConfigurationError(
+            f"train_main needs integers epochs >= 1 and batch_size >= 1, got {epochs!r} and {batch_size!r}"
+        )
     if dataset.task_kind != model.spec.task_kind:
         raise ConfigurationError(
             f"dataset task {dataset.task_kind!r} != model task {model.spec.task_kind!r}"

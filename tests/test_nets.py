@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 import weakref
@@ -90,6 +91,11 @@ class TestFilmSites:
         with pytest.raises(ConfigurationError):
             nets.insert_film_sites(base, 99)
 
+    @pytest.mark.parametrize("k", [-1, 1.0, True])
+    def test_k_negative_or_not_an_int_rejected(self, k):
+        with pytest.raises(ConfigurationError, match=r"integer in \[0, 3\]"):
+            nets.insert_film_sites(presets.cls_main(0), k)
+
     def test_random_site_params_change_output(self):
         f = presets.dense_main(seed=12)
         rng = np.random.default_rng(4)
@@ -160,6 +166,18 @@ class TestController:
         params.add("head.b", np.zeros(cspec.out_dim))
         assert h.params.names() == params.names()
         assert h.params.state_bytes() == params.state_bytes()
+
+    @pytest.mark.parametrize("case,change", [
+        ("float_film_channels", {"film_channels": [16.0, 24.0, 24.0, 16.0]}),
+        ("zero_in_channels", {"in_channels": 0}),
+        ("negative_trunk", {"trunk": (-1, 16)}),
+        ("str_hidden", {"hidden": "16"}),
+        ("zero_hidden", {"hidden": 0}),
+    ])
+    def test_malformed_spec_rejected(self, dense_pair, case, change):
+        f, h = dense_pair
+        with pytest.raises(ConfigurationError, match="integers >= 1"):
+            nets.build_controller(dataclasses.replace(h.cspec, **change), f, 0)
 
     def test_requires_film_sites(self):
         base = nets.build_main(nets.unet_spec("dense_regression"), 0)
@@ -421,7 +439,7 @@ class TestSpecSerialization:
     @pytest.mark.parametrize(
         "case",
         ["no_cspec", "cspec_not_json", "trunk_not_a_list", "unlisted_array", "missing_array",
-         "hidden_disagrees", "film_channels_disagree", "unknown_arch"],
+         "hidden_disagrees", "film_channels_disagree", "float_film_channels", "unknown_arch"],
     )
     def test_malformed_controller_file_rejected(self, tmp_path, dense_pair, case):
         import json
@@ -450,6 +468,9 @@ class TestSpecSerialization:
         elif case == "film_channels_disagree":
             # the head still fits [16, 24, 24, 16]; the spec says the last site has 8
             meta["cspec"] = json.dumps({**cspec, "film_channels": [16, 24, 24, 8]})
+        elif case == "float_film_channels":
+            # float and int shapes compare equal, so only the type check refuses it
+            meta["cspec"] = json.dumps({**cspec, "film_channels": [16.0, 24.0, 24.0, 16.0]})
         else:  # unknown_arch
             meta["cspec"] = json.dumps({**cspec, "arch": "rnn"})
         serialize.save(path, "controller", meta, arrays)

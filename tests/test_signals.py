@@ -73,6 +73,12 @@ class TestNoisySparse:
         frac = moved.mean()
         assert 0.35 < frac < 0.65
 
+    @pytest.mark.parametrize("noise_sigma,outlier_rate",
+                             [(float("nan"), 0.0), (-0.1, 0.0), (0.0, float("nan")), (0.0, 1.5)])
+    def test_bad_noise_rejected(self, noise_sigma, outlier_rate):
+        with pytest.raises(ConfigurationError, match="noise_sigma"):
+            signals.noisy_sparse(np.zeros((1, 8, 8)), 0.5, noise_sigma, outlier_rate, seed=0)
+
 
 class TestClickAnnotations:
     def test_single_class_three_clicks(self):
@@ -120,6 +126,11 @@ class TestCoarseGrouping:
     def test_surjective_and_nonempty(self):
         g = signals.make_coarse_grouping(20, 7)
         assert set(g.as_array().tolist()) == set(range(7))
+
+    @pytest.mark.parametrize("K,C", [(0, 0), (1, 1), (5, 1), (5, 6)])
+    def test_c_outside_two_to_k_rejected(self, K, C):
+        with pytest.raises(ConfigurationError, match="2 <= C <= K"):
+            signals.make_coarse_grouping(K, C)
 
 
 class TestCoarseLabel:

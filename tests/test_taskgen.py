@@ -91,6 +91,11 @@ class TestDenseSegmentation:
         with pytest.raises(ConfigurationError):
             taskgen.gen_dense_segmentation(self.CFG, 1, K=9, seed=0)
 
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ConfigurationError, match="n must be >= 1"):
+            taskgen.gen_dense_segmentation(self.CFG, n, K=5, seed=0)
+
     def test_class_histogram_roughly_uniform(self):
         ds = taskgen.gen_dense_segmentation(self.CFG, 1000, K=5, seed=4)
         counts = np.bincount(ds.targets.reshape(-1), minlength=5)[1:]
@@ -112,6 +117,11 @@ class TestClassification:
         counts = np.bincount(ds.targets, minlength=5)
         assert np.all(counts == 20)
 
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ConfigurationError, match="n must be >= 1"):
+            taskgen.gen_classification(5, n, proto_seed=0, seed=0)
+
     def test_determinism(self):
         a = taskgen.gen_classification(5, 50, proto_seed=2, seed=3)
         b = taskgen.gen_classification(5, 50, proto_seed=2, seed=3)
@@ -128,6 +138,15 @@ class TestTrainMain:
         _, curve = taskgen.train_main(model, ds, epochs=3, lr=0.0, seed=0)
         assert model.params.state_bytes() == before
         assert max(curve) - min(curve) < 1e-12
+
+    @pytest.mark.parametrize("epochs,batch_size", [(1, 0), (-1, 8), (0, 8), (1, 2.0)])
+    def test_bad_epochs_or_batch_size_rejected(self, epochs, batch_size):
+        ds = taskgen.gen_classification(presets.NUM_CLASSES, 8, proto_seed=0, seed=0)
+        model = presets.cls_main(1)
+        before = model.params.state_bytes()
+        with pytest.raises(ConfigurationError, match="epochs >= 1 and batch_size >= 1"):
+            taskgen.train_main(model, ds, epochs=epochs, lr=0.01, seed=0, batch_size=batch_size)
+        assert model.params.state_bytes() == before
 
     def test_task_mismatch_rejected(self):
         ds = taskgen.gen_classification(5, 10, proto_seed=0, seed=0)
