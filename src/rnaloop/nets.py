@@ -249,12 +249,12 @@ class Model:
         A later call on frozen weights and the same thread reuses the kept
         pass when its input is byte-equal to the kept one and it reads the
         same constant objects. A constant never changes, so that is the same
-        weights. On reuse an unmodulated call without
-        ``return_acts`` gets a copy of the kept output; any other call
-        resumes at the first site from the kept activations. Results,
-        ``return_acts`` lists and gradients are those of the full pass bit
-        for bit, and no array handed out is kept. A call on unfrozen weights
-        neither reuses nor replaces the kept pass.
+        weights. On reuse an unmodulated call without ``return_acts`` gets a
+        copy of the kept output; any other call resumes at the first site
+        from the kept activations. Results, ``return_acts`` lists and
+        gradients are those of the full pass bit for bit, and no array handed
+        out is kept. A call on unfrozen weights neither reuses nor replaces
+        the kept pass.
         """
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
         if xt.array.ndim != 4:

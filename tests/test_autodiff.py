@@ -778,7 +778,7 @@ def _sample_cases():
         "film": (lambda a: ad.film(*a), [(n(size=(3, 4, 4)), True, True), (n(size=3), True, False),
                                          (n(size=3), True, False)], 4),
         "flatten_batch": (lambda a: ad.flatten_batch(a[0]), [(n(size=(2, 3, 3)), True, True)], 4),
-        "add_bias_rows": (lambda a: ad.add_bias(*a), [(n(size=4), True, True), (n(size=4), True, False)], 4),
+        "add_bias_rows": (lambda a: ad.add_bias(*a), [(n(size=4), True, True), (n(size=4), True, False)], 2),
         "add_bias_maps": (lambda a: ad.add_bias(*a),
                           [(n(size=(3, 2, 2)), True, True), (n(size=3), True, False)], 4),
         "softmax_cross_entropy": (lambda a: ad.softmax_cross_entropy(*a),

@@ -167,17 +167,19 @@ class TestController:
         assert h.params.names() == params.names()
         assert h.params.state_bytes() == params.state_bytes()
 
-    @pytest.mark.parametrize("case,change", [
-        ("float_film_channels", {"film_channels": [16.0, 24.0, 24.0, 16.0]}),
-        ("zero_in_channels", {"in_channels": 0}),
-        ("negative_trunk", {"trunk": (-1, 16)}),
-        ("str_hidden", {"hidden": "16"}),
-        ("zero_hidden", {"hidden": 0}),
-    ])
-    def test_malformed_spec_rejected(self, dense_pair, case, change):
+    BAD_SPECS = {
+        "float_film_channels": {"film_channels": [16.0, 24.0, 24.0, 16.0]},
+        "zero_in_channels": {"in_channels": 0},
+        "negative_trunk": {"trunk": (-1, 16)},
+        "str_hidden": {"hidden": "16"},
+        "zero_hidden": {"hidden": 0},
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_SPECS))
+    def test_malformed_spec_rejected(self, dense_pair, case):
         f, h = dense_pair
         with pytest.raises(ConfigurationError, match="integers >= 1"):
-            nets.build_controller(dataclasses.replace(h.cspec, **change), f, 0)
+            nets.build_controller(dataclasses.replace(h.cspec, **self.BAD_SPECS[case]), f, 0)
 
     def test_requires_film_sites(self):
         base = nets.build_main(nets.unet_spec("dense_regression"), 0)
