@@ -717,11 +717,18 @@ class TestPassReuse:
         return calls
 
     @pytest.mark.parametrize("which", [0, 1, 2])
-    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("batch", [None, 1, 2])
     def test_episode_bit_identical_to_a_fresh_model(self, which, batch):
+        # batch None: one unbatched image, which forward rejects; the rejected
+        # call must leave the kept pass as it was for the image sent as a batch
         model = self.models()[which]
         model.params.set_frozen(True)
-        x = np.random.default_rng(34).random((batch,) + model.spec.in_shape)
+        x = np.random.default_rng(34).random((batch or 1,) + model.spec.in_shape)
+        if batch is None:
+            model.forward(x)
+            for m in (model, _FreshEveryCall(model)):
+                with pytest.raises(DimensionError, match=r"Model\.forward"):
+                    m.forward(x[0])
         assert self.episode(model, x) == self.episode(_FreshEveryCall(model), x)
 
     def test_reuse_skips_the_prefix_and_only_there(self, monkeypatch):
