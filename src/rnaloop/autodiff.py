@@ -17,6 +17,16 @@ Shape discipline: every op takes batches only, with the batch on axis 0:
 broadcasting except the per-channel patterns of ``film``, the ``conv2d``
 bias and the [N,K]+[K] rows of ``add_bias``. All other operand shapes must
 match exactly.
+
+Memory: a recorded op keeps only what its backward pass reads, in its
+node's backward closure: masks, shapes, softmax probabilities, the
+operands of products. A conv with a recorded kernel keeps its input, from
+which the kernel gradient rebuilds the row matrix, and not the row matrix
+(k copies of the padded input). :func:`backward` drops each node's closure
+as it reaches the node, and each intermediate gradient once that node has
+used it, so a tape goes through backward once and then holds its nodes'
+shapes and the leaves' gradients only: ``Tape.grads`` maps leaf ids to
+gradients.
 """
 
 from __future__ import annotations
@@ -130,7 +140,8 @@ class Tape:
 
     Use as a context manager; ops record onto the innermost active tape of
     the current thread. ``grads`` is populated by :func:`backward` and maps
-    node id to the gradient array of that node's output.
+    the node id of each leaf that received a gradient to that gradient.
+    Backward runs once per tape: it releases the closures it runs.
     """
 
     def __init__(self) -> None:
@@ -138,6 +149,7 @@ class Tape:
             _tapes_created[0] += 1
         self.nodes: list[Node] = []
         self.grads: dict[int, np.ndarray] = {}
+        self._spent = False
         self._prev: Tape | None = None
 
     def __enter__(self) -> "Tape":
@@ -243,12 +255,17 @@ def _record(out: np.ndarray, parents: Sequence[Tensor], backward_fn, opname: str
 
 
 def backward(root: Tensor, tape: Tape | None = None) -> None:
-    """Populate ``tape.grads`` for every grad-requiring ancestor of ``root``.
+    """Populate ``tape.grads`` for every leaf ancestor of ``root``.
 
     ``root`` must be a scalar recorded on a tape. Constants (frozen
     parameters, plain inputs) have no node and are skipped: gradient still
     flows *through* the ops that consume them, but their own gradients are
     neither computed nor stored.
+
+    Walking the nodes in reverse, backward drops each node's closure, and
+    with it what the op kept, and each intermediate gradient once that node
+    has used it. So only leaf gradients are kept, and a tape goes through
+    backward once: a second call raises ``ContractError``.
     """
     if root.node is None:
         raise ContractError("backward: root is not recorded on any tape")
@@ -259,19 +276,25 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
         raise ContractError("backward: the root's tape no longer exists")
     if tape is not None and tape is not t:
         raise ContractError("backward: root does not belong to the given tape")
+    if t._spent:
+        raise ContractError("backward: this tape has already been through backward")
+    t._spent = True
     grads: dict[int, np.ndarray] = {root.node.nid: np.ones((), dtype=_F64)}
     for node in reversed(t.nodes):
-        g = grads.get(node.nid)
-        if g is None or node.backward_fn is None:
+        g = grads.pop(node.nid, None)
+        fn = node.backward_fn
+        if fn is None:
+            if g is not None:
+                t.grads[node.nid] = g
             continue
-        needs = tuple(p is not None for p in node.parents)
-        pgrads = node.backward_fn(g, needs)
-        for parent, pg in zip(node.parents, pgrads):
+        node.backward_fn = None
+        if g is None:
+            continue
+        for parent, pg in zip(node.parents, fn(g, tuple(p is not None for p in node.parents))):
             if pg is None or parent is None:
                 continue
             acc = grads.get(parent.nid)
             grads[parent.nid] = pg if acc is None else acc + pg
-    t.grads = grads
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +539,10 @@ def conv2d(
     the incoming gradient is first placed at its positions of a zeroed
     stride-1 grid of the forward's padded width. The kernel gradient is
     that grid times the forward's row matrix at each of the k horizontal
-    offsets, summed over the batch. The row matrix is kept for the backward
-    pass only when the kernel is a recorded tensor that needs a gradient.
+    offsets, summed over the batch. When the kernel is a recorded tensor
+    that needs a gradient, the op keeps its input, not the row matrix (k
+    copies of the padded input), and the backward pass rebuilds the row
+    matrix from it with the forward's own builder, :func:`_row_matrix`.
 
     The kernel's GEMM operands (its tap columns, and for the input gradient
     those of the flipped, channel-transposed kernel) are cached on a frozen
@@ -544,7 +569,7 @@ def conv2d(
             f"conv2d: non-integral output size for input {h}x{w}, k={k}, "
             f"stride={stride}, pad={pad}"
         )
-    grid, rows = _conv_rows(xv, _derived(kernel, "taps", _tap_cols), pad)
+    grid = _conv_rows(xv, _derived(kernel, "taps", _tap_cols), pad)
     _, _, h1, wp = grid.shape
     w1 = wp - k + 1
     valid = grid[:, :, ::stride, :w1:stride]
@@ -552,8 +577,8 @@ def conv2d(
         out = np.ascontiguousarray(valid)
     else:
         out = valid + bias.array[None, :, None, None]
-    if kernel.node is None:
-        rows = None  # only the kernel gradient reads the row matrix
+    # only the kernel gradient reads the input
+    kept = None if kernel.node is None else xv
 
     def bwd(g, needs):
         gw = gx = None
@@ -564,9 +589,9 @@ def conv2d(
             gfull[:, :, ::stride, :w1:stride] = g
             gs = gfull[:, :, :, :w1]
         if needs[1]:
-            gw = _conv_kernel_grad(gfull, rows, k)
+            gw = _conv_kernel_grad(gfull, kept, k, pad)
         if needs[0]:
-            gxg, _ = _conv_rows(gs, _derived(kernel, "flipped_taps", _flipped_tap_cols), k - 1 - pad)
+            gxg = _conv_rows(gs, _derived(kernel, "flipped_taps", _flipped_tap_cols), k - 1 - pad)
             gx = np.ascontiguousarray(gxg[:, :, :, :w])
         if bias is None:
             return (gx, gw)
@@ -591,32 +616,12 @@ def _flipped_tap_cols(wv: np.ndarray) -> np.ndarray:
     return _tap_cols(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
-def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1 cross-correlation of [N,C,H,W] with a kernel [O,C,k,k],
-    given as its tap columns ``wcols`` (:func:`_tap_cols`), as k GEMMs.
-
-    The input is written into a zeroed buffer [N, C, Hp+1, Wp] (Hp = H +
-    2*pad, Wp = W + 2*pad; a negative pad, which the input gradient of a
-    conv with pad > k-1 needs, crops instead). With each channel
-    flattened, tap (i, j) reads the contiguous run of H1*Wp values that
-    starts at i*Wp + j, where H1 = Hp - k + 1; the extra zero row keeps the
-    last tap's run in bounds. The row matrix [N, C*k, H1*Wp + k-1] copies,
-    for every channel c and kernel row i, the run that starts at i*Wp: k
-    copies of the input, not k*k. Kernel column j reads the window
-    ``rows[:, :, j : j + H1*Wp]`` of it, a strided view, so the output is
-    the sum over j of ``W[:, :, :, j] @ window_j``, with no further copy
-    (the partial-im2col scheme of Anderson et al. 2017, arXiv:1709.03395).
-    A 1x1 kernel with pad 0 uses the input itself as the row matrix.
-
-    Returns ``(grid, rows)``. ``grid`` is [N, O, H1, Wp]: the output on the
-    padded-width grid, whose last k-1 columns of every row wrap around into
-    the next row and are junk, so the valid output is ``grid[..., :Wp-k+1]``.
-    """
+def _row_matrix(xb: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, int, int]:
+    """The row matrix of [N,C,H,W] for a k x k kernel at ``pad`` (see
+    :func:`_conv_rows`), [N, C*k, H1*Wp + k-1], with H1 and Wp."""
     n, c, h, w = xb.shape
-    k, o, _ = wcols.shape
     if k == 1 and pad == 0:
-        rows = xb.reshape(n, c, h * w)
-        return (wcols[0] @ rows).reshape(n, o, h, w), rows
+        return xb.reshape(n, c, h * w), h, w
     hp, wp = h + 2 * pad, w + 2 * pad
     h1 = hp - k + 1
     run = h1 * wp
@@ -628,18 +633,47 @@ def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> tuple[np.ndarray,
     # copy at these sizes), then copied, so each window is a GEMM operand
     # with a row stride at least its width.
     taps = np.ndarray((n, c, k, run + k - 1), _F64, xp, 0, xp.strides)
-    rows = np.ascontiguousarray(taps).reshape(n, c * k, run + k - 1)
+    return np.ascontiguousarray(taps).reshape(n, c * k, run + k - 1), h1, wp
+
+
+def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
+    """Stride-1 cross-correlation of [N,C,H,W] with a kernel [O,C,k,k],
+    given as its tap columns ``wcols`` (:func:`_tap_cols`), as k GEMMs.
+
+    The input is written into a zeroed buffer [N, C, Hp+1, Wp] (Hp = H +
+    2*pad, Wp = W + 2*pad; a negative pad, which the input gradient of a
+    conv with pad > k-1 needs, crops instead). With each channel
+    flattened, tap (i, j) reads the contiguous run of H1*Wp values that
+    starts at i*Wp + j, where H1 = Hp - k + 1; the extra zero row keeps the
+    last tap's run in bounds. The row matrix [N, C*k, H1*Wp + k-1]
+    (:func:`_row_matrix`) copies, for every channel c and kernel row i, the
+    run that starts at i*Wp: k copies of the input, not k*k. Kernel column
+    j reads the window ``rows[:, :, j : j + H1*Wp]`` of it, a strided view,
+    so the output is the sum over j of ``W[:, :, :, j] @ window_j``, with
+    no further copy (the partial-im2col scheme of Anderson et al. 2017,
+    arXiv:1709.03395). A 1x1 kernel with pad 0 uses the input itself as
+    the row matrix.
+
+    Returns ``grid`` [N, O, H1, Wp]: the output on the padded-width grid,
+    whose last k-1 columns of every row wrap around into the next row and
+    are junk, so the valid output is ``grid[..., :Wp-k+1]``.
+    """
+    k, o, _ = wcols.shape
+    rows, h1, wp = _row_matrix(xb, k, pad)
+    run = h1 * wp
     grid = wcols[0] @ rows[:, :, :run]
     for j in range(1, k):
         grid += wcols[j] @ rows[:, :, j : j + run]
-    return grid.reshape(n, o, h1, wp), rows
+    return grid.reshape(xb.shape[0], o, h1, wp)
 
 
-def _conv_kernel_grad(gfull: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+def _conv_kernel_grad(gfull: np.ndarray, xb: np.ndarray, k: int, pad: int) -> np.ndarray:
     """Kernel gradient [O,C,k,k] from the padded-width gradient grid and the
-    forward's row matrix: column j is ``gfull @ window_jᵀ`` summed over N."""
+    forward's input: with the row matrix rebuilt from that input, column j
+    is ``gfull @ window_jᵀ`` summed over N."""
     n, o, h1, wp = gfull.shape
     run = h1 * wp
+    rows, _, _ = _row_matrix(xb, k, pad)
     gf = gfull.reshape(n, o, run)
     gw = np.empty((o, rows.shape[1], k))
     for j in range(k):
@@ -697,11 +731,11 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous slice along axis 1 (used to split controller heads)."""
-    xv = x.array
-    out = xv[:, start:stop].copy()
+    out = x.array[:, start:stop].copy()
+    shape = x.shape
 
     def bwd(g, needs):
-        gx = np.zeros_like(xv)
+        gx = np.zeros(shape)
         gx[:, start:stop] = g
         return (gx,)
 
@@ -752,11 +786,11 @@ def global_avg_pool(x: Tensor) -> Tensor:
     xv = x.array
     if xv.ndim != 4:
         raise DimensionError(f"global_avg_pool: expected [N,C,H,W], got {xv.shape}")
-    n, c, h, w = xv.shape
+    n, c, h, w = shape = xv.shape
     out = xv.mean(axis=(2, 3))
 
     def bwd(g, needs):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), xv.shape).copy(),)
+        return (np.broadcast_to(g[:, :, None, None] / (h * w), shape).copy(),)
 
     return _record(out, (x,), bwd, "global_avg_pool")
 

@@ -228,7 +228,8 @@ class Model:
         return_acts: bool = False,
     ):
         """Run the network on a batch x: an [N,C,H,W] array or Tensor (one
-        image is a batch of one). Any other rank raises ``DimensionError``.
+        image is a batch of one) with [C,H,W] equal to ``spec.in_shape``.
+        Any other shape raises ``DimensionError``.
 
         ``film`` replaces each site's activation with its modulation.
         ``lifted`` reuses already-lifted parameters (training loops); when
@@ -257,8 +258,12 @@ class Model:
         the kept pass.
         """
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
-        if xt.array.ndim != 4:
-            raise DimensionError(f"Model.forward: expected an [N,C,H,W] batch, got {xt.shape}")
+        in_shape = tuple(self.spec.in_shape)
+        if xt.array.ndim != 4 or xt.shape[1:] != in_shape:
+            raise DimensionError(
+                f"Model.forward: expected an [N,C,H,W] batch with [C,H,W] = spec.in_shape "
+                f"{in_shape}, got {xt.shape}"
+            )
         if lifted is None:
             lifted = self.params.lift(tape)
         site_map = dict_from_sites(self.spec.film_sites, film)

@@ -34,3 +34,33 @@ def test_uncalled_counts_names_attributes_and_imports_but_not_strings(tmp_path, 
     assert capsys.readouterr().out.split() == [
         "ops.LIMIT", "ops.only_listed", "ops.helper", "ops.only_tested", "ops.Unused",
     ]
+
+
+def test_code_lines_leaves_out_blanks_comments_and_docstrings_and_totals_paths(tmp_path, capsys):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        "    return (X +\n"
+        "            2)\n"
+    )
+    (package / "b.py").write_text('class C:\n    """Doc."""\n    y = "not a docstring"\n')
+    (package / "notes.txt").write_text("x = 1\n")
+    single = tmp_path / "single.py"
+    single.write_text("import os\n\n\nprint(os.sep)\n")
+    code_lines = _load("code_lines")
+    assert code_lines.main(["code_lines.py", str(package), str(single)]) == 0
+    rows = [line.rsplit(maxsplit=1) for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        [str(package / "a.py"), "4"],
+        [str(package / "b.py"), "2"],
+        [str(single), "2"],
+        ["total", "8"],
+    ]

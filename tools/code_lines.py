@@ -1,12 +1,14 @@
-"""Count the code lines of each ``src/rnaloop`` module and their total.
+"""Count the code lines of Python files and their total.
 
 A code line is a source line that holds at least one token other than a
 comment, and that is not part of a docstring (the string statement that
 opens a module, class or function). Blank lines, comment-only lines and
 docstring lines are left out.
 
-Usage: ``python tools/code_lines.py [package_dir]`` (default: the
-``src/rnaloop`` directory next to this script's parent).
+Usage: ``python tools/code_lines.py PATH [PATH ...]``. A directory counts
+its ``*.py`` files (not those of its subdirectories); a file counts as
+given. For example ``python tools/code_lines.py src/rnaloop
+perfbench/workloads.py``.
 """
 
 from __future__ import annotations
@@ -42,13 +44,20 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "rnaloop"
+    if len(argv) < 2:
+        print("usage: python tools/code_lines.py PATH [PATH ...]", file=sys.stderr)
+        return 2
+    files = []
+    for arg in argv[1:]:
+        path = Path(arg)
+        files += sorted(path.glob("*.py")) if path.is_dir() else [path]
+    width = max((len(str(f)) for f in files), default=len("total"))
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in files:
         n = code_lines(path.read_text(encoding="utf-8"))
         total += n
-        print(f"{path.name:<16} {n:>5}")
-    print(f"{'total':<16} {total:>5}")
+        print(f"{str(path):<{width}} {n:>5}")
+    print(f"{'total':<{width}} {total:>5}")
     return 0
 
 
