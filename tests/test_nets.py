@@ -569,9 +569,9 @@ class TestGradientsThroughModel:
     def test_training_step_peak_memory(self):
         # One batch-8 UNet training step on the tape: backward frees what each
         # node kept once it has run, and a trainable conv keeps its input
-        # rather than its row matrix (k copies of the padded input). The
-        # traced peak was 18.9 MiB when every node kept its closure until the
-        # tape died and convs kept their row matrices.
+        # rather than its row matrix (k copies of the padded input). The bound
+        # lies between the ~13 MiB this peaks at and the ~19 MiB of a tape
+        # that keeps every closure until it dies and each conv's row matrix.
         model = presets.dense_main(seed=3)
         rng = np.random.default_rng(25)
         x, y = (rng.random((8,) + model.spec.in_shape) for _ in range(2))
