@@ -1,10 +1,13 @@
 """Network builders: main task networks, their FiLM sites and controllers.
 
-Main networks are layer-list models (conv / relu / avg-pool / nearest
-upsample / channel concat / flatten / linear) over the autodiff ops. FiLM
-sites name layer indices whose activations get a channel-wise affine
-modulation; with gamma=1, beta=0 the modulated network is bit-identical
-to the unmodulated one.
+There are two main networks, a UNet for the dense tasks and a small CNN
+classifier. A ``ModelSpec`` holds the arguments that build one (task kind,
+input and output channels, grid, FiLM site count), and derives from them,
+once, the layer sequence (conv / relu / avg-pool / nearest upsample /
+channel concat / flatten / linear over the autodiff ops) that
+``Model.forward`` runs. FiLM sites name layer indices whose activations
+get a channel-wise affine modulation; with gamma=1, beta=0 the modulated
+network is bit-identical to the unmodulated one.
 
 Controllers map an error-feedback encoding to FiLM coefficients for every
 site of the main network, the only network they adapt. Their final layer
@@ -18,7 +21,7 @@ import dataclasses
 import json
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,141 +43,115 @@ class BudgetWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModelSpec:
-    """Declarative layer list plus FiLM site placement.
+# FiLM sites of each architecture, in the order film_k takes them: (layer
+# index, channel count). The UNet's are two encoder blocks, then two decoder
+# blocks.
+_UNET_SITE_LADDER = ((4, 16), (7, 24), (14, 24), (18, 16))
+_CLASSIFIER_SITE_LADDER = ((1, 8), (4, 16), (7, 16))
 
-    task_kind: dense_regression | dense_segmentation | classification
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A main network, given by its builder's arguments.
+
+    task_kind: dense_regression or dense_segmentation (the UNet of
+        ``_unet_layers``), or classification (the CNN of
+        ``_classifier_layers``).
+    in_ch, out_ch: input and output channels; out_ch is the class count of
+        a classifier.
+    grid: input height and width, a multiple of 8 (UNet) or 4 (classifier).
+    film_k: the number of FiLM sites, the first film_k of the
+        architecture's ladder.
+
+    Construction raises ``ConfigurationError`` unless task_kind is one of
+    the three, in_ch, out_ch and grid are integers >= 1, grid divides as
+    above and film_k is an integer in [0, ladder length]. It then sets, once:
+
+    in_shape: (in_ch, grid, grid), one input sample.
     layers: dicts with a "kind" key (conv, relu, pool, upsample, concat,
-        flatten, linear) and kind-specific fields.
+        flatten, linear) and kind-specific fields. A conv has stride 1, pad
+        k // 2 and a bias; a linear layer has a bias.
     film_sites: (layer_index, channel_count) pairs; the site modulates the
         output of that layer.
     """
 
     task_kind: str
-    in_shape: tuple[int, int, int]
-    layers: list[dict] = field(default_factory=list)
-    film_sites: list[tuple[int, int]] = field(default_factory=list)
+    in_ch: int
+    out_ch: int
+    grid: int
+    film_k: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "task_kind": self.task_kind,
-                "in_shape": list(self.in_shape),
-                "layers": self.layers,
-                "film_sites": [list(s) for s in self.film_sites],
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ModelSpec":
-        d = json.loads(text)
-        return ModelSpec(
-            task_kind=d["task_kind"],
-            in_shape=tuple(d["in_shape"]),
-            layers=d["layers"],
-            film_sites=[tuple(s) for s in d["film_sites"]],
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ModelSpec) and self.to_json() == other.to_json()
-
-
-def _trace_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
-    """The shape of one sample after every layer: (C, H, W) while the
-    activation is spatial, (F,) once it is flat.
-
-    Raises ``ConfigurationError`` where a layer cannot take its input: a
-    channel count that does not match, an odd kernel size, a non-integral
-    or empty conv output, an odd size before ``pool``, spatial sizes that
-    differ at ``concat``, a spatial layer after ``flatten`` or a ``linear``
-    whose ``nin`` is not the flat size it receives.
-    """
-    out: list[tuple[int, ...]] = []
-    shape = tuple(spec.in_shape)
-    for i, layer in enumerate(spec.layers):
-        kind = layer["kind"]
-        if kind in ("conv", "pool", "upsample", "concat", "flatten") and len(shape) != 3:
-            raise ConfigurationError(f"layer {i}: {kind} needs a spatial input, gets flat {shape}")
-        if kind == "conv":
-            c, h, w = shape
-            k, s, p = layer["k"], layer["stride"], layer["pad"]
-            if layer["cin"] != c:
-                raise ConfigurationError(f"layer {i}: conv expects {layer['cin']} channels, gets {c}")
-            if k % 2 == 0:
-                raise ConfigurationError(f"layer {i}: conv kernel size must be odd, got {k}")
-            if h + 2 * p < k or w + 2 * p < k or (h + 2 * p - k) % s or (w + 2 * p - k) % s:
-                raise ConfigurationError(
-                    f"layer {i}: conv k={k}, stride={s}, pad={p} has no integral output "
-                    f"for a {h}x{w} input"
-                )
-            shape = (layer["cout"], (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
-        elif kind == "pool":
-            c, h, w = shape
-            if h % 2 or w % 2:
-                raise ConfigurationError(f"layer {i}: pool needs an even size, gets {h}x{w}")
-            shape = (c, h // 2, w // 2)
-        elif kind == "upsample":
-            c, h, w = shape
-            shape = (c, 2 * h, 2 * w)
-        elif kind == "concat":
-            src = layer["skip_from"]
-            if not (0 <= src < i):
-                raise ConfigurationError(f"layer {i}: concat skip_from {src} out of range")
-            skip = out[src]
-            if len(skip) != 3:
-                raise ConfigurationError(f"layer {i}: concat source {src} is not spatial")
-            if skip[1:] != shape[1:]:
-                raise ConfigurationError(
-                    f"layer {i}: concat of a {shape[1]}x{shape[2]} map with layer {src}'s "
-                    f"{skip[1]}x{skip[2]} map"
-                )
-            shape = (shape[0] + skip[0],) + shape[1:]
-        elif kind == "flatten":
-            shape = (shape[0] * shape[1] * shape[2],)
-        elif kind == "linear":
-            if shape != (layer["nin"],):
-                raise ConfigurationError(f"layer {i}: linear expects nin={layer['nin']}, gets {shape}")
-            shape = (layer["nout"],)
-        elif kind != "relu":
-            raise ConfigurationError(f"layer {i}: unknown kind {kind!r}")
-        out.append(shape)
-    return out
-
-
-# Integer fields every layer kind needs, with their least allowed value.
-_INT_FIELDS = {
-    "conv": {"cin": 1, "cout": 1, "k": 1, "stride": 1, "pad": 0},
-    "linear": {"nin": 1, "nout": 1},
-    "concat": {"skip_from": 0},
-}
-
-
-def validate_spec(spec: ModelSpec) -> None:
-    """Raise ``ConfigurationError`` unless ``spec`` builds a network that
-    runs on inputs of ``in_shape``: integer layer fields, shapes that fit
-    from layer to layer (traced from ``in_shape``) and FiLM sites on
-    spatial layers with the declared channel count."""
-    shape = spec.in_shape
-    if (not isinstance(shape, (tuple, list)) or len(shape) != 3
-            or any(type(v) is not int or v < 1 for v in shape)):
-        raise ConfigurationError(f"in_shape must be three positive integers (C, H, W), got {shape!r}")
-    for i, layer in enumerate(spec.layers):
-        for key, least in _INT_FIELDS.get(layer["kind"], {}).items():
-            if type(layer.get(key)) is not int or layer[key] < least:
-                raise ConfigurationError(
-                    f"layer {i}: {layer['kind']} needs an integer {key} >= {least}, "
-                    f"got {layer.get(key)!r}"
-                )
-    shapes = _trace_shapes(spec)
-    for idx, c in spec.film_sites:
-        if not (0 <= idx < len(spec.layers)):
-            raise ConfigurationError(f"film site at layer {idx} out of range")
-        if len(shapes[idx]) != 3 or shapes[idx][0] != c:
+    def __post_init__(self):
+        classifier = self.task_kind == "classification"
+        if not classifier and self.task_kind not in ("dense_regression", "dense_segmentation"):
+            raise ConfigurationError(f"unknown task_kind {self.task_kind!r}")
+        if any(type(v) is not int or v < 1 for v in (self.in_ch, self.out_ch, self.grid)):
             raise ConfigurationError(
-                f"film site at layer {idx} declares {c} channels, layer gives {shapes[idx]}"
+                f"in_ch, out_ch and grid must be integers >= 1, got "
+                f"{self.in_ch!r}, {self.out_ch!r}, {self.grid!r}"
             )
+        ladder, step = (_CLASSIFIER_SITE_LADDER, 4) if classifier else (_UNET_SITE_LADDER, 8)
+        if self.grid % step:
+            raise ConfigurationError(f"grid {self.grid} must be divisible by {step}")
+        if type(self.film_k) is not int or not 0 <= self.film_k <= len(ladder):
+            raise ConfigurationError(
+                f"film_k={self.film_k!r} must be an integer in [0, {len(ladder)}], the eligible layers"
+            )
+        layers = (_classifier_layers(self.in_ch, self.out_ch, self.grid) if classifier
+                  else _unet_layers(self.in_ch, self.out_ch))
+        object.__setattr__(self, "in_shape", (self.in_ch, self.grid, self.grid))
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "film_sites", ladder[: self.film_k])
+
+
+def _conv(cin, cout, k=3):
+    return {"kind": "conv", "cin": cin, "cout": cout, "k": k}
+
+
+def _unet_layers(in_ch: int, out_ch: int) -> tuple[dict, ...]:
+    """Encoder/decoder with three 2x downsamplings and skip connections."""
+    return (
+        _conv(in_ch, 8),            # 0   enc1
+        {"kind": "relu"},           # 1
+        {"kind": "pool"},           # 2
+        _conv(8, 16),               # 3   enc2
+        {"kind": "relu"},           # 4
+        {"kind": "pool"},           # 5
+        _conv(16, 24),              # 6   enc3
+        {"kind": "relu"},           # 7
+        {"kind": "pool"},           # 8
+        _conv(24, 32),              # 9   bottleneck
+        {"kind": "relu"},           # 10
+        {"kind": "upsample"},       # 11
+        {"kind": "concat", "skip_from": 7},   # 12 -> 56
+        _conv(56, 24),              # 13  dec3
+        {"kind": "relu"},           # 14
+        {"kind": "upsample"},       # 15
+        {"kind": "concat", "skip_from": 4},   # 16 -> 40
+        _conv(40, 16),              # 17  dec2
+        {"kind": "relu"},           # 18
+        {"kind": "upsample"},       # 19
+        {"kind": "concat", "skip_from": 1},   # 20 -> 24
+        _conv(24, 8),               # 21  dec1
+        {"kind": "relu"},           # 22
+        _conv(8, out_ch, k=1),      # 23  head
+    )
+
+
+def _classifier_layers(in_ch: int, num_classes: int, grid: int) -> tuple[dict, ...]:
+    """Three convs, two 2x downsamplings, then one linear layer."""
+    return (
+        _conv(in_ch, 8),        # 0
+        {"kind": "relu"},       # 1
+        {"kind": "pool"},       # 2
+        _conv(8, 16),           # 3
+        {"kind": "relu"},       # 4
+        {"kind": "pool"},       # 5
+        _conv(16, 16),          # 6
+        {"kind": "relu"},       # 7
+        {"kind": "flatten"},    # 8
+        {"kind": "linear", "nin": 16 * (grid // 4) ** 2, "nout": num_classes},  # 9
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +185,13 @@ class FiLMParams:
 
 
 class Model:
-    """A layer-list network bound to its parameter store."""
+    """A main network (the UNet or the classifier) bound to its parameter store."""
 
     def __init__(self, spec: ModelSpec, params: ParamSet):
         self.spec = spec
         self.params = params
         # Per thread, the last unmodulated pass on frozen weights (see forward).
         self._memo = threading.local()
-
-    def lift(self, tape) -> dict[str, Tensor]:
-        return self.params.lift(tape)
 
     def forward(
         self,
@@ -258,7 +232,7 @@ class Model:
         the kept pass.
         """
         xt = x if isinstance(x, Tensor) else ad.as_tensor(x)
-        in_shape = tuple(self.spec.in_shape)
+        in_shape = self.spec.in_shape
         if xt.array.ndim != 4 or xt.shape[1:] != in_shape:
             raise DimensionError(
                 f"Model.forward: expected an [N,C,H,W] batch with [C,H,W] = spec.in_shape "
@@ -286,8 +260,7 @@ class Model:
             layer = layers[i]
             kind = layer["kind"]
             if kind == "conv":
-                bias = lifted[f"L{i}.b"] if layer.get("bias", True) else None
-                cur = ad.conv2d(cur, lifted[f"L{i}.w"], layer["stride"], layer["pad"], bias=bias)
+                cur = ad.conv2d(cur, lifted[f"L{i}.w"], 1, layer["k"] // 2, bias=lifted[f"L{i}.b"])
             elif kind == "relu":
                 cur = ad.relu(cur)
             elif kind == "pool":
@@ -299,9 +272,7 @@ class Model:
             elif kind == "flatten":
                 cur = ad.flatten_batch(cur)
             elif kind == "linear":
-                cur = ad.matmul(cur, lifted[f"L{i}.w"])
-                if layer.get("bias", True):
-                    cur = ad.add_bias(cur, lifted[f"L{i}.b"])
+                cur = ad.add_bias(ad.matmul(cur, lifted[f"L{i}.w"]), lifted[f"L{i}.b"])
             if i in site_map:
                 g, b = site_map[i]
                 cur = ad.film(cur, g, b)
@@ -347,7 +318,7 @@ class _Pass:
                 and all(lifted.get(n) is c for n, c in self.held.items()))
 
 
-def dict_from_sites(sites: list[tuple[int, int]], film: FiLMParams | None):
+def dict_from_sites(sites: tuple[tuple[int, int], ...], film: FiLMParams | None):
     if film is None:
         return {}
     if len(film) != len(sites):
@@ -365,73 +336,18 @@ def dict_from_sites(sites: list[tuple[int, int]], film: FiLMParams | None):
 # ---------------------------------------------------------------------------
 
 
-def _conv(cin, cout, k=3, stride=1, pad=1, bias=True):
-    return {"kind": "conv", "cin": cin, "cout": cout, "k": k, "stride": stride,
-            "pad": pad, "bias": bias}
-
-
 def unet_spec(task_kind: str, in_ch: int = 1, out_ch: int = 1, grid: int = 32) -> ModelSpec:
-    """Encoder/decoder with three 2x downsamplings and skip connections."""
-    if grid % 8 != 0:
-        raise ConfigurationError(f"grid {grid} must be divisible by 8")
-    layers = [
-        _conv(in_ch, 8),            # 0   enc1
-        {"kind": "relu"},           # 1
-        {"kind": "pool"},           # 2
-        _conv(8, 16),               # 3   enc2
-        {"kind": "relu"},           # 4
-        {"kind": "pool"},           # 5
-        _conv(16, 24),              # 6   enc3
-        {"kind": "relu"},           # 7
-        {"kind": "pool"},           # 8
-        _conv(24, 32),              # 9   bottleneck
-        {"kind": "relu"},           # 10
-        {"kind": "upsample"},       # 11
-        {"kind": "concat", "skip_from": 7},   # 12 -> 56
-        _conv(56, 24),              # 13  dec3
-        {"kind": "relu"},           # 14
-        {"kind": "upsample"},       # 15
-        {"kind": "concat", "skip_from": 4},   # 16 -> 40
-        _conv(40, 16),              # 17  dec2
-        {"kind": "relu"},           # 18
-        {"kind": "upsample"},       # 19
-        {"kind": "concat", "skip_from": 1},   # 20 -> 24
-        _conv(24, 8),               # 21  dec1
-        {"kind": "relu"},           # 22
-        _conv(8, out_ch, k=1, pad=0),  # 23  head
-    ]
-    return ModelSpec(task_kind, (in_ch, grid, grid), layers, [])
-
-
-# FiLM sites for the UNet above: two encoder blocks, two decoder blocks.
-_UNET_SITE_LADDER = [(4, 16), (7, 24), (14, 24), (18, 16)]
+    """The dense-task UNet, without FiLM sites."""
+    return ModelSpec(task_kind, in_ch, out_ch, grid, 0)
 
 
 def classifier_spec(num_classes: int = 20, in_ch: int = 1, grid: int = 16) -> ModelSpec:
-    if grid % 4 != 0:
-        raise ConfigurationError(f"grid {grid} must be divisible by 4")
-    feat = 16 * (grid // 4) * (grid // 4)
-    layers = [
-        _conv(in_ch, 8),        # 0
-        {"kind": "relu"},       # 1
-        {"kind": "pool"},       # 2
-        _conv(8, 16),           # 3
-        {"kind": "relu"},       # 4
-        {"kind": "pool"},       # 5
-        _conv(16, 16),          # 6
-        {"kind": "relu"},       # 7
-        {"kind": "flatten"},    # 8
-        {"kind": "linear", "nin": feat, "nout": num_classes},  # 9
-    ]
-    return ModelSpec("classification", (in_ch, grid, grid), layers, [])
-
-
-_CLASSIFIER_SITE_LADDER = [(1, 8), (4, 16), (7, 16)]
+    """The classifier, without FiLM sites."""
+    return ModelSpec("classification", in_ch, num_classes, grid, 0)
 
 
 def build_main(spec: ModelSpec, seed: int) -> Model:
-    """Instantiate parameters (He-style init) for a validated spec."""
-    validate_spec(spec)
+    """Instantiate parameters (He-style init) for a spec."""
     return Model(spec, _init_params(_param_layout(spec), seed))
 
 
@@ -457,34 +373,22 @@ def _param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     for i, layer in enumerate(spec.layers):
         if layer["kind"] == "conv":
             out[f"L{i}.w"] = (layer["cout"], layer["cin"], layer["k"], layer["k"])
-            width = layer["cout"]
+            out[f"L{i}.b"] = (layer["cout"],)
         elif layer["kind"] == "linear":
             out[f"L{i}.w"] = (layer["nin"], layer["nout"])
-            width = layer["nout"]
-        else:
-            continue
-        if layer.get("bias", True):
-            out[f"L{i}.b"] = (width,)
+            out[f"L{i}.b"] = (layer["nout"],)
     return out
 
 
 def insert_film_sites(model: Model, k: int) -> Model:
-    """Mark k modulation sites, spread over encoder and decoder blocks.
+    """The model with k modulation sites, spread over encoder and decoder
+    blocks; ``ConfigurationError`` unless k is an integer in [0, ladder
+    length].
 
-    Parameters are untouched; with identity coefficients the function
+    Parameters are shared; with identity coefficients the function
     computed by the model is unchanged.
     """
-    if model.spec.task_kind == "classification":
-        ladder = _CLASSIFIER_SITE_LADDER
-    else:
-        ladder = _UNET_SITE_LADDER
-    if type(k) is not int or not 0 <= k <= len(ladder):
-        raise ConfigurationError(f"k={k!r} must be an integer in [0, {len(ladder)}], the eligible layers")
-    spec = ModelSpec(
-        model.spec.task_kind, model.spec.in_shape, model.spec.layers, list(ladder[:k])
-    )
-    validate_spec(spec)
-    return Model(spec, model.params)
+    return Model(dataclasses.replace(model.spec, film_k=k), model.params)
 
 
 def param_count(obj) -> int:
@@ -649,8 +553,19 @@ def _params_from_file(kind: str, arrays: dict[str, np.ndarray], layout: dict) ->
     return params
 
 
+def _fields_from_json(text, cls) -> dict:
+    """The JSON object in ``text``; ``ValueError`` unless its keys are
+    exactly the fields of the dataclass ``cls``."""
+    d = json.loads(text)
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    if not isinstance(d, dict) or sorted(d) != names:
+        raise ValueError(f"spec fields {sorted(d) if isinstance(d, dict) else d!r}, expected {names}")
+    return d
+
+
 def save_model(path, model: Model, meta: dict | None = None) -> None:
-    info = _with_meta({"spec": model.spec.to_json()}, meta)
+    """Store the spec's five builder arguments as JSON, and the parameters."""
+    info = _with_meta({"spec": json.dumps(dataclasses.asdict(model.spec), sort_keys=True)}, meta)
     arrays = {name: p.value for name, p in model.params.items()}
     serialize.save(path, "model", info, arrays)
 
@@ -658,12 +573,10 @@ def save_model(path, model: Model, meta: dict | None = None) -> None:
 def load_model(path) -> tuple[Model, dict]:
     _, meta, arrays = serialize.load(path, expect_kind="model")
     try:
-        spec = ModelSpec.from_json(meta["spec"])
-        validate_spec(spec)
-        layout = _param_layout(spec)
+        spec = ModelSpec(**_fields_from_json(meta["spec"], ModelSpec))
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
         raise SerializationError(f"model file spec is missing or malformed: {exc!r}") from None
-    return Model(spec, _params_from_file("model", arrays, layout)), meta
+    return Model(spec, _params_from_file("model", arrays, _param_layout(spec))), meta
 
 
 # Version of the controller metadata; 3 stores every ControllerSpec field,
@@ -686,11 +599,8 @@ def load_controller(path) -> tuple[Controller, dict]:
             f"controller format {meta.get('controller_format')!r} is not supported "
             f"(expected {CONTROLLER_FORMAT}); save the controller again with the current tool"
         )
-    names = {f.name for f in dataclasses.fields(ControllerSpec)}
     try:
-        d = json.loads(meta["cspec"])
-        if set(d) != names:
-            raise ValueError(f"spec fields {sorted(d)}, expected {sorted(names)}")
+        d = _fields_from_json(meta["cspec"], ControllerSpec)
         cspec = ControllerSpec(**{**d, "trunk": tuple(d["trunk"])})
         layout = _controller_layout(cspec)
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too

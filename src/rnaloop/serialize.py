@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SerializationError
+from .errors import ArtifactError, SerializationError
 
 MAGIC = b"RNLB"
 VERSION = 1
@@ -157,8 +157,6 @@ def save(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray])
 def load(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
     path = Path(path)
     if not path.exists():
-        from .errors import ArtifactError
-
         raise ArtifactError(f"artifact not found: {path}")
     kind, meta, arrays = unpack(path.read_bytes())
     if expect_kind is not None and kind != expect_kind:

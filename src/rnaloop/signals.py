@@ -238,14 +238,26 @@ def knn_coarse(
 # ---------------------------------------------------------------------------
 
 
+def _need_same_map(pred: np.ndarray, signal: AdaptationSignal) -> None:
+    """``DimensionError`` unless the signal's value map and mask are the
+    prediction's [H,W]."""
+    if signal.values.shape != pred.shape[1:] or signal.mask.shape != pred.shape[1:]:
+        raise DimensionError(
+            f"{signal.kind} feedback: signal map {signal.values.shape} and mask "
+            f"{signal.mask.shape} must be the prediction's [H,W] {pred.shape[1:]}"
+        )
+
+
 def _encode_one(pred: np.ndarray, signal: AdaptationSignal) -> np.ndarray:
     if signal.kind in ("masked_gt", "noisy_sparse"):
         if pred.ndim != 3 or pred.shape[0] != 1:
             raise DimensionError(f"dense feedback expects [1,H,W] prediction, got {pred.shape}")
+        _need_same_map(pred, signal)
         return np.stack([pred[0], signal.values, signal.mask])
     if signal.kind == "clicks":
         if pred.ndim != 3:
             raise DimensionError(f"click feedback expects [K,H,W] logits, got {pred.shape}")
+        _need_same_map(pred, signal)
         k = pred.shape[0]
         probs = ad.softmax(pred, axis=0)
         onehot = np.zeros_like(pred)

@@ -44,7 +44,7 @@ class SceneWorldConfig:
     albedo_range: tuple[float, float] = (0.45, 0.95)
     depth_range: tuple[float, float] = (0.05, 0.90)
     background_albedo: float = 0.35
-    background_depth: float | None = 1.0
+    background_depth: float = 1.0
     shade: float = 0.6
     stripe_factor: float = 0.55
     stripe_period: int = 2
@@ -81,6 +81,13 @@ class Dataset:
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
+
+
+def _need_int(name: str, value, least: int) -> None:
+    """``ConfigurationError`` unless ``value`` is an int (not a bool or a
+    float) and at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ConfigurationError(f"{name} must be >= {least}, as an int; got {value!r}")
 
 
 def sample_scene(config: SceneWorldConfig, rng: np.random.Generator) -> list[Shape]:
@@ -132,8 +139,6 @@ def render_scene(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rasterize a scene: (intensity image, depth map, class map)."""
     g = config.grid
-    if config.background_depth is None:
-        raise ConfigurationError("scene has no background depth rule")
     depth = np.full((g, g), float(config.background_depth))
     image = np.full((g, g), config.background_albedo * (1.0 - config.shade * config.background_depth))
     classes = np.zeros((g, g), dtype=np.int64)
@@ -147,10 +152,7 @@ def render_scene(
 
 def gen_dense_regression(config: SceneWorldConfig, n: int, seed: int) -> Dataset:
     """Depth-from-intensity scenes; target is the normalized depth map."""
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    if config.shapes_per_scene[0] == 0 and config.background_depth is None:
-        raise ConfigurationError("empty scenes possible but no background depth defined")
+    _need_int("n", n, 1)
     rng = _rng(seed, _STREAM_SCENE)
     inputs = np.empty((n, 1, config.grid, config.grid))
     targets = np.empty((n, 1, config.grid, config.grid))
@@ -163,10 +165,8 @@ def gen_dense_regression(config: SceneWorldConfig, n: int, seed: int) -> Dataset
 
 def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) -> Dataset:
     """Shape kind+texture decides the class; background is class 0."""
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    if K < 2:
-        raise ConfigurationError("segmentation needs K >= 2")
+    _need_int("n", n, 1)
+    _need_int("K", K, 2)
     combos = [c for c in SEG_COMBOS if c[0] in config.kinds and c[1] in config.textures]
     if K - 1 > len(combos):
         raise ConfigurationError(
@@ -207,10 +207,8 @@ def gen_classification(
     noise_sigma: float = 0.05,
 ) -> Dataset:
     """Jittered noisy renderings of K prototype patterns, labels balanced."""
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    if K < 2:
-        raise ConfigurationError("classification needs K >= 2")
+    _need_int("n", n, 1)
+    _need_int("K", K, 2)
     protos = make_prototypes(K, proto_seed, grid)
     labels = np.tile(np.arange(K), n // K + 1)[:n]
     rng = _rng(seed, _STREAM_LABELS)

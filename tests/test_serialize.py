@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rnaloop import serialize
-from rnaloop.errors import SerializationError
+from rnaloop import nets, serialize
+from rnaloop.errors import ArtifactError, SerializationError
 
 
 def container(header: bytes, blob: bytes) -> bytes:
@@ -175,3 +175,11 @@ def test_failed_save_removes_its_temp_file_and_keeps_the_target(tmp_path, monkey
     monkeypatch.undo()
     assert serialize.load(path)[1] == {"v": 1}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.rnl"]
+
+
+def test_missing_path_raises_artifact_error(tmp_path):
+    path = tmp_path / "absent.rnl"
+    for load in (serialize.load, nets.load_model, nets.load_controller):
+        with pytest.raises(ArtifactError, match="artifact not found: .*absent.rnl"):
+            load(path)
+    assert not path.exists()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rnaloop import autodiff as ad
 from rnaloop import presets, signals, taskgen
-from rnaloop.errors import ConfigurationError, ContractError
+from rnaloop.errors import ConfigurationError, ContractError, DimensionError
 
 
 class TestMaskedGt:
@@ -286,6 +286,21 @@ class TestEncodeFeedback:
         ys, xs = np.nonzero(sig.mask)
         for y, x in zip(ys, xs):
             assert fb[5 + classes[y, x], y, x] == 1.0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_signal_map_of_another_size_rejected(self, batched):
+        pred = np.zeros((1, 8, 8))
+        dense = signals.masked_gt(np.zeros((1, 16, 16)), 0.1, seed=0)
+        clicks = signals.click_annotations(np.zeros((16, 16), dtype=np.int64), 2, seed=0)
+        for p, sig in [(pred, dense), (np.zeros((3, 8, 8)), clicks)]:
+            with pytest.raises(DimensionError, match=r"\(16, 16\).*prediction's \[H,W\] \(8, 8\)"):
+                if batched:
+                    signals.encode_feedback(p[None], [sig])
+                else:
+                    signals.encode_feedback(p, sig)
+        mask_only = signals.AdaptationSignal("noisy_sparse", np.zeros((8, 8)), np.zeros((8, 9)))
+        with pytest.raises(DimensionError, match=r"mask \(8, 9\)"):
+            signals.encode_feedback(pred, mask_only)
 
     def test_batch_encoding(self):
         preds = np.random.default_rng(12).random((3, 1, 8, 8))

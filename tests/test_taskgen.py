@@ -60,11 +60,6 @@ class TestDenseRegression:
         test_hashes = {t.tobytes() for t in test.inputs}
         assert not (train_hashes & test_hashes)
 
-    def test_degenerate_config_rejected(self):
-        cfg = taskgen.SceneWorldConfig(shapes_per_scene=(0, 2), background_depth=None)
-        with pytest.raises(ConfigurationError):
-            taskgen.gen_dense_regression(cfg, 1, seed=0)
-
     def test_values_in_unit_range(self):
         cfg = taskgen.SceneWorldConfig()
         ds = taskgen.gen_dense_regression(cfg, 20, seed=3)
@@ -127,6 +122,28 @@ class TestClassification:
         b = taskgen.gen_classification(5, 50, proto_seed=2, seed=3)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.targets, b.targets)
+
+
+_CFG = taskgen.SceneWorldConfig(textures=("plain", "striped"))
+_GENERATORS = {
+    "gen_dense_regression": lambda n, K: taskgen.gen_dense_regression(_CFG, n, seed=0),
+    "gen_dense_segmentation": lambda n, K: taskgen.gen_dense_segmentation(_CFG, n, K, seed=0),
+    "gen_classification": lambda n, K: taskgen.gen_classification(K, n, 0, 0),
+}
+
+
+@pytest.mark.parametrize("gen, name, value", [
+    (gen, name, value)
+    for gen in _GENERATORS
+    for name in (("n",) if gen == "gen_dense_regression" else ("n", "K"))
+    for value in (2.0, True)
+])
+def test_non_integer_counts_rejected_at_entry(gen, name, value):
+    # Past the entry check these fail inside numpy with a bare TypeError,
+    # or run (a segmentation K of 5.0 runs as 5).
+    args = {"n": 4, "K": 5, name: value}
+    with pytest.raises(ConfigurationError, match=f"{name} must be >= .*as an int; got {value!r}"):
+        _GENERATORS[gen](args["n"], args["K"])
 
 
 class TestTrainMain:
