@@ -278,7 +278,9 @@ class TestAdaptedForward:
             assert np.array_equal(a, acts[0])
 
 
-# Builder arguments (task_kind, in_ch, out_ch, grid, film_k) that ModelSpec refuses.
+# Builder arguments (task_kind, in_ch, out_ch, grid, film_k) that ModelSpec
+# refuses. The cases named after a layer fault hold arguments whose derived
+# layers would have that fault, were they built.
 _BAD_ARGS = {
     "unknown_task_kind": ("depth", 1, 1, 32, 0),
     "float_grid": ("dense_regression", 1, 1, 32.0, 0),
@@ -289,8 +291,18 @@ _BAD_ARGS = {
     "zero_grid": ("classification", 1, 20, 0, 0),  # 0 is divisible by 4
     "odd_size_before_pool": ("dense_regression", 1, 1, 36, 0),  # 36 -> 18 -> 9, then a third pool
     "in_shape_99": ("classification", 1, 20, 99, 0),
+    # linear nin 16 * (10 // 4) ** 2 = 64, not the flattened 16 * 2.5 ** 2
+    "linear_nin_255": ("classification", 1, 20, 10, 0),
+    # 20 -> 10 -> 5 -> 2.5: no upsampled map would meet its skip's size
+    "concat_size_mismatch": ("dense_segmentation", 1, 3, 20, 0),
+    # a 16.5-wide input: no conv output has an integral size
+    "non_integral_conv": ("classification", 1, 20, 16.5, 0),
+    # the head conv's kernel would be [-2, 8, 1, 1]
+    "even_kernel": ("dense_segmentation", 1, -2, 32, 0),
+    # a fourth classifier site would modulate the flattened vector (layer 8)
+    "spatial_after_flatten": ("classification", 1, 20, 16, 4),
     "negative_film_k": ("dense_regression", 1, 1, 32, -1),
-    "film_k_past_the_ladder": ("classification", 1, 20, 16, 4),
+    "film_k_past_the_ladder": ("dense_regression", 1, 1, 32, 5),
     "float_film_k": ("dense_regression", 1, 1, 32, 1.0),
 }
 
