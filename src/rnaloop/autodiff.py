@@ -27,6 +27,14 @@ as it reaches the node, and each intermediate gradient once that node has
 used it, so a tape goes through backward once and then holds its nodes'
 shapes and the leaves' gradients only: ``Tape.grads`` maps leaf ids to
 gradients.
+
+A conv on a batch whose row matrix would exceed about 1 MiB (half a
+2 MiB per-core L2) builds it one image at a time, in the forward and in
+both gradients, so its peak holds one image's row matrix, not the
+batch's. The bits do not change: numpy's matmul of a matrix with a stack
+issues one GEMM per image, the very GEMM of the one-image product, and
+the kernel gradient adds the images' products in the order of the batched
+``.sum(axis=0)``. A batch under the budget runs the batched expressions.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .errors import (
     ContractError,
     DegenerateSupervisionError,
     DimensionError,
+    LabelRangeError,
 )
 
 __all__ = [
@@ -616,6 +625,23 @@ def _flipped_tap_cols(wv: np.ndarray) -> np.ndarray:
     return _tap_cols(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
+# Bytes of row matrix above which a batched conv builds it one image at a
+# time: half of the 2 MiB per-core L2 of the machine it was tuned on.
+_ROWS_BUDGET = 1 << 20
+
+
+def _per_image(shape: tuple[int, ...], k: int, pad: int) -> bool:
+    """Whether a conv of a batch of ``shape`` [N,C,H,W] with a k x k kernel
+    at ``pad`` runs one image at a time: the batch has more than one image
+    and its row matrix (:func:`_row_matrix`) would exceed ``_ROWS_BUDGET``.
+    A 1x1 kernel at pad 0 builds no row matrix and never does."""
+    n, c, h, w = shape
+    if n == 1 or (k == 1 and pad == 0):
+        return False
+    run = (h + 2 * pad - k + 1) * (w + 2 * pad)
+    return n * c * k * (run + k - 1) * 8 > _ROWS_BUDGET
+
+
 def _row_matrix(xb: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, int, int]:
     """The row matrix of [N,C,H,W] for a k x k kernel at ``pad`` (see
     :func:`_conv_rows`), [N, C*k, H1*Wp + k-1], with H1 and Wp."""
@@ -654,11 +680,24 @@ def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
     arXiv:1709.03395). A 1x1 kernel with pad 0 uses the input itself as
     the row matrix.
 
+    When the batch's row matrix would exceed ``_ROWS_BUDGET`` (see
+    :func:`_per_image`), the images go through one at a time, each into
+    its slot of the output, so only one image's buffer and row matrix
+    exist at once. The bits are those of the batched expression: numpy's
+    matmul of a matrix with a stack issues one GEMM per image, with the
+    same operands as the single-image product.
+
     Returns ``grid`` [N, O, H1, Wp]: the output on the padded-width grid,
     whose last k-1 columns of every row wrap around into the next row and
     are junk, so the valid output is ``grid[..., :Wp-k+1]``.
     """
     k, o, _ = wcols.shape
+    if _per_image(xb.shape, k, pad):
+        n, _, h, w = xb.shape
+        grid = np.empty((n, o, h + 2 * pad - k + 1, w + 2 * pad))
+        for i in range(n):
+            grid[i] = _conv_rows(xb[i : i + 1], wcols, pad)[0]
+        return grid
     rows, h1, wp = _row_matrix(xb, k, pad)
     run = h1 * wp
     grid = wcols[0] @ rows[:, :, :run]
@@ -670,7 +709,19 @@ def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
 def _conv_kernel_grad(gfull: np.ndarray, xb: np.ndarray, k: int, pad: int) -> np.ndarray:
     """Kernel gradient [O,C,k,k] from the padded-width gradient grid and the
     forward's input: with the row matrix rebuilt from that input, column j
-    is ``gfull @ window_jᵀ`` summed over N."""
+    is ``gfull @ window_jᵀ`` summed over N.
+
+    Above the row budget (:func:`_per_image`) each image's gradient is
+    computed alone and added to the running sum in image order, with one
+    image's row matrix alive at a time. That is the order in which
+    ``.sum(axis=0)`` adds the per-image products (from a +0.0 start, which
+    each one-image sum also has), so the bits are unchanged.
+    """
+    if _per_image(xb.shape, k, pad):
+        gw = _conv_kernel_grad(gfull[:1], xb[:1], k, pad)
+        for i in range(1, len(xb)):
+            gw += _conv_kernel_grad(gfull[i : i + 1], xb[i : i + 1], k, pad)
+        return gw
     n, o, h1, wp = gfull.shape
     run = h1 * wp
     rows, _, _ = _row_matrix(xb, k, pad)
@@ -819,7 +870,7 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
     if t.shape != (n,):
         raise DimensionError(f"softmax_cross_entropy: {n} rows but targets {t.shape}")
     if np.any(t < 0) or np.any(t >= k):
-        raise IndexError(f"softmax_cross_entropy: target out of range [0,{k})")
+        raise LabelRangeError(f"softmax_cross_entropy: target out of range [0,{k})")
     p = softmax(rows, axis=1)
     loss = float(-np.log(p[np.arange(n), t]).mean())
 
@@ -835,8 +886,9 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
 def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     """Per-pixel cross-entropy averaged over masked positions.
 
-    logits: [N,K,H,W]; labels/mask: [N,H,W]. The mask is binary; at least
-    one position must be selected.
+    logits: [N,K,H,W]; labels/mask: [N,H,W]. The mask is bool or 0/1 (a
+    bool mask gives the bits of the equal float one); at least one
+    position must be selected.
     """
     xv = logits.array
     lb = np.asarray(labels, dtype=np.int64)
@@ -850,7 +902,7 @@ def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
         raise DegenerateSupervisionError("masked_cross_entropy: empty mask")
     k = xv.shape[1]
     if np.any(lb < 0) or np.any(lb >= k):
-        raise IndexError(f"masked_cross_entropy: label out of range [0,{k})")
+        raise LabelRangeError(f"masked_cross_entropy: label out of range [0,{k})")
     p = softmax(xv, axis=1)
     n_idx, h_idx, w_idx = np.meshgrid(
         np.arange(xv.shape[0]), np.arange(xv.shape[2]), np.arange(xv.shape[3]), indexing="ij"
@@ -883,7 +935,7 @@ def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarra
     if t.shape != (n,):
         raise DimensionError(f"coarse_cross_entropy: {n} rows but targets {t.shape}")
     if np.any(t < 0) or np.any(t >= gmap.max() + 1):
-        raise IndexError("coarse_cross_entropy: coarse target out of range")
+        raise LabelRangeError("coarse_cross_entropy: coarse target out of range")
     p = softmax(rows, axis=1)
     member = gmap[None, :] == t[:, None]  # [N,K]
     if not member.any(axis=1).all():
@@ -952,7 +1004,8 @@ def masked_l1(pred: Tensor, target: Tensor, mask) -> Tensor:
     """Mean absolute error over masked positions.
 
     pred/target: [N,C,H,W]; mask: [N,C,H,W], or [N,H,W] broadcast over
-    channels. The gradient is zero at unmasked positions.
+    channels, bool or 0/1 (a bool mask gives the bits of the equal float
+    one). The gradient is zero at unmasked positions.
     """
     pv = pred.array
     tv = target.array if isinstance(target, Tensor) else np.asarray(target, dtype=_F64)

@@ -21,6 +21,10 @@ class DegenerateSupervisionError(RnaLoopError, ValueError):
     """A supervision mask selects no pixels at all."""
 
 
+class LabelRangeError(RnaLoopError, IndexError):
+    """A class label or target lies outside the range of its classes."""
+
+
 class TrainingError(RnaLoopError, RuntimeError):
     """Training diverged (non-finite loss)."""
 

@@ -73,6 +73,7 @@ class ModelSpec:
         k // 2 and a bias; a linear layer has a bias.
     film_sites: (layer_index, channel_count) pairs; the site modulates the
         output of that layer.
+    skip_sources: the indices of the layers whose output a concat reads.
     """
 
     task_kind: str
@@ -102,6 +103,8 @@ class ModelSpec:
         object.__setattr__(self, "in_shape", (self.in_ch, self.grid, self.grid))
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "film_sites", ladder[: self.film_k])
+        object.__setattr__(self, "skip_sources",
+                           frozenset(l["skip_from"] for l in layers if l["kind"] == "concat"))
 
 
 def _conv(cin, cout, k=3):
@@ -209,6 +212,14 @@ class Model:
         ``lifted`` reuses already-lifted parameters (training loops); when
         absent, parameters are lifted onto ``tape`` (or used as constants).
 
+        The pass holds a layer's output only while something still reads
+        it: the next layer, a later concat (``spec.skip_sources``), the
+        pass kept for reuse (below), which copies the layers up to and
+        including the first site's, or the caller, who with ``return_acts``
+        gets every layer's output as a list beside the result. Any other output is dropped as soon as
+        the next layer has run; what a backward pass needs of it lives in
+        the recorded op.
+
         A call runs on frozen weights when every lifted parameter is a
         frozen parameter's constant (``autodiff._Constant``) and ``x`` needs
         no gradient, as in test-time optimization and controller
@@ -246,14 +257,16 @@ class Model:
         frozen = xt.node is None and all(
             isinstance(t, ad._Constant) for t in lifted.values())
         memo = getattr(self._memo, "last", None) if frozen else None
-        acts: list[Tensor] = []
+        # acts[i] is layer i's output if it is held (see above), else None
+        acts: list[Tensor | None] = []
         if memo is not None and memo.matches(xt.array, lifted):
             if not site_map and not return_acts:
                 return Tensor(memo.out.copy())
             acts = [Tensor(a.copy() if return_acts else a) for a in memo.acts]
             if keep - 1 in site_map:
                 acts[-1] = ad.film(acts[-1], *site_map[keep - 1])
-        resumed = bool(acts)
+        record = frozen and not site_map and not acts and len(xt.array) == 1
+        held = self.spec.skip_sources
 
         cur = acts[-1] if acts else xt
         for i in range(len(acts), len(layers)):
@@ -276,14 +289,13 @@ class Model:
             if i in site_map:
                 g, b = site_map[i]
                 cur = ad.film(cur, g, b)
-            acts.append(cur)
+            acts.append(cur if return_acts or i in held or (record and i < keep) else None)
 
-        out = acts[-1]
-        if frozen and not site_map and not resumed and len(xt.array) == 1:
-            self._memo.last = _Pass.record(xt.array, lifted, acts[:keep], out)
+        if record:
+            self._memo.last = _Pass.record(xt.array, lifted, acts[:keep], cur)
         if return_acts:
-            return out, acts
-        return out
+            return cur, acts
+        return cur
 
     def clone(self) -> "Model":
         return Model(self.spec, self.params.clone())

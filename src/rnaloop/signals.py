@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError, LabelRangeError
 from .nets import Model
 
 _STREAM_SIGNAL = 201
@@ -21,9 +21,19 @@ _STREAM_SIGNAL = 201
 
 @dataclass
 class AdaptationSignal:
-    kind: str  # masked_gt | noisy_sparse | clicks | coarse | knn_coarse
-    values: np.ndarray  # dense value map, label map, or a distribution vector
-    mask: np.ndarray | None = None  # [H,W] binary validity mask for spatial kinds
+    """One feedback signal.
+
+    kind: masked_gt, noisy_sparse, clicks, coarse or knn_coarse.
+    values: a dense value map, a label map, or a distribution vector.
+    mask: for the spatial kinds, the [H,W] bool validity mask (True where
+        ``values`` holds a measurement or a click); None otherwise. Its
+        consumers cast it to float64 (0.0 / 1.0) where they compute with it.
+    meta: provenance, such as the fraction or the noise parameters.
+    """
+
+    kind: str
+    values: np.ndarray
+    mask: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
 
@@ -62,9 +72,9 @@ def masked_gt(target, fraction: float, seed: int) -> AdaptationSignal:
     count = max(1, int(round(fraction * h * w)))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SIGNAL]))
     flat = rng.choice(h * w, size=count, replace=False)
-    mask = np.zeros((h, w))
-    mask.reshape(-1)[flat] = 1.0
-    values = np.where(mask > 0, t, 0.0)
+    mask = np.zeros((h, w), dtype=bool)
+    mask.reshape(-1)[flat] = True
+    values = np.where(mask, t, 0.0)
     return AdaptationSignal("masked_gt", values, mask, {"fraction": fraction})
 
 
@@ -85,7 +95,7 @@ def noisy_sparse(
     sig = masked_gt(target, fraction, seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SIGNAL, 2]))
     values = sig.values.copy()
-    on = sig.mask > 0
+    on = sig.mask
     if noise_sigma > 0:
         values[on] += rng.normal(0.0, noise_sigma, size=int(on.sum()))
     if outlier_rate > 0:
@@ -110,13 +120,13 @@ def click_annotations(target_classes, clicks_per_class: int, seed: int) -> Adapt
     if t.ndim != 2:
         raise DimensionError(f"expected a [H,W] class map, got {t.shape}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SIGNAL, 3]))
-    mask = np.zeros(t.shape)
+    mask = np.zeros(t.shape, dtype=bool)
     for cls in np.unique(t):
         ys, xs = np.nonzero(t == cls)
         take = min(clicks_per_class, len(ys))
         pick = rng.choice(len(ys), size=take, replace=False)
-        mask[ys[pick], xs[pick]] = 1.0
-    values = np.where(mask > 0, t, 0).astype(np.int64)
+        mask[ys[pick], xs[pick]] = True
+    values = np.where(mask, t, 0).astype(np.int64)
     return AdaptationSignal("clicks", values, mask, {"clicks_per_class": clicks_per_class})
 
 
@@ -157,7 +167,7 @@ def make_coarse_grouping(K: int, C: int) -> CoarseGrouping:
 def coarse_label(y_fine: int, grouping: CoarseGrouping) -> AdaptationSignal:
     """One-hot coarse label of a fine class."""
     if not (0 <= y_fine < grouping.num_fine):
-        raise IndexError(f"fine class {y_fine} outside [0,{grouping.num_fine})")
+        raise LabelRangeError(f"fine class {y_fine} outside [0,{grouping.num_fine})")
     onehot = np.zeros(grouping.num_coarse)
     onehot[grouping.group_of_fine[y_fine]] = 1.0
     return AdaptationSignal("coarse", onehot, None, {"num_coarse": grouping.num_coarse})

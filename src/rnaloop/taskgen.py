@@ -185,7 +185,13 @@ def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) 
 
 
 def make_prototypes(K: int, proto_seed: int, grid: int = 16) -> np.ndarray:
-    """K smooth random patterns in [0.1, 0.9], upsampled from a 4x4 field."""
+    """K smooth random patterns in [0.1, 0.9], upsampled from a 4x4 field.
+
+    ``ConfigurationError`` unless grid is an int >= 4 that 4 divides.
+    """
+    _need_int("grid", grid, 4)
+    if grid % 4:
+        raise ConfigurationError(f"grid {grid} must be divisible by 4, the prototype field's size")
     rng = _rng(proto_seed, _STREAM_SCENE)
     protos = np.empty((K, grid, grid))
     cell = grid // 4
@@ -206,7 +212,10 @@ def gen_classification(
     jitter: int = 2,
     noise_sigma: float = 0.05,
 ) -> Dataset:
-    """Jittered noisy renderings of K prototype patterns, labels balanced."""
+    """Jittered noisy renderings of K prototype patterns, labels balanced.
+
+    The grid is checked as :func:`make_prototypes` checks it.
+    """
     _need_int("n", n, 1)
     _need_int("K", K, 2)
     protos = make_prototypes(K, proto_seed, grid)

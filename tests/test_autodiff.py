@@ -11,6 +11,7 @@ from rnaloop.errors import (
     ContractError,
     DegenerateSupervisionError,
     DimensionError,
+    LabelRangeError,
 )
 
 from oracles import (
@@ -149,6 +150,32 @@ class TestConv2d:
             single = ad.conv2d(t(xb[n : n + 1]), t(w), stride=1, pad=1).array
             assert np.array_equal(out[n], single[0])
 
+    # [N,C,H,W] input into 8 channels, 3x3 at pad 1: the first batch's row
+    # matrix (5.0 MB) is over the per-image budget, the second's (0.4 MB) under.
+    @pytest.mark.parametrize("shape, over", [((8, 24, 32, 32), True), ((8, 8, 16, 16), False)])
+    def test_batch_equals_its_images_bit_for_bit(self, shape, over):
+        assert ad._per_image(shape, 3, 1) is over
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(8, shape[1], 3, 3))
+        r = rng.normal(size=(shape[0], 8) + shape[2:])
+
+        def run(xs, rs):
+            with ad.Tape() as tape:
+                xt, wt = tape.leaf(xs), tape.leaf(w)
+                out = ad.conv2d(xt, wt, 1, 1)
+                ad.backward(ad.sum_all(ad.mul(out, t(rs))))
+            return out.array, tape.grad(xt), tape.grad(wt)
+
+        out, gx, gw = run(x, r)
+        gw_sum = None
+        for i in range(shape[0]):
+            out_i, gx_i, gw_i = run(x[i : i + 1], r[i : i + 1])
+            assert out[i].tobytes() == out_i[0].tobytes()
+            assert gx[i].tobytes() == gx_i[0].tobytes()
+            gw_sum = gw_i if gw_sum is None else gw_sum + gw_i
+        assert gw.tobytes() == gw_sum.tobytes()
+
     def test_non_integral_output_rejected(self):
         from rnaloop.errors import ConfigurationError
 
@@ -284,6 +311,36 @@ class TestSoftmaxCrossEntropy:
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
             ad.softmax_cross_entropy(t(np.zeros((1, 4))), [4])
+
+
+def test_label_out_of_range_is_a_label_range_error():
+    logits = t(np.zeros((1, 4)))
+    for call in (lambda: ad.softmax_cross_entropy(logits, [-1]),
+                 lambda: ad.coarse_cross_entropy(logits, [2], np.array([0, 0, 1, 1])),
+                 lambda: ad.masked_cross_entropy(t(np.zeros((1, 4, 2, 2))), np.full((1, 2, 2), 4),
+                                                 np.ones((1, 2, 2)))):
+        with pytest.raises(LabelRangeError, match="out of range"):
+            call()
+
+
+@pytest.mark.parametrize("loss", ["masked_l1", "masked_cross_entropy"])
+def test_bool_mask_gives_the_float_mask_bits(loss):
+    rng = np.random.default_rng(13)
+    mask = rng.random((2, 5, 5)) < 0.4
+    if loss == "masked_l1":
+        x, target = rng.normal(size=(2, 1, 5, 5)), rng.normal(size=(2, 1, 5, 5))
+        call = lambda p, m: ad.masked_l1(p, target, m)
+    else:
+        x, target = rng.normal(size=(2, 3, 5, 5)), rng.integers(0, 3, size=(2, 5, 5))
+        call = lambda p, m: ad.masked_cross_entropy(p, target, m)
+    runs = []
+    for m in (mask, mask.astype(float)):
+        with ad.Tape() as tape:
+            pred = tape.leaf(x)
+            out = call(pred, m)
+            ad.backward(out)
+        runs.append((out.array.tobytes(), tape.grad(pred).tobytes()))
+    assert runs[0] == runs[1]
 
 
 class TestMaskedL1:

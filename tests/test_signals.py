@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rnaloop import autodiff as ad
 from rnaloop import presets, signals, taskgen
-from rnaloop.errors import ConfigurationError, ContractError, DimensionError
+from rnaloop.errors import ConfigurationError, ContractError, DimensionError, LabelRangeError
 
 
 class TestMaskedGt:
@@ -146,6 +146,11 @@ class TestCoarseLabel:
         sig = signals.coarse_label(7, g)
         assert sig.values.argmax() == 1
         assert sig.values.sum() == 1.0
+
+    @pytest.mark.parametrize("y_fine", [-1, 20, 99])
+    def test_fine_class_out_of_range_rejected(self, y_fine):
+        with pytest.raises(LabelRangeError, match=f"fine class {y_fine} outside"):
+            signals.coarse_label(y_fine, signals.make_coarse_grouping(20, 5))
 
     def test_marginalization_two_ways(self):
         rng = np.random.default_rng(4)
@@ -310,3 +315,15 @@ class TestEncodeFeedback:
         assert fb.shape == (3, 3, 8, 8)
         for i in range(3):
             assert np.array_equal(fb[i], signals.encode_feedback(preds[i], sigs[i]))
+
+    def test_bool_mask_gives_the_float_mask_bits(self):
+        rng = np.random.default_rng(14)
+        dense = signals.noisy_sparse(rng.random((1, 8, 8)), 0.2, 0.02, 0.1, seed=3)
+        clicks = signals.click_annotations(rng.integers(0, 3, size=(8, 8)), 2, seed=4)
+        for pred, sig in [(rng.random((1, 8, 8)), dense), (rng.normal(size=(3, 8, 8)), clicks)]:
+            assert sig.mask.dtype == bool
+            as_float = signals.AdaptationSignal(sig.kind, sig.values, sig.mask.astype(float))
+            for p, a, b in [(pred, sig, as_float), (pred[None], [sig], [as_float])]:
+                got, want = signals.encode_feedback(p, a), signals.encode_feedback(p, b)
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes()

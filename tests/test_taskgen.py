@@ -117,6 +117,17 @@ class TestClassification:
         with pytest.raises(ConfigurationError, match="n must be >= 1"):
             taskgen.gen_classification(5, n, proto_seed=0, seed=0)
 
+    @pytest.mark.parametrize("grid", [18, 2, 0, 16.0, True])
+    def test_grid_not_a_multiple_of_four_rejected(self, grid):
+        with pytest.raises(ConfigurationError, match="grid"):
+            taskgen.make_prototypes(5, 0, grid)
+        with pytest.raises(ConfigurationError, match="grid"):
+            taskgen.gen_classification(5, 4, proto_seed=0, seed=0, grid=grid)
+
+    def test_smallest_grid_is_the_prototype_field(self):
+        ds = taskgen.gen_classification(5, 4, proto_seed=0, seed=0, grid=4, jitter=0, noise_sigma=0.0)
+        assert ds.inputs.shape == (4, 1, 4, 4)
+
     def test_determinism(self):
         a = taskgen.gen_classification(5, 50, proto_seed=2, seed=3)
         b = taskgen.gen_classification(5, 50, proto_seed=2, seed=3)
