@@ -28,13 +28,15 @@ used it, so a tape goes through backward once and then holds its nodes'
 shapes and the leaves' gradients only: ``Tape.grads`` maps leaf ids to
 gradients.
 
-A conv on a batch whose row matrix would exceed about 1 MiB (half a
-2 MiB per-core L2) builds it one image at a time, in the forward and in
-both gradients, so its peak holds one image's row matrix, not the
-batch's. The bits do not change: numpy's matmul of a matrix with a stack
-issues one GEMM per image, the very GEMM of the one-image product, and
-the kernel gradient adds the images' products in the order of the batched
-``.sum(axis=0)``. A batch under the budget runs the batched expressions.
+A conv on a batch whose row matrix would exceed 1 MiB builds it one
+image at a time, in the forward and in both gradients, so its peak holds
+one image's row matrix, not the batch's. Over a sweep of batch shapes,
+switching near that size gave the least total time
+(``tools/conv_crossover.py``). The bits do not change: numpy's matmul of
+a matrix with a stack issues one GEMM per image, the very GEMM of the
+one-image product, and the kernel gradient adds the images' products in
+the order of the batched ``.sum(axis=0)``. A batch under the budget runs
+the batched expressions.
 """
 
 from __future__ import annotations
@@ -626,7 +628,13 @@ def _flipped_tap_cols(wv: np.ndarray) -> np.ndarray:
 
 
 # Bytes of row matrix above which a batched conv builds it one image at a
-# time: half of the 2 MiB per-core L2 of the machine it was tuned on.
+# time. tools/conv_crossover.py times a conv step both ways over 31 batch
+# shapes. In three runs on a 2-vCPU Xeon, every threshold from 1,007,616 to
+# 1,566,719 bytes came within 1.3% of the least total time, and every lower
+# one cost at least 1.9% more; 1 MiB sits at the low end of that band, where
+# the least memory is held. Taking every batch one image at a time nearly
+# doubled the set-up time of a batch-32 classifier, whose largest row
+# matrix is 1,007,616 bytes.
 _ROWS_BUDGET = 1 << 20
 
 

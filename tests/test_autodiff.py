@@ -152,8 +152,10 @@ class TestConv2d:
 
     # [N,C,H,W] input into 8 channels, 3x3 at pad 1: the first batch's row
     # matrix (5.0 MB) is over the per-image budget, the second's (0.4 MB) under.
+    # Over it, the batch also goes through the batched expressions once, with
+    # the budget lifted, and must give the per-image branch's bits.
     @pytest.mark.parametrize("shape, over", [((8, 24, 32, 32), True), ((8, 8, 16, 16), False)])
-    def test_batch_equals_its_images_bit_for_bit(self, shape, over):
+    def test_batch_equals_its_images_bit_for_bit(self, shape, over, monkeypatch):
         assert ad._per_image(shape, 3, 1) is over
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape)
@@ -168,6 +170,13 @@ class TestConv2d:
             return out.array, tape.grad(xt), tape.grad(wt)
 
         out, gx, gw = run(x, r)
+        if over:
+            with monkeypatch.context() as m:
+                m.setattr(ad, "_ROWS_BUDGET", 1 << 62)
+                assert not ad._per_image(shape, 3, 1)
+                batched = run(x, r)
+            for a, b in zip(batched, (out, gx, gw)):
+                assert a.tobytes() == b.tobytes()
         gw_sum = None
         for i in range(shape[0]):
             out_i, gx_i, gw_i = run(x[i : i + 1], r[i : i + 1])

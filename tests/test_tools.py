@@ -1,6 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from rnaloop import autodiff as ad
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -64,3 +68,13 @@ def test_code_lines_leaves_out_blanks_comments_and_docstrings_and_totals_paths(t
         [str(single), "2"],
         ["total", "8"],
     ]
+
+
+def test_conv_crossover_sizes_match_the_budget_rule_and_totals_pick_a_side():
+    crossover = _load("conv_crossover")
+    for n, c, h in [(8, 24, 32), (32, 16, 8), (64, 8, 8), (16, 16, 12), (2, 1, 4)]:
+        size = crossover.row_bytes(n, c, h)
+        assert ad._per_image((n, c, h, h), 3, 1) is (size > ad._ROWS_BUDGET)
+        assert ad._row_matrix(np.zeros((n, c, h, h)), 3, 1)[0].nbytes == size
+    timed = [(100, 1.0, 2.0), (200, 3.0, 1.0), (300, 5.0, 2.0)]
+    assert crossover.threshold_totals(timed) == {0: 5.0, 100: 4.0, 200: 6.0, 300: 9.0}
