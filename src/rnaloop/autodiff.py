@@ -24,9 +24,8 @@ operands of products. A conv with a recorded kernel keeps its input, from
 which the kernel gradient rebuilds the row matrix, and not the row matrix
 (k copies of the padded input). :func:`backward` drops each node's closure
 as it reaches the node, and each intermediate gradient once that node has
-used it, so a tape goes through backward once and then holds its nodes'
-shapes and the leaves' gradients only: ``Tape.grads`` maps leaf ids to
-gradients.
+used it, so a tape goes through backward once and then holds the
+leaves' gradients only: ``Tape.grads`` maps leaf ids to gradients.
 
 A conv on a batch whose row matrix would exceed 1 MiB builds it one
 image at a time, in the forward and in both gradients, so its peak holds
@@ -64,7 +63,6 @@ __all__ = [
     "as_tensor",
     "backward",
     "sgd_step",
-    "tape_count",
     "set_debug_checks",
     "add",
     "mul",
@@ -108,19 +106,7 @@ def _check_finite(arr: np.ndarray, opname: str) -> None:
 
 
 _node_ids = itertools.count()
-# One-element box, bumped in place under the lock by every new Tape.
-_tapes_created = [0]
-_tapes_lock = threading.Lock()
 _tls = threading.local()
-
-
-def tape_count() -> int:
-    """Number of tapes created so far in this process.
-
-    Instrumentation hook: forward-only code paths can be checked by
-    reading this counter around the call. Reading it changes nothing.
-    """
-    return _tapes_created[0]
 
 
 def _active_tape() -> "Tape | None":
@@ -138,7 +124,6 @@ class Node:
     # with None at positions whose needs flag is False. Leaf nodes have None.
     # Every node needs a gradient; constants are not recorded at all.
     backward_fn: Callable | None
-    shape: tuple[int, ...]
 
     @property
     def tape(self) -> "Tape | None":
@@ -156,8 +141,6 @@ class Tape:
     """
 
     def __init__(self) -> None:
-        with _tapes_lock:
-            _tapes_created[0] += 1
         self.nodes: list[Node] = []
         self.grads: dict[int, np.ndarray] = {}
         self._spent = False
@@ -175,7 +158,7 @@ class Tape:
     def leaf(self, value: np.ndarray) -> "Tensor":
         """Register an input array as a leaf node that needs a gradient."""
         arr = np.asarray(value, dtype=_F64)
-        node = Node(next(_node_ids), weakref.ref(self), (), None, arr.shape)
+        node = Node(next(_node_ids), weakref.ref(self), (), None)
         self.nodes.append(node)
         return Tensor(arr, node)
 
@@ -260,13 +243,13 @@ def _record(out: np.ndarray, parents: Sequence[Tensor], backward_fn, opname: str
     for n in pnodes:
         if n is not None and n.tape is not tape:
             raise ContractError(f"{opname}: operand recorded on a different tape")
-    node = Node(next(_node_ids), weakref.ref(tape), pnodes, backward_fn, out.shape)
+    node = Node(next(_node_ids), weakref.ref(tape), pnodes, backward_fn)
     tape.nodes.append(node)
     return Tensor(out, node)
 
 
-def backward(root: Tensor, tape: Tape | None = None) -> None:
-    """Populate ``tape.grads`` for every leaf ancestor of ``root``.
+def backward(root: Tensor) -> None:
+    """Populate ``grads`` of the root's tape for every leaf ancestor of ``root``.
 
     ``root`` must be a scalar recorded on a tape. Constants (frozen
     parameters, plain inputs) have no node and are skipped: gradient still
@@ -285,8 +268,6 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
     t = root.node.tape
     if t is None:
         raise ContractError("backward: the root's tape no longer exists")
-    if tape is not None and tape is not t:
-        raise ContractError("backward: root does not belong to the given tape")
     if t._spent:
         raise ContractError("backward: this tape has already been through backward")
     t._spent = True
@@ -435,10 +416,10 @@ class ParamSet:
 def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
     """In-place p <- p - lr*g for the unfrozen parameters.
 
-    lr == 0 is an allowed null step; negative lr is rejected.
+    lr == 0 is an allowed null step; a negative or non-finite lr is rejected.
     """
-    if lr < 0:
-        raise ContractError(f"sgd_step: negative learning rate {lr}")
+    if not 0 <= lr < np.inf:  # NaN fails both
+        raise ContractError(f"sgd_step: learning rate must be finite and >= 0, got {lr}")
     for name, p in params.items():
         if p.frozen:
             continue
@@ -536,24 +517,23 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation plus an optional per-channel bias.
 
-    x: [N,C,H,W]; kernel: [O,C,k,k]; bias: [O] or None. Kernel
-    size must be odd. Output spatial size (H + 2*pad - k)/stride + 1 must be
-    integral. With a bias the result equals ``conv2d(x, kernel, stride,
-    pad)`` plus ``bias[None, :, None, None]`` bit for bit, recorded as one
-    node.
+    x: [N,C,H,W]; kernel: [O,C,k,k]; bias: [O] or None. Kernel size must
+    be odd, ``stride`` 1 and ``pad`` an int in [0, k-1], and the output
+    [N, O, H + 2*pad - k + 1, W + 2*pad - k + 1] at least one pixel;
+    anything else raises ``ConfigurationError``. With a bias the result
+    equals ``conv2d(x, kernel, 1, pad)`` plus ``bias[None, :, None, None]``
+    bit for bit, recorded as one node.
 
-    Every stride runs the same stride-1 row-tap kernel, :func:`_conv_rows`.
-    For stride > 1 the output keeps every ``stride``-th row and column of the
-    stride-1 result. The input gradient is the stride-1 correlation of the
-    incoming gradient with the flipped, channel-transposed kernel at pad
-    ``k - 1 - pad``; for stride > 1 (or when the kernel needs a gradient)
-    the incoming gradient is first placed at its positions of a zeroed
-    stride-1 grid of the forward's padded width. The kernel gradient is
-    that grid times the forward's row matrix at each of the k horizontal
-    offsets, summed over the batch. When the kernel is a recorded tensor
-    that needs a gradient, the op keeps its input, not the row matrix (k
-    copies of the padded input), and the backward pass rebuilds the row
-    matrix from it with the forward's own builder, :func:`_row_matrix`.
+    The forward is the row-tap kernel :func:`_conv_rows`. The input
+    gradient is the correlation of the incoming gradient with the flipped,
+    channel-transposed kernel at pad ``k - 1 - pad``. The kernel gradient
+    places the incoming gradient on a zeroed grid of the forward's padded
+    width and multiplies it by the forward's row matrix at each of the k
+    horizontal offsets, summed over the batch. When the kernel is a
+    recorded tensor that needs a gradient, the op keeps its input, not the
+    row matrix (k copies of the padded input), and the backward pass
+    rebuilds the row matrix from it with the forward's own builder,
+    :func:`_row_matrix`.
 
     The kernel's GEMM operands (its tap columns, and for the input gradient
     those of the flipped, channel-transposed kernel) are cached on a frozen
@@ -575,35 +555,31 @@ def conv2d(
             f"conv2d: input has {c} channels but kernel expects {wv.shape[1]} "
             f"(shapes {xv.shape} and {wv.shape})"
         )
-    if (h + 2 * pad - k) % stride != 0 or (w + 2 * pad - k) % stride != 0:
+    if stride != 1 or type(pad) is not int or not 0 <= pad < k or min(h, w) + 2 * pad < k:
         raise ConfigurationError(
-            f"conv2d: non-integral output size for input {h}x{w}, k={k}, "
-            f"stride={stride}, pad={pad}"
+            f"conv2d: needs stride 1, an int pad in [0, {k - 1}] and an output of at least "
+            f"one pixel; got input {h}x{w}, k={k}, stride={stride}, pad={pad}"
         )
     grid = _conv_rows(xv, _derived(kernel, "taps", _tap_cols), pad)
     _, _, h1, wp = grid.shape
     w1 = wp - k + 1
-    valid = grid[:, :, ::stride, :w1:stride]
     if bias is None:
-        out = np.ascontiguousarray(valid)
+        out = np.ascontiguousarray(grid[..., :w1])
     else:
-        out = valid + bias.array[None, :, None, None]
+        out = grid[..., :w1] + bias.array[None, :, None, None]
     # only the kernel gradient reads the input
     kept = None if kernel.node is None else xv
 
     def bwd(g, needs):
         gw = gx = None
-        gs = g
-        if stride > 1 or needs[1]:
-            # the incoming gradient on the padded-width stride-1 grid of the forward
-            gfull = np.zeros((n, o, h1, wp))
-            gfull[:, :, ::stride, :w1:stride] = g
-            gs = gfull[:, :, :, :w1]
         if needs[1]:
+            # the incoming gradient on the padded-width grid of the forward
+            gfull = np.zeros((n, o, h1, wp))
+            gfull[..., :w1] = g
             gw = _conv_kernel_grad(gfull, kept, k, pad)
         if needs[0]:
-            gxg = _conv_rows(gs, _derived(kernel, "flipped_taps", _flipped_tap_cols), k - 1 - pad)
-            gx = np.ascontiguousarray(gxg[:, :, :, :w])
+            gxg = _conv_rows(g, _derived(kernel, "flipped_taps", _flipped_tap_cols), k - 1 - pad)
+            gx = np.ascontiguousarray(gxg[..., :w])
         if bias is None:
             return (gx, gw)
         gbias = g.sum(axis=(0, 2, 3)) if needs[2] else None
@@ -642,9 +618,9 @@ def _per_image(shape: tuple[int, ...], k: int, pad: int) -> bool:
     """Whether a conv of a batch of ``shape`` [N,C,H,W] with a k x k kernel
     at ``pad`` runs one image at a time: the batch has more than one image
     and its row matrix (:func:`_row_matrix`) would exceed ``_ROWS_BUDGET``.
-    A 1x1 kernel at pad 0 builds no row matrix and never does."""
+    A 1x1 kernel (pad 0) builds no row matrix and never does."""
     n, c, h, w = shape
-    if n == 1 or (k == 1 and pad == 0):
+    if n == 1 or k == 1:
         return False
     run = (h + 2 * pad - k + 1) * (w + 2 * pad)
     return n * c * k * (run + k - 1) * 8 > _ROWS_BUDGET
@@ -654,14 +630,13 @@ def _row_matrix(xb: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, int, int]
     """The row matrix of [N,C,H,W] for a k x k kernel at ``pad`` (see
     :func:`_conv_rows`), [N, C*k, H1*Wp + k-1], with H1 and Wp."""
     n, c, h, w = xb.shape
-    if k == 1 and pad == 0:
+    if k == 1:
         return xb.reshape(n, c, h * w), h, w
     hp, wp = h + 2 * pad, w + 2 * pad
     h1 = hp - k + 1
     run = h1 * wp
-    p, q = max(pad, 0), max(-pad, 0)
     xp = np.zeros((n, c, hp + 1, wp))
-    xp[:, :, p : p + h - 2 * q, p : p + w - 2 * q] = xb[:, :, q : h - q, q : w - q]
+    xp[:, :, pad : pad + h, pad : pad + w] = xb
     # The k row taps of every channel as an overlapping view of the buffer
     # (built with the ndarray constructor: as_strided costs more than the
     # copy at these sizes), then copied, so each window is a GEMM operand
@@ -675,8 +650,7 @@ def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
     given as its tap columns ``wcols`` (:func:`_tap_cols`), as k GEMMs.
 
     The input is written into a zeroed buffer [N, C, Hp+1, Wp] (Hp = H +
-    2*pad, Wp = W + 2*pad; a negative pad, which the input gradient of a
-    conv with pad > k-1 needs, crops instead). With each channel
+    2*pad, Wp = W + 2*pad, 0 <= pad <= k-1). With each channel
     flattened, tap (i, j) reads the contiguous run of H1*Wp values that
     starts at i*Wp + j, where H1 = Hp - k + 1; the extra zero row keeps the
     last tap's run in bounds. The row matrix [N, C*k, H1*Wp + k-1]
@@ -685,7 +659,7 @@ def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
     j reads the window ``rows[:, :, j : j + H1*Wp]`` of it, a strided view,
     so the output is the sum over j of ``W[:, :, :, j] @ window_j``, with
     no further copy (the partial-im2col scheme of Anderson et al. 2017,
-    arXiv:1709.03395). A 1x1 kernel with pad 0 uses the input itself as
+    arXiv:1709.03395). A 1x1 kernel (pad 0) uses the input itself as
     the row matrix.
 
     When the batch's row matrix would exceed ``_ROWS_BUDGET`` (see

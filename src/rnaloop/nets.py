@@ -415,12 +415,17 @@ def param_count(obj) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Output channels of the conv controller's two 3x3 trunk convs.
+CONTROLLER_TRUNK = (8, 16)
+
+
 @dataclass
 class ControllerSpec:
-    """Encoding and trunk description for the FiLM controller.
+    """Encoding description for the FiLM controller.
 
     arch "conv": feedback is a [N,in_channels,H,W] stack (prediction,
-    signal values, validity mask); trunk is conv8/pool/conv16/pool/GAP.
+    signal values, validity mask); the trunk is fixed, conv8/pool/conv16/
+    pool/GAP (``CONTROLLER_TRUNK``).
     arch "mlp": feedback is a [N,in_dim] vector (post-softmax prediction
     concatenated with a coarse one-hot).
     The output head has dimension sum(2*C_i) over the target film sites.
@@ -430,7 +435,6 @@ class ControllerSpec:
     in_channels: int
     film_channels: list[int]
     hidden: int = 16
-    trunk: tuple[int, int] = (8, 16)
 
     @property
     def out_dim(self) -> int:
@@ -490,18 +494,18 @@ def _controller_layout(cspec: ControllerSpec) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every controller parameter, in creation order.
 
     Raises ``ConfigurationError`` for an unknown ``arch``, and unless
-    ``in_channels``, ``hidden`` and both ``trunk`` entries are integers >= 1
-    and ``film_channels`` is a non-empty list of them.
+    ``in_channels`` and ``hidden`` are integers >= 1 and ``film_channels``
+    is a non-empty list of them.
     """
-    widths, film = cspec.trunk, cspec.film_channels
-    if not (isinstance(widths, (tuple, list)) and len(widths) == 2 and isinstance(film, list) and film
-            and all(type(v) is int and v >= 1 for v in [cspec.in_channels, cspec.hidden, *widths, *film])):
+    film = cspec.film_channels
+    if not (isinstance(film, list) and film
+            and all(type(v) is int and v >= 1 for v in [cspec.in_channels, cspec.hidden, *film])):
         raise ConfigurationError(
-            "controller spec needs integers >= 1 for in_channels, hidden and the two trunk "
-            f"widths, and a non-empty list of them for film_channels; got {cspec}"
+            "controller spec needs integers >= 1 for in_channels and hidden, and a non-empty "
+            f"list of them for film_channels; got {cspec}"
         )
     if cspec.arch == "conv":
-        t1, t2 = widths
+        t1, t2 = CONTROLLER_TRUNK
         trunk = {"c1.w": (t1, cspec.in_channels, 3, 3), "c1.b": (t1,),
                  "c2.w": (t2, t1, 3, 3), "c2.b": (t2,)}
         feat = t2
@@ -591,9 +595,9 @@ def load_model(path) -> tuple[Model, dict]:
     return Model(spec, _params_from_file("model", arrays, _param_layout(spec))), meta
 
 
-# Version of the controller metadata; 3 stores every ControllerSpec field,
+# Version of the controller metadata; 4 stores every ControllerSpec field,
 # and the spec alone fixes the parameters' names, order and shapes.
-CONTROLLER_FORMAT = 3
+CONTROLLER_FORMAT = 4
 
 
 def save_controller(path, h: Controller, meta: dict | None = None) -> None:
@@ -612,8 +616,7 @@ def load_controller(path) -> tuple[Controller, dict]:
             f"(expected {CONTROLLER_FORMAT}); save the controller again with the current tool"
         )
     try:
-        d = _fields_from_json(meta["cspec"], ControllerSpec)
-        cspec = ControllerSpec(**{**d, "trunk": tuple(d["trunk"])})
+        cspec = ControllerSpec(**_fields_from_json(meta["cspec"], ControllerSpec))
         layout = _controller_layout(cspec)
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
         raise SerializationError(f"controller file spec is missing or malformed: {exc}") from None

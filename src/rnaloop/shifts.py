@@ -37,6 +37,8 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown shift kind {self.kind!r}")
+        if type(self.severity) is not int:
+            raise ConfigurationError(f"severity must be an int, got {self.severity!r}")
         if self.kind != "identity" and not (1 <= self.severity <= 5):
             raise ConfigurationError(f"severity {self.severity} outside 1..5")
 

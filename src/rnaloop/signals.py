@@ -156,8 +156,8 @@ class CoarseGrouping:
 def make_coarse_grouping(K: int, C: int) -> CoarseGrouping:
     """Deterministic fine-to-coarse class grouping: consecutive classes
     share a group (sizes differ by <= 1 when C does not divide K)."""
-    if not 2 <= C <= K:
-        raise ConfigurationError(f"need 2 <= C <= K, got C={C}, K={K}")
+    if type(K) is not int or type(C) is not int or not 2 <= C <= K:
+        raise ConfigurationError(f"need integers 2 <= C <= K, got C={C!r}, K={K!r}")
     gmap = np.empty(K, dtype=np.int64)
     for c, block in enumerate(np.array_split(np.arange(K), C)):
         gmap[block] = c
@@ -194,10 +194,17 @@ class EmbeddingIndex:
 
 
 def classifier_embedding(model: Model, images: np.ndarray) -> np.ndarray:
-    """Penultimate activation (input of the final linear layer)."""
+    """Penultimate activation (input of the final linear layer).
+
+    ``ConfigurationError`` for a model with no flatten layer, such as a UNet.
+    """
     flat_idx = next(
-        i for i, layer in enumerate(model.spec.layers) if layer["kind"] == "flatten"
+        (i for i, layer in enumerate(model.spec.layers) if layer["kind"] == "flatten"), None
     )
+    if flat_idx is None:
+        raise ConfigurationError(
+            f"a {model.spec.task_kind} model has no flatten layer to take an embedding from"
+        )
     x = images if images.ndim == 4 else images[None]
     _, acts = model.forward(x, return_acts=True)
     emb = acts[flat_idx].array
@@ -249,12 +256,13 @@ def knn_coarse(
 
 
 def _need_same_map(pred: np.ndarray, signal: AdaptationSignal) -> None:
-    """``DimensionError`` unless the signal's value map and mask are the
-    prediction's [H,W]."""
-    if signal.values.shape != pred.shape[1:] or signal.mask.shape != pred.shape[1:]:
+    """``DimensionError`` unless the signal's value map and its mask, which
+    a spatial signal must have, are the prediction's [H,W]."""
+    mask_shape = None if signal.mask is None else signal.mask.shape
+    if signal.values.shape != pred.shape[1:] or mask_shape != pred.shape[1:]:
         raise DimensionError(
             f"{signal.kind} feedback: signal map {signal.values.shape} and mask "
-            f"{signal.mask.shape} must be the prediction's [H,W] {pred.shape[1:]}"
+            f"{mask_shape} must be the prediction's [H,W] {pred.shape[1:]}"
         )
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rnaloop import autodiff as ad
 from rnaloop.errors import (
+    ConfigurationError,
     ContractError,
     DegenerateSupervisionError,
     DimensionError,
@@ -31,8 +32,9 @@ def t(x):
     return ad.as_tensor(np.asarray(x, dtype=np.float64))
 
 
-# (stride, pad, k) for a 7x5 input: every combination has an integral output size.
-CONV_GRID = [(s, p, k) for s in (1, 2) for p in (0, 1, 2) for k in (1, 3, 5)]
+# (stride, pad, k) for a 7x5 input: every combination conv2d accepts, stride 1
+# with 0 <= pad <= k-1, up to pad 2.
+CONV_GRID = [(1, p, k) for p in (0, 1, 2) for k in (1, 3, 5) if p < k]
 
 
 class TestMatmul:
@@ -80,10 +82,9 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         w = rng.normal(size=(3, 2, 3, 3))
         x8 = rng.normal(size=(2, 8, 8))
-        x9 = rng.normal(size=(2, 9, 9))
-        for x, stride, pad in [(x8, 1, 0), (x8, 1, 1), (x9, 2, 1), (x9, 2, 0)]:
-            out = ad.conv2d(t(x[None]), t(w), stride=stride, pad=pad).array[0]
-            ref = conv2d_loops(x, w, stride=stride, pad=pad)
+        for pad in (0, 1):
+            out = ad.conv2d(t(x8[None]), t(w), stride=1, pad=pad).array[0]
+            ref = conv2d_loops(x8, w, stride=1, pad=pad)
             assert np.max(np.abs(out - ref)) < 1e-12
         xb = rng.normal(size=(2, 2, 7, 5))
         for stride, pad, k in CONV_GRID:
@@ -185,11 +186,18 @@ class TestConv2d:
             gw_sum = gw_i if gw_sum is None else gw_sum + gw_i
         assert gw.tobytes() == gw_sum.tobytes()
 
-    def test_non_integral_output_rejected(self):
-        from rnaloop.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ad.conv2d(t(np.zeros((1, 1, 6, 6))), t(np.zeros((1, 1, 3, 3))), stride=2, pad=0)
+    # (input H=W, k, stride, pad) that conv2d refuses at entry
+    @pytest.mark.parametrize("size, k, stride, pad", [
+        pytest.param(6, 3, 2, 0, id="stride_2"),
+        pytest.param(6, 3, 1, -1, id="negative_pad"),
+        pytest.param(6, 1, 1, 1, id="pad_k_1"),
+        pytest.param(6, 3, 1, 3, id="pad_k_3"),
+        pytest.param(2, 5, 1, 0, id="output_under_a_pixel"),
+    ])
+    def test_unsupported_geometry_rejected(self, size, k, stride, pad):
+        x, w = t(np.zeros((1, 1, size, size))), t(np.zeros((1, 1, k, k)))
+        with pytest.raises(ConfigurationError, match="stride 1"):
+            ad.conv2d(x, w, stride, pad)
 
 
 class TestResampling:
@@ -557,6 +565,14 @@ class TestSgdStep:
         with pytest.raises(ContractError):
             ad.sgd_step(ps, {"p": np.array([1.0])}, -0.1)
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        ps = ad.ParamSet()
+        ps.add("p", np.array([1.0]))
+        with pytest.raises(ContractError, match="finite and >= 0"):
+            ad.sgd_step(ps, {"p": np.array([1.0])}, lr)
+        assert ps.get("p").tolist() == [1.0]
+
 
 class TestTapeSemantics:
     def test_tape_isolation(self):
@@ -596,14 +612,6 @@ class TestTapeSemantics:
         assert tape.grad(lifted["v"]) is not None
         grads = ps.grads_from(tape, lifted)
         assert set(grads) == {"v"}
-
-    def test_tape_counter_increments(self):
-        c0 = ad.tape_count()
-        ad.Tape()
-        assert ad.tape_count() > c0
-
-    def test_tape_count_is_a_pure_read(self):
-        assert ad.tape_count() == ad.tape_count()
 
     def test_backward_after_tape_freed_rejected(self):
         def record():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnaloop import autodiff as ad
-from rnaloop import nets, presets, serialize
+from rnaloop import nets, presets, serialize, signals
 from rnaloop.errors import ConfigurationError, ContractError, DimensionError, SerializationError
 
 from oracles import central_fd, max_rel_err
@@ -148,7 +148,7 @@ class TestController:
         cspec = nets.ControllerSpec(
             arch="conv", in_channels=3,
             film_channels=[c for _, c in f.spec.film_sites],
-            hidden=256, trunk=(32, 64),
+            hidden=256,
         )
         with pytest.warns(nets.BudgetWarning, match="ratio"):
             nets.build_controller(cspec, f, 0)
@@ -167,7 +167,7 @@ class TestController:
         cspec = h.cspec
         rng = np.random.default_rng(31)
         params = ad.ParamSet()
-        t1, t2 = cspec.trunk
+        t1, t2 = nets.CONTROLLER_TRUNK
         if cspec.arch == "conv":
             fan1 = cspec.in_channels * 9
             params.add("c1.w", rng.normal(0, np.sqrt(2.0 / fan1), size=(t1, cspec.in_channels, 3, 3)))
@@ -187,7 +187,6 @@ class TestController:
     BAD_SPECS = {
         "float_film_channels": {"film_channels": [16.0, 24.0, 24.0, 16.0]},
         "zero_in_channels": {"in_channels": 0},
-        "negative_trunk": {"trunk": (-1, 16)},
         "str_hidden": {"hidden": "16"},
         "zero_hidden": {"hidden": 0},
     }
@@ -509,9 +508,10 @@ class TestSpecSerialization:
         serialize.save(path, "controller", {**meta, "cspec": json.dumps(cspec)}, arrays)
         with pytest.raises(SerializationError, match="hidden"):
             nets.load_controller(path)
-        serialize.save(path, "controller", {**meta, "controller_format": 2}, arrays)
-        with pytest.raises(SerializationError, match="controller format 2 .*save the controller again"):
-            nets.load_controller(path)
+        for old in (2, 3):  # format 3 also stored the trunk widths
+            serialize.save(path, "controller", {**meta, "controller_format": old}, arrays)
+            with pytest.raises(SerializationError, match=f"controller format {old} .*save the controller again"):
+                nets.load_controller(path)
         del meta["controller_format"]
         serialize.save(path, "controller", meta, arrays)
         with pytest.raises(SerializationError, match="controller format None"):
@@ -532,6 +532,7 @@ class TestSpecSerialization:
         elif case == "cspec_not_json":
             meta["cspec"] = "{not json"
         elif case == "trunk_not_a_list":
+            # the trunk is fixed, so a spec carrying a trunk field is refused
             meta["cspec"] = json.dumps({**cspec, "trunk": 5})
         elif case == "unlisted_array":
             arrays["extra.w"] = np.zeros(3)
@@ -1125,6 +1126,38 @@ class TestAdaptationInvariants:
         assert film.state_bytes() == identity
         assert f.params.state_bytes() == main
         assert f.forward(x, film=film_of(film.lift(None))).array.tobytes() == before
+
+    @pytest.mark.parametrize("task", ["dense", "cls"])
+    def test_untaped_passes_and_a_controller_episode_make_no_tape(self, task, monkeypatch):
+        # Counted as the benchmark's tracer counts tapes: by wrapping Tape.__init__.
+        made = [0]
+        init = ad.Tape.__init__
+
+        def counting_init(tape):
+            made[0] += 1
+            init(tape)
+
+        monkeypatch.setattr(ad.Tape, "__init__", counting_init)
+        rng = np.random.default_rng(15)
+        if task == "dense":
+            main = presets.dense_main(seed=16)
+            controller = presets.dense_controller(main, seed=17)
+            x = rng.random((1,) + main.spec.in_shape)
+            sig = signals.noisy_sparse(rng.random(x.shape[1:]), 0.05, 0.02, 0.05, seed=18)
+        else:
+            main = presets.cls_main(seed=16)
+            controller = presets.cls_controller(main, seed=17)
+            x = rng.random((1,) + main.spec.in_shape)
+            sig = signals.coarse_label(3, signals.make_coarse_grouping(presets.NUM_CLASSES, presets.NUM_COARSE))
+        main.params.set_frozen(True)
+
+        before = main.forward(x)
+        feedback = signals.encode_feedback(before, [sig])
+        film = controller.forward(feedback)
+        main.forward(x, film=film)
+        assert made[0] == 0
+        ad.Tape()
+        assert made[0] == 1  # the count sees a tape when one is made
 
 
 class _FreshEveryCall:

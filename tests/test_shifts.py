@@ -84,6 +84,11 @@ class TestApplyShift:
         with pytest.raises(ConfigurationError):
             shifts.ShiftSpec("blur", 6)
 
+    @pytest.mark.parametrize("severity", [2.0, True, "2", np.int64(2)])
+    def test_severity_not_an_int_rejected(self, severity):
+        with pytest.raises(ConfigurationError, match="severity must be an int"):
+            shifts.ShiftSpec("blur", severity)
+
     def test_monotone_tables(self):
         t = shifts.SEVERITY_TABLES
         assert all(np.diff(t["gaussian_noise"]) > 0)

@@ -132,6 +132,11 @@ class TestCoarseGrouping:
         with pytest.raises(ConfigurationError, match="2 <= C <= K"):
             signals.make_coarse_grouping(K, C)
 
+    @pytest.mark.parametrize("K,C", [(5.0, 2), (5, 2.0), (True, 2), (5, "2")])
+    def test_counts_not_ints_rejected(self, K, C):
+        with pytest.raises(ConfigurationError, match="integers 2 <= C <= K"):
+            signals.make_coarse_grouping(K, C)
+
 
 class TestCoarseLabel:
     def test_identity_grouping_equals_fine_one_hot(self):
@@ -250,6 +255,15 @@ class TestKnnCoarse:
         with pytest.raises(ContractError):
             signals.EmbeddingIndex(model, np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
+    def test_model_without_flatten_rejected(self):
+        unet = presets.dense_main(seed=0)
+        images = np.zeros((2, 1, 32, 32))
+        with pytest.raises(ConfigurationError, match="no flatten layer"):
+            signals.classifier_embedding(unet, images)
+        ds = taskgen.Dataset("dense_regression", images, np.zeros((2, 1, 32, 32)), seed=0)
+        with pytest.raises(ConfigurationError, match="no flatten layer"):
+            signals.build_embedding_index(unet, ds)
+
 
 class TestEncodeFeedback:
     def test_dense_shape_contract(self):
@@ -306,6 +320,14 @@ class TestEncodeFeedback:
         mask_only = signals.AdaptationSignal("noisy_sparse", np.zeros((8, 8)), np.zeros((8, 9)))
         with pytest.raises(DimensionError, match=r"mask \(8, 9\)"):
             signals.encode_feedback(pred, mask_only)
+
+    @pytest.mark.parametrize("kind, pred", [("masked_gt", np.zeros((1, 8, 8))),
+                                            ("noisy_sparse", np.zeros((1, 8, 8))),
+                                            ("clicks", np.zeros((3, 8, 8)))])
+    def test_spatial_signal_without_mask_rejected(self, kind, pred):
+        sig = signals.AdaptationSignal(kind, np.zeros((8, 8), dtype=np.int64))
+        with pytest.raises(DimensionError, match="mask None"):
+            signals.encode_feedback(pred, sig)
 
     def test_batch_encoding(self):
         preds = np.random.default_rng(12).random((3, 1, 8, 8))

@@ -204,6 +204,15 @@ class TestTrainMain:
             taskgen.train_main(model, ds, epochs=1, lr=0.01, seed=0)
         assert model.params.state_bytes() == before
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected_at_the_first_step(self, lr):
+        ds = taskgen.gen_classification(presets.NUM_CLASSES, 8, proto_seed=0, seed=0)
+        model = presets.cls_main(0)
+        before = model.params.state_bytes()
+        with pytest.raises(ContractError, match="learning rate"):
+            taskgen.train_main(model, ds, epochs=1, lr=lr, seed=0)
+        assert model.params.state_bytes() == before
+
     def test_loss_decreases_on_small_run(self):
         cfg = taskgen.SceneWorldConfig()
         ds = taskgen.gen_dense_regression(cfg, 64, seed=0)
