@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the integer check that
+raises one of them at entry."""
 
 
 class RnaLoopError(Exception):
@@ -35,3 +36,10 @@ class SerializationError(RnaLoopError, ValueError):
 
 class ArtifactError(RnaLoopError, FileNotFoundError):
     """A referenced artifact path could not be resolved."""
+
+
+def need_int(name: str, value, least: int) -> None:
+    """``ConfigurationError`` unless ``value`` is an int (not a bool or a
+    float) and at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ConfigurationError(f"{name} must be >= {least}, as an int; got {value!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
-from .errors import ConfigurationError, ContractError, DimensionError, SerializationError
+from .errors import ConfigurationError, ContractError, DimensionError, SerializationError, need_int
 from . import serialize
 
 # Controller size relative to the main network, for shipped configs.
@@ -173,6 +173,10 @@ class FiLMParams:
 
     @staticmethod
     def identity(channel_counts: list[int]) -> "FiLMParams":
+        """gamma = 1, beta = 0 at each site; ``ConfigurationError`` unless
+        every channel count is an int >= 1."""
+        for c in channel_counts:
+            need_int("film channel count", c, 1)
         return FiLMParams([(np.ones(c), np.zeros(c)) for c in channel_counts])
 
     def __len__(self) -> int:
@@ -348,16 +352,6 @@ def dict_from_sites(sites: tuple[tuple[int, int], ...], film: FiLMParams | None)
 # ---------------------------------------------------------------------------
 
 
-def unet_spec(task_kind: str, in_ch: int = 1, out_ch: int = 1, grid: int = 32) -> ModelSpec:
-    """The dense-task UNet, without FiLM sites."""
-    return ModelSpec(task_kind, in_ch, out_ch, grid, 0)
-
-
-def classifier_spec(num_classes: int = 20, in_ch: int = 1, grid: int = 16) -> ModelSpec:
-    """The classifier, without FiLM sites."""
-    return ModelSpec("classification", in_ch, num_classes, grid, 0)
-
-
 def build_main(spec: ModelSpec, seed: int) -> Model:
     """Instantiate parameters (He-style init) for a spec."""
     return Model(spec, _init_params(_param_layout(spec), seed))
@@ -390,17 +384,6 @@ def _param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
             out[f"L{i}.w"] = (layer["nin"], layer["nout"])
             out[f"L{i}.b"] = (layer["nout"],)
     return out
-
-
-def insert_film_sites(model: Model, k: int) -> Model:
-    """The model with k modulation sites, spread over encoder and decoder
-    blocks; ``ConfigurationError`` unless k is an integer in [0, ladder
-    length].
-
-    Parameters are shared; with identity coefficients the function
-    computed by the model is unchanged.
-    """
-    return Model(dataclasses.replace(model.spec, film_k=k), model.params)
 
 
 def param_count(obj) -> int:
@@ -525,7 +508,7 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
     share of the main network.
     """
     if not main.spec.film_sites:
-        raise ContractError("main model has no film sites; insert them first")
+        raise ContractError("main model has no film sites; build it with film_k >= 1")
     expected = [c for _, c in main.spec.film_sites]
     if cspec.film_channels != expected:
         raise ConfigurationError(

@@ -1,6 +1,7 @@
 """Shipped default configurations for each task family.
 
-Everything here is a thin composition of the builders in :mod:`nets`;
+Each main network is ``nets.build_main`` of a ``nets.ModelSpec``, and
+each controller ``nets.build_controller`` of a ``nets.ControllerSpec``;
 the same presets back the tests and the benchmark harness, so parameter
 budgets and encodings stay consistent.
 """
@@ -20,8 +21,7 @@ CLS_FILM_K = 3
 
 def dense_main(seed: int, in_ch: int = 1) -> nets.Model:
     """Depth-style regression UNet with the default film sites."""
-    spec = nets.unet_spec("dense_regression", in_ch=in_ch, out_ch=1, grid=DENSE_GRID)
-    return nets.insert_film_sites(nets.build_main(spec, seed), DENSE_FILM_K)
+    return nets.build_main(nets.ModelSpec("dense_regression", in_ch, 1, DENSE_GRID, DENSE_FILM_K), seed)
 
 
 def dense_controller(main: nets.Model, seed: int) -> nets.Controller:
@@ -34,33 +34,30 @@ def dense_controller(main: nets.Model, seed: int) -> nets.Controller:
     return nets.build_controller(cspec, main, seed)
 
 
-def seg_main(seed: int, num_classes: int = SEG_CLASSES) -> nets.Model:
-    spec = nets.unet_spec("dense_segmentation", in_ch=1, out_ch=num_classes, grid=DENSE_GRID)
-    return nets.insert_film_sites(nets.build_main(spec, seed), DENSE_FILM_K)
+def seg_main(seed: int) -> nets.Model:
+    return nets.build_main(
+        nets.ModelSpec("dense_segmentation", 1, SEG_CLASSES, DENSE_GRID, DENSE_FILM_K), seed)
 
 
-def seg_controller(main: nets.Model, seed: int, num_classes: int = SEG_CLASSES) -> nets.Controller:
+def seg_controller(main: nets.Model, seed: int) -> nets.Controller:
     """Feedback stack: [softmax(K), click one-hot(K), validity mask]."""
     cspec = nets.ControllerSpec(
         arch="conv",
-        in_channels=2 * num_classes + 1,
+        in_channels=2 * SEG_CLASSES + 1,
         film_channels=[c for _, c in main.spec.film_sites],
     )
     return nets.build_controller(cspec, main, seed)
 
 
-def cls_main(seed: int, num_classes: int = NUM_CLASSES) -> nets.Model:
-    spec = nets.classifier_spec(num_classes=num_classes, grid=CLS_GRID)
-    return nets.insert_film_sites(nets.build_main(spec, seed), CLS_FILM_K)
+def cls_main(seed: int) -> nets.Model:
+    return nets.build_main(nets.ModelSpec("classification", 1, NUM_CLASSES, CLS_GRID, CLS_FILM_K), seed)
 
 
-def cls_controller(
-    main: nets.Model, seed: int, num_classes: int = NUM_CLASSES, num_coarse: int = NUM_COARSE
-) -> nets.Controller:
+def cls_controller(main: nets.Model, seed: int) -> nets.Controller:
     """Feedback vector: [softmax(K) ++ coarse one-hot(C)]."""
     cspec = nets.ControllerSpec(
         arch="mlp",
-        in_channels=num_classes + num_coarse,
+        in_channels=NUM_CLASSES + NUM_COARSE,
         film_channels=[c for _, c in main.spec.film_sites],
         hidden=12,
     )
@@ -69,8 +66,7 @@ def cls_controller(
 
 def densification_dense(seed: int) -> nets.Model:
     """Signal-to-target UNet: input is [signal values, validity mask]."""
-    spec = nets.unet_spec("dense_regression", in_ch=2, out_ch=1, grid=DENSE_GRID)
-    return nets.build_main(spec, seed)
+    return nets.build_main(nets.ModelSpec("dense_regression", 2, 1, DENSE_GRID, 0), seed)
 
 
 def control_mains(seed: int) -> tuple[nets.Model, nets.Model]:
@@ -83,8 +79,4 @@ def control_mains(seed: int) -> tuple[nets.Model, nets.Model]:
     f = dense_main(seed, in_ch=2)
     dens = densification_dense(seed + 1)
     return f, dens
-
-
-def control_controller(main: nets.Model, seed: int) -> nets.Controller:
-    return dense_controller(main, seed)
 

@@ -7,11 +7,11 @@ never touch targets or signals derived from targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, need_int
 from .taskgen import Dataset, SceneWorldConfig, gen_dense_regression, gen_dense_segmentation
 
 KINDS = ("identity", "gaussian_noise", "blur", "pixelate", "contrast")
@@ -41,11 +41,7 @@ class ShiftSpec:
             raise ConfigurationError(f"severity must be an int, got {self.severity!r}")
         if self.kind != "identity" and not (1 <= self.severity <= 5):
             raise ConfigurationError(f"severity {self.severity} outside 1..5")
-
-
-def severity_tables() -> dict[str, list[float]]:
-    """The committed severity parameter tables (copy; JSON-serializable)."""
-    return {k: list(v) for k, v in SEVERITY_TABLES.items()}
+        need_int("seed", self.seed, 0)
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -115,7 +111,8 @@ class DataConfig:
 
 def shifted_world(base: SceneWorldConfig) -> SceneWorldConfig:
     """A systematically different scene distribution (cross-dataset stand-in)."""
-    return base.with_overrides(
+    return replace(
+        base,
         half_size_range=(6.0, 13.0),
         albedo_range=(0.30, 0.75),
         shapes_per_scene=(2, 6),
@@ -144,5 +141,4 @@ def cross_distribution(
         raise ConfigurationError(
             f"cross-distribution pairs are defined for dense tasks, not {config_a.task_kind!r}"
         )
-    test.split = "test"
     return train, test

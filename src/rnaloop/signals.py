@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, ContractError, DimensionError, LabelRangeError
+from .errors import ConfigurationError, ContractError, DimensionError, LabelRangeError, need_int
 from .nets import Model
 
 _STREAM_SIGNAL = 201
@@ -37,23 +37,6 @@ class AdaptationSignal:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SignalConfig:
-    """Declared signal parameters; ranges are used for training-time
-    augmentation so the controller tolerates signal noise."""
-
-    kind: str = "masked_gt"
-    fraction: float = 0.005
-    noise_sigma: float = 0.0
-    outlier_rate: float = 0.0
-    clicks_per_class: int = 5
-    num_coarse: int = 5
-    knn_k: int = 20
-    augment_sigma_range: tuple[float, float] = (0.0, 0.05)
-    augment_outlier_range: tuple[float, float] = (0.0, 0.10)
-    augment_fraction_range: tuple[float, float] | None = None
-
-
 def _squeeze_map(target) -> np.ndarray:
     t = np.asarray(target, dtype=np.float64)
     if t.ndim == 3 and t.shape[0] == 1:
@@ -67,10 +50,11 @@ def masked_gt(target, fraction: float, seed: int) -> AdaptationSignal:
     """Uniformly random pixel subset of the ground truth (control signal)."""
     if not (0 < fraction <= 1):
         raise ConfigurationError(f"fraction {fraction} outside (0, 1]")
+    need_int("seed", seed, 0)
     t = _squeeze_map(target)
     h, w = t.shape
     count = max(1, int(round(fraction * h * w)))
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SIGNAL]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SIGNAL]))
     flat = rng.choice(h * w, size=count, replace=False)
     mask = np.zeros((h, w), dtype=bool)
     mask.reshape(-1)[flat] = True
@@ -93,7 +77,7 @@ def noisy_sparse(
     if not (0 <= outlier_rate <= 1 and noise_sigma >= 0):  # NaN fails both
         raise ConfigurationError("noise_sigma must be >= 0 and outlier_rate in [0,1]")
     sig = masked_gt(target, fraction, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SIGNAL, 2]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SIGNAL, 2]))
     values = sig.values.copy()
     on = sig.mask
     if noise_sigma > 0:
@@ -114,12 +98,14 @@ def noisy_sparse(
 
 def click_annotations(target_classes, clicks_per_class: int, seed: int) -> AdaptationSignal:
     """Per-class random pixel labels (simulated annotation clicks)."""
-    if not (1 <= clicks_per_class <= 25):
+    need_int("clicks_per_class", clicks_per_class, 1)
+    need_int("seed", seed, 0)
+    if clicks_per_class > 25:
         raise ConfigurationError(f"clicks_per_class {clicks_per_class} outside [1, 25]")
     t = np.asarray(target_classes, dtype=np.int64)
     if t.ndim != 2:
         raise DimensionError(f"expected a [H,W] class map, got {t.shape}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STREAM_SIGNAL, 3]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SIGNAL, 3]))
     mask = np.zeros(t.shape, dtype=bool)
     for cls in np.unique(t):
         ys, xs = np.nonzero(t == cls)
@@ -194,9 +180,11 @@ class EmbeddingIndex:
 
 
 def classifier_embedding(model: Model, images: np.ndarray) -> np.ndarray:
-    """Penultimate activation (input of the final linear layer).
+    """Penultimate activations (inputs of the final linear layer), [N,D],
+    of an [N,C,H,W] batch.
 
-    ``ConfigurationError`` for a model with no flatten layer, such as a UNet.
+    ``ConfigurationError`` for a model with no flatten layer, such as a UNet;
+    ``DimensionError`` (from ``Model.forward``) for any other input shape.
     """
     flat_idx = next(
         (i for i, layer in enumerate(model.spec.layers) if layer["kind"] == "flatten"), None
@@ -205,10 +193,8 @@ def classifier_embedding(model: Model, images: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"a {model.spec.task_kind} model has no flatten layer to take an embedding from"
         )
-    x = images if images.ndim == 4 else images[None]
-    _, acts = model.forward(x, return_acts=True)
-    emb = acts[flat_idx].array
-    return emb if images.ndim == 4 else emb[0]
+    _, acts = model.forward(images, return_acts=True)
+    return acts[flat_idx].array
 
 
 def build_embedding_index(model: Model, dataset) -> EmbeddingIndex:
@@ -219,20 +205,26 @@ def build_embedding_index(model: Model, dataset) -> EmbeddingIndex:
 
 
 def knn_coarse(
-    test_image: np.ndarray,
-    index: EmbeddingIndex,
-    k: int = 20,
-    grouping: CoarseGrouping | None = None,
+    test_image: np.ndarray, index: EmbeddingIndex, k: int, grouping: CoarseGrouping
 ) -> AdaptationSignal:
-    """Normalized label histogram of the k nearest training items.
+    """Normalized coarse-label histogram of the k nearest training items to
+    one [C,H,W] image.
 
     Nearest means largest cosine similarity; among items tied with the
     k-th largest, the lowest indices are taken (the set a stable sort picks).
+    ``ContractError`` unless 1 <= k <= len(index) and the grouping covers
+    exactly the index model's classes; ``ConfigurationError`` for a k that
+    is not an int.
     """
     n = len(index)
     if not 1 <= k <= n:
         raise ContractError(f"index holds {n} items, need 1 <= k={k} <= {n}")
-    emb = classifier_embedding(index.model, test_image)
+    need_int("k", k, 1)
+    classes = index.model.spec.out_ch
+    if grouping.num_fine != classes:
+        raise ContractError(
+            f"grouping covers {grouping.num_fine} fine classes, the index model has {classes}")
+    emb = classifier_embedding(index.model, test_image[None])[0]
     emb = emb / max(np.linalg.norm(emb), 1e-12)
     sims = index.embeddings @ emb
     if np.isnan(sims).any():
@@ -240,13 +232,8 @@ def knn_coarse(
     kth = np.partition(sims, n - k)[n - k]
     top = np.flatnonzero(sims > kth)
     top = np.concatenate([top, np.flatnonzero(sims == kth)[: k - len(top)]])
-    labels = index.labels[top]
-    if grouping is not None:
-        labels = grouping.as_array()[labels]
-        size = grouping.num_coarse
-    else:
-        size = int(index.labels.max()) + 1
-    hist = np.bincount(labels, minlength=size).astype(np.float64)
+    labels = grouping.as_array()[index.labels[top]]
+    hist = np.bincount(labels, minlength=grouping.num_coarse).astype(np.float64)
     return AdaptationSignal("knn_coarse", hist / hist.sum(), None, {"k": k})
 
 

@@ -14,12 +14,12 @@ patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, ContractError, TrainingError
+from .errors import ConfigurationError, ContractError, TrainingError, need_int
 from .nets import Model
 
 _STREAM_SCENE = 101
@@ -49,9 +49,6 @@ class SceneWorldConfig:
     stripe_factor: float = 0.55
     stripe_period: int = 2
 
-    def with_overrides(self, **kwargs) -> "SceneWorldConfig":
-        return replace(self, **kwargs)
-
 
 @dataclass
 class Shape:
@@ -71,9 +68,6 @@ class Dataset:
     task_kind: str
     inputs: np.ndarray  # [N,C,H,W], values in [0,1]
     targets: np.ndarray  # dense [N,1,H,W] in [0,1], labels [N,H,W], or classes [N]
-    seed: int
-    split: str = "train"
-    extra: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -81,13 +75,6 @@ class Dataset:
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
-
-
-def _need_int(name: str, value, least: int) -> None:
-    """``ConfigurationError`` unless ``value`` is an int (not a bool or a
-    float) and at least ``least``."""
-    if type(value) is not int or value < least:
-        raise ConfigurationError(f"{name} must be >= {least}, as an int; got {value!r}")
 
 
 def sample_scene(config: SceneWorldConfig, rng: np.random.Generator) -> list[Shape]:
@@ -152,7 +139,7 @@ def render_scene(
 
 def gen_dense_regression(config: SceneWorldConfig, n: int, seed: int) -> Dataset:
     """Depth-from-intensity scenes; target is the normalized depth map."""
-    _need_int("n", n, 1)
+    need_int("n", n, 1)
     rng = _rng(seed, _STREAM_SCENE)
     inputs = np.empty((n, 1, config.grid, config.grid))
     targets = np.empty((n, 1, config.grid, config.grid))
@@ -160,13 +147,13 @@ def gen_dense_regression(config: SceneWorldConfig, n: int, seed: int) -> Dataset
         img, depth, _ = render_scene(config, sample_scene(config, rng))
         inputs[i, 0] = img
         targets[i, 0] = depth
-    return Dataset("dense_regression", inputs, targets, seed)
+    return Dataset("dense_regression", inputs, targets)
 
 
 def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) -> Dataset:
     """Shape kind+texture decides the class; background is class 0."""
-    _need_int("n", n, 1)
-    _need_int("K", K, 2)
+    need_int("n", n, 1)
+    need_int("K", K, 2)
     combos = [c for c in SEG_COMBOS if c[0] in config.kinds and c[1] in config.textures]
     if K - 1 > len(combos):
         raise ConfigurationError(
@@ -181,7 +168,7 @@ def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) 
         img, _, classes = render_scene(config, shapes)
         inputs[i, 0] = img
         targets[i] = classes
-    return Dataset("dense_segmentation", inputs, targets, seed, extra={"num_classes": K})
+    return Dataset("dense_segmentation", inputs, targets)
 
 
 def make_prototypes(K: int, proto_seed: int, grid: int = 16) -> np.ndarray:
@@ -189,7 +176,7 @@ def make_prototypes(K: int, proto_seed: int, grid: int = 16) -> np.ndarray:
 
     ``ConfigurationError`` unless grid is an int >= 4 that 4 divides.
     """
-    _need_int("grid", grid, 4)
+    need_int("grid", grid, 4)
     if grid % 4:
         raise ConfigurationError(f"grid {grid} must be divisible by 4, the prototype field's size")
     rng = _rng(proto_seed, _STREAM_SCENE)
@@ -216,8 +203,8 @@ def gen_classification(
 
     The grid is checked as :func:`make_prototypes` checks it.
     """
-    _need_int("n", n, 1)
-    _need_int("K", K, 2)
+    need_int("n", n, 1)
+    need_int("K", K, 2)
     protos = make_prototypes(K, proto_seed, grid)
     labels = np.tile(np.arange(K), n // K + 1)[:n]
     rng = _rng(seed, _STREAM_LABELS)
@@ -234,13 +221,7 @@ def gen_classification(
         if noise_sigma > 0:
             img = img + rng.normal(0.0, noise_sigma, size=img.shape)
         inputs[i, 0] = np.clip(img, 0.0, 1.0)
-    return Dataset(
-        "classification",
-        inputs,
-        labels.astype(np.int64),
-        seed,
-        extra={"num_classes": K, "prototypes": protos, "proto_seed": proto_seed},
-    )
+    return Dataset("classification", inputs, labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class TestBuildMain:
     def test_inconsistent_spec_rejected(self):
         # A spec's fields never change after construction, so its layers
         # cannot go out of step with them; a changed copy is checked anew.
-        spec = nets.unet_spec("dense_regression")
+        spec = nets.ModelSpec("dense_regression", 1, 1, 32, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.grid = 36
         with pytest.raises(ConfigurationError, match="divisible by 8"):
@@ -87,31 +87,31 @@ class TestBuildMain:
 
 class TestFilmSites:
     def test_identity_insertion(self):
-        spec = nets.unet_spec("dense_regression")
-        base = nets.build_main(spec, 11)
+        # film_k does not change the parameters a seed draws, and identity
+        # coefficients at its sites do not change a bit of the output
         x = np.random.default_rng(2).random((1, 1, 32, 32))
-        before = base.forward(x).array
-        filmed = nets.insert_film_sites(base, 4)
+        base = nets.build_main(nets.ModelSpec("dense_regression", 1, 1, 32, 0), 11)
+        filmed = nets.build_main(nets.ModelSpec("dense_regression", 1, 1, 32, 4), 11)
+        assert filmed.params.state_bytes() == base.params.state_bytes()
         ident = nets.FiLMParams.identity([c for _, c in filmed.spec.film_sites])
-        after = filmed.forward(x, film=ident).array
-        assert np.array_equal(before, after)
+        assert filmed.forward(x, film=ident).array.tobytes() == base.forward(x).array.tobytes()
 
     def test_k_zero_is_noop(self):
-        base = nets.build_main(nets.unet_spec("dense_regression"), 11)
-        filmed = nets.insert_film_sites(base, 0)
-        assert filmed.spec.film_sites == ()
+        # no sites, and the unmodulated function of the same seed with sites
+        base = nets.build_main(nets.ModelSpec("dense_regression", 1, 1, 32, 0), 11)
+        filmed = nets.build_main(nets.ModelSpec("dense_regression", 1, 1, 32, 4), 11)
+        assert base.spec.film_sites == ()
         x = np.random.default_rng(3).random((1, 1, 32, 32))
         assert np.array_equal(base.forward(x).array, filmed.forward(x).array)
 
     def test_k_exceeds_eligible_layers(self):
-        base = nets.build_main(nets.unet_spec("dense_regression"), 11)
         with pytest.raises(ConfigurationError):
-            nets.insert_film_sites(base, 99)
+            nets.ModelSpec("dense_regression", 1, 1, 32, 99)
 
     @pytest.mark.parametrize("k", [-1, 1.0, True])
     def test_k_negative_or_not_an_int_rejected(self, k):
         with pytest.raises(ConfigurationError, match=r"integer in \[0, 3\]"):
-            nets.insert_film_sites(presets.cls_main(0), k)
+            nets.ModelSpec("classification", 1, presets.NUM_CLASSES, presets.CLS_GRID, k)
 
     def test_random_site_params_change_output(self):
         f = presets.dense_main(seed=12)
@@ -198,7 +198,7 @@ class TestController:
             nets.build_controller(dataclasses.replace(h.cspec, **self.BAD_SPECS[case]), f, 0)
 
     def test_requires_film_sites(self):
-        base = nets.build_main(nets.unet_spec("dense_regression"), 0)
+        base = nets.build_main(nets.ModelSpec("dense_regression", 1, 1, 32, 0), 0)
         cspec = nets.ControllerSpec(arch="conv", in_channels=3, film_channels=[])
         with pytest.raises(ContractError):
             nets.build_controller(cspec, base, 0)
@@ -316,7 +316,6 @@ def _every_preset(seed: int) -> dict:
         "cls_main": cls, "cls_controller": presets.cls_controller(cls, seed + 1),
         "densification_dense": presets.densification_dense(seed),
         "control_main": control, "control_dens": dens,
-        "control_controller": presets.control_controller(control, seed + 1),
     }
 
 
@@ -403,7 +402,6 @@ class TestPresetInit:
         "densification_dense": "14a3ee75a478f52d90d859fb27e70ed397a881780f29d4f471be98822d9dbb90",
         "control_main": "14a3ee75a478f52d90d859fb27e70ed397a881780f29d4f471be98822d9dbb90",
         "control_dens": "3bb3fd57773819c3512fa8033e93148cf3a8b4d6d667288fb20811ff9fd29e5d",
-        "control_controller": "81192b8d499f324f05f219f15087a26dc9da69128dae4071f789ca8a85d45c43",
     }
 
     def test_state_bytes_pinned(self):
@@ -421,7 +419,7 @@ class TestBudgetsAllShippedConfigs:
         c = presets.cls_main(seed=0)
         hs.append((c, presets.cls_controller(c, 1)))
         fc, _ = presets.control_mains(seed=0)
-        hs.append((fc, presets.control_controller(fc, 1)))
+        hs.append((fc, presets.dense_controller(fc, 1)))
         for main, ctrl in hs:
             ratio = nets.param_count(ctrl) / nets.param_count(main)
             assert 0.05 <= ratio <= 0.20, ratio
@@ -799,7 +797,7 @@ class TestPassReuse:
     def models():
         dense = presets.dense_main(seed=31)
         cls_sites = presets.cls_main(seed=32)
-        plain = nets.build_main(nets.classifier_spec(), 33)  # no sites: every layer is kept
+        plain = nets.build_main(nets.ModelSpec("classification", 1, 20, 16, 0), 33)  # no sites: every layer is kept
         return [dense, cls_sites, plain]
 
     @staticmethod

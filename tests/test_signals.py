@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnaloop import autodiff as ad
-from rnaloop import presets, signals, taskgen
-from rnaloop.errors import ConfigurationError, ContractError, DimensionError, LabelRangeError
+from rnaloop import nets, presets, shifts, signals, taskgen
+from rnaloop.errors import (ConfigurationError, ContractError, DimensionError, LabelRangeError,
+                            RnaLoopError)
 
 
 class TestMaskedGt:
@@ -170,6 +171,11 @@ class TestCoarseLabel:
             assert abs(direct - via_loss) < 1e-12
 
 
+# The identity grouping, one coarse class per fine class: its histogram is
+# the fine-label histogram.
+FINE = signals.make_coarse_grouping(presets.NUM_CLASSES, presets.NUM_CLASSES)
+
+
 class TestKnnCoarse:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -180,30 +186,23 @@ class TestKnnCoarse:
 
     def test_self_retrieval(self, setup):
         _, ds, index = setup
-        sig = signals.knn_coarse(ds.inputs[17], index, k=1)
+        sig = signals.knn_coarse(ds.inputs[17], index, 1, FINE)
         assert sig.values.argmax() == ds.targets[17]
         assert sig.values.max() == 1.0
-
-    def test_default_k_is_20(self, setup):
-        assert signals.SignalConfig().knn_k == 20
-        _, ds, index = setup
-        sig = signals.knn_coarse(ds.inputs[3], index, k=20)
-        assert abs(sig.values.sum() - 1.0) < 1e-12
-        assert sig.meta["k"] == 20
 
     def test_matches_brute_force(self, setup):
         model, ds, index = setup
         img = ds.inputs[123]
-        emb = signals.classifier_embedding(model, img)
+        emb = signals.classifier_embedding(model, img[None])[0]
         emb = emb / np.linalg.norm(emb)
         all_emb = []
         for i in range(500):
-            e = signals.classifier_embedding(model, ds.inputs[i])
+            e = signals.classifier_embedding(model, ds.inputs[i : i + 1])[0]
             all_emb.append(e / np.linalg.norm(e))
         sims = np.array([float(e @ emb) for e in all_emb])
         top = np.argsort(-sims, kind="stable")[:20]
         hist = np.bincount(ds.targets[top], minlength=presets.NUM_CLASSES) / 20
-        sig = signals.knn_coarse(img, index, k=20)
+        sig = signals.knn_coarse(img, index, 20, FINE)
         assert np.allclose(sig.values, hist, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3, 7, 20, 41])
@@ -215,15 +214,15 @@ class TestKnnCoarse:
         rows = np.repeat(index.embeddings[:60], 5, axis=0)
         labels = np.arange(len(rows)) % presets.NUM_CLASSES
         tied = signals.EmbeddingIndex(model, rows, labels)
-        g = signals.make_coarse_grouping(presets.NUM_CLASSES, 5) if grouped else None
+        g = signals.make_coarse_grouping(presets.NUM_CLASSES, 5) if grouped else FINE
         img = ds.inputs[11]
-        sig = signals.knn_coarse(img, tied, k=k, grouping=g)
+        sig = signals.knn_coarse(img, tied, k, g)
 
-        emb = signals.classifier_embedding(model, img)
+        emb = signals.classifier_embedding(model, img[None])[0]
         emb = emb / max(np.linalg.norm(emb), 1e-12)
         top = np.argsort(-(tied.embeddings @ emb), kind="stable")[:k]
-        picked = tied.labels[top] if g is None else g.as_array()[tied.labels[top]]
-        hist = np.bincount(picked, minlength=5 if grouped else presets.NUM_CLASSES).astype(float)
+        picked = g.as_array()[tied.labels[top]]
+        hist = np.bincount(picked, minlength=g.num_coarse).astype(float)
         assert sig.values.tobytes() == (hist / hist.sum()).tobytes()
 
     def test_nan_similarity_rejected(self, setup):
@@ -231,24 +230,34 @@ class TestKnnCoarse:
         rows = index.embeddings.copy()
         rows[4] = np.nan
         with pytest.raises(ContractError, match="NaN"):
-            signals.knn_coarse(ds.inputs[0], signals.EmbeddingIndex(model, rows, index.labels))
+            signals.knn_coarse(ds.inputs[0], signals.EmbeddingIndex(model, rows, index.labels), 20, FINE)
 
     def test_k_below_one_rejected(self, setup):
         _, ds, index = setup
         with pytest.raises(ContractError):
-            signals.knn_coarse(ds.inputs[0], index, k=0)
+            signals.knn_coarse(ds.inputs[0], index, 0, FINE)
 
     def test_with_grouping(self, setup):
         _, ds, index = setup
         g = signals.make_coarse_grouping(presets.NUM_CLASSES, 5)
-        sig = signals.knn_coarse(ds.inputs[9], index, k=7, grouping=g)
+        sig = signals.knn_coarse(ds.inputs[9], index, 7, g)
         assert sig.values.shape == (5,)
         assert abs(sig.values.sum() - 1.0) < 1e-12
+        assert sig.meta["k"] == 7
+
+    @pytest.mark.parametrize("fine", [10, 25])
+    def test_grouping_of_other_class_count_rejected(self, setup, fine):
+        # against a 20-class index, a 10-class grouping used to fail with a
+        # bare IndexError and a 25-class one to give a histogram, no error
+        _, ds, index = setup
+        g = signals.make_coarse_grouping(fine, 5)
+        with pytest.raises(ContractError, match=f"grouping covers {fine} fine classes.*has 20"):
+            signals.knn_coarse(ds.inputs[9], index, 7, g)
 
     def test_k_exceeding_index_rejected(self, setup):
         _, ds, index = setup
         with pytest.raises(ContractError):
-            signals.knn_coarse(ds.inputs[0], index, k=501)
+            signals.knn_coarse(ds.inputs[0], index, 501, FINE)
 
     def test_empty_index_rejected(self, setup):
         model, ds, _ = setup
@@ -260,9 +269,14 @@ class TestKnnCoarse:
         images = np.zeros((2, 1, 32, 32))
         with pytest.raises(ConfigurationError, match="no flatten layer"):
             signals.classifier_embedding(unet, images)
-        ds = taskgen.Dataset("dense_regression", images, np.zeros((2, 1, 32, 32)), seed=0)
+        ds = taskgen.Dataset("dense_regression", images, np.zeros((2, 1, 32, 32)))
         with pytest.raises(ConfigurationError, match="no flatten layer"):
             signals.build_embedding_index(unet, ds)
+
+    def test_embedding_of_one_unbatched_sample_rejected(self, setup):
+        model, ds, _ = setup
+        with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
+            signals.classifier_embedding(model, ds.inputs[0])
 
 
 class TestEncodeFeedback:
@@ -349,3 +363,29 @@ class TestEncodeFeedback:
                 got, want = signals.encode_feedback(p, a), signals.encode_feedback(p, b)
                 assert got.dtype == want.dtype == np.float64
                 assert got.tobytes() == want.tobytes()
+
+
+def _knn_at_k(k):
+    model = presets.cls_main(seed=0)
+    ds = taskgen.gen_classification(presets.NUM_CLASSES, 40, proto_seed=0, seed=1)
+    return signals.knn_coarse(ds.inputs[0], signals.build_embedding_index(model, ds), k, FINE)
+
+
+_LABELS = np.arange(64).reshape(8, 8) % 3
+_TARGET = np.linspace(0.0, 1.0, 64).reshape(1, 8, 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shifts.ShiftSpec("gaussian_noise", 2, seed=1.5),
+    lambda: shifts.ShiftSpec("gaussian_noise", 2, seed=-1),
+    lambda: signals.masked_gt(_TARGET, 0.1, -1),
+    lambda: signals.noisy_sparse(_TARGET, 0.1, 0.02, 0.05, -1),
+    lambda: signals.click_annotations(_LABELS, 2.0, 0),
+    lambda: nets.FiLMParams.identity([2.0]),
+    lambda: _knn_at_k(2.5),
+], ids=["shift_seed_float", "shift_seed_negative", "masked_gt_seed_negative",
+        "noisy_sparse_seed_negative", "clicks_float", "film_channels_float", "knn_k_float"])
+def test_seeds_and_counts_checked_at_entry(call):
+    # each failed with a bare numpy TypeError or ValueError before it was checked
+    with pytest.raises(RnaLoopError, match="must be >= .*, as an int"):
+        call()

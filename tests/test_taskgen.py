@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ class TestDenseSegmentation:
     CFG = taskgen.SceneWorldConfig(textures=("plain", "striped"))
 
     def test_empty_scene_all_background(self):
-        cfg = self.CFG.with_overrides(shapes_per_scene=(0, 0))
+        cfg = dataclasses.replace(self.CFG, shapes_per_scene=(0, 0))
         ds = taskgen.gen_dense_segmentation(cfg, 2, K=5, seed=0)
         assert np.all(ds.targets == 0)
 
@@ -103,7 +105,7 @@ class TestDenseSegmentation:
 class TestClassification:
     def test_zero_jitter_zero_noise_reproduces_prototype(self):
         ds = taskgen.gen_classification(4, 8, proto_seed=5, seed=6, jitter=0, noise_sigma=0.0)
-        protos = ds.extra["prototypes"]
+        protos = taskgen.make_prototypes(4, 5)
         for i in range(8):
             assert np.array_equal(ds.inputs[i, 0], protos[ds.targets[i]])
 

@@ -40,6 +40,36 @@ def test_uncalled_counts_names_attributes_and_imports_but_not_strings(tmp_path, 
     ]
 
 
+def test_uncalled_reports_defaulted_parameters_no_call_passes(tmp_path, capsys):
+    package = tmp_path / "src" / "rnaloop"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (package / "ops.py").write_text(
+        "def f(a, by_position=1, by_keyword=2, never=3, *, only_kw=4, kw_never=5): pass\n"
+        "def g(x=0): pass\n"
+        "def spread(a=0, b=1): pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, colour=None): pass\n"
+        "    def fill(self, level=0, unused=1): pass\n"
+        "    @staticmethod\n"
+        "    def make(n=1): pass\n"
+        "def user(box):\n"
+        "    f(0, 1, by_keyword=2, only_kw=4)\n"
+        "    spread(*[1, 2])\n"
+        "    box.fill(3)\n"
+        "    return Box(2)\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import rnaloop.ops as ops\nops.Box.make(1)\nops.g(**{'x': 1})\nops.user(None)\n")
+    # a test passing a parameter is not a caller
+    (tmp_path / "perfbench" / "tests" / "test_x.py").write_text(
+        "from rnaloop.ops import f\nf(0, 1, 2, 3, kw_never=5)\n")
+    assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == [
+        "ops.f(never)", "ops.f(kw_never)", "ops.Box.__init__(colour)", "ops.Box.fill(unused)",
+    ]
+
+
 def test_code_lines_leaves_out_blanks_comments_and_docstrings_and_totals_paths(tmp_path, capsys):
     package = tmp_path / "pkg"
     package.mkdir()

@@ -1,4 +1,5 @@
-"""List the public module-level names of ``src/rnaloop`` that nothing references.
+"""List the public module-level names of ``src/rnaloop`` that nothing
+references, and the defaulted parameters that no call passes.
 
 A public name is a function, class or assigned variable bound at the top
 level of a module, whose name does not start with ``_``. It counts as
@@ -9,8 +10,19 @@ of ``__all__``, do not count, and tests (``perfbench/tests``) are not
 callers. Names are matched without their module, so a name that another
 module also uses is left out.
 
-This is a report: it prints ``module.name`` for each unreferenced name and
-always exits 0.
+A defaulted parameter is one of a function defined at the top level of a
+module, or of a method of a class defined there (``self`` or ``cls`` left
+out), that has a default value. It counts as passed when a call in
+``src/rnaloop`` or ``perfbench/`` to a function or method of that name
+(``name(...)``, ``obj.name(...)``; a class name calls its ``__init__``)
+gives it by keyword, or by position: ``f(a, b)`` passes the first two. A
+call with ``*args`` passes every position, and one with ``**kwargs`` every
+keyword.
+
+This is a report: it prints ``module.name`` for each unreferenced name,
+then ``module.function(param)`` (``module.Class.method(param)`` for a
+method) for each defaulted parameter that no call passes, and always
+exits 0.
 
 Usage: ``python tools/uncalled.py [repo_root]`` (default: the parent of
 this script's directory).
@@ -48,16 +60,66 @@ def references(tree: ast.AST) -> set[str]:
     return out
 
 
+def calls(trees) -> dict[str, list[tuple[float, set[str] | None]]]:
+    """For each name called in ``trees``, one (positional count, keywords)
+    per call; inf positions for ``*args``, None keywords for ``**kwargs``."""
+    out: dict[str, list] = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            out.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args), None if None in keywords else keywords))
+    return out
+
+
+def defaulted_params(tree: ast.Module):
+    """(label, called name, position or None, parameter) for each defaulted
+    parameter of a top-level function or of a method of a top-level class;
+    the position counts from the first argument a caller writes, and is None
+    for a keyword-only parameter."""
+    funcs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        funcs += [(cls.name, node) for node in cls.body if isinstance(node, ast.FunctionDef)]
+    for owner, func in funcs:
+        args = func.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+        if owner is not None and not static:
+            positional = positional[1:]
+        label = func.name if owner is None else f"{owner}.{func.name}"
+        called = owner if func.name == "__init__" else func.name
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield label, called, i, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield label, called, None, arg.arg
+
+
+def passed(position, param: str, seen) -> bool:
+    """Whether one of the calls ``seen`` gives ``param``, at ``position``
+    or by keyword."""
+    return any((position is not None and n > position) or k is None or param in k for n, k in seen)
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     package = root / "src" / "rnaloop"
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for folder in (package, root / "perfbench") for path in sorted(folder.glob("*.py"))}
     used = set().union(*map(references, trees.values()))
-    for path in sorted(package.glob("*.py")):
+    seen = calls(trees.values())
+    modules = sorted(package.glob("*.py"))
+    for path in modules:
         for name in public_names(trees[path]):
             if name not in used:
                 print(f"{path.stem}.{name}")
+    for path in modules:
+        for label, called, position, param in defaulted_params(trees[path]):
+            if not passed(position, param, seen.get(called, [])):
+                print(f"{path.stem}.{label}({param})")
     return 0
 
 
