@@ -247,8 +247,8 @@ class TestKnnCoarse:
 
     @pytest.mark.parametrize("fine", [10, 25])
     def test_grouping_of_other_class_count_rejected(self, setup, fine):
-        # against a 20-class index, a 10-class grouping used to fail with a
-        # bare IndexError and a 25-class one to give a histogram, no error
+        # a grouping of fewer classes than the index model's would index past
+        # its table; one of more would give a histogram of the wrong classes
         _, ds, index = setup
         g = signals.make_coarse_grouping(fine, 5)
         with pytest.raises(ContractError, match=f"grouping covers {fine} fine classes.*has 20"):
@@ -386,6 +386,6 @@ _TARGET = np.linspace(0.0, 1.0, 64).reshape(1, 8, 8)
 ], ids=["shift_seed_float", "shift_seed_negative", "masked_gt_seed_negative",
         "noisy_sparse_seed_negative", "clicks_float", "film_channels_float", "knn_k_float"])
 def test_seeds_and_counts_checked_at_entry(call):
-    # each failed with a bare numpy TypeError or ValueError before it was checked
+    # each fails at entry with a package error, not inside numpy
     with pytest.raises(RnaLoopError, match="must be >= .*, as an int"):
         call()
