@@ -3,6 +3,9 @@
 Severity indexes fixed, documented parameter tables; every table is
 strictly monotone in effect strength. Shifts apply to inputs only and
 never touch targets or signals derived from targets.
+
+The cross-dataset shift is a world instead: ``shifted_world`` of the
+training world, fed to the ``taskgen`` generators for the test split.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, need_int
-from .taskgen import Dataset, SceneWorldConfig, gen_dense_regression, gen_dense_segmentation
+from .taskgen import SceneWorldConfig
 
 KINDS = ("identity", "gaussian_noise", "blur", "pixelate", "contrast")
 
@@ -97,48 +100,12 @@ def apply_shift(x: np.ndarray, spec: ShiftSpec) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-# ---------------------------------------------------------------------------
-# cross-distribution (generator A -> generator B) evaluation pairs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    task_kind: str
-    scene: SceneWorldConfig
-    num_classes: int | None = None
-
-
 def shifted_world(base: SceneWorldConfig) -> SceneWorldConfig:
-    """A systematically different scene distribution (cross-dataset stand-in)."""
+    """A systematically different scene distribution (cross-dataset stand-in):
+    train on one world's generator output and test on this one's."""
     return replace(
         base,
         half_size_range=(6.0, 13.0),
         albedo_range=(0.30, 0.75),
         shapes_per_scene=(2, 6),
     )
-
-
-def cross_distribution(
-    config_a: DataConfig,
-    config_b: DataConfig,
-    n_train: int,
-    n_test: int,
-    seed: int,
-) -> tuple[Dataset, Dataset]:
-    """Train split from generator A, evaluation split from generator B."""
-    if config_a.task_kind != config_b.task_kind:
-        raise ConfigurationError(
-            f"task kinds differ: {config_a.task_kind!r} vs {config_b.task_kind!r}"
-        )
-    if config_a.task_kind == "dense_regression":
-        train = gen_dense_regression(config_a.scene, n_train, seed)
-        test = gen_dense_regression(config_b.scene, n_test, seed + 1)
-    elif config_a.task_kind == "dense_segmentation":
-        train = gen_dense_segmentation(config_a.scene, n_train, config_a.num_classes, seed)
-        test = gen_dense_segmentation(config_b.scene, n_test, config_b.num_classes, seed + 1)
-    else:
-        raise ConfigurationError(
-            f"cross-distribution pairs are defined for dense tasks, not {config_a.task_kind!r}"
-        )
-    return train, test

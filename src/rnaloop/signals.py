@@ -165,11 +165,22 @@ def coarse_label(y_fine: int, grouping: CoarseGrouping) -> AdaptationSignal:
 
 
 class EmbeddingIndex:
-    """Cosine-similarity index over penultimate-layer embeddings."""
+    """Cosine-similarity index over penultimate-layer embeddings.
+
+    ``LabelRangeError`` unless the labels are one integer per embedding,
+    each a class of the model: in [0, ``model.spec.out_ch``).
+    """
 
     def __init__(self, model: Model, embeddings: np.ndarray, labels: np.ndarray):
         if embeddings.shape[0] == 0:
             raise ContractError("embedding index is empty")
+        if labels.shape != embeddings.shape[:1] or labels.dtype.kind not in "iu":
+            raise LabelRangeError(f"index needs one integer label per embedding, shape "
+                                  f"{embeddings.shape[:1]}; got {labels.dtype} {labels.shape}")
+        classes = model.spec.out_ch
+        if labels.min() < 0 or labels.max() >= classes:
+            raise LabelRangeError(f"index labels span [{labels.min()}, {labels.max()}], "
+                                  f"outside the model's classes [0, {classes})")
         self.model = model
         norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
         self.embeddings = embeddings / np.maximum(norms, 1e-12)

@@ -33,21 +33,28 @@ SEG_COMBOS = [
     ("disk", "striped"),
 ]
 
+# the scene model that every world shares
+SHAPE_KINDS = ("rectangle", "disk")
+DEPTH_RANGE = (0.05, 0.90)
+BACKGROUND_ALBEDO = 0.35
+BACKGROUND_DEPTH = 1.0
+SHADE = 0.6
+STRIPE_FACTOR = 0.55
+STRIPE_PERIOD = 2
+# classification: roll of up to JITTER pixels per axis, then gaussian noise
+JITTER = 2
+NOISE_SIGMA = 0.05
+
 
 @dataclass(frozen=True)
 class SceneWorldConfig:
+    """What a world varies; the rest of the scene model is the constants
+    above, and the textures are the generator's."""
+
     grid: int = 32
     shapes_per_scene: tuple[int, int] = (1, 4)
-    kinds: tuple[str, ...] = ("rectangle", "disk")
-    textures: tuple[str, ...] = ("plain",)
     half_size_range: tuple[float, float] = (3.0, 9.0)
     albedo_range: tuple[float, float] = (0.45, 0.95)
-    depth_range: tuple[float, float] = (0.05, 0.90)
-    background_albedo: float = 0.35
-    background_depth: float = 1.0
-    shade: float = 0.6
-    stripe_factor: float = 0.55
-    stripe_period: int = 2
 
 
 @dataclass
@@ -74,16 +81,20 @@ class Dataset:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
+    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 
 
-def sample_scene(config: SceneWorldConfig, rng: np.random.Generator) -> list[Shape]:
+def sample_scene(
+    config: SceneWorldConfig, textures: tuple[str, ...], rng: np.random.Generator
+) -> list[Shape]:
+    """Shapes whose textures are drawn from ``textures``, a subset of the
+    textures of ``SEG_COMBOS``."""
     lo, hi = config.shapes_per_scene
     count = int(rng.integers(lo, hi + 1))
     shapes = []
     for _ in range(count):
-        kind = config.kinds[int(rng.integers(len(config.kinds)))]
-        texture = config.textures[int(rng.integers(len(config.textures)))]
+        kind = SHAPE_KINDS[int(rng.integers(len(SHAPE_KINDS)))]
+        texture = textures[int(rng.integers(len(textures)))]
         shapes.append(
             Shape(
                 kind=kind,
@@ -92,11 +103,9 @@ def sample_scene(config: SceneWorldConfig, rng: np.random.Generator) -> list[Sha
                 cy=float(rng.uniform(0, config.grid - 1)),
                 hw=float(rng.uniform(*config.half_size_range)),
                 hh=float(rng.uniform(*config.half_size_range)),
-                depth=float(rng.uniform(*config.depth_range)),
+                depth=float(rng.uniform(*DEPTH_RANGE)),
                 albedo=float(rng.uniform(*config.albedo_range)),
-                seg_class=SEG_COMBOS.index((kind, texture)) + 1
-                if (kind, texture) in SEG_COMBOS
-                else 0,
+                seg_class=SEG_COMBOS.index((kind, texture)) + 1,
             )
         )
     return shapes
@@ -111,13 +120,13 @@ def _coverage(shape: Shape, grid: int) -> np.ndarray:
     raise ConfigurationError(f"unknown shape kind {shape.kind!r}")
 
 
-def _shape_intensity(config: SceneWorldConfig, shape: Shape, grid: int) -> np.ndarray:
-    base = shape.albedo * (1.0 - config.shade * shape.depth)
+def _shape_intensity(shape: Shape, grid: int) -> np.ndarray:
+    base = shape.albedo * (1.0 - SHADE * shape.depth)
     img = np.full((grid, grid), base)
     if shape.texture == "striped":
         _, xs = np.mgrid[0:grid, 0:grid]
-        stripe = (xs // config.stripe_period) % 2 == 1
-        img[stripe] *= config.stripe_factor
+        stripe = (xs // STRIPE_PERIOD) % 2 == 1
+        img[stripe] *= STRIPE_FACTOR
     return img
 
 
@@ -126,45 +135,47 @@ def render_scene(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rasterize a scene: (intensity image, depth map, class map)."""
     g = config.grid
-    depth = np.full((g, g), float(config.background_depth))
-    image = np.full((g, g), config.background_albedo * (1.0 - config.shade * config.background_depth))
+    depth = np.full((g, g), BACKGROUND_DEPTH)
+    image = np.full((g, g), BACKGROUND_ALBEDO * (1.0 - SHADE * BACKGROUND_DEPTH))
     classes = np.zeros((g, g), dtype=np.int64)
     for shape in sorted(shapes, key=lambda s: -s.depth):  # far first, near wins
         cover = _coverage(shape, g)
         depth[cover] = shape.depth
-        image[cover] = _shape_intensity(config, shape, g)[cover]
+        image[cover] = _shape_intensity(shape, g)[cover]
         classes[cover] = shape.seg_class
     return np.clip(image, 0.0, 1.0), depth, classes
 
 
 def gen_dense_regression(config: SceneWorldConfig, n: int, seed: int) -> Dataset:
-    """Depth-from-intensity scenes; target is the normalized depth map."""
+    """Depth-from-intensity scenes of plain shapes; target is the
+    normalized depth map."""
     need_int("n", n, 1)
+    need_int("seed", seed, 0)
     rng = _rng(seed, _STREAM_SCENE)
     inputs = np.empty((n, 1, config.grid, config.grid))
     targets = np.empty((n, 1, config.grid, config.grid))
     for i in range(n):
-        img, depth, _ = render_scene(config, sample_scene(config, rng))
+        img, depth, _ = render_scene(config, sample_scene(config, ("plain",), rng))
         inputs[i, 0] = img
         targets[i, 0] = depth
     return Dataset("dense_regression", inputs, targets)
 
 
 def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) -> Dataset:
-    """Shape kind+texture decides the class; background is class 0."""
+    """Plain and striped shapes; shape kind+texture decides the class,
+    background is class 0, and shapes of a class >= K are left out."""
     need_int("n", n, 1)
     need_int("K", K, 2)
-    combos = [c for c in SEG_COMBOS if c[0] in config.kinds and c[1] in config.textures]
-    if K - 1 > len(combos):
+    need_int("seed", seed, 0)
+    if K - 1 > len(SEG_COMBOS):
         raise ConfigurationError(
-            f"K={K} exceeds available kind-texture combinations ({len(combos)} + background)"
+            f"K={K} exceeds available kind-texture combinations ({len(SEG_COMBOS)} + background)"
         )
     rng = _rng(seed, _STREAM_SCENE)
     inputs = np.empty((n, 1, config.grid, config.grid))
     targets = np.empty((n, config.grid, config.grid), dtype=np.int64)
     for i in range(n):
-        shapes = sample_scene(config, rng)
-        shapes = [s for s in shapes if 1 <= s.seg_class <= K - 1]
+        shapes = [s for s in sample_scene(config, ("plain", "striped"), rng) if s.seg_class < K]
         img, _, classes = render_scene(config, shapes)
         inputs[i, 0] = img
         targets[i] = classes
@@ -174,9 +185,11 @@ def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) 
 def make_prototypes(K: int, proto_seed: int, grid: int = 16) -> np.ndarray:
     """K smooth random patterns in [0.1, 0.9], upsampled from a 4x4 field.
 
-    ``ConfigurationError`` unless grid is an int >= 4 that 4 divides.
+    ``ConfigurationError`` unless grid is an int >= 4 that 4 divides and
+    proto_seed an int >= 0.
     """
     need_int("grid", grid, 4)
+    need_int("proto_seed", proto_seed, 0)
     if grid % 4:
         raise ConfigurationError(f"grid {grid} must be divisible by 4, the prototype field's size")
     rng = _rng(proto_seed, _STREAM_SCENE)
@@ -190,37 +203,29 @@ def make_prototypes(K: int, proto_seed: int, grid: int = 16) -> np.ndarray:
     return protos
 
 
-def gen_classification(
-    K: int,
-    n: int,
-    proto_seed: int,
-    seed: int,
-    grid: int = 16,
-    jitter: int = 2,
-    noise_sigma: float = 0.05,
-) -> Dataset:
-    """Jittered noisy renderings of K prototype patterns, labels balanced.
+def gen_classification(K: int, n: int, proto_seed: int, seed: int, grid: int = 16) -> Dataset:
+    """Renderings of K prototype patterns, each rolled by up to ``JITTER``
+    pixels per axis and given gaussian noise of sd ``NOISE_SIGMA``; labels
+    balanced.
 
-    The grid is checked as :func:`make_prototypes` checks it.
+    The grid and proto_seed are checked as :func:`make_prototypes` checks
+    them.
     """
     need_int("n", n, 1)
     need_int("K", K, 2)
+    need_int("seed", seed, 0)
     protos = make_prototypes(K, proto_seed, grid)
     labels = np.tile(np.arange(K), n // K + 1)[:n]
     rng = _rng(seed, _STREAM_LABELS)
     rng.shuffle(labels)
     inputs = np.empty((n, 1, grid, grid))
     for i, y in enumerate(labels):
-        img = protos[y]
-        if jitter > 0:
-            img = np.roll(
-                img,
-                (int(rng.integers(-jitter, jitter + 1)), int(rng.integers(-jitter, jitter + 1))),
-                axis=(0, 1),
-            )
-        if noise_sigma > 0:
-            img = img + rng.normal(0.0, noise_sigma, size=img.shape)
-        inputs[i, 0] = np.clip(img, 0.0, 1.0)
+        img = np.roll(
+            protos[y],
+            (int(rng.integers(-JITTER, JITTER + 1)), int(rng.integers(-JITTER, JITTER + 1))),
+            axis=(0, 1),
+        )
+        inputs[i, 0] = np.clip(img + rng.normal(0.0, NOISE_SIGMA, size=img.shape), 0.0, 1.0)
     return Dataset("classification", inputs, labels.astype(np.int64))
 
 
@@ -253,6 +258,7 @@ def train_main(
         raise ConfigurationError(
             f"train_main needs integers epochs >= 1 and batch_size >= 1, got {epochs!r} and {batch_size!r}"
         )
+    need_int("seed", seed, 0)
     if dataset.task_kind != model.spec.task_kind:
         raise ConfigurationError(
             f"dataset task {dataset.task_kind!r} != model task {model.spec.task_kind!r}"

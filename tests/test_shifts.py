@@ -105,22 +105,20 @@ class TestSeverityTableExport:
 
 class TestCrossDistribution:
     def test_same_config_same_distribution(self):
+        # a train split from one world and a test split from its shifted
+        # world: the same arguments give the same data, and at one seed the
+        # two worlds give different data
         base = taskgen.SceneWorldConfig()
-        a = shifts.DataConfig("dense_regression", base)
-        train, test = shifts.cross_distribution(a, a, 10, 10, seed=0)
-        train2, test2 = shifts.cross_distribution(a, a, 10, 10, seed=0)
-        assert np.array_equal(train.inputs, train2.inputs)
-        assert np.array_equal(test.inputs, test2.inputs)
+        moved = shifts.shifted_world(base)
+        for world, seed in [(base, 0), (moved, 1)]:
+            a = taskgen.gen_dense_regression(world, 10, seed)
+            b = taskgen.gen_dense_regression(world, 10, seed)
+            assert np.array_equal(a.inputs, b.inputs) and np.array_equal(a.targets, b.targets)
+        assert not np.array_equal(taskgen.gen_dense_regression(base, 10, 1).inputs,
+                                  taskgen.gen_dense_regression(moved, 10, 1).inputs)
 
     def test_shifted_world_changes_ranges(self):
         base = taskgen.SceneWorldConfig()
         moved = shifts.shifted_world(base)
         assert moved.half_size_range != base.half_size_range
         assert moved.albedo_range != base.albedo_range
-
-    def test_incompatible_task_kinds_rejected(self):
-        base = taskgen.SceneWorldConfig()
-        a = shifts.DataConfig("dense_regression", base)
-        b = shifts.DataConfig("dense_segmentation", base, num_classes=5)
-        with pytest.raises(ConfigurationError):
-            shifts.cross_distribution(a, b, 4, 4, seed=0)

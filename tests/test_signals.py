@@ -264,6 +264,26 @@ class TestKnnCoarse:
         with pytest.raises(ContractError):
             signals.EmbeddingIndex(model, np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
+    def test_labels_outside_the_model_classes_rejected(self):
+        # 25 classes of data on a 20-class model: the index used to build,
+        # and knn_coarse then failed with a bare IndexError
+        model = presets.cls_main(0)
+        ds = taskgen.gen_classification(25, 50, 0, 1)
+        with pytest.raises(LabelRangeError, match=r"span \[0, 24\], outside the model's classes \[0, 20\)"):
+            signals.build_embedding_index(model, ds)
+
+    @pytest.mark.parametrize("labels", [
+        np.arange(4) - 1,
+        np.zeros(3, dtype=np.int64),
+        np.zeros((4, 1), dtype=np.int64),
+        np.zeros(4),
+        np.zeros(4, dtype=bool),
+    ], ids=["negative", "one_short", "not_one_per_row", "float", "bool"])
+    def test_labels_not_one_class_per_embedding_rejected(self, setup, labels):
+        model, _, index = setup
+        with pytest.raises(LabelRangeError):
+            signals.EmbeddingIndex(model, index.embeddings[:4], labels)
+
     def test_model_without_flatten_rejected(self):
         unet = presets.dense_main(seed=0)
         images = np.zeros((2, 1, 32, 32))

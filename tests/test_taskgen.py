@@ -1,19 +1,20 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from rnaloop import nets, presets, taskgen
+from rnaloop import nets, presets, shifts, taskgen
 from rnaloop.errors import ConfigurationError, ContractError, TrainingError
 
 
 def painter_oracle(config, shapes):
     """Per-pixel loop: nearest covering shape wins, else background."""
     g = config.grid
-    depth = np.full((g, g), config.background_depth)
+    depth = np.full((g, g), taskgen.BACKGROUND_DEPTH)
     for y in range(g):
         for x in range(g):
-            best = config.background_depth
+            best = taskgen.BACKGROUND_DEPTH
             for s in shapes:
                 if s.kind == "rectangle":
                     inside = abs(x - s.cx) <= s.hw and abs(y - s.cy) <= s.hh
@@ -41,7 +42,7 @@ class TestDenseRegression:
         cfg = taskgen.SceneWorldConfig(grid=16)
         rng = np.random.default_rng(1)
         for _ in range(25):
-            shapes = taskgen.sample_scene(cfg, rng)
+            shapes = taskgen.sample_scene(cfg, ("plain", "striped"), rng)
             _, depth, _ = taskgen.render_scene(cfg, shapes)
             assert np.array_equal(depth, painter_oracle(cfg, shapes))
 
@@ -70,7 +71,7 @@ class TestDenseRegression:
 
 
 class TestDenseSegmentation:
-    CFG = taskgen.SceneWorldConfig(textures=("plain", "striped"))
+    CFG = taskgen.SceneWorldConfig()
 
     def test_empty_scene_all_background(self):
         cfg = dataclasses.replace(self.CFG, shapes_per_scene=(0, 0))
@@ -102,12 +103,26 @@ class TestDenseSegmentation:
         assert np.all(counts <= 2.0 * uniform)
 
 
+def _nearest_rolled_prototype(image, protos):
+    """(label, residual) of the prototype and roll within JITTER closest to
+    ``image`` in max abs difference."""
+    j = taskgen.JITTER
+    return min(
+        ((k, float(np.abs(image - np.roll(p, (dy, dx), axis=(0, 1))).max()))
+         for k, p in enumerate(protos) for dy in range(-j, j + 1) for dx in range(-j, j + 1)),
+        key=lambda pair: pair[1])
+
+
 class TestClassification:
-    def test_zero_jitter_zero_noise_reproduces_prototype(self):
-        ds = taskgen.gen_classification(4, 8, proto_seed=5, seed=6, jitter=0, noise_sigma=0.0)
+    def test_images_are_rolled_noisy_prototypes(self):
+        # each image is its label's prototype rolled by at most JITTER pixels
+        # per axis, within five noise sds at every pixel
+        ds = taskgen.gen_classification(4, 8, proto_seed=5, seed=6)
         protos = taskgen.make_prototypes(4, 5)
-        for i in range(8):
-            assert np.array_equal(ds.inputs[i, 0], protos[ds.targets[i]])
+        for image, label in zip(ds.inputs[:, 0], ds.targets):
+            nearest, residual = _nearest_rolled_prototype(image, protos)
+            assert nearest == label
+            assert residual < 5 * taskgen.NOISE_SIGMA
 
     def test_balanced_labels(self):
         ds = taskgen.gen_classification(5, 100, proto_seed=0, seed=1)
@@ -127,8 +142,11 @@ class TestClassification:
             taskgen.gen_classification(5, 4, proto_seed=0, seed=0, grid=grid)
 
     def test_smallest_grid_is_the_prototype_field(self):
-        ds = taskgen.gen_classification(5, 4, proto_seed=0, seed=0, grid=4, jitter=0, noise_sigma=0.0)
+        ds = taskgen.gen_classification(5, 4, proto_seed=0, seed=0, grid=4)
+        protos = taskgen.make_prototypes(5, 0, 4)
         assert ds.inputs.shape == (4, 1, 4, 4)
+        for image, label in zip(ds.inputs[:, 0], ds.targets):
+            assert _nearest_rolled_prototype(image, protos)[1] < 5 * taskgen.NOISE_SIGMA
 
     def test_determinism(self):
         a = taskgen.gen_classification(5, 50, proto_seed=2, seed=3)
@@ -137,7 +155,7 @@ class TestClassification:
         assert np.array_equal(a.targets, b.targets)
 
 
-_CFG = taskgen.SceneWorldConfig(textures=("plain", "striped"))
+_CFG = taskgen.SceneWorldConfig()
 _GENERATORS = {
     "gen_dense_regression": lambda n, K: taskgen.gen_dense_regression(_CFG, n, seed=0),
     "gen_dense_segmentation": lambda n, K: taskgen.gen_dense_segmentation(_CFG, n, K, seed=0),
@@ -157,6 +175,68 @@ def test_non_integer_counts_rejected_at_entry(gen, name, value):
     args = {"n": 4, "K": 5, name: value}
     with pytest.raises(ConfigurationError, match=f"{name} must be >= .*as an int; got {value!r}"):
         _GENERATORS[gen](args["n"], args["K"])
+
+
+_SEED_ENTRIES = {
+    "gen_dense_regression": lambda seed: taskgen.gen_dense_regression(_CFG, 2, seed),
+    "gen_dense_segmentation": lambda seed: taskgen.gen_dense_segmentation(_CFG, 2, 5, seed),
+    "make_prototypes": lambda seed: taskgen.make_prototypes(4, seed),
+    "gen_classification_seed": lambda seed: taskgen.gen_classification(4, 8, 0, seed),
+    "gen_classification_proto_seed": lambda seed: taskgen.gen_classification(4, 8, seed, 0),
+    "train_main": lambda seed: taskgen.train_main(
+        presets.cls_main(0), taskgen.gen_classification(presets.NUM_CLASSES, 4, 0, 0), 1, 0.01, seed),
+}
+
+
+@pytest.mark.parametrize("entry", _SEED_ENTRIES)
+@pytest.mark.parametrize("seed", [1.5, -1, True])
+def test_seeds_checked_at_entry(entry, seed):
+    # past the entry check a float or bool seed ran as its int, and -1
+    # failed inside numpy with a bare ValueError
+    with pytest.raises(ConfigurationError, match=f"seed must be >= 0, as an int; got {seed!r}"):
+        _SEED_ENTRIES[entry](seed)
+
+
+class TestGeneratorPins:
+    # sha256 of inputs then targets, pinned when the world options became
+    # constants so that any change of draw order or scene model shows; the
+    # segmentation pin is of the plain-and-striped world its generator draws
+    SHA256 = {
+        "depth": "f580e08da6ae35f98e8e6d5b6eec4fa2b0e5dbb2a621717bdbed325255689a8c",
+        "depth_shifted_world": "3aadc95da6763c7ab37c9eb9cbc145c9a21865dfb9526bbb9f6e9a957b9b8eb9",
+        "classification": "413cbaf217254d08a413b50daca08fe5ccb9b2215a9ae086c21e5719dc4cd0f7",
+        "segmentation": "165ff8bb5063d50dc89cf7fd0d88159cea8be3d7d6df9d28f5ab72c2b0010801",
+    }
+
+    def test_outputs_pinned(self):
+        world = taskgen.SceneWorldConfig(grid=32)
+        datasets = {
+            "depth": taskgen.gen_dense_regression(world, 30, 7),
+            "depth_shifted_world": taskgen.gen_dense_regression(shifts.shifted_world(world), 30, 7),
+            "classification": taskgen.gen_classification(20, 100, 3, 4, 16),
+            "segmentation": taskgen.gen_dense_segmentation(world, 30, 5, 7),
+        }
+        got = {name: hashlib.sha256(ds.inputs.tobytes() + ds.targets.tobytes()).hexdigest()
+               for name, ds in datasets.items()}
+        assert got == self.SHA256
+
+
+_PRESET_DATA = {
+    "dense_main": lambda: taskgen.gen_dense_regression(taskgen.SceneWorldConfig(), 4, 0),
+    "seg_main": lambda: taskgen.gen_dense_segmentation(taskgen.SceneWorldConfig(), 4, presets.SEG_CLASSES, 0),
+    "cls_main": lambda: taskgen.gen_classification(presets.NUM_CLASSES, 4, 0, 0, presets.CLS_GRID),
+}
+
+
+@pytest.mark.parametrize("preset", _PRESET_DATA)
+def test_every_main_preset_trains_on_default_world_data(preset):
+    # the default world serves every shipped main network, segmentation's
+    # SEG_CLASSES included
+    model = getattr(presets, preset)(0)
+    before = model.params.state_bytes()
+    _, curve = taskgen.train_main(model, _PRESET_DATA[preset](), epochs=1, lr=0.01, seed=0, batch_size=4)
+    assert len(curve) == 1 and np.isfinite(curve[0])
+    assert model.params.state_bytes() != before
 
 
 class TestTrainMain:

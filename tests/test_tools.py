@@ -70,6 +70,38 @@ def test_uncalled_reports_defaulted_parameters_no_call_passes(tmp_path, capsys):
     ]
 
 
+def test_uncalled_reports_dataclass_fields_no_call_or_replace_passes(tmp_path, capsys):
+    package = tmp_path / "src" / "rnaloop"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (package / "ops.py").write_text(
+        "from dataclasses import dataclass, replace\n"
+        "from typing import ClassVar\n"
+        "@dataclass(frozen=True)\n"
+        "class World:\n"
+        "    grid: int = 32\n"
+        "    size: int = 1\n"
+        "    colour: str = 'red'\n"
+        "    shade: float = 0.5\n"
+        "    name: ClassVar[str] = 'w'\n"
+        "@dataclass\n"
+        "class Plain:\n"
+        "    need: int\n"
+        "    extra: int = 0\n"
+        "def moved(w):\n"
+        "    return replace(w, colour='blue')\n"
+        "def user():\n"
+        "    return World(16, size=2), 'shade'.replace('a', 'b')\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import rnaloop.ops as ops\nops.moved(ops.user())\nops.Plain(1)\n")
+    # a test passing a field is not a caller
+    (tmp_path / "perfbench" / "tests" / "test_x.py").write_text(
+        "from rnaloop.ops import World, Plain\nWorld(1, 2, 'x', 0.1)\nPlain(1, 2)\n")
+    assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["ops.World.__init__(shade)", "ops.Plain.__init__(extra)"]
+
+
 def test_code_lines_leaves_out_blanks_comments_and_docstrings_and_totals_paths(tmp_path, capsys):
     package = tmp_path / "pkg"
     package.mkdir()
@@ -91,13 +123,49 @@ def test_code_lines_leaves_out_blanks_comments_and_docstrings_and_totals_paths(t
     single.write_text("import os\n\n\nprint(os.sep)\n")
     code_lines = _load("code_lines")
     assert code_lines.main(["code_lines.py", str(package), str(single)]) == 0
-    rows = [line.rsplit(maxsplit=1) for line in capsys.readouterr().out.splitlines()]
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.rsplit(maxsplit=1) for line in lines[:-1]]
     assert rows == [
         [str(package / "a.py"), "4"],
         [str(package / "b.py"), "2"],
         [str(single), "2"],
         ["total", "8"],
     ]
+    assert lines[-1] == "settable values: 0 parameters, 0 fields, 0 defaults (0)"
+
+
+def test_code_lines_counts_parameters_dataclass_fields_and_their_defaults(tmp_path, capsys):
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "from typing import ClassVar\n"
+        "def f(a, b=1, *args, c, d=2, **kw):  # a b c d; defaults b d\n"
+        "    def inner(x=0): pass  # x; default x\n"
+        "    return lambda y=1: y  # a lambda is not counted\n"
+        "class K:\n"
+        "    def m(self, p, q=3): pass  # p q; default q\n"
+        "    @classmethod\n"
+        "    def n(cls, r): pass  # r\n"
+        "    @staticmethod\n"
+        "    def s(t): pass  # t\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    u: int  # field\n"
+        "    v: int = 1  # field; default\n"
+        "    w: ClassVar[int] = 2  # not a field\n"
+        "    x = 3  # not a field\n"
+        "@dataclasses.dataclass\n"
+        "class E:\n"
+        "    z: float = 0.0  # field; default\n"
+        "class NotData:\n"
+        "    y: int = 0  # not a dataclass\n"
+    )
+    code_lines = _load("code_lines")
+    assert code_lines.settable_values(source) == (9, 3, 6)
+    (tmp_path / "m.py").write_text(source)
+    assert code_lines.main(["code_lines.py", str(tmp_path / "m.py"), str(tmp_path / "m.py")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "settable values: 18 parameters, 6 fields, 12 defaults (36)")
 
 
 def test_conv_crossover_sizes_match_the_budget_rule_and_totals_pick_a_side():

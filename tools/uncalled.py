@@ -17,12 +17,15 @@ out), that has a default value. It counts as passed when a call in
 (``name(...)``, ``obj.name(...)``; a class name calls its ``__init__``)
 gives it by keyword, or by position: ``f(a, b)`` passes the first two. A
 call with ``*args`` passes every position, and one with ``**kwargs`` every
-keyword.
+keyword. The defaulted fields of a dataclass (a class decorated with
+``dataclass``) count as parameters of its ``__init__``, in field order, and
+a keyword given to ``replace(obj, ...)`` (``dataclasses.replace``) passes
+the field of that name.
 
 This is a report: it prints ``module.name`` for each unreferenced name,
 then ``module.function(param)`` (``module.Class.method(param)`` for a
-method) for each defaulted parameter that no call passes, and always
-exits 0.
+method, ``module.Class.__init__(field)`` for a dataclass field) for each
+defaulted parameter that no call passes, and always exits 0.
 
 Usage: ``python tools/uncalled.py [repo_root]`` (default: the parent of
 this script's directory).
@@ -74,14 +77,28 @@ def calls(trees) -> dict[str, list[tuple[float, set[str] | None]]]:
     return out
 
 
+def dataclass_fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The fields of ``cls`` in order, or [] unless it is a dataclass."""
+    decorators = [ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list]
+    if not any(d.rsplit(".", 1)[-1] == "dataclass" for d in decorators):
+        return []
+    return [node for node in cls.body if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name) and "ClassVar" not in ast.unparse(node.annotation)]
+
+
 def defaulted_params(tree: ast.Module):
-    """(label, called name, position or None, parameter) for each defaulted
-    parameter of a top-level function or of a method of a top-level class;
-    the position counts from the first argument a caller writes, and is None
-    for a keyword-only parameter."""
+    """(label, called name, position or None, parameter, name of a call that
+    passes it by keyword only, or None) for each defaulted parameter of a
+    top-level function or of a method of a top-level class, and for each
+    defaulted field of a top-level dataclass; the position counts from the
+    first argument a caller writes, and is None for a keyword-only
+    parameter."""
     funcs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
     for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
         funcs += [(cls.name, node) for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for i, node in enumerate(dataclass_fields(cls)):
+            if node.value is not None:
+                yield f"{cls.name}.__init__", cls.name, i, node.target.id, "replace"
     for owner, func in funcs:
         args = func.args
         positional = args.posonlyargs + args.args
@@ -92,10 +109,10 @@ def defaulted_params(tree: ast.Module):
         called = owner if func.name == "__init__" else func.name
         first = len(positional) - len(args.defaults)
         for i, arg in enumerate(positional[first:], start=first):
-            yield label, called, i, arg.arg
+            yield label, called, i, arg.arg, None
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield label, called, None, arg.arg
+                yield label, called, None, arg.arg, None
 
 
 def passed(position, param: str, seen) -> bool:
@@ -117,8 +134,9 @@ def main(argv: list[str]) -> int:
             if name not in used:
                 print(f"{path.stem}.{name}")
     for path in modules:
-        for label, called, position, param in defaulted_params(trees[path]):
-            if not passed(position, param, seen.get(called, [])):
+        for label, called, position, param, by_keyword in defaulted_params(trees[path]):
+            found = seen.get(called, []) + [(0, k) for _, k in seen.get(by_keyword, [])]
+            if not passed(position, param, found):
                 print(f"{path.stem}.{label}({param})")
     return 0
 
