@@ -198,9 +198,8 @@ def test_seeds_checked_at_entry(entry, seed):
 
 
 class TestGeneratorPins:
-    # sha256 of inputs then targets, pinned when the world options became
-    # constants so that any change of draw order or scene model shows; the
-    # segmentation pin is of the plain-and-striped world its generator draws
+    # sha256 of inputs then targets, pinned so that any change of draw order
+    # or of the scene model shows
     SHA256 = {
         "depth": "f580e08da6ae35f98e8e6d5b6eec4fa2b0e5dbb2a621717bdbed325255689a8c",
         "depth_shifted_world": "3aadc95da6763c7ab37c9eb9cbc145c9a21865dfb9526bbb9f6e9a957b9b8eb9",
