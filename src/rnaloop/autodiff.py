@@ -19,20 +19,27 @@ bias and the [N,K]+[K] rows of ``add_bias``. All other operand shapes must
 match exactly.
 
 Memory: a recorded op keeps only what its backward pass reads, in its
-node's backward closure: masks, shapes, softmax probabilities, the
-operands of products. A conv with a recorded kernel keeps its input, from
-which the kernel gradient rebuilds the row matrix, and not the row matrix
-(k copies of the padded input). :func:`backward` drops each node's closure
-as it reaches the node, and each intermediate gradient once that node has
-used it, so a tape goes through backward once and then holds the
-leaves' gradients only: ``Tape.grads`` maps leaf ids to gradients.
+node's backward closure: masks, shapes, softmax probabilities, and an
+operand of a product only when the other operand's gradient is computed.
+A concat keeps its channel offsets, not its operands, so the maps it joins
+die when the forward drops them. A conv with a recorded kernel keeps its
+input, from which the kernel gradient rebuilds the row matrix, and not the
+row matrix (k copies of the padded input); its backward drops that input
+once the kernel gradient has read it, before the input gradient allocates.
+:func:`backward` drops each node's closure as it reaches the node, and
+each intermediate gradient once that node has used it, so a tape goes
+through backward once and then holds the leaves' gradients only:
+``Tape.grads`` maps leaf ids to gradients.
 
-A conv on a batch whose row matrix would exceed 1 MiB builds it one
-image at a time, in the forward and in both gradients, so its peak holds
-one image's row matrix, not the batch's. Over a sweep of batch shapes,
-switching near that size gave the least total time
-(``tools/conv_crossover.py``). The bits do not change: numpy's matmul of
-a matrix with a stack issues one GEMM per image, the very GEMM of the
+A conv on a batch whose row matrix would exceed 1 MiB runs one image at a
+time, in the forward and in both gradients: each image's padded buffer,
+row matrix and padded-width output grid are built alone and its valid
+columns written straight into the result, and the kernel gradient pads
+the incoming gradient one image at a time. So the peak holds one image's
+buffers, not the batch's. The size is set from a sweep of batch shapes
+(``tools/conv_crossover.py``) and from the memory it saves, as the
+comment on ``_ROWS_BUDGET`` says. The bits do not change: numpy's matmul
+of a matrix with a stack issues one GEMM per image, the very GEMM of the
 one-image product, and the kernel gradient adds the images' products in
 the order of the batched ``.sum(axis=0)``. A batch under the budget runs
 the batched expressions.
@@ -43,7 +50,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -297,8 +304,9 @@ def backward(root: Tensor) -> None:
 @dataclass
 class Param:
     value: np.ndarray
-    # While frozen: the read-only value as a constant tensor (see _freeze).
-    const: _Constant | None = None
+    # While frozen: the read-only value as a constant tensor. State that
+    # only _freeze sets, not an argument.
+    const: _Constant | None = field(default=None, init=False)
 
     @property
     def frozen(self) -> bool:
@@ -444,6 +452,12 @@ def _need_rank(xv: np.ndarray, rank: int, opname: str) -> None:
         raise DimensionError(f"{opname}: expected a rank-{rank} batch, got {xv.shape}")
 
 
+def _kept_for(arr: np.ndarray, other: Tensor) -> np.ndarray | None:
+    """``arr``, which only the gradient of ``other`` reads, if that gradient
+    is computed (``other`` is recorded); else None, so the op keeps nothing."""
+    return None if other.node is None else arr
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     return _record(a.array + b.array, (a, b), lambda g, n: (g, g), "add")
@@ -451,12 +465,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    av, bv = a.array, b.array
+    out = a.array * b.array
+    # each operand is kept only for the other's gradient
+    av, bv = _kept_for(a.array, b), _kept_for(b.array, a)
 
     def bwd(g, needs):
         return (g * bv if needs[0] else None, g * av if needs[1] else None)
 
-    return _record(av * bv, (a, b), bwd, "mul")
+    return _record(out, (a, b), bwd, "mul")
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -475,13 +491,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.array, b.array
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
+    out = av @ bv
+    av, bv = _kept_for(av, b), _kept_for(bv, a)
 
     def bwd(g, needs):
         ga = g @ bv.T if needs[0] else None
         gb = av.T @ g if needs[1] else None
         return (ga, gb)
 
-    return _record(av @ bv, (a, b), bwd, "matmul")
+    return _record(out, (a, b), bwd, "matmul")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -524,16 +542,19 @@ def conv2d(
     equals ``conv2d(x, kernel, 1, pad)`` plus ``bias[None, :, None, None]``
     bit for bit, recorded as one node.
 
-    The forward is the row-tap kernel :func:`_conv_rows`. The input
-    gradient is the correlation of the incoming gradient with the flipped,
-    channel-transposed kernel at pad ``k - 1 - pad``. The kernel gradient
-    places the incoming gradient on a zeroed grid of the forward's padded
-    width and multiplies it by the forward's row matrix at each of the k
-    horizontal offsets, summed over the batch. When the kernel is a
-    recorded tensor that needs a gradient, the op keeps its input, not the
-    row matrix (k copies of the padded input), and the backward pass
-    rebuilds the row matrix from it with the forward's own builder,
-    :func:`_row_matrix`.
+    The forward is the row-tap kernel :func:`_conv_rows`, which adds the
+    bias. The input gradient is the correlation of the incoming gradient
+    with the flipped, channel-transposed kernel at pad ``k - 1 - pad``.
+    The kernel gradient, :func:`_conv_kernel_grad`, places the incoming
+    gradient on a zeroed grid ``gfull`` of the forward's padded width (per
+    image above the row budget) and multiplies it by the forward's row
+    matrix at each of the k horizontal offsets, summed over the batch.
+    When the kernel is a recorded tensor that needs a gradient, the op
+    keeps its input, not the row matrix (k copies of the padded input),
+    and the backward pass rebuilds the row matrix from it with the
+    forward's own builder, :func:`_row_matrix`. The backward drops the
+    kept input as soon as the kernel gradient has read it, so the op no
+    longer holds it while the input gradient's buffers exist.
 
     The kernel's GEMM operands (its tap columns, and for the input gradient
     those of the flipped, channel-transposed kernel) are cached on a frozen
@@ -549,7 +570,7 @@ def conv2d(
     if bias is not None and bias.array.shape != (o,):
         raise DimensionError(f"conv2d: bias must be [{o}], got {bias.array.shape}")
     _need_rank(xv, 4, "conv2d")
-    n, c, h, w = xv.shape
+    _, c, h, w = xv.shape
     if wv.shape[1] != c:
         raise DimensionError(
             f"conv2d: input has {c} channels but kernel expects {wv.shape[1]} "
@@ -560,26 +581,19 @@ def conv2d(
             f"conv2d: needs stride 1, an int pad in [0, {k - 1}] and an output of at least "
             f"one pixel; got input {h}x{w}, k={k}, stride={stride}, pad={pad}"
         )
-    grid = _conv_rows(xv, _derived(kernel, "taps", _tap_cols), pad)
-    _, _, h1, wp = grid.shape
-    w1 = wp - k + 1
-    if bias is None:
-        out = np.ascontiguousarray(grid[..., :w1])
-    else:
-        out = grid[..., :w1] + bias.array[None, :, None, None]
+    out = _conv_rows(xv, _derived(kernel, "taps", _tap_cols), pad,
+                     None if bias is None else bias.array)
     # only the kernel gradient reads the input
-    kept = None if kernel.node is None else xv
+    kept = _kept_for(xv, kernel)
 
     def bwd(g, needs):
+        nonlocal kept
         gw = gx = None
         if needs[1]:
-            # the incoming gradient on the padded-width grid of the forward
-            gfull = np.zeros((n, o, h1, wp))
-            gfull[..., :w1] = g
-            gw = _conv_kernel_grad(gfull, kept, k, pad)
+            gw = _conv_kernel_grad(g, kept, k, pad)
+        kept = None  # read; freed before the input gradient allocates
         if needs[0]:
-            gxg = _conv_rows(g, _derived(kernel, "flipped_taps", _flipped_tap_cols), k - 1 - pad)
-            gx = np.ascontiguousarray(gxg[..., :w])
+            gx = _conv_rows(g, _derived(kernel, "flipped_taps", _flipped_tap_cols), k - 1 - pad, None)
         if bias is None:
             return (gx, gw)
         gbias = g.sum(axis=(0, 2, 3)) if needs[2] else None
@@ -603,14 +617,20 @@ def _flipped_tap_cols(wv: np.ndarray) -> np.ndarray:
     return _tap_cols(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
-# Bytes of row matrix above which a batched conv builds it one image at a
-# time. tools/conv_crossover.py times a conv step both ways over 31 batch
-# shapes. In three runs on a 2-vCPU Xeon, every threshold from 1,007,616 to
-# 1,566,719 bytes came within 1.3% of the least total time, and every lower
-# one cost at least 1.9% more; 1 MiB sits at the low end of that band, where
-# the least memory is held. Taking every batch one image at a time nearly
-# doubled the set-up time of a batch-32 classifier, whose largest row
-# matrix is 1,007,616 bytes.
+# Bytes of row matrix above which a batched conv runs one image at a time.
+# tools/conv_crossover.py times a conv step both ways over 31 batch shapes.
+# While the per-image path built full-batch grids, every threshold from
+# 1,007,616 to 1,566,719 bytes came within 1.3% of the least total time in
+# three runs on a 2-vCPU Xeon, and 1 MiB sat at the low end of that band,
+# where the least memory is held. With the grids built per image, nine runs
+# put the least total near 3 MB and 1 MiB 1.3-5.5% above it; the batched
+# path measured faster on batches of many small images (N = 64, 8x8 to
+# 12x12). The one training batch of the benchmark between 1 and 2 MiB, the
+# UNet's [8, 8, 32, 32], ran as fast one image at a time, and a 2 MiB
+# budget raised the traced peak of a batch-8 UNet step from 5.1 to 6.9 MB,
+# so the budget stays at 1 MiB. Taking every batch one image at a time
+# nearly doubled the set-up time of a batch-32 classifier, whose largest
+# row matrix is 1,007,616 bytes.
 _ROWS_BUDGET = 1 << 20
 
 
@@ -645,9 +665,10 @@ def _row_matrix(xb: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, int, int]
     return np.ascontiguousarray(taps).reshape(n, c * k, run + k - 1), h1, wp
 
 
-def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
+def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int, bias: np.ndarray | None) -> np.ndarray:
     """Stride-1 cross-correlation of [N,C,H,W] with a kernel [O,C,k,k],
-    given as its tap columns ``wcols`` (:func:`_tap_cols`), as k GEMMs.
+    given as its tap columns ``wcols`` (:func:`_tap_cols`), as k GEMMs,
+    plus ``bias`` [O] per output channel unless it is None.
 
     The input is written into a zeroed buffer [N, C, Hp+1, Wp] (Hp = H +
     2*pad, Wp = W + 2*pad, 0 <= pad <= k-1). With each channel
@@ -662,24 +683,41 @@ def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
     arXiv:1709.03395). A 1x1 kernel (pad 0) uses the input itself as
     the row matrix.
 
+    The GEMMs give the output on the padded-width grid [N, O, H1, Wp]
+    (:func:`_conv_grid`), whose last k-1 columns of every row wrap around
+    into the next row and are junk; the result is its valid columns [N, O,
+    H1, W1], W1 = Wp - k + 1, in a new C-contiguous array.
+
     When the batch's row matrix would exceed ``_ROWS_BUDGET`` (see
-    :func:`_per_image`), the images go through one at a time, each into
-    its slot of the output, so only one image's buffer and row matrix
+    :func:`_per_image`), the images go through one at a time, and each
+    image's valid columns, plus the bias, are written straight into its
+    slot of the result, so only one image's buffer, row matrix and grid
     exist at once. The bits are those of the batched expression: numpy's
     matmul of a matrix with a stack issues one GEMM per image, with the
-    same operands as the single-image product.
-
-    Returns ``grid`` [N, O, H1, Wp]: the output on the padded-width grid,
-    whose last k-1 columns of every row wrap around into the next row and
-    are junk, so the valid output is ``grid[..., :Wp-k+1]``.
+    same operands as the single-image product, and the bias is added to
+    the same values.
     """
     k, o, _ = wcols.shape
-    if _per_image(xb.shape, k, pad):
-        n, _, h, w = xb.shape
-        grid = np.empty((n, o, h + 2 * pad - k + 1, w + 2 * pad))
-        for i in range(n):
-            grid[i] = _conv_rows(xb[i : i + 1], wcols, pad)[0]
-        return grid
+    n, _, h, w = xb.shape
+    w1 = w + 2 * pad - k + 1
+    if not _per_image(xb.shape, k, pad):
+        grid = _conv_grid(xb, wcols, pad)[..., :w1]
+        return np.ascontiguousarray(grid) if bias is None else grid + bias[None, :, None, None]
+    out = np.empty((n, o, h + 2 * pad - k + 1, w1))
+    for i in range(n):
+        grid = _conv_grid(xb[i : i + 1], wcols, pad)[0, ..., :w1]
+        if bias is None:
+            out[i] = grid
+        else:
+            np.add(grid, bias[:, None, None], out=out[i])
+        del grid  # before the next image's grid is made
+    return out
+
+
+def _conv_grid(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
+    """The k GEMMs of :func:`_conv_rows` on the whole of ``xb``: the output
+    on the padded-width grid [N, O, H1, Wp], junk columns included."""
+    k, o, _ = wcols.shape
     rows, h1, wp = _row_matrix(xb, k, pad)
     run = h1 * wp
     grid = wcols[0] @ rows[:, :, :run]
@@ -688,25 +726,30 @@ def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
     return grid.reshape(xb.shape[0], o, h1, wp)
 
 
-def _conv_kernel_grad(gfull: np.ndarray, xb: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """Kernel gradient [O,C,k,k] from the padded-width gradient grid and the
-    forward's input: with the row matrix rebuilt from that input, column j
-    is ``gfull @ window_jᵀ`` summed over N.
+def _conv_kernel_grad(g: np.ndarray, xb: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """Kernel gradient [O,C,k,k] from the incoming gradient ``g`` [N,O,H1,W1]
+    and the forward's input. ``g`` is placed on a zeroed grid ``gfull`` of
+    the forward's padded width Wp, which gives the junk columns of the
+    forward's grid a zero gradient, and with the row matrix rebuilt from the
+    input, column j is ``gfull @ window_jᵀ`` summed over N.
 
     Above the row budget (:func:`_per_image`) each image's gradient is
-    computed alone and added to the running sum in image order, with one
-    image's row matrix alive at a time. That is the order in which
-    ``.sum(axis=0)`` adds the per-image products (from a +0.0 start, which
-    each one-image sum also has), so the bits are unchanged.
+    computed alone, from its own ``gfull`` and row matrix, and added to the
+    running sum in image order, with one image's grid and row matrix alive
+    at a time. That is the order in which ``.sum(axis=0)`` adds the
+    per-image products (from a +0.0 start, which each one-image sum also
+    has), so the bits are unchanged.
     """
     if _per_image(xb.shape, k, pad):
-        gw = _conv_kernel_grad(gfull[:1], xb[:1], k, pad)
+        gw = _conv_kernel_grad(g[:1], xb[:1], k, pad)
         for i in range(1, len(xb)):
-            gw += _conv_kernel_grad(gfull[i : i + 1], xb[i : i + 1], k, pad)
+            gw += _conv_kernel_grad(g[i : i + 1], xb[i : i + 1], k, pad)
         return gw
-    n, o, h1, wp = gfull.shape
+    n, o, h1, w1 = g.shape
+    rows, _, wp = _row_matrix(xb, k, pad)
     run = h1 * wp
-    rows, _, _ = _row_matrix(xb, k, pad)
+    gfull = np.zeros((n, o, h1, wp))
+    gfull[..., :w1] = g
     gf = gfull.reshape(n, o, run)
     gw = np.empty((o, rows.shape[1], k))
     for j in range(k):
@@ -756,8 +799,10 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     offs = [0, *itertools.accumulate(a.shape[1] for a in arrs)]
     out = np.concatenate(arrs, axis=1)
 
+    # the channel offsets only: holding the operands would keep every skip
+    # and upsampled map alive until backward reaches the concat
     def bwd(g, needs):
-        return tuple(g[:, offs[i] : offs[i + 1]] if needs[i] else None for i in range(len(arrs)))
+        return tuple(g[:, a:b] if need else None for a, b, need in zip(offs, offs[1:], needs))
 
     return _record(out, tuple(parts), bwd, "concat_channels")
 
@@ -796,6 +841,7 @@ def film(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DimensionError(f"film: x is {xv.shape}, gamma is {gv.shape}")
 
     out = gexp * xv + bexp
+    xv = _kept_for(xv, gamma)
 
     def bwd(g, needs):
         gx = g * gexp if needs[0] else None
@@ -950,12 +996,13 @@ def prediction_entropy(logits: Tensor) -> Tensor:
     ent = -(p * logp).sum(axis=1)
     m = rows.shape[0]
     loss = float(ent.mean())
+    shape = xv.shape
 
     def bwd(g, needs):
         grows = -p * (logp + ent[:, None]) * (float(g) / m)
-        if xv.ndim == 2:
+        if len(shape) == 2:
             return (grows,)
-        n, k, h, w = xv.shape
+        n, k, h, w = shape
         return (grows.reshape(n, h, w, k).transpose(0, 3, 1, 2),)
 
     return _record(np.asarray(loss), (logits,), bwd, "prediction_entropy")

@@ -167,11 +167,15 @@ def coarse_label(y_fine: int, grouping: CoarseGrouping) -> AdaptationSignal:
 class EmbeddingIndex:
     """Cosine-similarity index over penultimate-layer embeddings.
 
-    ``LabelRangeError`` unless the labels are one integer per embedding,
-    each a class of the model: in [0, ``model.spec.out_ch``).
+    ``DimensionError`` unless the embeddings are an [N, D] array with
+    D >= 1; ``LabelRangeError`` unless the labels are one integer per
+    embedding, each a class of the model: in [0, ``model.spec.out_ch``).
+    The index holds the embeddings normalized, in its own array.
     """
 
     def __init__(self, model: Model, embeddings: np.ndarray, labels: np.ndarray):
+        if embeddings.ndim != 2 or embeddings.shape[1] < 1:
+            raise DimensionError(f"index needs [N, D] embeddings with D >= 1, got {embeddings.shape}")
         if embeddings.shape[0] == 0:
             raise ContractError("embedding index is empty")
         if labels.shape != embeddings.shape[:1] or labels.dtype.kind not in "iu":
@@ -209,10 +213,14 @@ def classifier_embedding(model: Model, images: np.ndarray) -> np.ndarray:
 
 
 def build_embedding_index(model: Model, dataset) -> EmbeddingIndex:
-    embs = []
-    for start in range(0, len(dataset), 64):
-        embs.append(classifier_embedding(model, dataset.inputs[start : start + 64]))
-    return EmbeddingIndex(model, np.concatenate(embs, axis=0), dataset.targets)
+    """The index of the dataset's embeddings, taken 64 images at a time and
+    written into one [N, D] array, which the index then normalizes."""
+    first = classifier_embedding(model, dataset.inputs[:64])
+    embs = np.empty((len(dataset), first.shape[1]))
+    embs[: len(first)] = first
+    for start in range(64, len(dataset), 64):
+        embs[start : start + 64] = classifier_embedding(model, dataset.inputs[start : start + 64])
+    return EmbeddingIndex(model, embs, dataset.targets)
 
 
 def knn_coarse(

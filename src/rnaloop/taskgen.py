@@ -185,9 +185,10 @@ def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) 
 def make_prototypes(K: int, proto_seed: int, grid: int = 16) -> np.ndarray:
     """K smooth random patterns in [0.1, 0.9], upsampled from a 4x4 field.
 
-    ``ConfigurationError`` unless grid is an int >= 4 that 4 divides and
-    proto_seed an int >= 0.
+    ``ConfigurationError`` unless K is an int >= 1, grid an int >= 4 that
+    4 divides and proto_seed an int >= 0.
     """
+    need_int("K", K, 1)
     need_int("grid", grid, 4)
     need_int("proto_seed", proto_seed, 0)
     if grid % 4:

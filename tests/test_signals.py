@@ -264,6 +264,13 @@ class TestKnnCoarse:
         with pytest.raises(ContractError):
             signals.EmbeddingIndex(model, np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 0), (2, 2, 2)], ids=["one_axis", "no_column", "three_axes"])
+    def test_embeddings_not_rows_rejected(self, shape):
+        # a one-axis array used to fail with numpy's bare AxisError from the norm
+        model = presets.cls_main(0)
+        with pytest.raises(DimensionError, match=r"\[N, D\] embeddings"):
+            signals.EmbeddingIndex(model, np.ones(shape), np.zeros(shape[0], dtype=np.int64))
+
     def test_labels_outside_the_model_classes_rejected(self):
         # 25 classes of data on a 20-class model: the index used to build,
         # and knn_coarse then failed with a bare IndexError

@@ -134,6 +134,13 @@ class TestClassification:
         with pytest.raises(ConfigurationError, match="n must be >= 1"):
             taskgen.gen_classification(5, n, proto_seed=0, seed=0)
 
+    @pytest.mark.parametrize("K", [2.0, -1, 0, True])
+    def test_prototype_count_not_a_positive_int_rejected(self, K):
+        # used to fail with a bare TypeError (2.0), numpy's ValueError (-1),
+        # or return an empty array (0)
+        with pytest.raises(ConfigurationError, match="K must be >= 1"):
+            taskgen.make_prototypes(K, 0)
+
     @pytest.mark.parametrize("grid", [18, 2, 0, 16.0, True])
     def test_grid_not_a_multiple_of_four_rejected(self, grid):
         with pytest.raises(ConfigurationError, match="grid"):

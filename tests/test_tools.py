@@ -102,6 +102,25 @@ def test_uncalled_reports_dataclass_fields_no_call_or_replace_passes(tmp_path, c
     assert capsys.readouterr().out.split() == ["ops.World.__init__(shade)", "ops.Plain.__init__(extra)"]
 
 
+def test_uncalled_leaves_out_dataclass_fields_that_init_does_not_take(tmp_path, capsys):
+    package = tmp_path / "src" / "rnaloop"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "ops.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class Slot:\n"
+        "    value: int = 0\n"
+        "    cache: dict = field(default=None, init=False)\n"
+        "    size: int = 1\n"
+        "    shown: int = field(default=2, init=True)\n"
+    )
+    # the second position is size's, as cache takes none
+    (tmp_path / "perfbench" / "run.py").write_text("import rnaloop.ops as ops\nops.Slot(1, 2)\n")
+    assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["ops.Slot.__init__(shown)"]
+
+
 def test_code_lines_leaves_out_blanks_comments_and_docstrings_and_totals_paths(tmp_path, capsys):
     package = tmp_path / "pkg"
     package.mkdir()

@@ -20,7 +20,8 @@ call with ``*args`` passes every position, and one with ``**kwargs`` every
 keyword. The defaulted fields of a dataclass (a class decorated with
 ``dataclass``) count as parameters of its ``__init__``, in field order, and
 a keyword given to ``replace(obj, ...)`` (``dataclasses.replace``) passes
-the field of that name.
+the field of that name. A field declared ``field(..., init=False)`` is
+state, not a parameter: it is neither reported nor given a position.
 
 This is a report: it prints ``module.name`` for each unreferenced name,
 then ``module.function(param)`` (``module.Class.method(param)`` for a
@@ -78,12 +79,21 @@ def calls(trees) -> dict[str, list[tuple[float, set[str] | None]]]:
 
 
 def dataclass_fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
-    """The fields of ``cls`` in order, or [] unless it is a dataclass."""
+    """The ``__init__`` fields of ``cls`` in order, or [] unless it is a
+    dataclass."""
     decorators = [ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list]
     if not any(d.rsplit(".", 1)[-1] == "dataclass" for d in decorators):
         return []
     return [node for node in cls.body if isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name) and "ClassVar" not in ast.unparse(node.annotation)]
+            and isinstance(node.target, ast.Name) and "ClassVar" not in ast.unparse(node.annotation)
+            and not _init_false(node.value)]
+
+
+def _init_false(value: ast.expr | None) -> bool:
+    """Whether a field's value is a call such as ``field(init=False)``."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords)
 
 
 def defaulted_params(tree: ast.Module):
