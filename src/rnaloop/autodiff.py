@@ -622,15 +622,15 @@ def _flipped_tap_cols(wv: np.ndarray) -> np.ndarray:
 # While the per-image path built full-batch grids, every threshold from
 # 1,007,616 to 1,566,719 bytes came within 1.3% of the least total time in
 # three runs on a 2-vCPU Xeon, and 1 MiB sat at the low end of that band,
-# where the least memory is held. With the grids built per image, nine runs
-# put the least total near 3 MB and 1 MiB 1.3-5.5% above it; the batched
-# path measured faster on batches of many small images (N = 64, 8x8 to
-# 12x12). The one training batch of the benchmark between 1 and 2 MiB, the
-# UNet's [8, 8, 32, 32], ran as fast one image at a time, and a 2 MiB
-# budget raised the traced peak of a batch-8 UNet step from 5.1 to 6.9 MB,
-# so the budget stays at 1 MiB. Taking every batch one image at a time
-# nearly doubled the set-up time of a batch-32 classifier, whose largest
-# row matrix is 1,007,616 bytes.
+# where the least memory is held. With the grids built per image, seven of
+# nine runs put the least total at 3.0-3.1 MB, with 1 MiB up to 5% above
+# it; the batched path measured faster on batches of many small images
+# (N = 64, 8x8 to 12x12). The one training batch of the benchmark between
+# 1 and 2 MiB, the UNet's [8, 8, 32, 32], ran as fast one image at a time,
+# and a 2 MiB budget raised the traced peak of a batch-8 UNet step from 5.1
+# to 6.9 MB, so the budget stays at 1 MiB. Taking every batch one image at
+# a time nearly doubled the set-up time of a batch-32 classifier, whose
+# largest row matrix is 1,007,616 bytes.
 _ROWS_BUDGET = 1 << 20
 
 
