@@ -31,18 +31,18 @@ each intermediate gradient once that node has used it, so a tape goes
 through backward once and then holds the leaves' gradients only:
 ``Tape.grads`` maps leaf ids to gradients.
 
-A conv on a batch whose row matrix would exceed 1 MiB runs one image at a
-time, in the forward and in both gradients: each image's padded buffer,
-row matrix and padded-width output grid are built alone and its valid
-columns written straight into the result, and the kernel gradient pads
-the incoming gradient one image at a time. So the peak holds one image's
-buffers, not the batch's. The size is set from a sweep of batch shapes
-(``tools/conv_crossover.py``) and from the memory it saves, as the
-comment on ``_ROWS_BUDGET`` says. The bits do not change: numpy's matmul
-of a matrix with a stack issues one GEMM per image, the very GEMM of the
-one-image product, and the kernel gradient adds the images' products in
-the order of the batched ``.sum(axis=0)``. A batch under the budget runs
-the batched expressions.
+A conv goes through its batch in chunks (:func:`_chunk`), in the forward
+and in both gradients: the whole batch when its row matrix fits 1 MiB,
+else one image at a time. Each chunk's padded buffer, row matrix and
+padded-width output grid are built alone, its valid columns are written
+straight into the result, and the kernel gradient pads the incoming
+gradient one chunk at a time. So the peak holds one chunk's buffers. The
+size is set from a sweep of batch shapes (``tools/conv_crossover.py``) and
+from the memory it saves, as the comment on ``_ROWS_BUDGET`` says. The
+bits do not depend on the chunks: numpy's matmul of a matrix with a stack
+issues one GEMM per image, the very GEMM of the one-image product, and the
+kernel gradient adds the chunks' products in the order of the batched
+``.sum(axis=0)``.
 """
 
 from __future__ import annotations
@@ -530,9 +530,7 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(
-    x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, bias: Tensor | None = None
-) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int, bias: Tensor | None = None) -> Tensor:
     """2-D cross-correlation plus an optional per-channel bias.
 
     x: [N,C,H,W]; kernel: [O,C,k,k]; bias: [O] or None. Kernel size must
@@ -546,9 +544,10 @@ def conv2d(
     bias. The input gradient is the correlation of the incoming gradient
     with the flipped, channel-transposed kernel at pad ``k - 1 - pad``.
     The kernel gradient, :func:`_conv_kernel_grad`, places the incoming
-    gradient on a zeroed grid ``gfull`` of the forward's padded width (per
-    image above the row budget) and multiplies it by the forward's row
-    matrix at each of the k horizontal offsets, summed over the batch.
+    gradient on a zeroed grid ``gf`` of the forward's padded width and
+    multiplies it by the forward's row matrix at each of the k horizontal
+    offsets, summed over the batch. All three go through the batch in the
+    chunks of :func:`_chunk`.
     When the kernel is a recorded tensor that needs a gradient, the op
     keeps its input, not the row matrix (k copies of the padded input),
     and the backward pass rebuilds the row matrix from it with the
@@ -617,33 +616,37 @@ def _flipped_tap_cols(wv: np.ndarray) -> np.ndarray:
     return _tap_cols(wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
-# Bytes of row matrix above which a batched conv runs one image at a time.
-# tools/conv_crossover.py times a conv step both ways over 31 batch shapes.
-# While the per-image path built full-batch grids, every threshold from
-# 1,007,616 to 1,566,719 bytes came within 1.3% of the least total time in
-# three runs on a 2-vCPU Xeon, and 1 MiB sat at the low end of that band,
-# where the least memory is held. With the grids built per image, seven of
-# nine runs put the least total at 3.0-3.1 MB, with 1 MiB up to 5% above
-# it; the batched path measured faster on batches of many small images
-# (N = 64, 8x8 to 12x12). The one training batch of the benchmark between
-# 1 and 2 MiB, the UNet's [8, 8, 32, 32], ran as fast one image at a time,
-# and a 2 MiB budget raised the traced peak of a batch-8 UNet step from 5.1
-# to 6.9 MB, so the budget stays at 1 MiB. Taking every batch one image at
-# a time nearly doubled the set-up time of a batch-32 classifier, whose
-# largest row matrix is 1,007,616 bytes.
+# Bytes of row matrix above which a conv takes its batch one image at a time
+# (_chunk). tools/conv_crossover.py times a conv step both ways over 31
+# batch shapes. While the per-image path built full-batch grids, every
+# threshold from 1,007,616 to 1,566,719 bytes came within 1.3% of the least
+# total time in three runs on a 2-vCPU Xeon, and 1 MiB sat at the low end of
+# that band, where the least memory is held. With the grids built per image,
+# seven of nine runs put the least total at 3.0-3.1 MB, with 1 MiB up to 5%
+# above it; one chunk measured faster on batches of many small images (N =
+# 64, 8x8 to 12x12). The one training batch of the benchmark between 1 and 2
+# MiB, the UNet's [8, 8, 32, 32], ran as fast one image at a time, and a 2
+# MiB budget raised the traced peak of a batch-8 UNet step from 5.1 to 6.9
+# MB, so the budget stays at 1 MiB. Taking every batch one image at a time
+# nearly doubled the set-up time of a batch-32 classifier, whose largest row
+# matrix is 1,007,616 bytes. A spy on _chunk over one set-up and ten units
+# of each benchmark workload saw one image at a time only in the depth
+# set-ups' batch-8 UNet layers: the forward and kernel gradient of
+# [8, 24, 32, 32] and [8, 40, 16, 16], and the input gradient into
+# [8, 8, 32, 32]. Every other conv, the classifier's batches of 16 to 64
+# and every unit's batch of one among them, ran as one chunk.
 _ROWS_BUDGET = 1 << 20
 
 
-def _per_image(shape: tuple[int, ...], k: int, pad: int) -> bool:
-    """Whether a conv of a batch of ``shape`` [N,C,H,W] with a k x k kernel
-    at ``pad`` runs one image at a time: the batch has more than one image
-    and its row matrix (:func:`_row_matrix`) would exceed ``_ROWS_BUDGET``.
-    A 1x1 kernel (pad 0) builds no row matrix and never does."""
+def _chunk(shape: tuple[int, ...], k: int, pad: int) -> int:
+    """The images per pass of a conv of a batch of ``shape`` [N,C,H,W] with a
+    k x k kernel at ``pad``: the whole batch when its row matrix
+    (:func:`_row_matrix`) fits ``_ROWS_BUDGET`` or the kernel is 1x1 (pad 0,
+    which builds no row matrix), else one. Never zero: an empty batch is
+    one empty pass."""
     n, c, h, w = shape
-    if n == 1 or k == 1:
-        return False
     run = (h + 2 * pad - k + 1) * (w + 2 * pad)
-    return n * c * k * (run + k - 1) * 8 > _ROWS_BUDGET
+    return max(n, 1) if k == 1 or n * c * k * (run + k - 1) * 8 <= _ROWS_BUDGET else 1
 
 
 def _row_matrix(xb: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, int, int]:
@@ -685,32 +688,27 @@ def _conv_rows(xb: np.ndarray, wcols: np.ndarray, pad: int, bias: np.ndarray | N
 
     The GEMMs give the output on the padded-width grid [N, O, H1, Wp]
     (:func:`_conv_grid`), whose last k-1 columns of every row wrap around
-    into the next row and are junk; the result is its valid columns [N, O,
-    H1, W1], W1 = Wp - k + 1, in a new C-contiguous array.
-
-    When the batch's row matrix would exceed ``_ROWS_BUDGET`` (see
-    :func:`_per_image`), the images go through one at a time, and each
-    image's valid columns, plus the bias, are written straight into its
-    slot of the result, so only one image's buffer, row matrix and grid
-    exist at once. The bits are those of the batched expression: numpy's
-    matmul of a matrix with a stack issues one GEMM per image, with the
-    same operands as the single-image product, and the bias is added to
-    the same values.
+    into the next row and are junk. The batch goes through in the chunks
+    of :func:`_chunk`, and each chunk's valid columns [n, O, H1, W1], W1 =
+    Wp - k + 1, plus the bias, are written into its slot of one
+    C-contiguous result, so only one chunk's buffer, row matrix and grid
+    exist at once. Chunks of one image give the bits of the whole batch:
+    numpy's matmul of a matrix with a stack issues one GEMM per image, with
+    the same operands as the single-image product, and the bias is added
+    to the same values.
     """
-    k, o, _ = wcols.shape
-    n, _, h, w = xb.shape
-    w1 = w + 2 * pad - k + 1
-    if not _per_image(xb.shape, k, pad):
-        grid = _conv_grid(xb, wcols, pad)[..., :w1]
-        return np.ascontiguousarray(grid) if bias is None else grid + bias[None, :, None, None]
-    out = np.empty((n, o, h + 2 * pad - k + 1, w1))
-    for i in range(n):
-        grid = _conv_grid(xb[i : i + 1], wcols, pad)[0, ..., :w1]
+    n, k = len(xb), len(wcols)
+    w1 = xb.shape[3] + 2 * pad - k + 1
+    step = _chunk(xb.shape, k, pad)
+    for i in range(0, max(n, 1), step):  # an empty batch is one empty chunk
+        grid = _conv_grid(xb[i : i + step], wcols, pad)[..., :w1]
+        if i == 0:  # made after the first chunk's row matrix is freed, not beside it
+            out = np.empty((n,) + grid.shape[1:])
         if bias is None:
-            out[i] = grid
+            out[i : i + step] = grid
         else:
-            np.add(grid, bias[:, None, None], out=out[i])
-        del grid  # before the next image's grid is made
+            np.add(grid, bias[:, None, None], out=out[i : i + step])
+        del grid  # before the next chunk's grid is made
     return out
 
 
@@ -728,33 +726,30 @@ def _conv_grid(xb: np.ndarray, wcols: np.ndarray, pad: int) -> np.ndarray:
 
 def _conv_kernel_grad(g: np.ndarray, xb: np.ndarray, k: int, pad: int) -> np.ndarray:
     """Kernel gradient [O,C,k,k] from the incoming gradient ``g`` [N,O,H1,W1]
-    and the forward's input. ``g`` is placed on a zeroed grid ``gfull`` of
-    the forward's padded width Wp, which gives the junk columns of the
-    forward's grid a zero gradient, and with the row matrix rebuilt from the
-    input, column j is ``gfull @ window_jᵀ`` summed over N.
-
-    Above the row budget (:func:`_per_image`) each image's gradient is
-    computed alone, from its own ``gfull`` and row matrix, and added to the
-    running sum in image order, with one image's grid and row matrix alive
-    at a time. That is the order in which ``.sum(axis=0)`` adds the
-    per-image products (from a +0.0 start, which each one-image sum also
-    has), so the bits are unchanged.
+    and the forward's input, in the chunks of :func:`_chunk`. Each chunk's
+    ``g`` is placed on a zeroed grid ``gf`` of the forward's padded width Wp,
+    which gives the junk columns of the forward's grid a zero gradient, and
+    with the chunk's row matrix rebuilt from the input, column j is ``gf @
+    window_jᵀ`` summed over the chunk. Each chunk's sum is added to the
+    running sum in image order, with one chunk's grid and row matrix alive
+    at a time. Chunks of one image give the bits of the whole batch: that is
+    the order in which ``.sum(axis=0)`` adds the per-image products (from a
+    +0.0 start, which each one-image sum also has).
     """
-    if _per_image(xb.shape, k, pad):
-        gw = _conv_kernel_grad(g[:1], xb[:1], k, pad)
-        for i in range(1, len(xb)):
-            gw += _conv_kernel_grad(g[i : i + 1], xb[i : i + 1], k, pad)
-        return gw
     n, o, h1, w1 = g.shape
-    rows, _, wp = _row_matrix(xb, k, pad)
-    run = h1 * wp
-    gfull = np.zeros((n, o, h1, wp))
-    gfull[..., :w1] = g
-    gf = gfull.reshape(n, o, run)
-    gw = np.empty((o, rows.shape[1], k))
-    for j in range(k):
-        gw[:, :, j] = (gf @ rows[:, :, j : j + run].transpose(0, 2, 1)).sum(axis=0)
-    return gw.reshape(o, rows.shape[1] // k, k, k)
+    step = _chunk(xb.shape, k, pad)
+    for i in range(0, max(n, 1), step):  # an empty batch is one empty chunk
+        rows, _, wp = _row_matrix(xb[i : i + step], k, pad)
+        run = h1 * wp
+        gf = np.zeros((len(rows), o, h1, wp))
+        gf[..., :w1] = g[i : i + step]
+        gf = gf.reshape(len(rows), o, run)
+        part = np.empty((o, rows.shape[1], k))
+        for j in range(k):
+            part[:, :, j] = (gf @ rows[:, :, j : j + run].transpose(0, 2, 1)).sum(axis=0)
+        del rows, gf  # before the next chunk's are built
+        gw = part if i == 0 else gw + part
+    return gw.reshape(o, xb.shape[1], k, k)
 
 
 def _quad_sum(v: np.ndarray) -> np.ndarray:
@@ -932,15 +927,13 @@ def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     if np.any(lb < 0) or np.any(lb >= k):
         raise LabelRangeError(f"masked_cross_entropy: label out of range [0,{k})")
     p = softmax(xv, axis=1)
-    n_idx, h_idx, w_idx = np.meshgrid(
-        np.arange(xv.shape[0]), np.arange(xv.shape[2]), np.arange(xv.shape[3]), indexing="ij"
-    )
-    logp = np.log(p[n_idx, lb, h_idx, w_idx])
+    at = lb[:, None]  # each position's label, on the class axis
+    logp = np.log(np.take_along_axis(p, at, axis=1)[:, 0])
     loss = float(-(logp * mk).sum() / nvalid)
 
     def bwd(g, needs):
         gl = p.copy()
-        gl[n_idx, lb, h_idx, w_idx] -= 1.0
+        np.put_along_axis(gl, at, np.take_along_axis(gl, at, axis=1) - 1.0, axis=1)
         gl *= (mk[:, None] * float(g)) / nvalid
         return (gl,)
 

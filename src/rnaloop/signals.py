@@ -214,7 +214,10 @@ def classifier_embedding(model: Model, images: np.ndarray) -> np.ndarray:
 
 def build_embedding_index(model: Model, dataset) -> EmbeddingIndex:
     """The index of the dataset's embeddings, taken 64 images at a time and
-    written into one [N, D] array, which the index then normalizes."""
+    written into one [N, D] array, which the index then normalizes.
+    ``ContractError``, as for any empty index, on a dataset of no images."""
+    if len(dataset) == 0:
+        raise ContractError("embedding index is empty")
     first = classifier_embedding(model, dataset.inputs[:64])
     embs = np.empty((len(dataset), first.shape[1]))
     embs[: len(first)] = first

@@ -152,12 +152,13 @@ class TestConv2d:
             assert np.array_equal(out[n], single[0])
 
     # [N,C,H,W] input into 8 channels, 3x3 at pad 1: the first batch's row
-    # matrix (5.0 MB) is over the per-image budget, the second's (0.4 MB) under.
-    # Over it, the batch also goes through the batched expressions once, with
-    # the budget lifted, and must give the per-image branch's bits.
+    # matrix (5.0 MB) is over the budget, so it goes one image at a time, the
+    # second's (0.4 MB) under, so it goes whole. Over it, the batch also goes
+    # through once as one chunk, with the budget lifted, and must give the
+    # bits of the chunks of one image.
     @pytest.mark.parametrize("shape, over", [((8, 24, 32, 32), True), ((8, 8, 16, 16), False)])
     def test_batch_equals_its_images_bit_for_bit(self, shape, over, monkeypatch):
-        assert ad._per_image(shape, 3, 1) is over
+        assert ad._chunk(shape, 3, 1) == (1 if over else shape[0])
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape)
         w = rng.normal(size=(8, shape[1], 3, 3))
@@ -174,7 +175,7 @@ class TestConv2d:
         if over:
             with monkeypatch.context() as m:
                 m.setattr(ad, "_ROWS_BUDGET", 1 << 62)
-                assert not ad._per_image(shape, 3, 1)
+                assert ad._chunk(shape, 3, 1) == shape[0]
                 batched = run(x, r)
             for a, b in zip(batched, (out, gx, gw)):
                 assert a.tobytes() == b.tobytes()
@@ -185,6 +186,16 @@ class TestConv2d:
             assert gx[i].tobytes() == gx_i[0].tobytes()
             gw_sum = gw_i if gw_sum is None else gw_sum + gw_i
         assert gw.tobytes() == gw_sum.tobytes()
+
+    @pytest.mark.parametrize("k, pad", [(1, 0), (3, 1)])
+    def test_empty_batch_is_one_empty_chunk(self, k, pad):
+        assert ad._chunk((0, 2, 5, 5), k, pad) == 1
+        with ad.Tape() as tape:
+            xt, wt, bt = (tape.leaf(a) for a in (np.zeros((0, 2, 5, 5)), np.ones((3, 2, k, k)), np.ones(3)))
+            out = ad.conv2d(xt, wt, 1, pad, bias=bt)
+            ad.backward(ad.sum_all(out))
+        assert out.shape == (0, 3, 5, 5) and tape.grad(xt).shape == (0, 2, 5, 5)
+        assert not tape.grad(wt).any() and not tape.grad(bt).any()
 
     # (input H=W, k, stride, pad) that conv2d refuses at entry
     @pytest.mark.parametrize("size, k, stride, pad", [
@@ -358,6 +369,50 @@ def test_bool_mask_gives_the_float_mask_bits(loss):
             ad.backward(out)
         runs.append((out.array.tobytes(), tape.grad(pred).tobytes()))
     assert runs[0] == runs[1]
+
+
+class TestMaskedCrossEntropy:
+    @staticmethod
+    def meshgrid_form(x, labels, mask):
+        """Loss and logits gradient of the op, gathered and scattered through
+        three [N,H,W] index grids."""
+        p = ad.softmax(x, axis=1)
+        n, h, w = np.meshgrid(*(np.arange(x.shape[i]) for i in (0, 2, 3)), indexing="ij")
+        mk = mask.astype(float)
+        loss = np.asarray(float(-(np.log(p[n, labels, h, w]) * mk).sum() / mk.sum()))
+        gl = p.copy()
+        gl[n, labels, h, w] -= 1.0
+        gl *= mk[:, None] / mk.sum()
+        return loss, gl
+
+    @pytest.mark.parametrize("shape", [(8, 5, 32, 32), (2, 3, 5, 7), (1, 2, 1, 1)])
+    def test_loss_and_gradient_bits_equal_the_meshgrid_form(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape) * 3
+        n, k, h, w = shape
+        labels = rng.integers(0, k, size=(n, h, w))
+        mask = rng.random((n, h, w)) < 0.6
+        mask.flat[0] = True
+        with ad.Tape() as tape:
+            logits = tape.leaf(x)
+            out = ad.masked_cross_entropy(logits, labels, mask)
+            ad.backward(out)
+        loss, gl = self.meshgrid_form(x, labels, mask)
+        assert out.array.tobytes() == loss.tobytes()
+        assert tape.grad(logits).tobytes() == gl.tobytes()
+
+    def test_backward_keeps_no_index_grid(self):
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 5, size=(8, 32, 32))
+        with ad.Tape() as tape:
+            out = ad.masked_cross_entropy(tape.leaf(rng.normal(size=(8, 5, 32, 32))), labels,
+                                          np.ones((8, 32, 32)))
+            held = [c.cell_contents for c in out.node.backward_fn.__closure__]
+            ints = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
+            # the labels themselves, on the class axis, and no [N,H,W] integer array
+            assert ints and all(np.shares_memory(a, labels) for a in ints)
+            assert all(a.shape != labels.shape for a in ints)
+            ad.backward(out)
 
 
 class TestMaskedL1:

@@ -5,7 +5,7 @@ numpy reports its array allocations to tracemalloc, so the traced peak of
 a step is the most array memory it held at once: the taped activations,
 what the backward closures keep and the conv buffers. Measured peaks (MB,
 UNet step / controller step), numpy 2.4, batch 8, on the conv that takes
-a batch over the row budget one image at a time (``autodiff._per_image``):
+a batch over the row budget one image at a time (``autodiff._chunk``):
 
 - a concat's closure holding its operands, the conv's full-batch
   padded-width grids and their contiguous copies, the kernel gradient's

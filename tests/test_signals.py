@@ -264,6 +264,13 @@ class TestKnnCoarse:
         with pytest.raises(ContractError):
             signals.EmbeddingIndex(model, np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
 
+    def test_index_of_no_images_rejected(self, setup):
+        # used to fail with numpy's bare ValueError from the flatten layer
+        model, ds, _ = setup
+        empty = taskgen.Dataset(ds.task_kind, ds.inputs[:0], ds.targets[:0])
+        with pytest.raises(ContractError, match="empty"):
+            signals.build_embedding_index(model, empty)
+
     @pytest.mark.parametrize("shape", [(3,), (4, 0), (2, 2, 2)], ids=["one_axis", "no_column", "three_axes"])
     def test_embeddings_not_rows_rejected(self, shape):
         # a one-axis array used to fail with numpy's bare AxisError from the norm

@@ -40,6 +40,36 @@ def test_uncalled_counts_names_attributes_and_imports_but_not_strings(tmp_path, 
     ]
 
 
+def test_uncalled_reports_public_methods_nothing_calls(tmp_path, capsys):
+    package = tmp_path / "src" / "rnaloop"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (package / "ops.py").write_text(
+        "class Box:\n"
+        "    def called(self): pass\n"
+        "    def called_by_perfbench(self): pass\n"
+        "    def only_tested(self): pass\n"
+        "    def only_read(self): pass\n"
+        "    def _private(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    @property\n"
+        "    def unread(self): return 2\n"
+        "    @staticmethod\n"
+        "    def make(): return Box()\n"
+        "def user(box):\n"
+        "    box.called()\n"
+        "    return box.size, box.only_read\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import rnaloop.ops as ops\nops.user(ops.Box.make())\nops.Box().called_by_perfbench()\n")
+    # a test calling a method or reading a property is not a caller
+    (tmp_path / "perfbench" / "tests" / "test_x.py").write_text(
+        "from rnaloop.ops import Box\nBox().only_tested()\nBox().unread\n")
+    assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["ops.Box.only_tested", "ops.Box.only_read", "ops.Box.unread"]
+
+
 def test_uncalled_reports_defaulted_parameters_no_call_passes(tmp_path, capsys):
     package = tmp_path / "src" / "rnaloop"
     package.mkdir(parents=True)
@@ -191,7 +221,7 @@ def test_conv_crossover_sizes_match_the_budget_rule_and_totals_pick_a_side():
     crossover = _load("conv_crossover")
     for n, c, h in [(8, 24, 32), (32, 16, 8), (64, 8, 8), (16, 16, 12), (2, 1, 4)]:
         size = crossover.row_bytes(n, c, h)
-        assert ad._per_image((n, c, h, h), 3, 1) is (size > ad._ROWS_BUDGET)
+        assert ad._chunk((n, c, h, h), 3, 1) == (1 if size > ad._ROWS_BUDGET else n)
         assert ad._row_matrix(np.zeros((n, c, h, h)), 3, 1)[0].nbytes == size
     timed = [(100, 1.0, 2.0), (200, 3.0, 1.0), (300, 5.0, 2.0)]
     assert crossover.threshold_totals(timed) == {0: 5.0, 100: 4.0, 200: 6.0, 300: 9.0}

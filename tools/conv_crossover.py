@@ -1,13 +1,15 @@
 """Measure where a batched conv should switch to one image at a time.
 
 Times one taped 3x3, pad-1 conv step (forward, input gradient and kernel
-gradient) over batch shapes whose row matrix spans 0.3-4 MiB, once with the
-batch's row matrix built whole and once one image at a time. Each shape runs
-``--rounds`` alternating rounds (the best of a few repetitions each); its
-time is the median over rounds. Then for every threshold on the row matrix's
-bytes (one image at a time above it) the tool sums the chosen path's time
-over all shapes, and prints those totals: the thresholds with the least total
-are the crossover that ``autodiff._ROWS_BUDGET`` is set from.
+gradient) over batch shapes whose row matrix spans 0.3-4 MiB, once as one
+chunk (the batch's row matrix built whole) and once in chunks of one image:
+the two chunk sizes ``autodiff._chunk`` picks with the budget set above and
+below the row matrix. Each shape runs ``--rounds`` alternating rounds (the
+best of a few repetitions each); its time is the median over rounds. Then
+for every threshold on the row matrix's bytes (one image at a time above
+it) the tool sums the chosen path's time over all shapes, and prints those
+totals: the thresholds with the least total are the crossover that
+``autodiff._ROWS_BUDGET`` is set from.
 
     PYTHONPATH=src python tools/conv_crossover.py --rounds 6
 """
@@ -73,6 +75,7 @@ def main() -> None:
                 sides = [("batched", 1 << 62), ("per image", -1)]
                 for side, b in sides if i % 2 == 0 else sides[::-1]:
                     ad._ROWS_BUDGET = b
+                    assert ad._chunk(x.shape, 3, 1) == (n if side == "batched" else 1)
                     runs[side].append(best_seconds(x, w, r, reps))
             tb, tp = np.median(runs["batched"]), np.median(runs["per image"])
             timed.append((row_bytes(n, c, h), tb, tp))

@@ -1,5 +1,6 @@
 """List the public module-level names of ``src/rnaloop`` that nothing
-references, and the defaulted parameters that no call passes.
+references, the public methods of its classes that nothing calls, and the
+defaulted parameters that no call passes.
 
 A public name is a function, class or assigned variable bound at the top
 level of a module, whose name does not start with ``_``. It counts as
@@ -9,6 +10,14 @@ bare name (``ast.Name``), reads it as an attribute (``ast.Attribute``:
 of ``__all__``, do not count, and tests (``perfbench/tests``) are not
 callers. Names are matched without their module, so a name that another
 module also uses is left out.
+
+A public method is a method of a class defined at the top level of a
+module, whose name does not start with ``_``. It counts as called when a
+call in ``src/rnaloop`` or ``perfbench/`` calls its name (``obj.name(...)``
+or ``name(...)``); a property counts as called when a module reads it as an
+attribute. Like names, methods are matched without their class, so a method
+whose name another object's method shares (``ParamSet.get``, ``dict.get``)
+is left out.
 
 A defaulted parameter is one of a function defined at the top level of a
 module, or of a method of a class defined there (``self`` or ``cls`` left
@@ -24,7 +33,8 @@ the field of that name. A field declared ``field(..., init=False)`` is
 state, not a parameter: it is neither reported nor given a position.
 
 This is a report: it prints ``module.name`` for each unreferenced name,
-then ``module.function(param)`` (``module.Class.method(param)`` for a
+then ``module.Class.method`` for each method that nothing calls, then
+``module.function(param)`` (``module.Class.method(param)`` for a
 method, ``module.Class.__init__(field)`` for a dataclass field) for each
 defaulted parameter that no call passes, and always exits 0.
 
@@ -49,6 +59,16 @@ def public_names(tree: ast.Module) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
     return [n for n in names if not n.startswith("_")]
+
+
+def public_methods(tree: ast.Module) -> list[tuple[str, str, bool]]:
+    """(``Class.method``, method name, whether it is a property) for each
+    public method of a top-level class, in source order."""
+    return [(f"{cls.name}.{node.name}", node.name,
+             any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list))
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
 
 
 def references(tree: ast.AST) -> set[str]:
@@ -143,6 +163,10 @@ def main(argv: list[str]) -> int:
         for name in public_names(trees[path]):
             if name not in used:
                 print(f"{path.stem}.{name}")
+    for path in modules:
+        for label, name, is_property in public_methods(trees[path]):
+            if name not in (used if is_property else seen):
+                print(f"{path.stem}.{label}")
     for path in modules:
         for label, called, position, param, by_keyword in defaulted_params(trees[path]):
             found = seen.get(called, []) + [(0, k) for _, k in seen.get(by_keyword, [])]
