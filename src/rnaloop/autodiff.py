@@ -48,6 +48,7 @@ kernel gradient adds the chunks' products in the order of the batched
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -61,6 +62,7 @@ from .errors import (
     DegenerateSupervisionError,
     DimensionError,
     LabelRangeError,
+    is_real,
 )
 
 __all__ = [
@@ -354,9 +356,6 @@ class ParamSet:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def get(self, name: str) -> np.ndarray:
         return self._entries[name].value
 
@@ -424,10 +423,11 @@ class ParamSet:
 def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
     """In-place p <- p - lr*g for the unfrozen parameters.
 
-    lr == 0 is an allowed null step; a negative or non-finite lr is rejected.
+    lr == 0 is an allowed null step; a negative or non-finite lr, or one
+    that is not a number, is rejected.
     """
-    if not 0 <= lr < np.inf:  # NaN fails both
-        raise ContractError(f"sgd_step: learning rate must be finite and >= 0, got {lr}")
+    if not (is_real(lr) and 0 <= lr < np.inf):  # NaN fails both
+        raise ContractError(f"sgd_step: learning rate must be a number, finite and >= 0, got {lr!r}")
     for name, p in params.items():
         if p.frozen:
             continue
@@ -852,7 +852,9 @@ def flatten_batch(x: Tensor) -> Tensor:
     xv = x.array
     _need_rank(xv, 4, "flatten_batch")
     shape = xv.shape
-    return _record(xv.reshape(shape[0], -1).copy(), (x,), lambda g, n: (g.reshape(shape),), "flatten_batch")
+    # the row width from the shape, as reshape cannot infer it for an empty batch
+    rows = xv.reshape(shape[0], math.prod(shape[1:])).copy()
+    return _record(rows, (x,), lambda g, n: (g.reshape(shape),), "flatten_batch")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -1,5 +1,7 @@
-"""Exception taxonomy shared across the package, and the integer check that
-raises one of them at entry."""
+"""Exception taxonomy shared across the package, and the integer and number
+checks that entry points make before comparing a value."""
+
+import numbers
 
 
 class RnaLoopError(Exception):
@@ -43,3 +45,9 @@ def need_int(name: str, value, least: int) -> None:
     float) and at least ``least``."""
     if type(value) is not int or value < least:
         raise ConfigurationError(f"{name} must be >= {least}, as an int; got {value!r}")
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, an int or a float (numpy's too) but
+    not a bool, so that comparing it cannot raise a bare ``TypeError``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -171,19 +171,8 @@ class FiLMParams:
             if g.shape != b.shape:
                 raise DimensionError(f"film params: gamma {g.shape} vs beta {b.shape}")
 
-    @staticmethod
-    def identity(channel_counts: list[int]) -> "FiLMParams":
-        """gamma = 1, beta = 0 at each site; ``ConfigurationError`` unless
-        every channel count is an int >= 1."""
-        for c in channel_counts:
-            need_int("film channel count", c, 1)
-        return FiLMParams([(np.ones(c), np.zeros(c)) for c in channel_counts])
-
     def __len__(self) -> int:
         return len(self.sites)
-
-    def numpy(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(g.array, b.array) for g, b in self.sites]
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +375,6 @@ def _param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return out
 
 
-def param_count(obj) -> int:
-    """Total scalar parameters of a Model, Controller or ParamSet."""
-    if isinstance(obj, ParamSet):
-        return obj.count()
-    return obj.params.count()
-
-
 # ---------------------------------------------------------------------------
 # controller
 # ---------------------------------------------------------------------------
@@ -402,7 +384,7 @@ def param_count(obj) -> int:
 CONTROLLER_TRUNK = (8, 16)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerSpec:
     """Encoding description for the FiLM controller.
 
@@ -411,13 +393,30 @@ class ControllerSpec:
     pool/GAP (``CONTROLLER_TRUNK``).
     arch "mlp": feedback is a [N,in_dim] vector (post-softmax prediction
     concatenated with a coarse one-hot).
+    film_channels: the channel count of each target film site, a list or
+        tuple kept as a tuple.
     The output head has dimension sum(2*C_i) over the target film sites.
+
+    Construction raises ``ConfigurationError`` unless arch is one of the two,
+    in_channels and hidden are integers >= 1 and film_channels is a
+    non-empty list or tuple of them.
     """
 
     arch: str
     in_channels: int
-    film_channels: list[int]
+    film_channels: tuple[int, ...]
     hidden: int = 16
+
+    def __post_init__(self):
+        if self.arch not in ("conv", "mlp"):
+            raise ConfigurationError(f"unknown controller arch {self.arch!r}")
+        film = self.film_channels
+        if not isinstance(film, (list, tuple)) or not film:
+            raise ConfigurationError(f"film_channels must be a non-empty list, got {film!r}")
+        for name, v in [("in_channels", self.in_channels), ("hidden", self.hidden),
+                        *(("film channel count", c) for c in film)]:
+            need_int(name, v, 1)
+        object.__setattr__(self, "film_channels", tuple(film))
 
     @property
     def out_dim(self) -> int:
@@ -442,24 +441,18 @@ class Controller:
         if lifted is None:
             lifted = self.params.lift(tape)
         c = self.cspec
-        if c.arch == "conv":
-            if fb.array.ndim != 4 or fb.array.shape[1] != c.in_channels:
-                raise DimensionError(
-                    f"controller expects [N,{c.in_channels},H,W] feedback, got {fb.shape}"
-                )
-            h = ad.relu(ad.conv2d(fb, lifted["c1.w"], 1, 1, bias=lifted["c1.b"]))
+        conv = c.arch == "conv"
+        if fb.array.ndim != (4 if conv else 2) or fb.array.shape[1] != c.in_channels:
+            raise DimensionError(
+                f"controller expects [N,{c.in_channels}{',H,W' if conv else ''}] feedback, got {fb.shape}"
+            )
+        h = fb
+        if conv:
+            h = ad.relu(ad.conv2d(h, lifted["c1.w"], 1, 1, bias=lifted["c1.b"]))
             h = ad.avgpool2(h)
             h = ad.relu(ad.conv2d(h, lifted["c2.w"], 1, 1, bias=lifted["c2.b"]))
             h = ad.avgpool2(h)
             h = ad.global_avg_pool(h)
-        elif c.arch == "mlp":
-            if fb.array.ndim != 2 or fb.array.shape[1] != c.in_channels:
-                raise DimensionError(
-                    f"controller expects [N,{c.in_channels}] feedback, got {fb.shape}"
-                )
-            h = fb
-        else:
-            raise ConfigurationError(f"unknown controller arch {c.arch!r}")
         h = ad.relu(ad.add_bias(ad.matmul(h, lifted["fc.w"]), lifted["fc.b"]))
         raw = ad.add_bias(ad.matmul(h, lifted["head.w"]), lifted["head.b"])
         sites = []
@@ -474,28 +467,13 @@ class Controller:
 
 
 def _controller_layout(cspec: ControllerSpec) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every controller parameter, in creation order.
-
-    Raises ``ConfigurationError`` for an unknown ``arch``, and unless
-    ``in_channels`` and ``hidden`` are integers >= 1 and ``film_channels``
-    is a non-empty list of them.
-    """
-    film = cspec.film_channels
-    if not (isinstance(film, list) and film
-            and all(type(v) is int and v >= 1 for v in [cspec.in_channels, cspec.hidden, *film])):
-        raise ConfigurationError(
-            "controller spec needs integers >= 1 for in_channels and hidden, and a non-empty "
-            f"list of them for film_channels; got {cspec}"
-        )
+    """Name -> shape of every controller parameter, in creation order."""
+    trunk, feat = {}, cspec.in_channels
     if cspec.arch == "conv":
         t1, t2 = CONTROLLER_TRUNK
         trunk = {"c1.w": (t1, cspec.in_channels, 3, 3), "c1.b": (t1,),
                  "c2.w": (t2, t1, 3, 3), "c2.b": (t2,)}
         feat = t2
-    elif cspec.arch == "mlp":
-        trunk, feat = {}, cspec.in_channels
-    else:
-        raise ConfigurationError(f"unknown controller arch {cspec.arch!r}")
     return {**trunk, "fc.w": (feat, cspec.hidden), "fc.b": (cspec.hidden,),
             "head.w": (cspec.hidden, cspec.out_dim), "head.b": (cspec.out_dim,)}
 
@@ -509,13 +487,13 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
     """
     if not main.spec.film_sites:
         raise ContractError("main model has no film sites; build it with film_k >= 1")
-    expected = [c for _, c in main.spec.film_sites]
+    expected = tuple(c for _, c in main.spec.film_sites)
     if cspec.film_channels != expected:
         raise ConfigurationError(
             f"controller film channels {cspec.film_channels} != model sites {expected}"
         )
     h = Controller(cspec, _init_params(_controller_layout(cspec), seed))
-    ratio = param_count(h) / param_count(main)
+    ratio = h.params.count() / main.params.count()
     if not (BUDGET_RANGE[0] <= ratio <= BUDGET_RANGE[1]):
         warnings.warn(
             f"controller/main parameter ratio {ratio:.3f} outside "
@@ -530,17 +508,42 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
 # ---------------------------------------------------------------------------
 
 
-def _with_meta(info: dict, meta: dict | None) -> dict:
-    """``info`` plus the caller's metadata, which may not replace its keys."""
-    clash = sorted(set(info) & set(meta or {}))
-    if clash:
-        raise ContractError(f"metadata keys {clash} are reserved for the file format")
-    return {**info, **(meta or {})}
+# Version of the model and controller file metadata; 5 holds this format
+# number and every field of the spec, and the spec alone fixes the
+# parameters' names, order and shapes.
+FORMAT = 5
 
 
-def _params_from_file(kind: str, arrays: dict[str, np.ndarray], layout: dict) -> ParamSet:
-    """The file's arrays in layout order; ``SerializationError`` unless they
-    have exactly the layout's names and shapes."""
+def _save(path, kind: str, spec, params: ParamSet) -> None:
+    """Store the format, the spec's fields as sorted JSON, and the parameters."""
+    info = {"format": FORMAT, "spec": json.dumps(dataclasses.asdict(spec), sort_keys=True)}
+    serialize.save(path, kind, info, {name: p.value for name, p in params.items()})
+
+
+def _load(path, kind: str, spec_cls, layout_of) -> tuple:
+    """(spec, parameters, metadata) of a ``kind`` file.
+
+    ``SerializationError`` unless the file has this format, a spec whose
+    keys are exactly the fields of the dataclass ``spec_cls`` and which
+    builds, and arrays of exactly the names and shapes of ``layout_of(spec)``;
+    the parameters come in layout order.
+    """
+    _, meta, arrays = serialize.load(path, expect_kind=kind)
+    if meta.get("format") != FORMAT:
+        raise SerializationError(
+            f"{kind} file format {meta.get('format')!r} is not supported (expected {FORMAT}); "
+            f"save the {kind} again with the current tool"
+        )
+    names = sorted(f.name for f in dataclasses.fields(spec_cls))
+    try:
+        fields = json.loads(meta["spec"])
+        if not isinstance(fields, dict) or sorted(fields) != names:
+            raise ValueError(f"spec fields {sorted(fields) if isinstance(fields, dict) else fields!r}, "
+                             f"expected {names}")
+        spec = spec_cls(**fields)
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
+        raise SerializationError(f"{kind} file spec is missing or malformed: {exc!r}") from None
+    layout = layout_of(spec)
     found = {name: a.shape for name, a in arrays.items()}
     if found != layout:
         bad = {n: (found.get(n), layout.get(n)) for n in sorted(found.keys() | layout.keys())
@@ -549,58 +552,22 @@ def _params_from_file(kind: str, arrays: dict[str, np.ndarray], layout: dict) ->
     params = ParamSet()
     for name in layout:
         params.add(name, arrays[name])
-    return params
+    return spec, params, meta
 
 
-def _fields_from_json(text, cls) -> dict:
-    """The JSON object in ``text``; ``ValueError`` unless its keys are
-    exactly the fields of the dataclass ``cls``."""
-    d = json.loads(text)
-    names = sorted(f.name for f in dataclasses.fields(cls))
-    if not isinstance(d, dict) or sorted(d) != names:
-        raise ValueError(f"spec fields {sorted(d) if isinstance(d, dict) else d!r}, expected {names}")
-    return d
-
-
-def save_model(path, model: Model, meta: dict | None = None) -> None:
-    """Store the spec's five builder arguments as JSON, and the parameters."""
-    info = _with_meta({"spec": json.dumps(dataclasses.asdict(model.spec), sort_keys=True)}, meta)
-    arrays = {name: p.value for name, p in model.params.items()}
-    serialize.save(path, "model", info, arrays)
+def save_model(path, model: Model) -> None:
+    _save(path, "model", model.spec, model.params)
 
 
 def load_model(path) -> tuple[Model, dict]:
-    _, meta, arrays = serialize.load(path, expect_kind="model")
-    try:
-        spec = ModelSpec(**_fields_from_json(meta["spec"], ModelSpec))
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
-        raise SerializationError(f"model file spec is missing or malformed: {exc!r}") from None
-    return Model(spec, _params_from_file("model", arrays, _param_layout(spec))), meta
+    spec, params, meta = _load(path, "model", ModelSpec, _param_layout)
+    return Model(spec, params), meta
 
 
-# Version of the controller metadata; 4 stores every ControllerSpec field,
-# and the spec alone fixes the parameters' names, order and shapes.
-CONTROLLER_FORMAT = 4
-
-
-def save_controller(path, h: Controller, meta: dict | None = None) -> None:
-    info = _with_meta({
-        "controller_format": CONTROLLER_FORMAT,
-        "cspec": json.dumps(dataclasses.asdict(h.cspec), sort_keys=True),
-    }, meta)
-    serialize.save(path, "controller", info, {n: p.value for n, p in h.params.items()})
+def save_controller(path, h: Controller) -> None:
+    _save(path, "controller", h.cspec, h.params)
 
 
 def load_controller(path) -> tuple[Controller, dict]:
-    _, meta, arrays = serialize.load(path, expect_kind="controller")
-    if meta.get("controller_format") != CONTROLLER_FORMAT:
-        raise SerializationError(
-            f"controller format {meta.get('controller_format')!r} is not supported "
-            f"(expected {CONTROLLER_FORMAT}); save the controller again with the current tool"
-        )
-    try:
-        cspec = ControllerSpec(**_fields_from_json(meta["cspec"], ControllerSpec))
-        layout = _controller_layout(cspec)
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
-        raise SerializationError(f"controller file spec is missing or malformed: {exc}") from None
-    return Controller(cspec, _params_from_file("controller", arrays, layout)), meta
+    cspec, params, meta = _load(path, "controller", ControllerSpec, _controller_layout)
+    return Controller(cspec, params), meta

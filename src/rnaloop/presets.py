@@ -29,7 +29,7 @@ def dense_controller(main: nets.Model, seed: int) -> nets.Controller:
     cspec = nets.ControllerSpec(
         arch="conv",
         in_channels=3,
-        film_channels=[c for _, c in main.spec.film_sites],
+        film_channels=tuple(c for _, c in main.spec.film_sites),
     )
     return nets.build_controller(cspec, main, seed)
 
@@ -44,7 +44,7 @@ def seg_controller(main: nets.Model, seed: int) -> nets.Controller:
     cspec = nets.ControllerSpec(
         arch="conv",
         in_channels=2 * SEG_CLASSES + 1,
-        film_channels=[c for _, c in main.spec.film_sites],
+        film_channels=tuple(c for _, c in main.spec.film_sites),
     )
     return nets.build_controller(cspec, main, seed)
 
@@ -58,7 +58,7 @@ def cls_controller(main: nets.Model, seed: int) -> nets.Controller:
     cspec = nets.ControllerSpec(
         arch="mlp",
         in_channels=NUM_CLASSES + NUM_COARSE,
-        film_channels=[c for _, c in main.spec.film_sites],
+        film_channels=tuple(c for _, c in main.spec.film_sites),
         hidden=12,
     )
     return nets.build_controller(cspec, main, seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, ContractError, DimensionError, LabelRangeError, need_int
+from .errors import ConfigurationError, ContractError, DimensionError, LabelRangeError, is_real, need_int
 from .nets import Model
 
 _STREAM_SIGNAL = 201
@@ -48,8 +48,8 @@ def _squeeze_map(target) -> np.ndarray:
 
 def masked_gt(target, fraction: float, seed: int) -> AdaptationSignal:
     """Uniformly random pixel subset of the ground truth (control signal)."""
-    if not (0 < fraction <= 1):
-        raise ConfigurationError(f"fraction {fraction} outside (0, 1]")
+    if not (is_real(fraction) and 0 < fraction <= 1):
+        raise ConfigurationError(f"fraction {fraction!r} is not a number in (0, 1]")
     need_int("seed", seed, 0)
     t = _squeeze_map(target)
     h, w = t.shape
@@ -74,8 +74,11 @@ def noisy_sparse(
     Simulates sparse-reconstruction measurements: valid values are not
     clipped, and a fraction of them are replaced by uniform draws.
     """
-    if not (0 <= outlier_rate <= 1 and noise_sigma >= 0):  # NaN fails both
-        raise ConfigurationError("noise_sigma must be >= 0 and outlier_rate in [0,1]")
+    if not (is_real(noise_sigma) and is_real(outlier_rate)
+            and 0 <= outlier_rate <= 1 and noise_sigma >= 0):  # NaN fails both
+        raise ConfigurationError(
+            f"noise_sigma must be a number >= 0 and outlier_rate one in [0,1], got "
+            f"{noise_sigma!r}, {outlier_rate!r}")
     sig = masked_gt(target, fraction, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SIGNAL, 2]))
     values = sig.values.copy()
@@ -239,7 +242,7 @@ def knn_coarse(
     is not an int.
     """
     n = len(index)
-    if not 1 <= k <= n:
+    if type(k) is int and not 1 <= k <= n:
         raise ContractError(f"index holds {n} items, need 1 <= k={k} <= {n}")
     need_int("k", k, 1)
     classes = index.model.spec.out_ch

@@ -620,7 +620,7 @@ class TestSgdStep:
         with pytest.raises(ContractError):
             ad.sgd_step(ps, {"p": np.array([1.0])}, -0.1)
 
-    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, "0.1", None])
     def test_non_finite_lr_rejected(self, lr):
         ps = ad.ParamSet()
         ps.add("p", np.array([1.0]))

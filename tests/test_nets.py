@@ -19,6 +19,19 @@ from rnaloop.errors import ConfigurationError, ContractError, DimensionError, Se
 from oracles import central_fd, max_rel_err
 
 
+def _identity_film(model) -> nets.FiLMParams:
+    """gamma = 1, beta = 0 at each of the model's film sites."""
+    return nets.FiLMParams([(np.ones(c), np.zeros(c)) for _, c in model.spec.film_sites])
+
+
+def _arrays(film: nets.FiLMParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(g.array, b.array) for g, b in film.sites]
+
+
+def _names(params: ad.ParamSet) -> list[str]:
+    return [name for name, _ in params.items()]
+
+
 @pytest.fixture(scope="module")
 def dense_pair():
     f = presets.dense_main(seed=7)
@@ -75,6 +88,12 @@ class TestBuildMain:
         with pytest.raises(DimensionError, match=r"Model\.forward.*spec\.in_shape"):
             f.forward(np.zeros(shape))
 
+    @pytest.mark.parametrize("preset", ["dense_main", "cls_main"])
+    def test_empty_batch_gives_an_empty_result(self, preset):
+        f = getattr(presets, preset)(seed=0)
+        out = f.forward(np.zeros((0,) + f.spec.in_shape))
+        assert out.shape == {"dense_main": (0, 1, 32, 32), "cls_main": (0, presets.NUM_CLASSES)}[preset]
+
     def test_batched_forward_matches_single(self):
         # bit-exactness across batch sizes is not promised (BLAS blocking);
         # agreement at float64 resolution is
@@ -93,7 +112,7 @@ class TestFilmSites:
         base = nets.build_main(nets.ModelSpec("dense_regression", 1, 1, 32, 0), 11)
         filmed = nets.build_main(nets.ModelSpec("dense_regression", 1, 1, 32, 4), 11)
         assert filmed.params.state_bytes() == base.params.state_bytes()
-        ident = nets.FiLMParams.identity([c for _, c in filmed.spec.film_sites])
+        ident = _identity_film(filmed)
         assert filmed.forward(x, film=ident).array.tobytes() == base.forward(x).array.tobytes()
 
     def test_k_zero_is_noop(self):
@@ -134,13 +153,13 @@ class TestController:
         rng = np.random.default_rng(5)
         fb = rng.random((2, 3, 32, 32))
         fp = h.forward(fb)
-        for g, b in fp.numpy():
+        for g, b in _arrays(fp):
             assert np.array_equal(g, np.ones_like(g))
             assert np.array_equal(b, np.zeros_like(b))
 
     def test_budget_in_range(self, dense_pair):
         f, h = dense_pair
-        ratio = nets.param_count(h) / nets.param_count(f)
+        ratio = h.params.count() / f.params.count()
         assert 0.05 <= ratio <= 0.20
 
     def test_budget_warning_outside_range(self):
@@ -181,25 +200,35 @@ class TestController:
         params.add("fc.b", np.zeros(cspec.hidden))
         params.add("head.w", np.zeros((cspec.hidden, cspec.out_dim)))
         params.add("head.b", np.zeros(cspec.out_dim))
-        assert h.params.names() == params.names()
+        assert _names(h.params) == _names(params)
         assert h.params.state_bytes() == params.state_bytes()
 
     BAD_SPECS = {
-        "float_film_channels": {"film_channels": [16.0, 24.0, 24.0, 16.0]},
+        "float_film_channels": {"film_channels": (16.0, 24.0, 24.0, 16.0)},
         "zero_in_channels": {"in_channels": 0},
         "str_hidden": {"hidden": "16"},
         "zero_hidden": {"hidden": 0},
+        "film_channels_not_a_list": {"film_channels": 16},
+        "no_film_channels": {"film_channels": ()},
+        "unknown_arch": {"arch": "rnn"},
     }
 
     @pytest.mark.parametrize("case", list(BAD_SPECS))
     def test_malformed_spec_rejected(self, dense_pair, case):
-        f, h = dense_pair
-        with pytest.raises(ConfigurationError, match="integers >= 1"):
-            nets.build_controller(dataclasses.replace(h.cspec, **self.BAD_SPECS[case]), f, 0)
+        # a spec checks its fields when it is built, as a ModelSpec does
+        _, h = dense_pair
+        with pytest.raises(ConfigurationError, match="as an int|non-empty list|unknown controller arch"):
+            dataclasses.replace(h.cspec, **self.BAD_SPECS[case])
+
+    def test_spec_is_frozen_and_keeps_a_list_as_a_tuple(self, dense_pair):
+        _, h = dense_pair
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.cspec.hidden = 5
+        assert nets.ControllerSpec("conv", 3, [16, 24, 24, 16]) == h.cspec
 
     def test_requires_film_sites(self):
         base = nets.build_main(nets.ModelSpec("dense_regression", 1, 1, 32, 0), 0)
-        cspec = nets.ControllerSpec(arch="conv", in_channels=3, film_channels=[])
+        cspec = nets.ControllerSpec(arch="conv", in_channels=3, film_channels=(16,))
         with pytest.raises(ContractError):
             nets.build_controller(cspec, base, 0)
 
@@ -213,7 +242,7 @@ class TestController:
         batch = h2.forward(fb)
         for n in range(4):
             single = h2.forward(fb[n : n + 1])
-            for (gb, bb), (gs, bs) in zip(batch.numpy(), single.numpy()):
+            for (gb, bb), (gs, bs) in zip(_arrays(batch), _arrays(single)):
                 assert np.allclose(gb[n], gs[0], atol=1e-12)
                 assert np.allclose(bb[n], bs[0], atol=1e-12)
 
@@ -239,8 +268,8 @@ class TestController:
         fb_a = fb.copy()
         fb_b = fb.copy()
         fb_b[:, 1:] = rng.random((2, 2, 32, 32))  # different signal, same prediction
-        pa = h.forward(fb_a).numpy()
-        pb = h.forward(fb_b).numpy()
+        pa = _arrays(h.forward(fb_a))
+        pb = _arrays(h.forward(fb_b))
         linf = max(
             max(np.abs(ga - gb).max(), np.abs(ba - bb).max())
             for (ga, ba), (gb, bb) in zip(pa, pb)
@@ -252,12 +281,12 @@ class TestAdaptedForward:
     def test_identity_params_reproduce_baseline(self, dense_pair):
         f, h = dense_pair
         x = np.random.default_rng(9).random((1, 1, 32, 32))
-        ident = nets.FiLMParams.identity([c for _, c in f.spec.film_sites])
+        ident = _identity_film(f)
         assert np.array_equal(f.forward(x, film=ident).array, f.forward(x).array)
 
     def test_site_mismatch_rejected(self, dense_pair):
         f, _ = dense_pair
-        bad = nets.FiLMParams.identity([16, 24])
+        bad = nets.FiLMParams([(np.ones(c), np.zeros(c)) for c in (16, 24)])
         with pytest.raises(ContractError, match="2 sites, model declares 4"):
             f.forward(np.zeros((1, 1, 32, 32)), film=bad)
 
@@ -359,7 +388,7 @@ class TestSpecValidation:
         x = np.random.default_rng(cells).random((2, in_ch, grid, grid))
         out = m.forward(x).array
         assert out.shape == ((2, out_ch, grid, grid) if dense else (2, out_ch))
-        ident = nets.FiLMParams.identity([c for _, c in m.spec.film_sites])
+        ident = _identity_film(m)
         assert np.array_equal(m.forward(x, film=ident).array, out)
 
 
@@ -368,7 +397,7 @@ class TestParamCount:
         # the classifier at grid 4: three 3x3 convs, then a 16 -> 2 linear layer
         spec = nets.ModelSpec("classification", 1, 2, 4, 0)
         convs = (8 * 1 * 9 + 8) + (16 * 8 * 9 + 16) + (16 * 16 * 9 + 16)
-        assert nets.param_count(nets.build_main(spec, 0)) == convs + 16 * 2 + 2
+        assert nets.build_main(spec, 0).params.count() == convs + 16 * 2 + 2
 
     def test_conv_with_bias(self):
         # the UNet's eight convs (cin, cout, k), each with a bias
@@ -376,7 +405,7 @@ class TestParamCount:
         convs = [(1, 8, 3), (8, 16, 3), (16, 24, 3), (24, 32, 3),
                  (56, 24, 3), (40, 16, 3), (24, 8, 3), (8, 1, 1)]
         expected = sum(cout * cin * k * k + cout for cin, cout, k in convs)
-        assert nets.param_count(nets.build_main(spec, 0)) == expected
+        assert nets.build_main(spec, 0).params.count() == expected
 
     def test_composite_vs_layerwise_sum(self):
         f = presets.dense_main(seed=0)
@@ -386,7 +415,7 @@ class TestParamCount:
                 expected += layer["cout"] * layer["cin"] * layer["k"] ** 2 + layer["cout"]
             elif layer["kind"] == "linear":
                 expected += layer["nin"] * layer["nout"] + layer["nout"]
-        assert nets.param_count(f) == expected
+        assert f.params.count() == expected
 
 
 class TestPresetInit:
@@ -421,8 +450,59 @@ class TestBudgetsAllShippedConfigs:
         fc, _ = presets.control_mains(seed=0)
         hs.append((fc, presets.dense_controller(fc, 1)))
         for main, ctrl in hs:
-            ratio = nets.param_count(ctrl) / nets.param_count(main)
+            ratio = ctrl.params.count() / main.params.count()
             assert 0.05 <= ratio <= 0.20, ratio
+
+
+def _saved_file(path, kind: str) -> tuple[dict, dict]:
+    """Save cls_main's model or dense_controller's controller to ``path``;
+    the file's metadata and arrays."""
+    if kind == "model":
+        nets.save_model(path, presets.cls_main(seed=2))
+    else:
+        nets.save_controller(path, presets.dense_controller(presets.dense_main(seed=2), seed=3))
+    _, meta, arrays = serialize.load(path)
+    assert meta["format"] == 5  # so that each edit below reaches the spec or array check
+    return meta, arrays
+
+
+# Ways a file of either kind can be malformed, as _malform applies them.
+_MALFORMED_FILES = ["no_spec", "spec_not_a_string", "spec_not_json", "spec_not_an_object",
+                    "extra_field", "missing_field", "float_field", "unknown_arch",
+                    "spec_other_than_arrays", "extra_array", "missing_array", "wrong_shape"]
+
+
+def _malform(case: str, kind: str, meta: dict, arrays: dict) -> None:
+    """Edit a saved file's metadata and arrays in the way ``case`` names."""
+    spec = json.loads(meta.pop("spec"))
+    # the kind's architecture field, an int field some array shape follows,
+    # and its first array
+    arch, count, first = ("task_kind", "out_ch", "L0.w") if kind == "model" else ("arch", "hidden", "c1.w")
+    if case == "spec_not_a_string":
+        meta["spec"] = 5
+    elif case == "spec_not_json":
+        meta["spec"] = "{not json"
+    elif case == "spec_not_an_object":
+        meta["spec"] = "[1, 2]"
+    elif case != "no_spec":
+        if case == "extra_field":
+            spec["layers"] = 5  # as model files held a layer list before the builder spec
+        elif case == "missing_field":
+            del spec[count]
+        elif case == "float_field":
+            # float and int shapes compare equal, so only the spec's type check refuses it
+            spec[count] = float(spec[count])
+        elif case == "unknown_arch":
+            spec[arch] = "rnn"
+        elif case == "spec_other_than_arrays":
+            spec[count] -= 1
+        elif case == "extra_array":
+            arrays["extra.w"] = np.zeros(3)
+        elif case == "missing_array":
+            del arrays[first]
+        else:  # wrong_shape
+            arrays[first] = np.zeros((2, 2))
+        meta["spec"] = json.dumps(spec)
 
 
 class TestSpecSerialization:
@@ -451,7 +531,7 @@ class TestSpecSerialization:
                 loaded, _ = nets.load_controller(path)
                 c = net.cspec
                 fb = rng.random((2, c.in_channels, 32, 32) if c.arch == "conv" else (2, c.in_channels))
-                got, want = loaded.forward(fb).numpy(), net.forward(fb).numpy()
+                got, want = _arrays(loaded.forward(fb)), _arrays(net.forward(fb))
                 assert [(g.tobytes(), b.tobytes()) for g, b in got] == [
                     (g.tobytes(), b.tobytes()) for g, b in want]
             assert loaded.params.state_bytes() == net.params.state_bytes()
@@ -459,11 +539,11 @@ class TestSpecSerialization:
     def test_model_file_round_trip(self, tmp_path):
         f = presets.dense_main(seed=2)
         path = tmp_path / "model.rnl"
-        nets.save_model(path, f, meta={"note": "x"})
+        nets.save_model(path, f)
         loaded, meta = nets.load_model(path)
         assert loaded.spec == f.spec
         assert loaded.params.state_bytes() == f.params.state_bytes()
-        assert meta["note"] == "x"
+        assert meta == {"format": nets.FORMAT, "spec": json.dumps(dataclasses.asdict(f.spec), sort_keys=True)}
 
     def test_version_mismatch_message(self, tmp_path):
         f = presets.cls_main(seed=2)
@@ -490,130 +570,35 @@ class TestSpecSerialization:
         nets.save_controller(path, h)
         loaded, _ = nets.load_controller(path)
         assert loaded.cspec == h.cspec
-        assert loaded.params.names() == h.params.names()
+        assert _names(loaded.params) == _names(h.params)
         assert loaded.params.state_bytes() == h.params.state_bytes()
         fb = np.random.default_rng(4).random((2, h.cspec.in_channels))
-        for (g, b), (g2, b2) in zip(h.forward(fb).numpy(), loaded.forward(fb).numpy()):
+        for (g, b), (g2, b2) in zip(_arrays(h.forward(fb)), _arrays(loaded.forward(fb))):
             assert np.array_equal(g, g2) and np.array_equal(b, b2)
 
-    def test_controller_file_missing_a_spec_field_rejected(self, tmp_path, dense_pair):
-        _, h = dense_pair
-        path = tmp_path / "ctrl.rnl"
-        nets.save_controller(path, h)
-        _, meta, arrays = serialize.load(path)
-        cspec = json.loads(meta["cspec"])
-        del cspec["hidden"]
-        serialize.save(path, "controller", {**meta, "cspec": json.dumps(cspec)}, arrays)
-        with pytest.raises(SerializationError, match="hidden"):
-            nets.load_controller(path)
-        for old in (2, 3):  # format 3 also stored the trunk widths
-            serialize.save(path, "controller", {**meta, "controller_format": old}, arrays)
-            with pytest.raises(SerializationError, match=f"controller format {old} .*save the controller again"):
-                nets.load_controller(path)
-        del meta["controller_format"]
-        serialize.save(path, "controller", meta, arrays)
-        with pytest.raises(SerializationError, match="controller format None"):
-            nets.load_controller(path)
+    @pytest.mark.parametrize("kind", ["model", "controller"])
+    def test_files_of_the_previous_format_rejected(self, tmp_path, kind):
+        # Before format 5, a model file held its spec alone and a controller
+        # file its spec under "cspec", beside "controller_format": 4.
+        path = tmp_path / f"{kind}.rnl"
+        meta, arrays = _saved_file(path, kind)
+        load = nets.load_model if kind == "model" else nets.load_controller
+        old = {"spec": meta["spec"]} if kind == "model" else {"controller_format": 4, "cspec": meta["spec"]}
+        for info, found in [(old, "None"), ({**meta, "format": 4}, "4")]:
+            serialize.save(path, kind, info, arrays)
+            with pytest.raises(SerializationError, match=f"{kind} file format {found} .*expected 5"):
+                load(path)
 
-    @pytest.mark.parametrize(
-        "case",
-        ["no_cspec", "cspec_not_json", "trunk_not_a_list", "unlisted_array", "missing_array",
-         "hidden_disagrees", "film_channels_disagree", "float_film_channels", "unknown_arch"],
-    )
-    def test_malformed_controller_file_rejected(self, tmp_path, dense_pair, case):
-        path = tmp_path / "ctrl.rnl"
-        nets.save_controller(path, dense_pair[1])
-        _, meta, arrays = serialize.load(path)
-        cspec = json.loads(meta["cspec"])
-        if case == "no_cspec":
-            del meta["cspec"]
-        elif case == "cspec_not_json":
-            meta["cspec"] = "{not json"
-        elif case == "trunk_not_a_list":
-            # the trunk is fixed, so a spec carrying a trunk field is refused
-            meta["cspec"] = json.dumps({**cspec, "trunk": 5})
-        elif case == "unlisted_array":
-            arrays["extra.w"] = np.zeros(3)
-        elif case == "missing_array":
-            for name in ("c1.w", "c1.b", "c2.w", "c2.b"):
-                del arrays[name]
-        elif case == "hidden_disagrees":
-            # the arrays are still those of hidden=16, so fc.w is 16 wide
-            meta["cspec"] = json.dumps({**cspec, "hidden": 5})
-        elif case == "film_channels_disagree":
-            # the head still fits [16, 24, 24, 16]; the spec says the last site has 8
-            meta["cspec"] = json.dumps({**cspec, "film_channels": [16, 24, 24, 8]})
-        elif case == "float_film_channels":
-            # float and int shapes compare equal, so only the type check refuses it
-            meta["cspec"] = json.dumps({**cspec, "film_channels": [16.0, 24.0, 24.0, 16.0]})
-        else:  # unknown_arch
-            meta["cspec"] = json.dumps({**cspec, "arch": "rnn"})
-        serialize.save(path, "controller", meta, arrays)
-        with pytest.raises(SerializationError, match="spec"):
-            nets.load_controller(path)
-
-    def test_model_meta_may_not_replace_reserved_keys(self, tmp_path):
-        path = tmp_path / "model.rnl"
-        with pytest.raises(ContractError, match="spec"):
-            nets.save_model(path, presets.cls_main(seed=2), meta={"spec": "x"})
-        assert not path.exists()
-
-    @pytest.mark.parametrize("key", ["cspec", "controller_format"])
-    def test_controller_meta_may_not_replace_reserved_keys(self, tmp_path, dense_pair, key):
-        path = tmp_path / "ctrl.rnl"
-        with pytest.raises(ContractError, match=key):
-            nets.save_controller(path, dense_pair[1], meta={key: "[]"})
-        assert not path.exists()
-
-    @pytest.mark.parametrize("spec", [None, 5, "not json {", '{"task_kind": "x"}', "[1, 2]"])
-    def test_model_file_with_missing_or_bad_spec_rejected(self, tmp_path, spec):
-        f = presets.cls_main(seed=2)
-        path = tmp_path / "model.rnl"
-        meta = {} if spec is None else {"spec": spec}
-        serialize.save(path, "model", meta, {n: p.value for n, p in f.params.items()})
-        with pytest.raises(SerializationError, match="spec"):
-            nets.load_model(path)
-
-
-    @pytest.mark.parametrize(
-        "case",
-        ["layers_not_a_list", "site_without_channels", "parent_layer_list", "conv_without_stride",
-         "missing_field", "missing_array", "wrong_shape", "extra_array"],
-    )
-    def test_malformed_model_file_rejected(self, tmp_path, case):
-        # A spec holds exactly the five builder arguments: a layer-list field
-        # next to them, or a layer-list spec as older files hold, is refused.
-        f = presets.cls_main(seed=2)
-        path = tmp_path / "model.rnl"
-        nets.save_model(path, f)
-        _, meta, arrays = serialize.load(path)
-        spec = json.loads(meta["spec"])
-        parent = {"task_kind": "classification", "in_shape": [1, 16, 16],
-                  "layers": [dict(layer) for layer in f.spec.layers],
-                  "film_sites": [list(site) for site in f.spec.film_sites]}
-        for layer in parent["layers"]:
-            if layer["kind"] == "conv":
-                layer.update(stride=1, pad=layer["k"] // 2, bias=True)
-        if case == "layers_not_a_list":
-            spec["layers"] = 5
-        elif case == "site_without_channels":
-            spec["film_sites"] = [[1]]
-        elif case == "parent_layer_list":
-            spec = parent
-        elif case == "conv_without_stride":
-            del parent["layers"][0]["stride"]
-            spec = parent
-        elif case == "missing_field":
-            del spec["film_k"]
-        elif case == "missing_array":
-            del arrays["L0.b"]
-        elif case == "wrong_shape":
-            arrays["L0.w"] = np.zeros((2, 2))
-        else:
-            arrays["L99.w"] = np.zeros(3)
-        serialize.save(path, "model", {**meta, "spec": json.dumps(spec)}, arrays)
-        with pytest.raises(SerializationError):
-            nets.load_model(path)
+    @pytest.mark.parametrize("case", _MALFORMED_FILES)
+    @pytest.mark.parametrize("kind", ["model", "controller"])
+    def test_malformed_file_rejected(self, tmp_path, kind, case):
+        path = tmp_path / f"{kind}.rnl"
+        meta, arrays = _saved_file(path, kind)
+        _malform(case, kind, meta, arrays)
+        serialize.save(path, kind, meta, arrays)
+        load = nets.load_model if kind == "model" else nets.load_controller
+        with pytest.raises(SerializationError, match=f"{kind} file (spec|arrays)"):
+            load(path)
 
 
 class TestGradientsThroughModel:
@@ -831,7 +816,7 @@ class TestPassReuse:
         model = presets.dense_main(seed=35)  # 8 convs, 2 before the first site (layer 4)
         model.params.set_frozen(True)
         x = np.random.default_rng(36).random((1,) + model.spec.in_shape)
-        film = nets.FiLMParams.identity([c for _, c in model.spec.film_sites])
+        film = _identity_film(model)
         calls = self.conv_calls(monkeypatch)
 
         def convs(*args, **kwargs):
@@ -866,7 +851,7 @@ class TestPassReuse:
         model = presets.dense_main(seed=37)
         model.params.set_frozen(True)
         x = np.random.default_rng(38).random((1,) + model.spec.in_shape)
-        film = nets.FiLMParams.identity([c for _, c in model.spec.film_sites])
+        film = _identity_film(model)
         calls = self.conv_calls(monkeypatch)
 
         def check(*args, **kwargs):
@@ -1063,7 +1048,7 @@ class TestKeptPassProperty:
         fresh = _FreshEveryCall(model)
         rng = np.random.default_rng(seed)
         x = rng.random((1,) + model.spec.in_shape)
-        names = model.params.names()
+        names = _names(model.params)
 
         def check(op):
             film_values = [(1.0 + 0.1 * rng.normal(size=c), 0.1 * rng.normal(size=c))

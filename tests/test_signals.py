@@ -43,8 +43,9 @@ class TestMaskedGt:
         assert abs(sig.mask.sum() - expect) <= 1
 
     def test_bad_fraction_rejected(self):
-        with pytest.raises(ConfigurationError):
-            signals.masked_gt(np.zeros((1, 8, 8)), 0.0, seed=0)
+        for fraction in (0.0, "0.1", None):
+            with pytest.raises(ConfigurationError, match="fraction"):
+                signals.masked_gt(np.zeros((1, 8, 8)), fraction, seed=0)
 
 
 class TestNoisySparse:
@@ -75,7 +76,8 @@ class TestNoisySparse:
         assert 0.35 < frac < 0.65
 
     @pytest.mark.parametrize("noise_sigma,outlier_rate",
-                             [(float("nan"), 0.0), (-0.1, 0.0), (0.0, float("nan")), (0.0, 1.5)])
+                             [(float("nan"), 0.0), (-0.1, 0.0), (0.0, float("nan")), (0.0, 1.5),
+                              ("0.1", 0.0), (None, 0.0), (0.0, "0.1"), (0.0, None)])
     def test_bad_noise_rejected(self, noise_sigma, outlier_rate):
         with pytest.raises(ConfigurationError, match="noise_sigma"):
             signals.noisy_sparse(np.zeros((1, 8, 8)), 0.5, noise_sigma, outlier_rate, seed=0)
@@ -415,10 +417,13 @@ _TARGET = np.linspace(0.0, 1.0, 64).reshape(1, 8, 8)
     lambda: signals.masked_gt(_TARGET, 0.1, -1),
     lambda: signals.noisy_sparse(_TARGET, 0.1, 0.02, 0.05, -1),
     lambda: signals.click_annotations(_LABELS, 2.0, 0),
-    lambda: nets.FiLMParams.identity([2.0]),
+    lambda: nets.ControllerSpec("conv", 3, (2.0,)),
     lambda: _knn_at_k(2.5),
+    lambda: _knn_at_k("5"),
+    lambda: _knn_at_k(None),
 ], ids=["shift_seed_float", "shift_seed_negative", "masked_gt_seed_negative",
-        "noisy_sparse_seed_negative", "clicks_float", "film_channels_float", "knn_k_float"])
+        "noisy_sparse_seed_negative", "clicks_float", "film_channels_float", "knn_k_float",
+        "knn_k_str", "knn_k_none"])
 def test_seeds_and_counts_checked_at_entry(call):
     # each fails at entry with a package error, not inside numpy
     with pytest.raises(RnaLoopError, match="must be >= .*, as an int"):

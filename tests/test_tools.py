@@ -18,7 +18,8 @@ def _load(name):
 def test_uncalled_counts_names_attributes_and_imports_but_not_strings(tmp_path, capsys):
     package = tmp_path / "src" / "rnaloop"
     package.mkdir(parents=True)
-    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tests").mkdir()
     (package / "ops.py").write_text(
         '__all__ = ["only_listed"]\n'
         "LIMIT = 3\n"
@@ -33,7 +34,7 @@ def test_uncalled_counts_names_attributes_and_imports_but_not_strings(tmp_path, 
     )
     (package / "user.py").write_text("from .ops import imported\n")
     (tmp_path / "perfbench" / "run.py").write_text("import rnaloop.ops as ops\nops.read_as_attribute()\n")
-    (tmp_path / "perfbench" / "tests" / "test_x.py").write_text("from rnaloop.ops import only_tested\n")
+    (tmp_path / "tests" / "test_x.py").write_text("from rnaloop.ops import only_tested\n")
     assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == [
         "ops.LIMIT", "ops.only_listed", "ops.helper", "ops.only_tested", "ops.Unused",
@@ -43,7 +44,8 @@ def test_uncalled_counts_names_attributes_and_imports_but_not_strings(tmp_path, 
 def test_uncalled_reports_public_methods_nothing_calls(tmp_path, capsys):
     package = tmp_path / "src" / "rnaloop"
     package.mkdir(parents=True)
-    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tests").mkdir()
     (package / "ops.py").write_text(
         "class Box:\n"
         "    def called(self): pass\n"
@@ -63,8 +65,8 @@ def test_uncalled_reports_public_methods_nothing_calls(tmp_path, capsys):
     )
     (tmp_path / "perfbench" / "run.py").write_text(
         "import rnaloop.ops as ops\nops.user(ops.Box.make())\nops.Box().called_by_perfbench()\n")
-    # a test calling a method or reading a property is not a caller
-    (tmp_path / "perfbench" / "tests" / "test_x.py").write_text(
+    # a package test calling a method or reading a property is not a caller
+    (tmp_path / "tests" / "test_x.py").write_text(
         "from rnaloop.ops import Box\nBox().only_tested()\nBox().unread\n")
     assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["ops.Box.only_tested", "ops.Box.only_read", "ops.Box.unread"]
@@ -73,7 +75,8 @@ def test_uncalled_reports_public_methods_nothing_calls(tmp_path, capsys):
 def test_uncalled_reports_defaulted_parameters_no_call_passes(tmp_path, capsys):
     package = tmp_path / "src" / "rnaloop"
     package.mkdir(parents=True)
-    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tests").mkdir()
     (package / "ops.py").write_text(
         "def f(a, by_position=1, by_keyword=2, never=3, *, only_kw=4, kw_never=5): pass\n"
         "def g(x=0): pass\n"
@@ -91,8 +94,8 @@ def test_uncalled_reports_defaulted_parameters_no_call_passes(tmp_path, capsys):
     )
     (tmp_path / "perfbench" / "run.py").write_text(
         "import rnaloop.ops as ops\nops.Box.make(1)\nops.g(**{'x': 1})\nops.user(None)\n")
-    # a test passing a parameter is not a caller
-    (tmp_path / "perfbench" / "tests" / "test_x.py").write_text(
+    # a package test passing a parameter is not a caller
+    (tmp_path / "tests" / "test_x.py").write_text(
         "from rnaloop.ops import f\nf(0, 1, 2, 3, kw_never=5)\n")
     assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == [
@@ -103,7 +106,8 @@ def test_uncalled_reports_defaulted_parameters_no_call_passes(tmp_path, capsys):
 def test_uncalled_reports_dataclass_fields_no_call_or_replace_passes(tmp_path, capsys):
     package = tmp_path / "src" / "rnaloop"
     package.mkdir(parents=True)
-    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "tests").mkdir()
     (package / "ops.py").write_text(
         "from dataclasses import dataclass, replace\n"
         "from typing import ClassVar\n"
@@ -125,11 +129,33 @@ def test_uncalled_reports_dataclass_fields_no_call_or_replace_passes(tmp_path, c
     )
     (tmp_path / "perfbench" / "run.py").write_text(
         "import rnaloop.ops as ops\nops.moved(ops.user())\nops.Plain(1)\n")
-    # a test passing a field is not a caller
-    (tmp_path / "perfbench" / "tests" / "test_x.py").write_text(
+    # a package test passing a field is not a caller
+    (tmp_path / "tests" / "test_x.py").write_text(
         "from rnaloop.ops import World, Plain\nWorld(1, 2, 'x', 0.1)\nPlain(1, 2)\n")
     assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["ops.World.__init__(shade)", "ops.Plain.__init__(extra)"]
+
+
+def test_uncalled_counts_the_benchmark_tests_as_callers(tmp_path, capsys):
+    # what the benchmark's tests call is pinned with the benchmark; the
+    # package's tests still do not count
+    package = tmp_path / "src" / "rnaloop"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench" / "tests").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (package / "ops.py").write_text(
+        "def pinned(): pass\n"
+        "def only_tested(): pass\n"
+        "def shift(x, stride=1, pad=0): pass\n"
+        "class Box:\n"
+        "    def pinned_method(self): pass\n"
+    )
+    (tmp_path / "perfbench" / "tests" / "test_bench.py").write_text(
+        "from rnaloop import ops\nops.pinned()\nops.shift(0, 1)\nops.Box().pinned_method()\n")
+    (tmp_path / "tests" / "test_x.py").write_text(
+        "from rnaloop import ops\nops.only_tested()\nops.shift(0, 1, 2)\n")
+    assert _load("uncalled").main(["uncalled.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["ops.only_tested", "ops.shift(pad)"]
 
 
 def test_uncalled_leaves_out_dataclass_fields_that_init_does_not_take(tmp_path, capsys):

@@ -4,32 +4,33 @@ defaulted parameters that no call passes.
 
 A public name is a function, class or assigned variable bound at the top
 level of a module, whose name does not start with ``_``. It counts as
-referenced when a module of ``src/rnaloop`` or ``perfbench/`` loads it as a
-bare name (``ast.Name``), reads it as an attribute (``ast.Attribute``:
-``module.name``, ``obj.name``) or imports it. Strings, such as the entries
-of ``__all__``, do not count, and tests (``perfbench/tests``) are not
-callers. Names are matched without their module, so a name that another
-module also uses is left out.
+referenced when a module of ``src/rnaloop``, ``perfbench/`` or
+``perfbench/tests`` loads it as a bare name (``ast.Name``), reads it as an
+attribute (``ast.Attribute``: ``module.name``, ``obj.name``) or imports it.
+Strings, such as the entries of ``__all__``, do not count. The benchmark's
+own tests count as callers, because what they call is pinned until the
+benchmark's next version; the package's tests (``tests/``) are not callers.
+Names are matched without their module, so a name that another module also
+uses is left out.
 
 A public method is a method of a class defined at the top level of a
 module, whose name does not start with ``_``. It counts as called when a
-call in ``src/rnaloop`` or ``perfbench/`` calls its name (``obj.name(...)``
-or ``name(...)``); a property counts as called when a module reads it as an
-attribute. Like names, methods are matched without their class, so a method
-whose name another object's method shares (``ParamSet.get``, ``dict.get``)
-is left out.
+call in those folders calls its name (``obj.name(...)`` or ``name(...)``);
+a property counts as called when a module reads it as an attribute. Like
+names, methods are matched without their class, so a method whose name
+another object's method shares (``ParamSet.get``, ``dict.get``) is left out.
 
 A defaulted parameter is one of a function defined at the top level of a
 module, or of a method of a class defined there (``self`` or ``cls`` left
 out), that has a default value. It counts as passed when a call in
-``src/rnaloop`` or ``perfbench/`` to a function or method of that name
-(``name(...)``, ``obj.name(...)``; a class name calls its ``__init__``)
-gives it by keyword, or by position: ``f(a, b)`` passes the first two. A
-call with ``*args`` passes every position, and one with ``**kwargs`` every
-keyword. The defaulted fields of a dataclass (a class decorated with
-``dataclass``) count as parameters of its ``__init__``, in field order, and
-a keyword given to ``replace(obj, ...)`` (``dataclasses.replace``) passes
-the field of that name. A field declared ``field(..., init=False)`` is
+those folders to a function or method of that name (``name(...)``,
+``obj.name(...)``; a class name calls its ``__init__``) gives it by
+keyword, or by position: ``f(a, b)`` passes the first two. A call with
+``*args`` passes every position, and one with ``**kwargs`` every keyword.
+The defaulted fields of a dataclass (a class decorated with ``dataclass``)
+count as parameters of its ``__init__``, in field order, and a keyword
+given to ``replace(obj, ...)`` (``dataclasses.replace``) passes the field
+of that name. A field declared ``field(..., init=False)`` is
 state, not a parameter: it is neither reported nor given a position.
 
 This is a report: it prints ``module.name`` for each unreferenced name,
@@ -155,7 +156,8 @@ def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     package = root / "src" / "rnaloop"
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for folder in (package, root / "perfbench") for path in sorted(folder.glob("*.py"))}
+             for folder in (package, root / "perfbench", root / "perfbench" / "tests")
+             for path in sorted(folder.glob("*.py"))}
     used = set().union(*map(references, trees.values()))
     seen = calls(trees.values())
     modules = sorted(package.glob("*.py"))
