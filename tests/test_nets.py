@@ -600,6 +600,66 @@ class TestSpecSerialization:
         with pytest.raises(SerializationError, match=f"{kind} file (spec|arrays)"):
             load(path)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["layers_not_a_list", "site_without_channels", "parent_layer_list", "conv_without_stride",
+         "missing_field"],
+    )
+    def test_malformed_model_file_rejected(self, tmp_path, case):
+        # A spec holds exactly the five builder arguments: a layer-list field
+        # next to them, or a layer-list spec as older files hold, is refused
+        # even under the current format.
+        path = tmp_path / "model.rnl"
+        meta, arrays = _saved_file(path, "model")
+        spec = json.loads(meta["spec"])
+        built = nets.ModelSpec(**spec)
+        parent = {"task_kind": "classification", "in_shape": list(built.in_shape),
+                  "layers": [dict(layer) for layer in built.layers],
+                  "film_sites": [list(site) for site in built.film_sites]}
+        for layer in parent["layers"]:
+            if layer["kind"] == "conv":
+                layer.update(stride=1, pad=layer["k"] // 2, bias=True)
+        if case == "layers_not_a_list":
+            spec["layers"] = 5
+        elif case == "site_without_channels":
+            spec["film_sites"] = [[1]]
+        elif case == "parent_layer_list":
+            spec = parent
+        elif case == "conv_without_stride":
+            del parent["layers"][0]["stride"]
+            spec = parent
+        else:  # missing_field
+            del spec["film_k"]
+        serialize.save(path, "model", {**meta, "spec": json.dumps(spec)}, arrays)
+        with pytest.raises(SerializationError, match="model file spec"):
+            nets.load_model(path)
+
+    @pytest.mark.parametrize("case", ["hidden_disagrees", "film_channels_disagree"])
+    def test_malformed_controller_file_rejected(self, tmp_path, case):
+        # a spec that builds but names other shapes than the arrays hold
+        path = tmp_path / "ctrl.rnl"
+        meta, arrays = _saved_file(path, "controller")
+        cspec = json.loads(meta["spec"])
+        assert cspec["hidden"] == 16 and cspec["film_channels"] == [16, 24, 24, 16]
+        if case == "hidden_disagrees":
+            # the arrays are still those of hidden=16, so fc.w is 16 wide
+            cspec["hidden"] = 5
+        else:  # film_channels_disagree
+            # the head still fits [16, 24, 24, 16]; the spec says the last site has 8
+            cspec["film_channels"] = [16, 24, 24, 8]
+        serialize.save(path, "controller", {**meta, "spec": json.dumps(cspec)}, arrays)
+        with pytest.raises(SerializationError, match="controller file arrays do not match"):
+            nets.load_controller(path)
+
+    @pytest.mark.parametrize("spec", ['{"task_kind": "x"}'])
+    def test_model_file_with_missing_or_bad_spec_rejected(self, tmp_path, spec):
+        # a spec of one field, and that of no known task kind
+        path = tmp_path / "model.rnl"
+        meta, arrays = _saved_file(path, "model")
+        serialize.save(path, "model", {**meta, "spec": spec}, arrays)
+        with pytest.raises(SerializationError, match="model file spec"):
+            nets.load_model(path)
+
 
 class TestGradientsThroughModel:
     def test_tto_step_records_only_film_dependent_nodes(self, dense_pair):
