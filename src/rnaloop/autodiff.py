@@ -63,6 +63,7 @@ from .errors import (
     DimensionError,
     LabelRangeError,
     is_real,
+    need_int,
 )
 
 __all__ = [
@@ -575,7 +576,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int, bias: Tensor | None
             f"conv2d: input has {c} channels but kernel expects {wv.shape[1]} "
             f"(shapes {xv.shape} and {wv.shape})"
         )
-    if stride != 1 or type(pad) is not int or not 0 <= pad < k or min(h, w) + 2 * pad < k:
+    pad = need_int("pad", pad, 0)
+    if stride != 1 or pad >= k or min(h, w) + 2 * pad < k:
         raise ConfigurationError(
             f"conv2d: needs stride 1, an int pad in [0, {k - 1}] and an output of at least "
             f"one pixel; got input {h}x{w}, k={k}, stride={stride}, pad={pad}"
@@ -1003,14 +1005,18 @@ def prediction_entropy(logits: Tensor) -> Tensor:
     return _record(np.asarray(loss), (logits,), bwd, "prediction_entropy")
 
 
-def bernoulli_entropy(x: Tensor, eps: float = 1e-4) -> Tensor:
+_BERNOULLI_EPS = 1e-4
+
+
+def bernoulli_entropy(x: Tensor) -> Tensor:
     """Mean binary entropy of values interpreted as probabilities in [0,1].
 
-    Values are clipped to [eps, 1-eps] before the entropy; the gradient is
-    zero in the clipped region. Used as a confidence proxy for bounded
-    dense regressions, where softmax entropy is undefined.
+    Values are clipped to [eps, 1-eps], eps = ``_BERNOULLI_EPS``, before
+    the entropy; the gradient is zero in the clipped region. Used as a
+    confidence proxy for bounded dense regressions, where softmax entropy
+    is undefined.
     """
-    xv = x.array
+    xv, eps = x.array, _BERNOULLI_EPS
     xc = np.clip(xv, eps, 1.0 - eps)
     inside = (xv > eps) & (xv < 1.0 - eps)
     ent = -(xc * np.log(xc) + (1.0 - xc) * np.log(1.0 - xc))

@@ -1,7 +1,10 @@
-"""Exception taxonomy shared across the package, and the integer and number
-checks that entry points make before comparing a value."""
+"""Exception taxonomy shared across the package, the integer and number
+checks that entry points make before comparing a value, and the one maker
+of random generators, so that every seed is checked the same way."""
 
 import numbers
+
+import numpy as np
 
 
 class RnaLoopError(Exception):
@@ -40,14 +43,31 @@ class ArtifactError(RnaLoopError, FileNotFoundError):
     """A referenced artifact path could not be resolved."""
 
 
-def need_int(name: str, value, least: int) -> None:
-    """``ConfigurationError`` unless ``value`` is an int (not a bool or a
-    float) and at least ``least``."""
-    if type(value) is not int or value < least:
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's, but not a bool."""
+    # a plain int skips the ABC check, which costs over ten times as much
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def need_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int; ``ConfigurationError`` unless it is an
+    integer (see :func:`is_int`) and at least ``least``."""
+    n = value if type(value) is int else int(value) if is_int(value) else None
+    if n is None or n < least:
         raise ConfigurationError(f"{name} must be >= {least}, as an int; got {value!r}")
+    return n
 
 
 def is_real(value) -> bool:
     """Whether ``value`` is a real number, an int or a float (numpy's too) but
     not a bool, so that comparing it cannot raise a bare ``TypeError``."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def seeded(seed, *stream: int) -> np.random.Generator:
+    """The generator of ``seed`` and the stream numbers after it;
+    ``ConfigurationError`` unless the seed is an integer >= 0.
+
+    ``SeedSequence([s])`` draws as ``SeedSequence(s)``, so ``seeded(s)`` is
+    ``default_rng(s)``."""
+    return np.random.default_rng(np.random.SeedSequence([need_int("seed", seed, 0), *stream]))

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
-from .errors import ConfigurationError, ContractError, DimensionError, SerializationError, need_int
+from .errors import (ConfigurationError, ContractError, DimensionError, SerializationError, need_int,
+                     seeded)
 from . import serialize
 
 # Controller size relative to the main network, for shipped configs.
@@ -65,7 +66,8 @@ class ModelSpec:
 
     Construction raises ``ConfigurationError`` unless task_kind is one of
     the three, in_ch, out_ch and grid are integers >= 1, grid divides as
-    above and film_k is an integer in [0, ladder length]. It then sets, once:
+    above and film_k is an integer in [0, ladder length]. It keeps the four
+    counts as Python ints, then sets, once:
 
     in_shape: (in_ch, grid, grid), one input sample.
     layers: dicts with a "kind" key (conv, relu, pool, upsample, concat,
@@ -86,18 +88,13 @@ class ModelSpec:
         classifier = self.task_kind == "classification"
         if not classifier and self.task_kind not in ("dense_regression", "dense_segmentation"):
             raise ConfigurationError(f"unknown task_kind {self.task_kind!r}")
-        if any(type(v) is not int or v < 1 for v in (self.in_ch, self.out_ch, self.grid)):
-            raise ConfigurationError(
-                f"in_ch, out_ch and grid must be integers >= 1, got "
-                f"{self.in_ch!r}, {self.out_ch!r}, {self.grid!r}"
-            )
+        for name, least in (("in_ch", 1), ("out_ch", 1), ("grid", 1), ("film_k", 0)):
+            object.__setattr__(self, name, need_int(name, getattr(self, name), least))
         ladder, step = (_CLASSIFIER_SITE_LADDER, 4) if classifier else (_UNET_SITE_LADDER, 8)
         if self.grid % step:
             raise ConfigurationError(f"grid {self.grid} must be divisible by {step}")
-        if type(self.film_k) is not int or not 0 <= self.film_k <= len(ladder):
-            raise ConfigurationError(
-                f"film_k={self.film_k!r} must be an integer in [0, {len(ladder)}], the eligible layers"
-            )
+        if self.film_k > len(ladder):
+            raise ConfigurationError(f"film_k={self.film_k} exceeds the {len(ladder)} eligible layers")
         layers = (_classifier_layers(self.in_ch, self.out_ch, self.grid) if classifier
                   else _unet_layers(self.in_ch, self.out_ch))
         object.__setattr__(self, "in_shape", (self.in_ch, self.grid, self.grid))
@@ -342,7 +339,8 @@ def dict_from_sites(sites: tuple[tuple[int, int], ...], film: FiLMParams | None)
 
 
 def build_main(spec: ModelSpec, seed: int) -> Model:
-    """Instantiate parameters (He-style init) for a spec."""
+    """Instantiate parameters (He-style init) for a spec; ``ConfigurationError``
+    unless the seed is an integer >= 0."""
     return Model(spec, _init_params(_param_layout(spec), seed))
 
 
@@ -350,7 +348,7 @@ def _init_params(layout: dict[str, tuple[int, ...]], seed: int) -> ParamSet:
     """He-style init, drawn in layout order: a weight is normal with std
     sqrt(2 / fan-in); a bias (``*.b``) and a controller head (``head.*``)
     start at zero."""
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     params = ParamSet()
     for name, shape in layout.items():
         if name.endswith(".b") or name.startswith("head."):
@@ -399,7 +397,7 @@ class ControllerSpec:
 
     Construction raises ``ConfigurationError`` unless arch is one of the two,
     in_channels and hidden are integers >= 1 and film_channels is a
-    non-empty list or tuple of them.
+    non-empty list or tuple of them. It keeps them as Python ints.
     """
 
     arch: str
@@ -413,10 +411,10 @@ class ControllerSpec:
         film = self.film_channels
         if not isinstance(film, (list, tuple)) or not film:
             raise ConfigurationError(f"film_channels must be a non-empty list, got {film!r}")
-        for name, v in [("in_channels", self.in_channels), ("hidden", self.hidden),
-                        *(("film channel count", c) for c in film)]:
-            need_int(name, v, 1)
-        object.__setattr__(self, "film_channels", tuple(film))
+        for name in ("in_channels", "hidden"):
+            object.__setattr__(self, name, need_int(name, getattr(self, name), 1))
+        film = tuple(need_int("film channel count", c, 1) for c in film)
+        object.__setattr__(self, "film_channels", film)
 
     @property
     def out_dim(self) -> int:
@@ -483,7 +481,8 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
 
     The head is zero-initialized so the first emitted coefficients are the
     exact identity. Warns if the parameter budget leaves the intended
-    share of the main network.
+    share of the main network. ``ConfigurationError`` unless the seed is an
+    integer >= 0.
     """
     if not main.spec.film_sites:
         raise ContractError("main model has no film sites; build it with film_k >= 1")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, SerializationError
+from .errors import ArtifactError, SerializationError, is_int
 
 MAGIC = b"RNLB"
 VERSION = 1
@@ -121,9 +121,7 @@ def _directory_entry(entry) -> tuple[str, tuple[int, ...], str]:
     name, shape, tag = entry.get("name"), entry.get("shape"), entry.get("dtype")
     if not isinstance(name, str):
         raise SerializationError(f"array directory entry has no name: {entry!r}")
-    if not isinstance(shape, list) or not all(
-        type(d) is int and d >= 0 for d in shape
-    ):
+    if not isinstance(shape, list) or not all(is_int(d) and d >= 0 for d in shape):
         raise SerializationError(f"array {name!r} has an invalid shape {shape!r}")
     if not isinstance(tag, str) or tag not in _DTYPES:
         raise SerializationError(f"array {name!r} has an unsupported dtype {tag!r}")

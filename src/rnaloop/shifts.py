@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, need_int
+from .errors import ConfigurationError, need_int, seeded
 from .taskgen import SceneWorldConfig
 
 KINDS = ("identity", "gaussian_noise", "blur", "pixelate", "contrast")
@@ -33,6 +33,10 @@ SEVERITY_TABLES: dict[str, list[float]] = {
 
 @dataclass(frozen=True)
 class ShiftSpec:
+    """One of ``KINDS`` at a severity in 1..5 (identity ignores it, but it
+    must still be an integer >= 1), with the seed of the random kinds; both
+    kept as Python ints."""
+
     kind: str
     severity: int = 1
     seed: int = 0
@@ -40,11 +44,10 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown shift kind {self.kind!r}")
-        if type(self.severity) is not int:
-            raise ConfigurationError(f"severity must be an int, got {self.severity!r}")
-        if self.kind != "identity" and not (1 <= self.severity <= 5):
+        object.__setattr__(self, "severity", need_int("severity", self.severity, 1))
+        if self.kind != "identity" and self.severity > 5:
             raise ConfigurationError(f"severity {self.severity} outside 1..5")
-        need_int("seed", self.seed, 0)
+        object.__setattr__(self, "seed", need_int("seed", self.seed, 0))
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -85,7 +88,7 @@ def apply_shift(x: np.ndarray, spec: ShiftSpec) -> np.ndarray:
         return x.copy()
     level = SEVERITY_TABLES[spec.kind][spec.severity - 1]
     if spec.kind == "gaussian_noise":
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7001, spec.severity]))
+        rng = seeded(spec.seed, 7001, spec.severity)
         out = x + rng.normal(0.0, level, size=x.shape)
     elif spec.kind == "blur":
         kernel = _gaussian_kernel(level)

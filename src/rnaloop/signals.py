@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, ContractError, DimensionError, LabelRangeError, is_real, need_int
+from .errors import (ConfigurationError, ContractError, DimensionError, LabelRangeError, is_int, is_real,
+                     need_int, seeded)
 from .nets import Model
 
 _STREAM_SIGNAL = 201
@@ -50,11 +51,10 @@ def masked_gt(target, fraction: float, seed: int) -> AdaptationSignal:
     """Uniformly random pixel subset of the ground truth (control signal)."""
     if not (is_real(fraction) and 0 < fraction <= 1):
         raise ConfigurationError(f"fraction {fraction!r} is not a number in (0, 1]")
-    need_int("seed", seed, 0)
+    rng = seeded(seed, _STREAM_SIGNAL)
     t = _squeeze_map(target)
     h, w = t.shape
     count = max(1, int(round(fraction * h * w)))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SIGNAL]))
     flat = rng.choice(h * w, size=count, replace=False)
     mask = np.zeros((h, w), dtype=bool)
     mask.reshape(-1)[flat] = True
@@ -80,7 +80,7 @@ def noisy_sparse(
             f"noise_sigma must be a number >= 0 and outlier_rate one in [0,1], got "
             f"{noise_sigma!r}, {outlier_rate!r}")
     sig = masked_gt(target, fraction, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SIGNAL, 2]))
+    rng = seeded(seed, _STREAM_SIGNAL, 2)
     values = sig.values.copy()
     on = sig.mask
     if noise_sigma > 0:
@@ -101,14 +101,13 @@ def noisy_sparse(
 
 def click_annotations(target_classes, clicks_per_class: int, seed: int) -> AdaptationSignal:
     """Per-class random pixel labels (simulated annotation clicks)."""
-    need_int("clicks_per_class", clicks_per_class, 1)
-    need_int("seed", seed, 0)
+    clicks_per_class = need_int("clicks_per_class", clicks_per_class, 1)
+    rng = seeded(seed, _STREAM_SIGNAL, 3)
     if clicks_per_class > 25:
         raise ConfigurationError(f"clicks_per_class {clicks_per_class} outside [1, 25]")
     t = np.asarray(target_classes, dtype=np.int64)
     if t.ndim != 2:
         raise DimensionError(f"expected a [H,W] class map, got {t.shape}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SIGNAL, 3]))
     mask = np.zeros(t.shape, dtype=bool)
     for cls in np.unique(t):
         ys, xs = np.nonzero(t == cls)
@@ -145,8 +144,9 @@ class CoarseGrouping:
 def make_coarse_grouping(K: int, C: int) -> CoarseGrouping:
     """Deterministic fine-to-coarse class grouping: consecutive classes
     share a group (sizes differ by <= 1 when C does not divide K)."""
-    if type(K) is not int or type(C) is not int or not 2 <= C <= K:
-        raise ConfigurationError(f"need integers 2 <= C <= K, got C={C!r}, K={K!r}")
+    K, C = need_int("K", K, 2), need_int("C", C, 2)
+    if C > K:
+        raise ConfigurationError(f"need 2 <= C <= K, got C={C}, K={K}")
     gmap = np.empty(K, dtype=np.int64)
     for c, block in enumerate(np.array_split(np.arange(K), C)):
         gmap[block] = c
@@ -242,9 +242,9 @@ def knn_coarse(
     is not an int.
     """
     n = len(index)
-    if type(k) is int and not 1 <= k <= n:
+    if is_int(k) and not 1 <= k <= n:
         raise ContractError(f"index holds {n} items, need 1 <= k={k} <= {n}")
-    need_int("k", k, 1)
+    k = need_int("k", k, 1)
     classes = index.model.spec.out_ch
     if grouping.num_fine != classes:
         raise ContractError(

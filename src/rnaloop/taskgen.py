@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, ContractError, TrainingError, need_int
+from .errors import ConfigurationError, ContractError, TrainingError, need_int, seeded
 from .nets import Model
 
 _STREAM_SCENE = 101
@@ -49,12 +49,26 @@ NOISE_SIGMA = 0.05
 @dataclass(frozen=True)
 class SceneWorldConfig:
     """What a world varies; the rest of the scene model is the constants
-    above, and the textures are the generator's."""
+    above, and the textures are the generator's.
+
+    ``ConfigurationError`` unless grid is an integer >= 1 and
+    shapes_per_scene a pair of integers 0 <= low <= high; both are kept as
+    Python ints.
+    """
 
     grid: int = 32
     shapes_per_scene: tuple[int, int] = (1, 4)
     half_size_range: tuple[float, float] = (3.0, 9.0)
     albedo_range: tuple[float, float] = (0.45, 0.95)
+
+    def __post_init__(self):
+        object.__setattr__(self, "grid", need_int("grid", self.grid, 1))
+        pair = self.shapes_per_scene
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ConfigurationError(f"shapes_per_scene must be a (low, high) pair, got {pair!r}")
+        low = need_int("shapes_per_scene low", pair[0], 0)
+        high = need_int("shapes_per_scene high", pair[1], low)
+        object.__setattr__(self, "shapes_per_scene", (low, high))
 
 
 @dataclass
@@ -78,10 +92,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 
 
 def sample_scene(
@@ -149,9 +159,8 @@ def render_scene(
 def gen_dense_regression(config: SceneWorldConfig, n: int, seed: int) -> Dataset:
     """Depth-from-intensity scenes of plain shapes; target is the
     normalized depth map."""
-    need_int("n", n, 1)
-    need_int("seed", seed, 0)
-    rng = _rng(seed, _STREAM_SCENE)
+    n = need_int("n", n, 1)
+    rng = seeded(seed, _STREAM_SCENE)
     inputs = np.empty((n, 1, config.grid, config.grid))
     targets = np.empty((n, 1, config.grid, config.grid))
     for i in range(n):
@@ -164,14 +173,12 @@ def gen_dense_regression(config: SceneWorldConfig, n: int, seed: int) -> Dataset
 def gen_dense_segmentation(config: SceneWorldConfig, n: int, K: int, seed: int) -> Dataset:
     """Plain and striped shapes; shape kind+texture decides the class,
     background is class 0, and shapes of a class >= K are left out."""
-    need_int("n", n, 1)
-    need_int("K", K, 2)
-    need_int("seed", seed, 0)
+    n, K = need_int("n", n, 1), need_int("K", K, 2)
+    rng = seeded(seed, _STREAM_SCENE)
     if K - 1 > len(SEG_COMBOS):
         raise ConfigurationError(
             f"K={K} exceeds available kind-texture combinations ({len(SEG_COMBOS)} + background)"
         )
-    rng = _rng(seed, _STREAM_SCENE)
     inputs = np.empty((n, 1, config.grid, config.grid))
     targets = np.empty((n, config.grid, config.grid), dtype=np.int64)
     for i in range(n):
@@ -188,12 +195,11 @@ def make_prototypes(K: int, proto_seed: int, grid: int = 16) -> np.ndarray:
     ``ConfigurationError`` unless K is an int >= 1, grid an int >= 4 that
     4 divides and proto_seed an int >= 0.
     """
-    need_int("K", K, 1)
-    need_int("grid", grid, 4)
+    K, grid = need_int("K", K, 1), need_int("grid", grid, 4)
     need_int("proto_seed", proto_seed, 0)
     if grid % 4:
         raise ConfigurationError(f"grid {grid} must be divisible by 4, the prototype field's size")
-    rng = _rng(proto_seed, _STREAM_SCENE)
+    rng = seeded(proto_seed, _STREAM_SCENE)
     protos = np.empty((K, grid, grid))
     cell = grid // 4
     for k in range(K):
@@ -212,12 +218,10 @@ def gen_classification(K: int, n: int, proto_seed: int, seed: int, grid: int = 1
     The grid and proto_seed are checked as :func:`make_prototypes` checks
     them.
     """
-    need_int("n", n, 1)
-    need_int("K", K, 2)
-    need_int("seed", seed, 0)
+    n, K = need_int("n", n, 1), need_int("K", K, 2)
+    rng = seeded(seed, _STREAM_LABELS)
     protos = make_prototypes(K, proto_seed, grid)
     labels = np.tile(np.arange(K), n // K + 1)[:n]
-    rng = _rng(seed, _STREAM_LABELS)
     rng.shuffle(labels)
     inputs = np.empty((n, 1, grid, grid))
     for i, y in enumerate(labels):
@@ -255,18 +259,14 @@ def train_main(
     batch_size: int = 8,
 ) -> tuple[Model, list[float]]:
     """Minibatch SGD on the task loss; returns the model and per-epoch means."""
-    if type(epochs) is not int or epochs < 1 or type(batch_size) is not int or batch_size < 1:
-        raise ConfigurationError(
-            f"train_main needs integers epochs >= 1 and batch_size >= 1, got {epochs!r} and {batch_size!r}"
-        )
-    need_int("seed", seed, 0)
+    epochs, batch_size = need_int("epochs", epochs, 1), need_int("batch_size", batch_size, 1)
+    rng = seeded(seed, _STREAM_TRAIN)
     if dataset.task_kind != model.spec.task_kind:
         raise ConfigurationError(
             f"dataset task {dataset.task_kind!r} != model task {model.spec.task_kind!r}"
         )
     if all(p.frozen for _, p in model.params.items()):
         raise ContractError("train_main: every parameter is frozen; call params.set_frozen(False) first")
-    rng = _rng(seed, _STREAM_TRAIN)
     n = len(dataset)
     curve: list[float] = []
     for epoch in range(epochs):

@@ -207,7 +207,7 @@ class TestConv2d:
     ])
     def test_unsupported_geometry_rejected(self, size, k, stride, pad):
         x, w = t(np.zeros((1, 1, size, size))), t(np.zeros((1, 1, k, k)))
-        with pytest.raises(ConfigurationError, match="stride 1"):
+        with pytest.raises(ConfigurationError, match="stride 1|pad must be >= 0, as an int"):
             ad.conv2d(x, w, stride, pad)
 
 

@@ -84,9 +84,14 @@ class TestApplyShift:
         with pytest.raises(ConfigurationError):
             shifts.ShiftSpec("blur", 6)
 
-    @pytest.mark.parametrize("severity", [2.0, True, "2", np.int64(2)])
+    def test_identity_takes_a_severity_of_at_least_one(self):
+        assert shifts.ShiftSpec("identity", 3).severity == 3
+        with pytest.raises(ConfigurationError, match="severity must be >= 1, as an int; got 0"):
+            shifts.ShiftSpec("identity", 0)
+
+    @pytest.mark.parametrize("severity", [2.0, True, "2"])
     def test_severity_not_an_int_rejected(self, severity):
-        with pytest.raises(ConfigurationError, match="severity must be an int"):
+        with pytest.raises(ConfigurationError, match="severity must be >= 1, as an int"):
             shifts.ShiftSpec("blur", severity)
 
     def test_monotone_tables(self):

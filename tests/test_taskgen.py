@@ -170,6 +170,33 @@ _GENERATORS = {
 }
 
 
+@pytest.mark.parametrize("world, match", [
+    pytest.param(dict(grid=0), "grid must be >= 1, as an int; got 0", id="grid_0"),
+    pytest.param(dict(grid=-4), "grid must be >= 1, as an int; got -4", id="grid_negative"),
+    pytest.param(dict(grid=32.0), "grid must be >= 1, as an int; got 32.0", id="grid_float"),
+    pytest.param(dict(shapes_per_scene=(3, 1)), "high must be >= 3, as an int; got 1",
+                 id="shapes_high_under_low"),
+    pytest.param(dict(shapes_per_scene=(1.5, 3)), "low must be >= 0, as an int; got 1.5",
+                 id="shapes_float"),
+    pytest.param(dict(shapes_per_scene=(-2, -1)), "low must be >= 0, as an int; got -2",
+                 id="shapes_negative"),
+    pytest.param(dict(shapes_per_scene=3), r"a \(low, high\) pair, got 3", id="shapes_not_a_pair"),
+    pytest.param(dict(shapes_per_scene=(1, 2, 3)), r"a \(low, high\) pair", id="shapes_three"),
+])
+def test_world_counts_checked_when_built(world, match):
+    # before the check, grid 0, -4 and 32.0 failed inside numpy, (3, 1) did
+    # so at the first scene, and (1.5, 3) and (-2, -1) ran
+    with pytest.raises(ConfigurationError, match=match):
+        taskgen.gen_dense_regression(taskgen.SceneWorldConfig(**world), 2, 0)
+
+
+def test_world_keeps_its_counts_as_python_ints():
+    world = taskgen.SceneWorldConfig(grid=np.int64(16), shapes_per_scene=[np.uint8(0), np.int64(0)])
+    assert world == taskgen.SceneWorldConfig(grid=16, shapes_per_scene=(0, 0))
+    assert type(world.grid) is int and all(type(v) is int for v in world.shapes_per_scene)
+    assert shifts.shifted_world(world).shapes_per_scene == (2, 6)
+
+
 @pytest.mark.parametrize("gen, name, value", [
     (gen, name, value)
     for gen in _GENERATORS
@@ -184,6 +211,7 @@ def test_non_integer_counts_rejected_at_entry(gen, name, value):
         _GENERATORS[gen](args["n"], args["K"])
 
 
+_TINY_CLASSIFIER = nets.ModelSpec("classification", 1, 4, 4, 1)
 _SEED_ENTRIES = {
     "gen_dense_regression": lambda seed: taskgen.gen_dense_regression(_CFG, 2, seed),
     "gen_dense_segmentation": lambda seed: taskgen.gen_dense_segmentation(_CFG, 2, 5, seed),
@@ -192,14 +220,22 @@ _SEED_ENTRIES = {
     "gen_classification_proto_seed": lambda seed: taskgen.gen_classification(4, 8, seed, 0),
     "train_main": lambda seed: taskgen.train_main(
         presets.cls_main(0), taskgen.gen_classification(presets.NUM_CLASSES, 4, 0, 0), 1, 0.01, seed),
+    "build_main": lambda seed: nets.build_main(_TINY_CLASSIFIER, seed),
+    "build_controller": lambda seed: nets.build_controller(
+        nets.ControllerSpec("mlp", 6, (8,), 4), nets.build_main(_TINY_CLASSIFIER, 0), seed),
+    "dense_main": lambda seed: presets.dense_main(seed),
+    "dense_controller": lambda seed: presets.dense_controller(presets.dense_main(0), seed),
+    "cls_main": lambda seed: presets.cls_main(seed),
+    "cls_controller": lambda seed: presets.cls_controller(presets.cls_main(0), seed),
 }
 
 
 @pytest.mark.parametrize("entry", _SEED_ENTRIES)
-@pytest.mark.parametrize("seed", [1.5, -1, True])
+@pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
 def test_seeds_checked_at_entry(entry, seed):
     # past the entry check a float or bool seed ran as its int, and -1
-    # failed inside numpy with a bare ValueError
+    # failed inside numpy with a bare ValueError; the builders and presets
+    # passed every seed to numpy unchecked
     with pytest.raises(ConfigurationError, match=f"seed must be >= 0, as an int; got {seed!r}"):
         _SEED_ENTRIES[entry](seed)
 
@@ -260,7 +296,7 @@ class TestTrainMain:
         ds = taskgen.gen_classification(presets.NUM_CLASSES, 8, proto_seed=0, seed=0)
         model = presets.cls_main(1)
         before = model.params.state_bytes()
-        with pytest.raises(ConfigurationError, match="epochs >= 1 and batch_size >= 1"):
+        with pytest.raises(ConfigurationError, match="(epochs|batch_size) must be >= 1, as an int"):
             taskgen.train_main(model, ds, epochs=epochs, lr=0.01, seed=0, batch_size=batch_size)
         assert model.params.state_bytes() == before
 

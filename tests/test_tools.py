@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import numpy as np
 from rnaloop import autodiff as ad
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rnaloop"
 
 
 def _load(name):
@@ -251,3 +253,14 @@ def test_conv_crossover_sizes_match_the_budget_rule_and_totals_pick_a_side():
         assert ad._row_matrix(np.zeros((n, c, h, h)), 3, 1)[0].nbytes == size
     timed = [(100, 1.0, 2.0), (200, 3.0, 1.0), (300, 5.0, 2.0)]
     assert crossover.threshold_totals(timed) == {0: 5.0, 100: 4.0, 200: 6.0, 300: 9.0}
+
+
+def test_only_errors_decides_what_an_integer_is_and_makes_generators():
+    # one rule for integer arguments (errors.is_int / need_int) and one maker
+    # of generators from seeds (errors.seeded), so that a numpy integer or a
+    # bad seed meets the same check at every entry
+    banned = re.compile(r"type\([^()]*\) is (not )?int\b|default_rng\(|SeedSequence\(")
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1) if banned.search(line)]
+    assert found == []
