@@ -154,9 +154,11 @@ def make_coarse_grouping(K: int, C: int) -> CoarseGrouping:
 
 
 def coarse_label(y_fine: int, grouping: CoarseGrouping) -> AdaptationSignal:
-    """One-hot coarse label of a fine class."""
-    if not (0 <= y_fine < grouping.num_fine):
+    """One-hot coarse label of a fine class; ``LabelRangeError`` for an int
+    outside [0, num_fine), ``ConfigurationError`` for a value not an int."""
+    if is_int(y_fine) and not 0 <= y_fine < grouping.num_fine:
         raise LabelRangeError(f"fine class {y_fine} outside [0,{grouping.num_fine})")
+    y_fine = need_int("y_fine", y_fine, 0)
     onehot = np.zeros(grouping.num_coarse)
     onehot[grouping.group_of_fine[y_fine]] = 1.0
     return AdaptationSignal("coarse", onehot, None, {"num_coarse": grouping.num_coarse})

@@ -196,10 +196,9 @@ def make_prototypes(K: int, proto_seed: int, grid: int = 16) -> np.ndarray:
     4 divides and proto_seed an int >= 0.
     """
     K, grid = need_int("K", K, 1), need_int("grid", grid, 4)
-    need_int("proto_seed", proto_seed, 0)
+    rng = seeded(proto_seed, _STREAM_SCENE)
     if grid % 4:
         raise ConfigurationError(f"grid {grid} must be divisible by 4, the prototype field's size")
-    rng = seeded(proto_seed, _STREAM_SCENE)
     protos = np.empty((K, grid, grid))
     cell = grid // 4
     for k in range(K):

@@ -97,14 +97,15 @@ def _conv(pad):
 
 # name: (an entry as a function of one integer argument, a valid value).
 # Each refused a non-integer with ConfigurationError before numpy integers
-# were taken, except the world's counts and the two builders' seeds, which
-# ran or failed inside numpy.
+# were taken, except the world's counts, the two builders' seeds and
+# coarse_label's class, which ran or failed inside numpy or Python.
 _ENTRIES = {
     "masked_gt_seed": (lambda v: signals.masked_gt(_TARGET, 0.1, v), 3),
     "noisy_sparse_seed": (lambda v: signals.noisy_sparse(_TARGET, 0.1, 0.02, 0.05, v), 3),
     "clicks_per_class": (lambda v: signals.click_annotations(_LABELS, v, 0), 2),
     "clicks_seed": (lambda v: signals.click_annotations(_LABELS, 2, v), 3),
     "knn_k": (_knn, 5),
+    "coarse_label": (lambda v: signals.coarse_label(v, signals.make_coarse_grouping(20, 5)), 7),
     "coarse_grouping_K": (lambda v: signals.make_coarse_grouping(v, 5), 20),
     "coarse_grouping_C": (lambda v: signals.make_coarse_grouping(20, v), 5),
     "shift_severity": (lambda v: _shift(severity=v), 2),
