@@ -184,8 +184,8 @@ _GENERATORS = {
     pytest.param(dict(shapes_per_scene=(1, 2, 3)), r"a \(low, high\) pair", id="shapes_three"),
 ])
 def test_world_counts_checked_when_built(world, match):
-    # before the check, grid 0, -4 and 32.0 failed inside numpy, (3, 1) did
-    # so at the first scene, and (1.5, 3) and (-2, -1) ran
+    # before the check, grid 0, -4 and 32.0 and, at the first scene, (3, 1)
+    # failed inside numpy, and (1.5, 3) and (-2, -1) ran
     with pytest.raises(ConfigurationError, match=match):
         taskgen.gen_dense_regression(taskgen.SceneWorldConfig(**world), 2, 0)
 
