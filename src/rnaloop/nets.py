@@ -18,7 +18,6 @@ built controller is exactly the identity adaptation.
 from __future__ import annotations
 
 import dataclasses
-import json
 import threading
 import warnings
 from dataclasses import dataclass
@@ -507,41 +506,28 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
 # ---------------------------------------------------------------------------
 
 
-# Version of the model and controller file metadata; 5 holds this format
-# number and every field of the spec, and the spec alone fixes the
-# parameters' names, order and shapes.
-FORMAT = 5
-
-
 def _save(path, kind: str, spec, params: ParamSet) -> None:
-    """Store the format, the spec's fields as sorted JSON, and the parameters."""
-    info = {"format": FORMAT, "spec": json.dumps(dataclasses.asdict(spec), sort_keys=True)}
-    serialize.save(path, kind, info, {name: p.value for name, p in params.items()})
+    """Store the spec's fields and the parameters as a ``kind`` file; the
+    spec alone fixes the parameters' names, order and shapes."""
+    serialize.save(path, kind, dataclasses.asdict(spec), {name: p.value for name, p in params.items()})
 
 
 def _load(path, kind: str, spec_cls, layout_of) -> tuple:
-    """(spec, parameters, metadata) of a ``kind`` file.
+    """(spec, parameters, spec fields) of a ``kind`` file.
 
-    ``SerializationError`` unless the file has this format, a spec whose
-    keys are exactly the fields of the dataclass ``spec_cls`` and which
-    builds, and arrays of exactly the names and shapes of ``layout_of(spec)``;
-    the parameters come in layout order.
+    ``SerializationError`` unless the file's spec has exactly the fields of
+    the dataclass ``spec_cls`` and builds, and its arrays have exactly the
+    names and shapes of ``layout_of(spec)``; the parameters come in layout
+    order. Files of another ``serialize.VERSION`` are refused there.
     """
-    _, meta, arrays = serialize.load(path, expect_kind=kind)
-    if meta.get("format") != FORMAT:
-        raise SerializationError(
-            f"{kind} file format {meta.get('format')!r} is not supported (expected {FORMAT}); "
-            f"save the {kind} again with the current tool"
-        )
+    fields, arrays = serialize.load(path, kind)
     names = sorted(f.name for f in dataclasses.fields(spec_cls))
+    if sorted(fields) != names:
+        raise SerializationError(f"{kind} file spec fields {sorted(fields)}, expected {names}")
     try:
-        fields = json.loads(meta["spec"])
-        if not isinstance(fields, dict) or sorted(fields) != names:
-            raise ValueError(f"spec fields {sorted(fields) if isinstance(fields, dict) else fields!r}, "
-                             f"expected {names}")
         spec = spec_cls(**fields)
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError, ConfigurationError too
-        raise SerializationError(f"{kind} file spec is missing or malformed: {exc!r}") from None
+    except ConfigurationError as exc:
+        raise SerializationError(f"{kind} file spec is malformed: {exc}") from None
     layout = layout_of(spec)
     found = {name: a.shape for name, a in arrays.items()}
     if found != layout:
@@ -551,7 +537,7 @@ def _load(path, kind: str, spec_cls, layout_of) -> tuple:
     params = ParamSet()
     for name in layout:
         params.add(name, arrays[name])
-    return spec, params, meta
+    return spec, params, fields
 
 
 def save_model(path, model: Model) -> None:
@@ -559,8 +545,9 @@ def save_model(path, model: Model) -> None:
 
 
 def load_model(path) -> tuple[Model, dict]:
-    spec, params, meta = _load(path, "model", ModelSpec, _param_layout)
-    return Model(spec, params), meta
+    """The model of a file ``save_model`` wrote, and its spec's fields as stored."""
+    spec, params, fields = _load(path, "model", ModelSpec, _param_layout)
+    return Model(spec, params), fields
 
 
 def save_controller(path, h: Controller) -> None:
@@ -568,5 +555,6 @@ def save_controller(path, h: Controller) -> None:
 
 
 def load_controller(path) -> tuple[Controller, dict]:
-    cspec, params, meta = _load(path, "controller", ControllerSpec, _controller_layout)
-    return Controller(cspec, params), meta
+    """The controller of a file ``save_controller`` wrote, and its spec's fields as stored."""
+    cspec, params, fields = _load(path, "controller", ControllerSpec, _controller_layout)
+    return Controller(cspec, params), fields

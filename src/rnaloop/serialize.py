@@ -1,8 +1,14 @@
 """Versioned binary container for models and controllers.
 
-Layout: magic bytes, format version, a JSON header (kind, metadata, array
-directory), a little-endian 64-bit payload blob, and a trailing SHA-256
-checksum over everything before it. Arrays are float64 or int64 only.
+Layout: magic bytes, format version, a JSON header, a little-endian float64
+payload blob, and a trailing SHA-256 checksum over everything before it.
+The header is ``{"kind", "spec": the spec's fields as a JSON object,
+"arrays": [{"name", "shape"}]}``, and the blob holds the arrays in that
+order. Every array is stored as float64.
+
+``VERSION`` is the one version of a file: it covers the layout, the header's
+keys and the spec's fields, so a change to any of them bumps it, and a file
+of any other version is refused.
 """
 
 from __future__ import annotations
@@ -20,32 +26,17 @@ import numpy as np
 from .errors import ArtifactError, SerializationError, is_int
 
 MAGIC = b"RNLB"
-VERSION = 1
-
-_DTYPES = {"f8": "<f8", "i8": "<i8"}
+VERSION = 2
 
 
-def _dtype_tag(arr: np.ndarray) -> str:
-    if np.issubdtype(arr.dtype, np.floating):
-        return "f8"
-    if np.issubdtype(arr.dtype, np.integer):
-        return "i8"
-    raise SerializationError(f"unsupported array dtype {arr.dtype}")
-
-
-def pack(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    directory = []
-    blobs = []
-    for name, arr in arrays.items():
-        tag = _dtype_tag(arr)
-        data = np.ascontiguousarray(arr).astype(_DTYPES[tag]).tobytes()
-        directory.append({"name": name, "shape": list(arr.shape), "dtype": tag})
-        blobs.append(data)
+def pack(kind: str, spec: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    arrays = {name: np.asarray(arr, dtype="<f8") for name, arr in arrays.items()}
     header = json.dumps(
-        {"kind": kind, "meta": meta, "arrays": directory},
+        {"kind": kind, "spec": spec,
+         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    blob = b"".join(blobs)
+    blob = b"".join(arr.tobytes() for arr in arrays.values())
     body = (
         MAGIC
         + struct.pack("<I", VERSION)
@@ -58,7 +49,8 @@ def pack(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def unpack(data: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Parse a container; malformed input of any kind raises SerializationError."""
+    """(kind, spec fields, arrays) of a container; malformed input of any
+    kind raises SerializationError."""
     if len(data) < 4 + 4 + 8 or data[:4] != MAGIC:
         raise SerializationError("not a container file (bad magic bytes)")
     version = struct.unpack("<I", data[4:8])[0]
@@ -89,21 +81,21 @@ def unpack(data: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
     if not (
         isinstance(header, dict)
         and isinstance(header.get("kind"), str)
-        and isinstance(header.get("meta"), dict)
+        and isinstance(header.get("spec"), dict)
         and isinstance(header.get("arrays"), list)
     ):
-        raise SerializationError("container header lacks a kind, meta or arrays entry")
+        raise SerializationError("container header lacks a kind, spec or arrays entry")
     blob = body[off:]
     arrays = {}
     pos = 0
     for entry in header["arrays"]:
-        name, shape, dtype = _directory_entry(entry)
+        name, shape = _directory_entry(entry)
         if name in arrays:
             raise SerializationError(f"container lists array {name!r} twice")
         nbytes = math.prod(shape) * 8
         if pos + nbytes > blen:
             raise SerializationError(f"array {name!r} runs past the end of the blob")
-        arr = np.frombuffer(blob[pos : pos + nbytes], dtype=dtype)
+        arr = np.frombuffer(blob[pos : pos + nbytes], dtype="<f8")
         try:
             arrays[name] = arr.reshape(shape).copy()
         except ValueError as exc:  # a zero-size shape numpy cannot represent
@@ -111,24 +103,22 @@ def unpack(data: bytes) -> tuple[str, dict, dict[str, np.ndarray]]:
         pos += nbytes
     if pos != blen:
         raise SerializationError("container blob length does not match directory")
-    return header["kind"], header["meta"], arrays
+    return header["kind"], header["spec"], arrays
 
 
-def _directory_entry(entry) -> tuple[str, tuple[int, ...], str]:
-    """(name, shape, numpy dtype) of one array-directory entry, validated."""
+def _directory_entry(entry) -> tuple[str, tuple[int, ...]]:
+    """(name, shape) of one array-directory entry, validated."""
     if not isinstance(entry, dict):
         raise SerializationError(f"array directory entry is not an object: {entry!r}")
-    name, shape, tag = entry.get("name"), entry.get("shape"), entry.get("dtype")
+    name, shape = entry.get("name"), entry.get("shape")
     if not isinstance(name, str):
         raise SerializationError(f"array directory entry has no name: {entry!r}")
     if not isinstance(shape, list) or not all(is_int(d) and d >= 0 for d in shape):
         raise SerializationError(f"array {name!r} has an invalid shape {shape!r}")
-    if not isinstance(tag, str) or tag not in _DTYPES:
-        raise SerializationError(f"array {name!r} has an unsupported dtype {tag!r}")
-    return name, tuple(shape), _DTYPES[tag]
+    return name, tuple(shape)
 
 
-def save(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+def save(path: str | Path, kind: str, spec: dict, arrays: dict[str, np.ndarray]) -> None:
     """Atomic write: the target never holds a partial container.
 
     The container goes to a temporary file of its own in the target's
@@ -136,7 +126,7 @@ def save(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray])
     concurrent writers to one path never share a file; the last rename wins.
     """
     path = Path(path)
-    data = pack(kind, meta, arrays)
+    data = pack(kind, spec, arrays)
     # a fresh name and exclusive creation: no other writer opens this file,
     # and it gets the permissions a plain write would
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
@@ -152,11 +142,20 @@ def save(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray])
         raise
 
 
-def load(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
+def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(spec fields, arrays) of the ``kind`` container at ``path``, read once.
+
+    ``ArtifactError`` if no file is there; ``SerializationError`` if it cannot
+    be read (a directory, say) or is not a well-formed ``kind`` container.
+    """
     path = Path(path)
-    if not path.exists():
-        raise ArtifactError(f"artifact not found: {path}")
-    kind, meta, arrays = unpack(path.read_bytes())
-    if expect_kind is not None and kind != expect_kind:
-        raise SerializationError(f"expected a {expect_kind!r} container, found {kind!r} in {path}")
-    return kind, meta, arrays
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ArtifactError(f"artifact not found: {path}") from None
+    except OSError as exc:
+        raise SerializationError(f"cannot read artifact {path}: {exc}") from None
+    found, spec, arrays = unpack(data)
+    if found != kind:
+        raise SerializationError(f"expected a {kind!r} container, found {found!r} in {path}")
+    return spec, arrays

@@ -307,11 +307,12 @@ def encode_feedback(prediction, signal) -> np.ndarray:
     """Concatenate prediction and signal into the controller input.
 
     Single sample: (prediction, AdaptationSignal) -> encoded array.
-    Batch: ([N,...] predictions, list of N signals) -> stacked encoding.
+    Batch: ([N,...] predictions, list of N signals) -> stacked encoding;
+    ``DimensionError`` unless N >= 1 and the counts agree.
     """
     pred = prediction.array if isinstance(prediction, ad.Tensor) else np.asarray(prediction)
     if isinstance(signal, AdaptationSignal):
         return _encode_one(pred, signal)
-    if len(signal) != pred.shape[0]:
-        raise DimensionError(f"{pred.shape[0]} predictions vs {len(signal)} signals")
+    if len(signal) != pred.shape[0] or not len(signal):
+        raise DimensionError(f"{pred.shape[0]} predictions vs {len(signal)} signals; a batch needs at least one")
     return np.stack([_encode_one(pred[i], s) for i, s in enumerate(signal)])

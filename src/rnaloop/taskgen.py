@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, ContractError, TrainingError, need_int, seeded
+from .errors import ConfigurationError, ContractError, TrainingError, is_real, need_int, seeded
 from .nets import Model
 
 _STREAM_SCENE = 101
@@ -51,9 +51,10 @@ class SceneWorldConfig:
     """What a world varies; the rest of the scene model is the constants
     above, and the textures are the generator's.
 
-    ``ConfigurationError`` unless grid is an integer >= 1 and
-    shapes_per_scene a pair of integers 0 <= low <= high; both are kept as
-    Python ints.
+    ``ConfigurationError`` unless grid is an integer >= 1, shapes_per_scene
+    a pair of integers 0 <= low <= high, and half_size_range and
+    albedo_range pairs of finite reals 0 <= low <= high. The pairs are kept
+    as tuples, the counts as Python ints.
     """
 
     grid: int = 32
@@ -63,12 +64,17 @@ class SceneWorldConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", need_int("grid", self.grid, 1))
-        pair = self.shapes_per_scene
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-            raise ConfigurationError(f"shapes_per_scene must be a (low, high) pair, got {pair!r}")
-        low = need_int("shapes_per_scene low", pair[0], 0)
-        high = need_int("shapes_per_scene high", pair[1], low)
-        object.__setattr__(self, "shapes_per_scene", (low, high))
+        for name in ("shapes_per_scene", "half_size_range", "albedo_range"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                raise ConfigurationError(f"{name} must be a (low, high) pair, got {pair!r}")
+            low, high = pair
+            if name == "shapes_per_scene":
+                low = need_int(f"{name} low", low, 0)
+                high = need_int(f"{name} high", high, low)
+            elif not (is_real(low) and is_real(high) and 0 <= low <= high < math.inf):
+                raise ConfigurationError(f"{name} must be finite reals 0 <= low <= high, got {pair!r}")
+            object.__setattr__(self, name, (low, high))
 
 
 @dataclass

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import struct
 import sys
 import tracemalloc
 import weakref
@@ -358,10 +359,9 @@ class TestSpecValidation:
     def test_load_model_rejects(self, tmp_path, case):
         path = tmp_path / "model.rnl"
         nets.save_model(path, presets.cls_main(seed=2))
-        _, meta, arrays = serialize.load(path)
+        _, arrays = serialize.load(path, "model")
         fields = [f.name for f in dataclasses.fields(nets.ModelSpec)]
-        meta["spec"] = json.dumps(dict(zip(fields, _BAD_ARGS[case])))
-        serialize.save(path, "model", meta, arrays)
+        serialize.save(path, "model", dict(zip(fields, _BAD_ARGS[case])), arrays)
         with pytest.raises(SerializationError, match="spec"):
             nets.load_model(path)
 
@@ -456,14 +456,26 @@ class TestBudgetsAllShippedConfigs:
 
 def _saved_file(path, kind: str) -> tuple[dict, dict]:
     """Save cls_main's model or dense_controller's controller to ``path``;
-    the file's metadata and arrays."""
+    the file's spec fields and arrays."""
     if kind == "model":
         nets.save_model(path, presets.cls_main(seed=2))
     else:
         nets.save_controller(path, presets.dense_controller(presets.dense_main(seed=2), seed=3))
-    _, meta, arrays = serialize.load(path)
-    assert meta["format"] == 5  # so that each edit below reaches the spec or array check
-    return meta, arrays
+    return serialize.load(path, kind)
+
+
+def _write(path, header: dict, arrays: dict, version: int = serialize.VERSION) -> None:
+    """Write ``header`` and ``arrays`` (as float64) as a checksummed
+    container of ``version``; the header is written as given."""
+    head = json.dumps(header).encode()
+    blob = b"".join(np.asarray(a, "<f8").tobytes() for a in arrays.values())
+    body = (serialize.MAGIC + struct.pack("<I", version) + struct.pack("<Q", len(head)) + head
+            + struct.pack("<Q", len(blob)) + blob)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _directory(arrays: dict, **extra) -> list[dict]:
+    return [{"name": name, "shape": list(a.shape), **extra} for name, a in arrays.items()]
 
 
 # Ways a file of either kind can be malformed, as _malform applies them.
@@ -472,37 +484,39 @@ _MALFORMED_FILES = ["no_spec", "spec_not_a_string", "spec_not_json", "spec_not_a
                     "spec_other_than_arrays", "extra_array", "missing_array", "wrong_shape"]
 
 
-def _malform(case: str, kind: str, meta: dict, arrays: dict) -> None:
-    """Edit a saved file's metadata and arrays in the way ``case`` names."""
-    spec = json.loads(meta.pop("spec"))
+def _malform(case: str, kind: str, spec: dict, arrays: dict) -> dict:
+    """The header of a file of ``kind`` whose spec fields and arrays were
+    saved, edited in the way ``case`` names; ``arrays`` is edited in place."""
     # the kind's architecture field, an int field some array shape follows,
     # and its first array
     arch, count, first = ("task_kind", "out_ch", "L0.w") if kind == "model" else ("arch", "hidden", "c1.w")
     if case == "spec_not_a_string":
-        meta["spec"] = 5
+        spec = 5  # neither an object nor the JSON string the version-1 files held
     elif case == "spec_not_json":
-        meta["spec"] = "{not json"
+        spec = "{not json"  # a string: a JSON-encoded spec, as version 1 held it, is refused too
     elif case == "spec_not_an_object":
-        meta["spec"] = "[1, 2]"
-    elif case != "no_spec":
-        if case == "extra_field":
-            spec["layers"] = 5  # as model files held a layer list before the builder spec
-        elif case == "missing_field":
-            del spec[count]
-        elif case == "float_field":
-            # float and int shapes compare equal, so only the spec's type check refuses it
-            spec[count] = float(spec[count])
-        elif case == "unknown_arch":
-            spec[arch] = "rnn"
-        elif case == "spec_other_than_arrays":
-            spec[count] -= 1
-        elif case == "extra_array":
-            arrays["extra.w"] = np.zeros(3)
-        elif case == "missing_array":
-            del arrays[first]
-        else:  # wrong_shape
-            arrays[first] = np.zeros((2, 2))
-        meta["spec"] = json.dumps(spec)
+        spec = [1, 2]
+    elif case == "extra_field":
+        spec["layers"] = 5  # as model files held a layer list before the builder spec
+    elif case == "missing_field":
+        del spec[count]
+    elif case == "float_field":
+        # float and int shapes compare equal, so only the spec's type check refuses it
+        spec[count] = float(spec[count])
+    elif case == "unknown_arch":
+        spec[arch] = "rnn"
+    elif case == "spec_other_than_arrays":
+        spec[count] -= 1
+    elif case == "extra_array":
+        arrays["extra.w"] = np.zeros(3)
+    elif case == "missing_array":
+        del arrays[first]
+    elif case == "wrong_shape":
+        arrays[first] = np.zeros((2, 2))
+    header = {"kind": kind, "spec": spec, "arrays": _directory(arrays)}
+    if case == "no_spec":
+        del header["spec"]
+    return header
 
 
 class TestSpecSerialization:
@@ -511,7 +525,7 @@ class TestSpecSerialization:
         f = presets.dense_main(seed=0)
         path = tmp_path / "model.rnl"
         nets.save_model(path, f)
-        stored = json.loads(serialize.load(path)[1]["spec"])
+        stored, _ = serialize.load(path, "model")
         assert stored == {"task_kind": "dense_regression", "in_ch": 1, "out_ch": 1, "grid": 32, "film_k": 4}
         assert nets.ModelSpec(**stored) == f.spec
 
@@ -540,10 +554,10 @@ class TestSpecSerialization:
         f = presets.dense_main(seed=2)
         path = tmp_path / "model.rnl"
         nets.save_model(path, f)
-        loaded, meta = nets.load_model(path)
+        loaded, fields = nets.load_model(path)
         assert loaded.spec == f.spec
         assert loaded.params.state_bytes() == f.params.state_bytes()
-        assert meta == {"format": nets.FORMAT, "spec": json.dumps(dataclasses.asdict(f.spec), sort_keys=True)}
+        assert fields == dataclasses.asdict(f.spec)
 
     def test_version_mismatch_message(self, tmp_path):
         f = presets.cls_main(seed=2)
@@ -553,7 +567,7 @@ class TestSpecSerialization:
         data[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(SerializationError, match="version 99"):
-            serialize.load(path)
+            serialize.load(path, "model")
 
     def test_controller_round_trip(self, tmp_path, dense_pair):
         _, h = dense_pair
@@ -578,26 +592,27 @@ class TestSpecSerialization:
 
     @pytest.mark.parametrize("kind", ["model", "controller"])
     def test_files_of_the_previous_format_rejected(self, tmp_path, kind):
-        # Before format 5, a model file held its spec alone and a controller
-        # file its spec under "cspec", beside "controller_format": 4.
+        # Container version 1 held the spec as a JSON string in a "meta"
+        # object beside "format": 5, and a dtype in each array entry.
         path = tmp_path / f"{kind}.rnl"
-        meta, arrays = _saved_file(path, kind)
+        spec, arrays = _saved_file(path, kind)
+        meta = {"format": 5, "spec": json.dumps(spec, sort_keys=True)}
+        _write(path, {"kind": kind, "meta": meta, "arrays": _directory(arrays, dtype="f8")}, arrays, version=1)
         load = nets.load_model if kind == "model" else nets.load_controller
-        old = {"spec": meta["spec"]} if kind == "model" else {"controller_format": 4, "cspec": meta["spec"]}
-        for info, found in [(old, "None"), ({**meta, "format": 4}, "4")]:
-            serialize.save(path, kind, info, arrays)
-            with pytest.raises(SerializationError, match=f"{kind} file format {found} .*expected 5"):
-                load(path)
+        with pytest.raises(SerializationError, match=f"container version 1 .*expected {serialize.VERSION}"):
+            load(path)
 
     @pytest.mark.parametrize("case", _MALFORMED_FILES)
     @pytest.mark.parametrize("kind", ["model", "controller"])
     def test_malformed_file_rejected(self, tmp_path, kind, case):
         path = tmp_path / f"{kind}.rnl"
-        meta, arrays = _saved_file(path, kind)
-        _malform(case, kind, meta, arrays)
-        serialize.save(path, kind, meta, arrays)
+        spec, arrays = _saved_file(path, kind)
+        _write(path, _malform(case, kind, spec, arrays), arrays)
         load = nets.load_model if kind == "model" else nets.load_controller
-        with pytest.raises(SerializationError, match=f"{kind} file (spec|arrays)"):
+        # a spec that is no JSON object fails the container's header check
+        no_object = case in ("no_spec", "spec_not_a_string", "spec_not_json", "spec_not_an_object")
+        match = "lacks a kind, spec or arrays" if no_object else f"{kind} file (spec|arrays)"
+        with pytest.raises(SerializationError, match=match):
             load(path)
 
     @pytest.mark.parametrize(
@@ -610,8 +625,7 @@ class TestSpecSerialization:
         # next to them, or a layer-list spec as older files hold, is refused
         # even under the current format.
         path = tmp_path / "model.rnl"
-        meta, arrays = _saved_file(path, "model")
-        spec = json.loads(meta["spec"])
+        spec, arrays = _saved_file(path, "model")
         built = nets.ModelSpec(**spec)
         parent = {"task_kind": "classification", "in_shape": list(built.in_shape),
                   "layers": [dict(layer) for layer in built.layers],
@@ -630,7 +644,7 @@ class TestSpecSerialization:
             spec = parent
         else:  # missing_field
             del spec["film_k"]
-        serialize.save(path, "model", {**meta, "spec": json.dumps(spec)}, arrays)
+        serialize.save(path, "model", spec, arrays)
         with pytest.raises(SerializationError, match="model file spec"):
             nets.load_model(path)
 
@@ -638,8 +652,7 @@ class TestSpecSerialization:
     def test_malformed_controller_file_rejected(self, tmp_path, case):
         # a spec that builds but names other shapes than the arrays hold
         path = tmp_path / "ctrl.rnl"
-        meta, arrays = _saved_file(path, "controller")
-        cspec = json.loads(meta["spec"])
+        cspec, arrays = _saved_file(path, "controller")
         assert cspec["hidden"] == 16 and cspec["film_channels"] == [16, 24, 24, 16]
         if case == "hidden_disagrees":
             # the arrays are still those of hidden=16, so fc.w is 16 wide
@@ -647,7 +660,7 @@ class TestSpecSerialization:
         else:  # film_channels_disagree
             # the head still fits [16, 24, 24, 16]; the spec says the last site has 8
             cspec["film_channels"] = [16, 24, 24, 8]
-        serialize.save(path, "controller", {**meta, "spec": json.dumps(cspec)}, arrays)
+        serialize.save(path, "controller", cspec, arrays)
         with pytest.raises(SerializationError, match="controller file arrays do not match"):
             nets.load_controller(path)
 
@@ -655,8 +668,8 @@ class TestSpecSerialization:
     def test_model_file_with_missing_or_bad_spec_rejected(self, tmp_path, spec):
         # a spec of one field, and that of no known task kind
         path = tmp_path / "model.rnl"
-        meta, arrays = _saved_file(path, "model")
-        serialize.save(path, "model", {**meta, "spec": spec}, arrays)
+        _, arrays = _saved_file(path, "model")
+        serialize.save(path, "model", json.loads(spec), arrays)
         with pytest.raises(SerializationError, match="model file spec"):
             nets.load_model(path)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rnaloop import nets, serialize
+from rnaloop import nets, presets, serialize
 from rnaloop.errors import ArtifactError, SerializationError
 
 
@@ -27,8 +28,14 @@ def container(header: bytes, blob: bytes) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
-def header(arrays, kind="model", meta=None) -> bytes:
-    return json.dumps({"kind": kind, "meta": meta or {}, "arrays": arrays}).encode()
+def header(arrays, kind="model", spec=None) -> bytes:
+    return json.dumps({"kind": kind, "spec": spec or {}, "arrays": arrays}).encode()
+
+
+def written_header(data: bytes) -> dict:
+    """The JSON header of a container's bytes."""
+    (hlen,) = struct.unpack_from("<Q", data, 8)
+    return json.loads(data[16 : 16 + hlen])
 
 
 def reseal(data: bytes) -> bytes:
@@ -38,29 +45,44 @@ def reseal(data: bytes) -> bytes:
 
 
 def test_round_trip():
+    # every array is stored as float64, an integer one too
     arrays = {"w": np.arange(6.0).reshape(2, 3), "i": np.arange(4), "s": np.array(2.5)}
-    kind, meta, out = serialize.unpack(serialize.pack("model", {"a": 1}, arrays))
-    assert (kind, meta) == ("model", {"a": 1})
+    kind, spec, out = serialize.unpack(serialize.pack("model", {"a": 1}, arrays))
+    assert (kind, spec) == ("model", {"a": 1})
     assert out.keys() == arrays.keys()
     for name, arr in arrays.items():
         assert np.array_equal(out[name], arr) and out[name].shape == arr.shape
+        assert out[name].dtype == np.float64
+
+
+def test_header_holds_kind_spec_and_arrays_only(tmp_path):
+    # one version covers the header: no format, meta or dtype entry beside it
+    main = presets.cls_main(0)
+    control = presets.cls_controller(main, 1)
+    for save, net, spec in [(nets.save_model, main, main.spec),
+                            (nets.save_controller, control, control.cspec)]:
+        save(tmp_path / "net.rnl", net)
+        head = written_header((tmp_path / "net.rnl").read_bytes())
+        assert sorted(head) == ["arrays", "kind", "spec"]
+        assert all(sorted(entry) == ["name", "shape"] for entry in head["arrays"])
+        # the spec's fields as a JSON object, a tuple as a list
+        assert head["spec"] == json.loads(json.dumps(dataclasses.asdict(spec)))
 
 
 @pytest.mark.parametrize(
     "head,blob,match",
     [
-        (header([{"name": "w", "shape": [1], "dtype": "f4"}]), bytes(8), "unsupported dtype"),
-        (json.dumps({"kind": "model", "meta": {}}).encode(), b"", "arrays"),
+        (json.dumps({"kind": "model", "spec": {}}).encode(), b"", "arrays"),
         (b"\xff{not json", b"", "not JSON"),
-        (b"[1, 2]", b"", "kind, meta or arrays"),
-        (header([{"name": "w", "shape": [3], "dtype": "f8"}]), bytes(16), "runs past"),
-        (header([{"name": "w", "shape": [1], "dtype": "f8"}]), bytes(16), "does not match directory"),
-        (header([{"name": "w", "shape": [-1], "dtype": "f8"}]), b"", "invalid shape"),
-        (header([{"name": "w", "shape": [0, 2**70], "dtype": "f8"}]), b"", "invalid shape"),
-        (header([{"name": "w", "shape": [0], "dtype": "f8"}] * 2), b"", "twice"),
-        (header([["w", [1], "f8"]]), bytes(8), "not an object"),
+        (b"[1, 2]", b"", "kind, spec or arrays"),
+        (header([{"name": "w", "shape": [3]}]), bytes(16), "runs past"),
+        (header([{"name": "w", "shape": [1]}]), bytes(16), "does not match directory"),
+        (header([{"name": "w", "shape": [-1]}]), b"", "invalid shape"),
+        (header([{"name": "w", "shape": [0, 2**70]}]), b"", "invalid shape"),
+        (header([{"name": "w", "shape": [0]}] * 2), b"", "twice"),
+        (header([["w", [1]]]), bytes(8), "not an object"),
     ],
-    ids=["f4-dtype", "no-arrays", "not-json", "header-not-object", "overrun", "leftover-blob",
+    ids=["no-arrays", "not-json", "header-not-object", "overrun", "leftover-blob",
          "negative-dim", "huge-dim", "duplicate-name", "entry-not-object"],
 )
 def test_malformed_header_rejected(head, blob, match):
@@ -83,10 +105,10 @@ def test_length_fields_past_the_file_rejected():
 
 def _check_unpack(data: bytes) -> None:
     try:
-        kind, meta, arrays = serialize.unpack(data)
+        kind, spec, arrays = serialize.unpack(data)
     except SerializationError:
         return
-    assert isinstance(kind, str) and isinstance(meta, dict)
+    assert isinstance(kind, str) and isinstance(spec, dict)
     assert all(isinstance(a, np.ndarray) for a in arrays.values())
 
 
@@ -99,19 +121,18 @@ entries = st.fixed_dictionaries(
     {
         "name": st.text(max_size=3) | json_values,
         "shape": st.lists(st.integers(-2, 3), max_size=3) | json_values,
-        "dtype": st.sampled_from(["f8", "i8", "f4"]) | json_values,
     }
 )
 headers = st.fixed_dictionaries(
     {},
     optional={
         "kind": st.text(max_size=4) | json_values,
-        "meta": st.dictionaries(st.text(max_size=4), json_values, max_size=2) | json_values,
+        "spec": st.dictionaries(st.text(max_size=4), json_values, max_size=2) | json_values,
         "arrays": st.lists(entries, max_size=3) | json_values,
     },
 )
 # Edits of a real container: byte ranges overwritten, then the checksum resealed.
-real = serialize.pack("model", {"k": [1, 2]}, {"w": np.arange(4.0), "i": np.arange(3)})
+real = serialize.pack("model", {"k": [1, 2]}, {"w": np.arange(4.0), "v": np.arange(3.0)})
 edits = st.lists(
     st.tuples(st.integers(0, len(real) - 33), st.binary(min_size=1, max_size=8)), min_size=1, max_size=3
 )
@@ -146,8 +167,8 @@ def test_concurrent_saves_to_one_path_always_load_and_leave_no_temp_file(tmp_pat
     def writer(i):
         for _ in range(20):
             serialize.save(path, "model", {"writer": i}, {"w": payloads[i]})
-            _, meta, arrays = serialize.load(path)
-            assert np.array_equal(arrays["w"], payloads[meta["writer"]])
+            spec, arrays = serialize.load(path, "model")
+            assert np.array_equal(arrays["w"], payloads[spec["writer"]])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -157,8 +178,8 @@ def test_concurrent_saves_to_one_path_always_load_and_leave_no_temp_file(tmp_pat
                 fut.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    _, meta, arrays = serialize.load(path)
-    assert np.array_equal(arrays["w"], payloads[meta["writer"]])
+    spec, arrays = serialize.load(path, "model")
+    assert np.array_equal(arrays["w"], payloads[spec["writer"]])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.rnl"]
 
 
@@ -173,13 +194,30 @@ def test_failed_save_removes_its_temp_file_and_keeps_the_target(tmp_path, monkey
     with pytest.raises(OSError, match="disk full"):
         serialize.save(path, "model", {"v": 2}, {})
     monkeypatch.undo()
-    assert serialize.load(path)[1] == {"v": 1}
+    assert serialize.load(path, "model")[0] == {"v": 1}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.rnl"]
+
+
+LOADERS = [lambda path: serialize.load(path, "model"), nets.load_model, nets.load_controller]
 
 
 def test_missing_path_raises_artifact_error(tmp_path):
     path = tmp_path / "absent.rnl"
-    for load in (serialize.load, nets.load_model, nets.load_controller):
+    for load in LOADERS:
         with pytest.raises(ArtifactError, match="artifact not found: .*absent.rnl"):
             load(path)
     assert not path.exists()
+
+
+def test_unreadable_path_raises_serialization_error(tmp_path):
+    # a directory is there, but it is no file: the read fails with
+    # IsADirectoryError, not a missing artifact
+    for load in LOADERS:
+        with pytest.raises(SerializationError, match="cannot read artifact .*Is a directory"):
+            load(tmp_path)
+
+
+def test_container_of_another_kind_rejected(tmp_path):
+    serialize.save(tmp_path / "net.rnl", "model", {}, {})
+    with pytest.raises(SerializationError, match="expected a 'controller' container, found 'model'"):
+        serialize.load(tmp_path / "net.rnl", "controller")

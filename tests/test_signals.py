@@ -388,6 +388,13 @@ class TestEncodeFeedback:
         for i in range(3):
             assert np.array_equal(fb[i], signals.encode_feedback(preds[i], sigs[i]))
 
+    @pytest.mark.parametrize("n, signal_count", [(0, 0), (2, 1)], ids=["empty", "counts_disagree"])
+    def test_batch_count_checked(self, n, signal_count):
+        # an empty batch raised numpy's bare ValueError from np.stack
+        sig = signals.masked_gt(np.zeros((1, 8, 8)), 0.1, seed=0)
+        with pytest.raises(DimensionError, match=f"{n} predictions vs {signal_count} signals; a batch needs"):
+            signals.encode_feedback(np.zeros((n, 1, 8, 8)), [sig] * signal_count)
+
     def test_bool_mask_gives_the_float_mask_bits(self):
         rng = np.random.default_rng(14)
         dense = signals.noisy_sparse(rng.random((1, 8, 8)), 0.2, 0.02, 0.1, seed=3)

@@ -182,17 +182,30 @@ _GENERATORS = {
                  id="shapes_negative"),
     pytest.param(dict(shapes_per_scene=3), r"a \(low, high\) pair, got 3", id="shapes_not_a_pair"),
     pytest.param(dict(shapes_per_scene=(1, 2, 3)), r"a \(low, high\) pair", id="shapes_three"),
+    pytest.param(dict(half_size_range=(9.0, 3.0)), r"half_size_range must be finite reals 0 <= low <= high",
+                 id="half_size_high_under_low"),
+    pytest.param(dict(half_size_range=(-5.0, 2.0)), r"half_size_range must be finite reals",
+                 id="half_size_negative"),
+    pytest.param(dict(half_size_range=(3.0, np.inf)), r"half_size_range must be finite reals",
+                 id="half_size_infinite"),
+    pytest.param(dict(albedo_range=("0.4", "0.9")), r"albedo_range must be finite reals", id="albedo_strings"),
+    pytest.param(dict(albedo_range=(np.nan, 0.9)), r"albedo_range must be finite reals", id="albedo_nan"),
+    pytest.param(dict(albedo_range=0.5), r"albedo_range must be a \(low, high\) pair", id="albedo_not_a_pair"),
 ])
 def test_world_counts_checked_when_built(world, match):
     # before the check, grid 0, -4 and 32.0 and, at the first scene, (3, 1)
-    # failed inside numpy, and (1.5, 3) and (-2, -1) ran
+    # and a half_size_range of (9.0, 3.0) failed inside numpy, and (1.5, 3),
+    # (-2, -1) and a half_size_range of (-5.0, 2.0) ran
     with pytest.raises(ConfigurationError, match=match):
         taskgen.gen_dense_regression(taskgen.SceneWorldConfig(**world), 2, 0)
 
 
 def test_world_keeps_its_counts_as_python_ints():
-    world = taskgen.SceneWorldConfig(grid=np.int64(16), shapes_per_scene=[np.uint8(0), np.int64(0)])
-    assert world == taskgen.SceneWorldConfig(grid=16, shapes_per_scene=(0, 0))
+    # and its pairs as tuples, so that a world given lists still hashes
+    world = taskgen.SceneWorldConfig(grid=np.int64(16), shapes_per_scene=[np.uint8(0), np.int64(0)],
+                                     albedo_range=[0.0, 1.0])
+    assert world == taskgen.SceneWorldConfig(grid=16, shapes_per_scene=(0, 0), albedo_range=(0.0, 1.0))
+    assert hash(world) == hash(taskgen.SceneWorldConfig(grid=16, shapes_per_scene=(0, 0), albedo_range=(0.0, 1.0)))
     assert type(world.grid) is int and all(type(v) is int for v in world.shapes_per_scene)
     assert shifts.shifted_world(world).shapes_per_scene == (2, 6)
 

@@ -264,3 +264,14 @@ def test_only_errors_decides_what_an_integer_is_and_makes_generators():
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"
              for n, line in enumerate(path.read_text().splitlines(), 1) if banned.search(line)]
     assert found == []
+
+
+def test_only_serialize_decides_the_file_format():
+    # one version (serialize.VERSION) covers a file's layout, its header keys
+    # and its spec, so no other module keeps a format number of its own or
+    # JSON-encodes a spec into the header
+    banned = re.compile(r"^\s*\w*(FORMAT|VERSION)\w*\s*(:[^=]+)?=[^=]|\bjson\b")
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "serialize.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1) if banned.search(line)]
+    assert found == []
