@@ -16,7 +16,9 @@ Shape discipline: every op takes batches only, with the batch on axis 0:
 [1,K]); an operand of any other rank raises ``DimensionError``. There is no
 broadcasting except the per-channel patterns of ``film``, the ``conv2d``
 bias and the [N,K]+[K] rows of ``add_bias``. All other operand shapes must
-match exactly.
+match exactly. The masked losses take one mask form, [N,H,W]: the
+positions supervised, the same in every channel. Their class labels pass
+``errors.need_labels``.
 
 Memory: a recorded op keeps only what its backward pass reads, in its
 node's backward closure: masks, shapes, softmax probabilities, and an
@@ -61,9 +63,9 @@ from .errors import (
     ContractError,
     DegenerateSupervisionError,
     DimensionError,
-    LabelRangeError,
     is_real,
     need_int,
+    need_labels,
 )
 
 __all__ = [
@@ -892,12 +894,8 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
     """
     rows = logits.array
     _need_rank(rows, 2, "softmax_cross_entropy")
-    t = np.asarray(target, dtype=np.int64)
     n, k = rows.shape
-    if t.shape != (n,):
-        raise DimensionError(f"softmax_cross_entropy: {n} rows but targets {t.shape}")
-    if np.any(t < 0) or np.any(t >= k):
-        raise LabelRangeError(f"softmax_cross_entropy: target out of range [0,{k})")
+    t = need_labels("softmax_cross_entropy targets", target, (n,), k)
     p = softmax(rows, axis=1)
     loss = float(-np.log(p[np.arange(n), t]).mean())
 
@@ -910,26 +908,31 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
     return _record(np.asarray(loss), (logits,), bwd, "softmax_cross_entropy")
 
 
+def _need_mask(opname: str, mask, shape: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """The [N,H,W] supervision mask of a masked loss as float64, and the
+    count of positions it selects. The mask is bool or 0/1 (a bool mask
+    gives the bits of the equal float one). ``DimensionError`` unless its
+    shape is ``shape``; ``DegenerateSupervisionError`` if it selects none."""
+    mk = np.asarray(mask, dtype=_F64)
+    if mk.shape != shape:
+        raise DimensionError(f"{opname}: mask {mk.shape}, expected [N,H,W] {shape}")
+    nvalid = mk.sum()
+    if nvalid < 1:
+        raise DegenerateSupervisionError(f"{opname}: empty mask")
+    return mk, nvalid
+
+
 def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     """Per-pixel cross-entropy averaged over masked positions.
 
-    logits: [N,K,H,W]; labels/mask: [N,H,W]. The mask is bool or 0/1 (a
-    bool mask gives the bits of the equal float one); at least one
-    position must be selected.
+    logits: [N,K,H,W]; labels/mask: [N,H,W], the mask as ``_need_mask``
+    takes it; at least one position must be selected.
     """
     xv = logits.array
-    lb = np.asarray(labels, dtype=np.int64)
-    mk = np.asarray(mask, dtype=_F64)
-    if xv.ndim != 4 or lb.shape != (xv.shape[0],) + xv.shape[2:] or mk.shape != lb.shape:
-        raise DimensionError(
-            f"masked_cross_entropy: logits {logits.shape}, labels {lb.shape}, mask {mk.shape}"
-        )
-    nvalid = mk.sum()
-    if nvalid < 1:
-        raise DegenerateSupervisionError("masked_cross_entropy: empty mask")
-    k = xv.shape[1]
-    if np.any(lb < 0) or np.any(lb >= k):
-        raise LabelRangeError(f"masked_cross_entropy: label out of range [0,{k})")
+    _need_rank(xv, 4, "masked_cross_entropy")
+    n, k, h, w = xv.shape
+    lb = need_labels("masked_cross_entropy labels", labels, (n, h, w), k)
+    mk, nvalid = _need_mask("masked_cross_entropy", mask, (n, h, w))
     p = softmax(xv, axis=1)
     at = lb[:, None]  # each position's label, on the class axis
     logp = np.log(np.take_along_axis(p, at, axis=1)[:, 0])
@@ -953,14 +956,9 @@ def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarra
     rows = logits.array
     _need_rank(rows, 2, "coarse_cross_entropy")
     n, k = rows.shape
-    gmap = np.asarray(group_of_fine, dtype=np.int64)
-    if gmap.shape != (k,):
-        raise DimensionError(f"coarse_cross_entropy: grouping covers {gmap.shape}, logits have {k}")
-    t = np.asarray(coarse_target, dtype=np.int64)
-    if t.shape != (n,):
-        raise DimensionError(f"coarse_cross_entropy: {n} rows but targets {t.shape}")
-    if np.any(t < 0) or np.any(t >= gmap.max() + 1):
-        raise LabelRangeError("coarse_cross_entropy: coarse target out of range")
+    # a grouping has no more coarse classes than fine ones
+    gmap = need_labels("coarse_cross_entropy grouping", group_of_fine, (k,), k)
+    t = need_labels("coarse_cross_entropy targets", coarse_target, (n,), gmap.max() + 1)
     p = softmax(rows, axis=1)
     member = gmap[None, :] == t[:, None]  # [N,K]
     if not member.any(axis=1).all():
@@ -1033,25 +1031,19 @@ def bernoulli_entropy(x: Tensor) -> Tensor:
 def masked_l1(pred: Tensor, target: Tensor, mask) -> Tensor:
     """Mean absolute error over masked positions.
 
-    pred/target: [N,C,H,W]; mask: [N,C,H,W], or [N,H,W] broadcast over
-    channels, bool or 0/1 (a bool mask gives the bits of the equal float
-    one). The gradient is zero at unmasked positions.
+    pred/target: [N,C,H,W]; mask: [N,H,W], as ``_need_mask`` takes it,
+    the same positions in every channel. The gradient is zero at unmasked
+    positions.
     """
     pv = pred.array
     tv = target.array if isinstance(target, Tensor) else np.asarray(target, dtype=_F64)
     if pv.shape != tv.shape:
         raise DimensionError(f"masked_l1: pred {pv.shape} vs target {tv.shape}")
     _need_rank(pv, 4, "masked_l1")
-    mk = np.asarray(mask, dtype=_F64)
-    if mk.shape == pv.shape:
-        mfull = mk
-    elif mk.shape == (pv.shape[0],) + pv.shape[2:]:
-        mfull = np.broadcast_to(mk[:, None], pv.shape)
-    else:
-        raise DimensionError(f"masked_l1: mask {mk.shape} does not align with pred {pv.shape}")
-    nvalid = mfull.sum()
-    if nvalid < 1:
-        raise DegenerateSupervisionError("masked_l1: empty mask")
+    n, c, h, w = pv.shape
+    mk, nvalid = _need_mask("masked_l1", mask, (n, h, w))
+    mfull = mk[:, None]  # the mask on the channel axis, broadcast over it
+    nvalid *= c
     r = pv - tv
     loss = float((np.abs(r) * mfull).sum() / nvalid)
 
@@ -1066,4 +1058,5 @@ def masked_l1(pred: Tensor, target: Tensor, mask) -> Tensor:
 
 def mean_l1(pred: Tensor, target) -> Tensor:
     """Plain mean absolute error (masked_l1 with a full mask)."""
-    return masked_l1(pred, target, np.ones(pred.shape))
+    n, _, h, w = pred.shape
+    return masked_l1(pred, target, np.ones((n, h, w)))

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package, the integer and number
-checks that entry points make before comparing a value, and the one maker
-of random generators, so that every seed is checked the same way."""
+checks that entry points make before comparing a value, the one rule for
+what a class label is (:func:`need_labels`), and the one maker of random
+generators, so that every seed is checked the same way."""
 
 import numbers
 
@@ -58,10 +59,33 @@ def need_int(name: str, value, least: int) -> int:
     return n
 
 
+def need_labels(name: str, value, shape: tuple[int, ...], classes: int) -> np.ndarray:
+    """``value`` as an int64 array of class labels. ``DimensionError``
+    unless its shape is ``shape``; ``LabelRangeError`` unless its dtype is
+    an integer one (so not bool or float) and every entry lies in
+    [0, ``classes``). An int64 array comes back as it is, not copied."""
+    labels = np.asarray(value)
+    if labels.shape != shape:
+        raise DimensionError(f"{name}: expected labels of shape {shape}, got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise LabelRangeError(f"{name} must be integer class labels, got dtype {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise LabelRangeError(
+            f"{name} span [{labels.min()}, {labels.max()}], out of range [0, {classes})")
+    return labels.astype(np.int64, copy=False)
+
+
 def is_real(value) -> bool:
-    """Whether ``value`` is a real number, an int or a float (numpy's too) but
-    not a bool, so that comparing it cannot raise a bare ``TypeError``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number that a float holds, an int or a
+    float (numpy's too) but not a bool, so that comparing it or taking its
+    float cannot raise a bare ``TypeError`` or ``OverflowError``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an int past the float range
+        return False
+    return True
 
 
 def seeded(seed, *stream: int) -> np.random.Generator:

@@ -159,13 +159,12 @@ def _classifier_layers(in_ch: int, num_classes: int, grid: int) -> tuple[dict, .
 
 
 class FiLMParams:
-    """Per-site (gamma, beta) channel vectors, shared or per-sample."""
+    """Per-site (gamma, beta) channel vectors, shared or per-sample.
+    ``ad.film`` checks their shapes against each other and the site's
+    activation when ``Model.forward`` applies them."""
 
     def __init__(self, sites: list[tuple[Tensor, Tensor]]):
         self.sites = [(ad.as_tensor(g), ad.as_tensor(b)) for g, b in sites]
-        for g, b in self.sites:
-            if g.shape != b.shape:
-                raise DimensionError(f"film params: gamma {g.shape} vs beta {b.shape}")
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -197,7 +196,9 @@ class Model:
         image is a batch of one) with [C,H,W] equal to ``spec.in_shape``.
         Any other shape raises ``DimensionError``.
 
-        ``film`` replaces each site's activation with its modulation.
+        ``film`` replaces each site's activation with its modulation;
+        ``ContractError`` unless it has one (gamma, beta) pair per site,
+        ``DimensionError`` (from ``ad.film``) unless each pair fits its site.
         ``lifted`` reuses already-lifted parameters (training loops); when
         absent, parameters are lifted onto ``tape`` (or used as constants).
 
@@ -240,9 +241,12 @@ class Model:
             )
         if lifted is None:
             lifted = self.params.lift(tape)
-        site_map = dict_from_sites(self.spec.film_sites, film)
+        sites = self.spec.film_sites
+        if film is not None and len(film) != len(sites):
+            raise ContractError(f"film params carry {len(film)} sites, model declares {len(sites)}")
+        site_map = {} if film is None else {i: gb for (i, _), gb in zip(sites, film.sites)}
         layers = self.spec.layers
-        keep = min(self.spec.film_sites)[0] + 1 if self.spec.film_sites else len(layers)
+        keep = min(sites)[0] + 1 if sites else len(layers)
         frozen = xt.node is None and all(
             isinstance(t, ad._Constant) for t in lifted.values())
         memo = getattr(self._memo, "last", None) if frozen else None
@@ -286,9 +290,6 @@ class Model:
             return cur, acts
         return cur
 
-    def clone(self) -> "Model":
-        return Model(self.spec, self.params.clone())
-
 
 @dataclass(slots=True)
 class _Pass:
@@ -317,19 +318,6 @@ class _Pass:
         """Same input bytes, and the same constant under every held name."""
         return (xv.shape == self.x_shape and xv.tobytes() == self.x_bytes
                 and all(lifted.get(n) is c for n, c in self.held.items()))
-
-
-def dict_from_sites(sites: tuple[tuple[int, int], ...], film: FiLMParams | None):
-    if film is None:
-        return {}
-    if len(film) != len(sites):
-        raise ContractError(
-            f"film params carry {len(film)} sites, model declares {len(sites)}"
-        )
-    for (idx, c), (g, _) in zip(sites, film.sites):
-        if g.shape[-1] != c:
-            raise ContractError(f"film site at layer {idx}: {c} channels vs {g.shape[-1]}")
-    return {idx: film.sites[k] for k, (idx, _) in enumerate(sites)}
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +418,14 @@ class Controller:
     def lift(self, tape) -> dict[str, Tensor]:
         return self.params.lift(tape)
 
-    def forward(self, feedback, lifted=None, tape=None) -> FiLMParams:
+    def forward(self, feedback, lifted=None) -> FiLMParams:
         """Emit FiLMParams from the head output [N, out_dim], which holds
         each site's gamma residual, then its beta: gamma = 1 + residual,
-        beta = residual."""
+        beta = residual. ``lifted`` holds the parameters as a training
+        loop lifted them onto its tape; when absent they are constants."""
         fb = feedback if isinstance(feedback, Tensor) else ad.as_tensor(feedback)
         if lifted is None:
-            lifted = self.params.lift(tape)
+            lifted = self.params.lift(None)
         c = self.cspec
         conv = c.arch == "conv"
         if fb.array.ndim != (4 if conv else 2) or fb.array.shape[1] != c.in_channels:

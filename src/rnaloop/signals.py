@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (ConfigurationError, ContractError, DimensionError, LabelRangeError, is_int, is_real,
-                     need_int, seeded)
+from .errors import (ConfigurationError, ContractError, DimensionError, is_int, is_real, need_int,
+                     need_labels, seeded)
 from .nets import Model
 
 _STREAM_SIGNAL = 201
@@ -73,11 +73,13 @@ def noisy_sparse(
 
     Simulates sparse-reconstruction measurements: valid values are not
     clipped, and a fraction of them are replaced by uniform draws.
+    ``ConfigurationError`` unless noise_sigma is a finite number >= 0 and
+    outlier_rate one in [0, 1].
     """
     if not (is_real(noise_sigma) and is_real(outlier_rate)
-            and 0 <= outlier_rate <= 1 and noise_sigma >= 0):  # NaN fails both
+            and 0 <= outlier_rate <= 1 and 0 <= noise_sigma < np.inf):  # NaN fails both
         raise ConfigurationError(
-            f"noise_sigma must be a number >= 0 and outlier_rate one in [0,1], got "
+            f"noise_sigma must be a finite number >= 0 and outlier_rate one in [0,1], got "
             f"{noise_sigma!r}, {outlier_rate!r}")
     sig = masked_gt(target, fraction, seed)
     rng = seeded(seed, _STREAM_SIGNAL, 2)
@@ -100,21 +102,25 @@ def noisy_sparse(
 
 
 def click_annotations(target_classes, clicks_per_class: int, seed: int) -> AdaptationSignal:
-    """Per-class random pixel labels (simulated annotation clicks)."""
+    """Per-class random pixel labels (simulated annotation clicks) of an
+    [H,W] class map: ``DimensionError`` for another rank, and
+    ``LabelRangeError`` for a map whose classes are not integers >= 0
+    (``errors.need_labels``; the map's consumer knows the class count)."""
     clicks_per_class = need_int("clicks_per_class", clicks_per_class, 1)
     rng = seeded(seed, _STREAM_SIGNAL, 3)
     if clicks_per_class > 25:
         raise ConfigurationError(f"clicks_per_class {clicks_per_class} outside [1, 25]")
-    t = np.asarray(target_classes, dtype=np.int64)
+    t = np.asarray(target_classes)
     if t.ndim != 2:
         raise DimensionError(f"expected a [H,W] class map, got {t.shape}")
+    t = need_labels("click class map", t, t.shape, np.iinfo(np.int64).max)
     mask = np.zeros(t.shape, dtype=bool)
     for cls in np.unique(t):
         ys, xs = np.nonzero(t == cls)
         take = min(clicks_per_class, len(ys))
         pick = rng.choice(len(ys), size=take, replace=False)
         mask[ys[pick], xs[pick]] = True
-    values = np.where(mask, t, 0).astype(np.int64)
+    values = np.where(mask, t, 0)
     return AdaptationSignal("clicks", values, mask, {"clicks_per_class": clicks_per_class})
 
 
@@ -154,11 +160,9 @@ def make_coarse_grouping(K: int, C: int) -> CoarseGrouping:
 
 
 def coarse_label(y_fine: int, grouping: CoarseGrouping) -> AdaptationSignal:
-    """One-hot coarse label of a fine class; ``LabelRangeError`` for an int
-    outside [0, num_fine), ``ConfigurationError`` for a value not an int."""
-    if is_int(y_fine) and not 0 <= y_fine < grouping.num_fine:
-        raise LabelRangeError(f"fine class {y_fine} outside [0,{grouping.num_fine})")
-    y_fine = need_int("y_fine", y_fine, 0)
+    """One-hot coarse label of a fine class, an integer label in
+    [0, num_fine) as ``errors.need_labels`` checks it."""
+    y_fine = need_labels("fine class", y_fine, (), grouping.num_fine)
     onehot = np.zeros(grouping.num_coarse)
     onehot[grouping.group_of_fine[y_fine]] = 1.0
     return AdaptationSignal("coarse", onehot, None, {"num_coarse": grouping.num_coarse})
@@ -173,9 +177,10 @@ class EmbeddingIndex:
     """Cosine-similarity index over penultimate-layer embeddings.
 
     ``DimensionError`` unless the embeddings are an [N, D] array with
-    D >= 1; ``LabelRangeError`` unless the labels are one integer per
-    embedding, each a class of the model: in [0, ``model.spec.out_ch``).
-    The index holds the embeddings normalized, in its own array.
+    D >= 1; the labels are one per embedding, each a class of the model, as
+    ``errors.need_labels`` checks them against ``model.spec.out_ch``.
+    The index holds the embeddings normalized and the labels as int64,
+    each in its own array.
     """
 
     def __init__(self, model: Model, embeddings: np.ndarray, labels: np.ndarray):
@@ -183,17 +188,10 @@ class EmbeddingIndex:
             raise DimensionError(f"index needs [N, D] embeddings with D >= 1, got {embeddings.shape}")
         if embeddings.shape[0] == 0:
             raise ContractError("embedding index is empty")
-        if labels.shape != embeddings.shape[:1] or labels.dtype.kind not in "iu":
-            raise LabelRangeError(f"index needs one integer label per embedding, shape "
-                                  f"{embeddings.shape[:1]}; got {labels.dtype} {labels.shape}")
-        classes = model.spec.out_ch
-        if labels.min() < 0 or labels.max() >= classes:
-            raise LabelRangeError(f"index labels span [{labels.min()}, {labels.max()}], "
-                                  f"outside the model's classes [0, {classes})")
+        self.labels = need_labels("index labels", labels, embeddings.shape[:1], model.spec.out_ch).copy()
         self.model = model
         norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
         self.embeddings = embeddings / np.maximum(norms, 1e-12)
-        self.labels = labels.astype(np.int64)
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
@@ -290,11 +288,11 @@ def _encode_one(pred: np.ndarray, signal: AdaptationSignal) -> np.ndarray:
         if pred.ndim != 3:
             raise DimensionError(f"click feedback expects [K,H,W] logits, got {pred.shape}")
         _need_same_map(pred, signal)
-        k = pred.shape[0]
+        ys, xs = np.nonzero(signal.mask > 0)
+        clicked = need_labels("clicked classes", signal.values[ys, xs], ys.shape, pred.shape[0])
         probs = ad.softmax(pred, axis=0)
         onehot = np.zeros_like(pred)
-        ys, xs = np.nonzero(signal.mask > 0)
-        onehot[signal.values[ys, xs], ys, xs] = 1.0
+        onehot[clicked, ys, xs] = 1.0
         return np.concatenate([probs, onehot, signal.mask[None]], axis=0)
     if signal.kind in ("coarse", "knn_coarse"):
         if pred.ndim != 1:
@@ -309,8 +307,13 @@ def encode_feedback(prediction, signal) -> np.ndarray:
     Single sample: (prediction, AdaptationSignal) -> encoded array.
     Batch: ([N,...] predictions, list of N signals) -> stacked encoding;
     ``DimensionError`` unless N >= 1 and the counts agree.
+    A prediction of rank 0 raises ``DimensionError`` either way. The
+    clicked classes of a click signal are labels of the prediction's K
+    classes, as ``errors.need_labels`` checks them.
     """
     pred = prediction.array if isinstance(prediction, ad.Tensor) else np.asarray(prediction)
+    if pred.ndim == 0:
+        raise DimensionError(f"encode_feedback: a prediction of rank 0 ({pred!r}) is no sample or batch")
     if isinstance(signal, AdaptationSignal):
         return _encode_one(pred, signal)
     if len(signal) != pred.shape[0] or not len(signal):

@@ -445,6 +445,21 @@ class TestMaskedL1:
         with pytest.raises(DegenerateSupervisionError):
             ad.masked_l1(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 2, 2))), np.zeros((1, 2, 2)))
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_mask_of_the_maps_shape_rejected(self, channels):
+        # the mask is [N,H,W], the same positions in every channel
+        x = np.zeros((2, channels, 3, 3))
+        with pytest.raises(DimensionError, match=r"mask \(2, %d, 3, 3\), expected \[N,H,W\]" % channels):
+            ad.masked_l1(t(x), t(x.copy()), np.ones(x.shape))
+
+    def test_mask_is_the_same_in_every_channel(self):
+        rng = np.random.default_rng(15)
+        a, b = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 4, 4))
+        mask = rng.random((2, 4, 4)) < 0.5
+        on = np.broadcast_to(mask[:, None], a.shape)
+        out = ad.masked_l1(t(a), t(b), mask)
+        assert abs(out.item() - np.abs(a - b)[on].mean()) < 1e-14
+
     def test_gradient_zero_off_mask(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(1, 1, 3, 3))

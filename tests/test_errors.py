@@ -7,7 +7,8 @@ import pytest
 
 from rnaloop import autodiff as ad
 from rnaloop import nets, presets, shifts, signals, taskgen
-from rnaloop.errors import ConfigurationError, ContractError, is_int, need_int, seeded
+from rnaloop.errors import (ConfigurationError, ContractError, DimensionError, LabelRangeError, is_int,
+                            is_real, need_int, need_labels, seeded)
 
 
 class TestIntegerRule:
@@ -40,6 +41,41 @@ class TestIntegerRule:
     def test_seeded_refuses_a_bad_seed(self, seed):
         with pytest.raises(ConfigurationError, match="seed must be >= 0, as an int"):
             seeded(seed, 101)
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("value", [0, 2.5, -3, 2**70, np.float64(0.1), np.int64(7), float("inf")])
+    def test_reals_are_reals(self, value):
+        assert is_real(value)
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(10**400, id="past_float"), pytest.param(-(10**400), id="past_negative_float"),
+        True, "1.0", None, 1j, [1.0]])
+    def test_other_values_are_not(self, value):
+        # an int past the float range raised a bare OverflowError where it was used
+        assert not is_real(value)
+
+
+class TestLabelRule:
+    def test_int64_labels_come_back_uncopied(self):
+        labels = np.array([0, 2, 1])
+        assert need_labels("y", labels, (3,), 3) is labels
+
+    @pytest.mark.parametrize("value", [[0, 2], np.array([0, 2], dtype=np.uint8), np.array([0, 2], dtype=np.int8)])
+    def test_other_integers_become_int64(self, value):
+        got = need_labels("y", value, (2,), 3)
+        assert got.dtype == np.int64 and got.tolist() == [0, 2]
+
+    def test_no_labels_pass(self):
+        assert need_labels("y", np.zeros((0, 2), dtype=np.int64), (0, 2), 3).shape == (0, 2)
+
+    def test_unsigned_labels_past_int64_refused(self):
+        with pytest.raises(LabelRangeError, match=r"y span \[0, 9223372036854775808\], out of range \[0, 3\)"):
+            need_labels("y", np.array([0, 2**63], dtype=np.uint64), (2,), 3)
+
+    def test_shape_is_checked_before_dtype(self):
+        with pytest.raises(DimensionError, match=r"y: expected labels of shape \(2,\), got \(3,\)"):
+            need_labels("y", [0.5, 0.5, 0.5], (2,), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +201,11 @@ def test_numpy_integers_give_the_python_ints_bits(entry, to_numpy):
 @pytest.mark.parametrize("bad", [True, 2.0, "2", None], ids=["bool", "float", "str", "none"])
 @pytest.mark.parametrize("entry", _ENTRIES)
 def test_non_integers_refused(entry, bad):
-    with pytest.raises(ConfigurationError, match="must be >= .*, as an int"):
+    # coarse_label's class is a class label, which need_labels refuses
+    # with LabelRangeError, as it refuses every label that is not an integer
+    error, match = ((LabelRangeError, "must be integer class labels") if entry == "coarse_label"
+                    else (ConfigurationError, "must be >= .*, as an int"))
+    with pytest.raises(error, match=match):
         _ENTRIES[entry][0](bad)
 
 
@@ -196,3 +236,64 @@ def test_spec_of_numpy_integers_saves_and_loads(tmp_path, build, save, load):
     save(tmp_path / "net.rnl", net)
     again, _ = load(tmp_path / "net.rnl")
     assert _bits(again) == _bits(net)
+
+
+# ---------------------------------------------------------------------------
+# every entry that takes class labels checks them through need_labels: the
+# shape, an integer dtype (bool is not one) and the range [0, K)
+# ---------------------------------------------------------------------------
+
+
+def _click_feedback(values):
+    sig = signals.AdaptationSignal("clicks", np.asarray(values), np.ones((2, 2), dtype=bool))
+    return signals.encode_feedback(np.zeros((3, 2, 2)), sig)
+
+
+# name: (the entry as a function of its labels, their shape, the class
+# count K, or None for click_annotations, whose class map has no count:
+# encode_feedback checks the clicked classes against the prediction's)
+_LABEL_ENTRIES = {
+    "softmax_cross_entropy": (lambda v: ad.softmax_cross_entropy(ad.as_tensor(np.zeros((2, 4))), v), (2,), 4),
+    "coarse_cross_entropy": (lambda v: ad.coarse_cross_entropy(ad.as_tensor(np.zeros((2, 4))), v,
+                                                               np.array([0, 0, 1, 1])), (2,), 2),
+    "masked_cross_entropy": (lambda v: ad.masked_cross_entropy(ad.as_tensor(np.zeros((1, 3, 2, 2))), v,
+                                                               np.ones((1, 2, 2))), (1, 2, 2), 3),
+    "embedding_index": (lambda v: signals.EmbeddingIndex(_cls_main(), np.ones((4, 8)), v), (4,),
+                        presets.NUM_CLASSES),
+    "click_feedback": (_click_feedback, (2, 2), 3),
+    "click_annotations": (lambda v: signals.click_annotations(v, 1, 0), (2, 2), None),
+    "coarse_label": (lambda v: signals.coarse_label(v, signals.make_coarse_grouping(20, 5)), (), 20),
+}
+
+
+def _bad_labels(kind, shape, classes):
+    """(labels of the kind, the error need_labels raises for them, a
+    pattern of its message or None)."""
+    if kind == "half":
+        return np.full(shape, 0.5), LabelRangeError, "must be integer class labels, got dtype float64"
+    if kind == "bool":
+        return np.ones(shape, dtype=bool), LabelRangeError, "must be integer class labels, got dtype bool"
+    if kind == "wrong_shape":  # the entries word their own shape errors
+        return np.zeros(shape + (1,), dtype=np.int64), DimensionError, None
+    value = -1 if kind == "minus_one" else classes
+    return np.full(shape, value), LabelRangeError, rf"span \[{value}, {value}\], out of range \[0, "
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind)
+    for entry, (_, _, classes) in _LABEL_ENTRIES.items()
+    for kind in ("half", "minus_one", "class_count", "bool", "wrong_shape")
+    if not (kind == "class_count" and classes is None)
+])
+def test_bad_labels_refused(entry, kind):
+    call, shape, classes = _LABEL_ENTRIES[entry]
+    labels, error, match = _bad_labels(kind, shape, classes)
+    with pytest.raises(error, match=match):
+        call(labels)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+@pytest.mark.parametrize("entry", _LABEL_ENTRIES)
+def test_integer_labels_of_the_last_class_taken(entry, dtype):
+    call, shape, classes = _LABEL_ENTRIES[entry]
+    call(np.full(shape, 1 if classes is None else classes - 1, dtype=dtype))

@@ -291,6 +291,20 @@ class TestAdaptedForward:
         with pytest.raises(ContractError, match="2 sites, model declares 4"):
             f.forward(np.zeros((1, 1, 32, 32)), film=bad)
 
+    @pytest.mark.parametrize("site", [0, 3])
+    @pytest.mark.parametrize("mismatch", ["channels", "gamma_vs_beta"])
+    def test_site_shape_mismatch_is_a_dimension_error(self, dense_pair, site, mismatch):
+        # ad.film checks each pair against its site; site 0 is the one a
+        # reused unmodulated pass resumes at, site 3 one the pass runs to
+        f, _ = dense_pair
+        sites = [(np.ones(c), np.zeros(c)) for _, c in f.spec.film_sites]
+        c = f.spec.film_sites[site][1]
+        sites[site] = (np.ones(c - 1 if mismatch == "channels" else c), np.zeros(c - 1))
+        x = np.zeros((1, 1, 32, 32))
+        f.forward(x)
+        with pytest.raises(DimensionError, match="film: "):
+            f.forward(x, film=nets.FiLMParams(sites))
+
     def test_gamma_zero_final_site_blanks_activation(self, dense_pair):
         f, _ = dense_pair
         counts = [c for _, c in f.spec.film_sites]

@@ -77,8 +77,12 @@ class TestNoisySparse:
 
     @pytest.mark.parametrize("noise_sigma,outlier_rate",
                              [(float("nan"), 0.0), (-0.1, 0.0), (0.0, float("nan")), (0.0, 1.5),
-                              ("0.1", 0.0), (None, 0.0), (0.0, "0.1"), (0.0, None)])
+                              ("0.1", 0.0), (None, 0.0), (0.0, "0.1"), (0.0, None),
+                              pytest.param(float("inf"), 0.0, id="inf_sigma"),
+                              pytest.param(10**400, 0.1, id="sigma_past_float")])
     def test_bad_noise_rejected(self, noise_sigma, outlier_rate):
+        # an infinite sigma gave a signal of infinite values, and 10**400 a
+        # bare OverflowError
         with pytest.raises(ConfigurationError, match="noise_sigma"):
             signals.noisy_sparse(np.zeros((1, 8, 8)), 0.5, noise_sigma, outlier_rate, seed=0)
 
@@ -157,7 +161,8 @@ class TestCoarseLabel:
 
     @pytest.mark.parametrize("y_fine", [-1, 20, 99])
     def test_fine_class_out_of_range_rejected(self, y_fine):
-        with pytest.raises(LabelRangeError, match=f"fine class {y_fine} outside"):
+        match = rf"fine class span \[{y_fine}, {y_fine}\], out of range \[0, 20\)"
+        with pytest.raises(LabelRangeError, match=match):
             signals.coarse_label(y_fine, signals.make_coarse_grouping(20, 5))
 
     def test_marginalization_two_ways(self):
@@ -285,19 +290,20 @@ class TestKnnCoarse:
         # and knn_coarse then failed with a bare IndexError
         model = presets.cls_main(0)
         ds = taskgen.gen_classification(25, 50, 0, 1)
-        with pytest.raises(LabelRangeError, match=r"span \[0, 24\], outside the model's classes \[0, 20\)"):
+        with pytest.raises(LabelRangeError, match=r"index labels span \[0, 24\], out of range \[0, 20\)"):
             signals.build_embedding_index(model, ds)
 
-    @pytest.mark.parametrize("labels", [
-        np.arange(4) - 1,
-        np.zeros(3, dtype=np.int64),
-        np.zeros((4, 1), dtype=np.int64),
-        np.zeros(4),
-        np.zeros(4, dtype=bool),
+    @pytest.mark.parametrize("labels, error", [
+        (np.arange(4) - 1, LabelRangeError),
+        (np.zeros(3, dtype=np.int64), DimensionError),
+        (np.zeros((4, 1), dtype=np.int64), DimensionError),
+        (np.zeros(4), LabelRangeError),
+        (np.zeros(4, dtype=bool), LabelRangeError),
     ], ids=["negative", "one_short", "not_one_per_row", "float", "bool"])
-    def test_labels_not_one_class_per_embedding_rejected(self, setup, labels):
+    def test_labels_not_one_class_per_embedding_rejected(self, setup, labels, error):
+        # a label array of the wrong shape is a DimensionError, as for every label input
         model, _, index = setup
-        with pytest.raises(LabelRangeError):
+        with pytest.raises(error):
             signals.EmbeddingIndex(model, index.embeddings[:4], labels)
 
     def test_model_without_flatten_rejected(self):
@@ -388,12 +394,17 @@ class TestEncodeFeedback:
         for i in range(3):
             assert np.array_equal(fb[i], signals.encode_feedback(preds[i], sigs[i]))
 
-    @pytest.mark.parametrize("n, signal_count", [(0, 0), (2, 1)], ids=["empty", "counts_disagree"])
-    def test_batch_count_checked(self, n, signal_count):
-        # an empty batch raised numpy's bare ValueError from np.stack
+    @pytest.mark.parametrize("pred, signal_count, match", [
+        (np.zeros((0, 1, 8, 8)), 0, "0 predictions vs 0 signals; a batch needs"),
+        (np.zeros((2, 1, 8, 8)), 1, "2 predictions vs 1 signals; a batch needs"),
+        (np.float64(1.0), 0, "a prediction of rank 0"),
+    ], ids=["empty", "counts_disagree", "scalar"])
+    def test_batch_count_checked(self, pred, signal_count, match):
+        # an empty batch raised numpy's bare ValueError from np.stack, and a
+        # scalar prediction a bare IndexError
         sig = signals.masked_gt(np.zeros((1, 8, 8)), 0.1, seed=0)
-        with pytest.raises(DimensionError, match=f"{n} predictions vs {signal_count} signals; a batch needs"):
-            signals.encode_feedback(np.zeros((n, 1, 8, 8)), [sig] * signal_count)
+        with pytest.raises(DimensionError, match=match):
+            signals.encode_feedback(pred, [sig] * signal_count)
 
     def test_bool_mask_gives_the_float_mask_bits(self):
         rng = np.random.default_rng(14)

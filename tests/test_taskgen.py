@@ -188,6 +188,8 @@ _GENERATORS = {
                  id="half_size_negative"),
     pytest.param(dict(half_size_range=(3.0, np.inf)), r"half_size_range must be finite reals",
                  id="half_size_infinite"),
+    pytest.param(dict(half_size_range=(0, 10**400)), r"half_size_range must be finite reals",
+                 id="half_size_past_float"),
     pytest.param(dict(albedo_range=("0.4", "0.9")), r"albedo_range must be finite reals", id="albedo_strings"),
     pytest.param(dict(albedo_range=(np.nan, 0.9)), r"albedo_range must be finite reals", id="albedo_nan"),
     pytest.param(dict(albedo_range=0.5), r"albedo_range must be a \(low, high\) pair", id="albedo_not_a_pair"),
@@ -195,7 +197,8 @@ _GENERATORS = {
 def test_world_counts_checked_when_built(world, match):
     # before the check, grid 0, -4 and 32.0 and, at the first scene, (3, 1)
     # and a half_size_range of (9.0, 3.0) failed inside numpy, and (1.5, 3),
-    # (-2, -1) and a half_size_range of (-5.0, 2.0) ran
+    # (-2, -1) and a half_size_range of (-5.0, 2.0) ran; (0, 10**400) failed
+    # with a bare OverflowError at the first scene
     with pytest.raises(ConfigurationError, match=match):
         taskgen.gen_dense_regression(taskgen.SceneWorldConfig(**world), 2, 0)
 
