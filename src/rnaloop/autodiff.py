@@ -17,8 +17,8 @@ Shape discipline: every op takes batches only, with the batch on axis 0:
 broadcasting except the per-channel patterns of ``film``, the ``conv2d``
 bias and the [N,K]+[K] rows of ``add_bias``. All other operand shapes must
 match exactly. The masked losses take one mask form, [N,H,W]: the
-positions supervised, the same in every channel. Their class labels pass
-``errors.need_labels``.
+positions supervised, the same in every channel. Every loss takes its
+class labels through ``errors.need_labels``.
 
 Memory: a recorded op keeps only what its backward pass reads, in its
 node's backward closure: masks, shapes, softmax probabilities, and an
