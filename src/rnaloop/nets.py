@@ -10,9 +10,15 @@ get a channel-wise affine modulation; with gamma=1, beta=0 the modulated
 network is bit-identical to the unmodulated one.
 
 Controllers map an error-feedback encoding to FiLM coefficients for every
-site of the main network, the only network they adapt. Their final layer
-is zero-initialized and gamma is emitted as 1 + residual, so a freshly
-built controller is exactly the identity adaptation.
+site of the main network, the only network they adapt. A
+``ControllerSpec`` derives its layer sequence the same way, with one more
+kind, ``gap`` (global average pooling). Each conv and linear layer of
+either sequence carries the name of its parameters ("L{index}" in a main
+network; c1, c2, fc and head in a controller), so one parameter layout
+and one layer interpreter (``_layer``) serve both networks. A
+controller's head is zero-initialized and gamma is emitted as
+1 + residual, so a freshly built controller is exactly the identity
+adaptation.
 """
 
 from __future__ import annotations
@@ -71,7 +77,9 @@ class ModelSpec:
     in_shape: (in_ch, grid, grid), one input sample.
     layers: dicts with a "kind" key (conv, relu, pool, upsample, concat,
         flatten, linear) and kind-specific fields. A conv has stride 1, pad
-        k // 2 and a bias; a linear layer has a bias.
+        k // 2 and a bias; a linear layer has a bias. A conv or linear
+        layer at index i carries the name "L{i}" of its parameters,
+        "L{i}.w" and "L{i}.b".
     film_sites: (layer_index, channel_count) pairs; the site modulates the
         output of that layer.
     skip_sources: the indices of the layers whose output a concat reads.
@@ -94,8 +102,8 @@ class ModelSpec:
             raise ConfigurationError(f"grid {self.grid} must be divisible by {step}")
         if self.film_k > len(ladder):
             raise ConfigurationError(f"film_k={self.film_k} exceeds the {len(ladder)} eligible layers")
-        layers = (_classifier_layers(self.in_ch, self.out_ch, self.grid) if classifier
-                  else _unet_layers(self.in_ch, self.out_ch))
+        layers = _named(_classifier_layers(self.in_ch, self.out_ch, self.grid) if classifier
+                        else _unet_layers(self.in_ch, self.out_ch))
         object.__setattr__(self, "in_shape", (self.in_ch, self.grid, self.grid))
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "film_sites", ladder[: self.film_k])
@@ -105,6 +113,15 @@ class ModelSpec:
 
 def _conv(cin, cout, k=3):
     return {"kind": "conv", "cin": cin, "cout": cout, "k": k}
+
+
+def _named(layers, names=()) -> tuple[dict, ...]:
+    """The layers, each conv and linear one given the name of its
+    parameters: the next of ``names``, or "L{i}" for the layer at index i
+    once they run out."""
+    names = iter(names)
+    return tuple({**layer, "name": next(names, f"L{i}")} if layer["kind"] in ("conv", "linear")
+                 else layer for i, layer in enumerate(layers))
 
 
 def _unet_layers(in_ch: int, out_ch: int) -> tuple[dict, ...]:
@@ -263,22 +280,7 @@ class Model:
 
         cur = acts[-1] if acts else xt
         for i in range(len(acts), len(layers)):
-            layer = layers[i]
-            kind = layer["kind"]
-            if kind == "conv":
-                cur = ad.conv2d(cur, lifted[f"L{i}.w"], 1, layer["k"] // 2, bias=lifted[f"L{i}.b"])
-            elif kind == "relu":
-                cur = ad.relu(cur)
-            elif kind == "pool":
-                cur = ad.avgpool2(cur)
-            elif kind == "upsample":
-                cur = ad.upsample2(cur)
-            elif kind == "concat":
-                cur = ad.concat_channels([cur, acts[layer["skip_from"]]])
-            elif kind == "flatten":
-                cur = ad.flatten_batch(cur)
-            elif kind == "linear":
-                cur = ad.add_bias(ad.matmul(cur, lifted[f"L{i}.w"]), lifted[f"L{i}.b"])
+            cur = _layer(layers[i], cur, lifted, acts)
             if i in site_map:
                 g, b = site_map[i]
                 cur = ad.film(cur, g, b)
@@ -289,6 +291,30 @@ class Model:
         if return_acts:
             return cur, acts
         return cur
+
+
+def _layer(layer: dict, cur: Tensor, lifted: dict[str, Tensor], acts) -> Tensor:
+    """One layer of a spec's ``layers`` applied to ``cur``. ``lifted`` holds
+    the parameters by name; ``acts`` holds the earlier layers' outputs that
+    a concat reads (None for a controller, which has none)."""
+    kind = layer["kind"]
+    if kind == "conv":
+        name = layer["name"]
+        return ad.conv2d(cur, lifted[f"{name}.w"], 1, layer["k"] // 2, bias=lifted[f"{name}.b"])
+    if kind == "relu":
+        return ad.relu(cur)
+    if kind == "pool":
+        return ad.avgpool2(cur)
+    if kind == "upsample":
+        return ad.upsample2(cur)
+    if kind == "concat":
+        return ad.concat_channels([cur, acts[layer["skip_from"]]])
+    if kind == "flatten":
+        return ad.flatten_batch(cur)
+    if kind == "gap":
+        return ad.global_avg_pool(cur)
+    name = layer["name"]  # linear
+    return ad.add_bias(ad.matmul(cur, lifted[f"{name}.w"]), lifted[f"{name}.b"])
 
 
 @dataclass(slots=True)
@@ -347,16 +373,18 @@ def _init_params(layout: dict[str, tuple[int, ...]], seed: int) -> ParamSet:
     return params
 
 
-def _param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter the layers read, in creation order."""
+def _param_layout(spec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter the layers of a ``ModelSpec`` or a
+    ``ControllerSpec`` read, in creation order."""
     out = {}
-    for i, layer in enumerate(spec.layers):
+    for layer in spec.layers:
+        name = layer.get("name")
         if layer["kind"] == "conv":
-            out[f"L{i}.w"] = (layer["cout"], layer["cin"], layer["k"], layer["k"])
-            out[f"L{i}.b"] = (layer["cout"],)
+            out[f"{name}.w"] = (layer["cout"], layer["cin"], layer["k"], layer["k"])
+            out[f"{name}.b"] = (layer["cout"],)
         elif layer["kind"] == "linear":
-            out[f"L{i}.w"] = (layer["nin"], layer["nout"])
-            out[f"L{i}.b"] = (layer["nout"],)
+            out[f"{name}.w"] = (layer["nin"], layer["nout"])
+            out[f"{name}.b"] = (layer["nout"],)
     return out
 
 
@@ -374,17 +402,26 @@ class ControllerSpec:
     """Encoding description for the FiLM controller.
 
     arch "conv": feedback is a [N,in_channels,H,W] stack (prediction,
-    signal values, validity mask); the trunk is fixed, conv8/pool/conv16/
-    pool/GAP (``CONTROLLER_TRUNK``).
-    arch "mlp": feedback is a [N,in_dim] vector (post-softmax prediction
-    concatenated with a coarse one-hot).
+    signal values, validity mask), with H and W multiples of 4.
+    arch "mlp": feedback is a [N,in_channels] vector (post-softmax
+    prediction concatenated with a coarse one-hot).
     film_channels: the channel count of each target film site, a list or
         tuple kept as a tuple.
-    The output head has dimension sum(2*C_i) over the target film sites.
+    hidden: the width of the hidden linear layer.
+    The output head has dimension out_dim = sum(2*C_i) over the target
+    film sites.
 
     Construction raises ``ConfigurationError`` unless arch is one of the two,
     in_channels and hidden are integers >= 1 and film_channels is a
-    non-empty list or tuple of them. It keeps them as Python ints.
+    non-empty list or tuple of them. It keeps them as Python ints, then
+    sets ``layers`` once, in the layer dicts of ``ModelSpec.layers`` plus
+    the kind ``gap`` (global average pooling to [N,C]):
+      conv: conv(in_channels, 8), relu, pool, conv(8, 16), relu, pool, gap
+        (the two trunk widths are ``CONTROLLER_TRUNK``), then the mlp's
+        layers on its 16 features;
+      mlp: linear(in_channels, hidden), relu, linear(hidden, out_dim).
+    The convs carry the parameter names c1 and c2, the linear layers fc
+    and head.
     """
 
     arch: str
@@ -402,6 +439,15 @@ class ControllerSpec:
             object.__setattr__(self, name, need_int(name, getattr(self, name), 1))
         film = tuple(need_int("film channel count", c, 1) for c in film)
         object.__setattr__(self, "film_channels", film)
+        trunk, feat, names = (), self.in_channels, ("fc", "head")
+        if self.arch == "conv":
+            t1, t2 = CONTROLLER_TRUNK
+            trunk = (_conv(self.in_channels, t1), {"kind": "relu"}, {"kind": "pool"},
+                     _conv(t1, t2), {"kind": "relu"}, {"kind": "pool"}, {"kind": "gap"})
+            feat, names = t2, ("c1", "c2", *names)
+        mlp = ({"kind": "linear", "nin": feat, "nout": self.hidden}, {"kind": "relu"},
+               {"kind": "linear", "nin": self.hidden, "nout": self.out_dim})
+        object.__setattr__(self, "layers", _named(trunk + mlp, names))
 
     @property
     def out_dim(self) -> int:
@@ -419,49 +465,27 @@ class Controller:
         return self.params.lift(tape)
 
     def forward(self, feedback, lifted=None) -> FiLMParams:
-        """Emit FiLMParams from the head output [N, out_dim], which holds
-        each site's gamma residual, then its beta: gamma = 1 + residual,
-        beta = residual. ``lifted`` holds the parameters as a training
-        loop lifted them onto its tape; when absent they are constants."""
-        fb = feedback if isinstance(feedback, Tensor) else ad.as_tensor(feedback)
+        """Run ``cspec.layers`` on a feedback batch and emit FiLMParams from
+        the head output [N, out_dim], which holds each site's gamma
+        residual, then its beta: gamma = 1 + residual, beta = residual.
+        Feedback of another rank, channel count or width than the spec's
+        raises ``DimensionError`` from the first op that reads it.
+        ``lifted`` holds the parameters as a training loop lifted them onto
+        its tape; when absent they are constants."""
+        raw = feedback if isinstance(feedback, Tensor) else ad.as_tensor(feedback)
         if lifted is None:
             lifted = self.params.lift(None)
-        c = self.cspec
-        conv = c.arch == "conv"
-        if fb.array.ndim != (4 if conv else 2) or fb.array.shape[1] != c.in_channels:
-            raise DimensionError(
-                f"controller expects [N,{c.in_channels}{',H,W' if conv else ''}] feedback, got {fb.shape}"
-            )
-        h = fb
-        if conv:
-            h = ad.relu(ad.conv2d(h, lifted["c1.w"], 1, 1, bias=lifted["c1.b"]))
-            h = ad.avgpool2(h)
-            h = ad.relu(ad.conv2d(h, lifted["c2.w"], 1, 1, bias=lifted["c2.b"]))
-            h = ad.avgpool2(h)
-            h = ad.global_avg_pool(h)
-        h = ad.relu(ad.add_bias(ad.matmul(h, lifted["fc.w"]), lifted["fc.b"]))
-        raw = ad.add_bias(ad.matmul(h, lifted["head.w"]), lifted["head.b"])
+        for layer in self.cspec.layers:
+            raw = _layer(layer, raw, lifted, None)
         sites = []
         off = 0
-        for ch in c.film_channels:
+        for ch in self.cspec.film_channels:
             gres = ad.slice_channels(raw, off, off + ch)
             beta = ad.slice_channels(raw, off + ch, off + 2 * ch)
             gamma = ad.add(gres, ad.as_tensor(np.ones_like(gres.array)))
             sites.append((gamma, beta))
             off += 2 * ch
         return FiLMParams(sites)
-
-
-def _controller_layout(cspec: ControllerSpec) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every controller parameter, in creation order."""
-    trunk, feat = {}, cspec.in_channels
-    if cspec.arch == "conv":
-        t1, t2 = CONTROLLER_TRUNK
-        trunk = {"c1.w": (t1, cspec.in_channels, 3, 3), "c1.b": (t1,),
-                 "c2.w": (t2, t1, 3, 3), "c2.b": (t2,)}
-        feat = t2
-    return {**trunk, "fc.w": (feat, cspec.hidden), "fc.b": (cspec.hidden,),
-            "head.w": (cspec.hidden, cspec.out_dim), "head.b": (cspec.out_dim,)}
 
 
 def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controller:
@@ -479,7 +503,7 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
         raise ConfigurationError(
             f"controller film channels {cspec.film_channels} != model sites {expected}"
         )
-    h = Controller(cspec, _init_params(_controller_layout(cspec), seed))
+    h = Controller(cspec, _init_params(_param_layout(cspec), seed))
     ratio = h.params.count() / main.params.count()
     if not (BUDGET_RANGE[0] <= ratio <= BUDGET_RANGE[1]):
         warnings.warn(
@@ -501,12 +525,12 @@ def _save(path, kind: str, spec, params: ParamSet) -> None:
     serialize.save(path, kind, dataclasses.asdict(spec), {name: p.value for name, p in params.items()})
 
 
-def _load(path, kind: str, spec_cls, layout_of) -> tuple:
+def _load(path, kind: str, spec_cls) -> tuple:
     """(spec, parameters, spec fields) of a ``kind`` file.
 
     ``SerializationError`` unless the file's spec has exactly the fields of
     the dataclass ``spec_cls`` and builds, and its arrays have exactly the
-    names and shapes of ``layout_of(spec)``; the parameters come in layout
+    names and shapes of ``_param_layout(spec)``; the parameters come in layout
     order. Files of another ``serialize.VERSION`` are refused there.
     """
     fields, arrays = serialize.load(path, kind)
@@ -517,7 +541,7 @@ def _load(path, kind: str, spec_cls, layout_of) -> tuple:
         spec = spec_cls(**fields)
     except ConfigurationError as exc:
         raise SerializationError(f"{kind} file spec is malformed: {exc}") from None
-    layout = layout_of(spec)
+    layout = _param_layout(spec)
     found = {name: a.shape for name, a in arrays.items()}
     if found != layout:
         bad = {n: (found.get(n), layout.get(n)) for n in sorted(found.keys() | layout.keys())
@@ -535,7 +559,7 @@ def save_model(path, model: Model) -> None:
 
 def load_model(path) -> tuple[Model, dict]:
     """The model of a file ``save_model`` wrote, and its spec's fields as stored."""
-    spec, params, fields = _load(path, "model", ModelSpec, _param_layout)
+    spec, params, fields = _load(path, "model", ModelSpec)
     return Model(spec, params), fields
 
 
@@ -545,5 +569,5 @@ def save_controller(path, h: Controller) -> None:
 
 def load_controller(path) -> tuple[Controller, dict]:
     """The controller of a file ``save_controller`` wrote, and its spec's fields as stored."""
-    cspec, params, fields = _load(path, "controller", ControllerSpec, _controller_layout)
+    cspec, params, fields = _load(path, "controller", ControllerSpec)
     return Controller(cspec, params), fields

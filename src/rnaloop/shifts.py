@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, need_int, seeded
+from .errors import ConfigurationError, DimensionError, need_int, seeded
 from .taskgen import SceneWorldConfig
 
 KINDS = ("identity", "gaussian_noise", "blur", "pixelate", "contrast")
@@ -78,12 +78,16 @@ def _pixelate(x: np.ndarray, block: int) -> np.ndarray:
 
 
 def apply_shift(x: np.ndarray, spec: ShiftSpec) -> np.ndarray:
-    """Corrupt an input in [0,1]; output is clipped back to [0,1].
+    """Corrupt an input in [0,1] whose last two axes are [H,W]; output is
+    clipped back to [0,1]. An input of rank below 2 raises
+    ``DimensionError``, whatever the kind.
 
     Identity returns a bit-exact copy. Randomized kinds are deterministic
     under spec.seed.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        raise DimensionError(f"apply_shift: expected an input ending in [H,W], got shape {x.shape}")
     if spec.kind == "identity":
         return x.copy()
     level = SEVERITY_TABLES[spec.kind][spec.severity - 1]

@@ -2,13 +2,13 @@
 sparse measurements, click annotations, coarse labels, and kNN retrieval.
 
 Signals derive from targets (or the clean training set, for retrieval)
-plus declared noise models; never from the corrupted input. Each carries
-a validity mask and provenance metadata.
+plus declared noise models; never from the corrupted input. A spatial
+signal carries a validity mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +29,11 @@ class AdaptationSignal:
     mask: for the spatial kinds, the [H,W] bool validity mask (True where
         ``values`` holds a measurement or a click); None otherwise. Its
         consumers cast it to float64 (0.0 / 1.0) where they compute with it.
-    meta: provenance, such as the fraction or the noise parameters.
     """
 
     kind: str
     values: np.ndarray
     mask: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def _squeeze_map(target) -> np.ndarray:
@@ -59,7 +57,7 @@ def masked_gt(target, fraction: float, seed: int) -> AdaptationSignal:
     mask = np.zeros((h, w), dtype=bool)
     mask.reshape(-1)[flat] = True
     values = np.where(mask, t, 0.0)
-    return AdaptationSignal("masked_gt", values, mask, {"fraction": fraction})
+    return AdaptationSignal("masked_gt", values, mask)
 
 
 def noisy_sparse(
@@ -93,12 +91,7 @@ def noisy_sparse(
         vals_on = values[on]
         vals_on[hit] = uni[hit]
         values[on] = vals_on
-    return AdaptationSignal(
-        "noisy_sparse",
-        values,
-        sig.mask,
-        {"fraction": fraction, "noise_sigma": noise_sigma, "outlier_rate": outlier_rate},
-    )
+    return AdaptationSignal("noisy_sparse", values, sig.mask)
 
 
 def click_annotations(target_classes, clicks_per_class: int, seed: int) -> AdaptationSignal:
@@ -121,7 +114,7 @@ def click_annotations(target_classes, clicks_per_class: int, seed: int) -> Adapt
         pick = rng.choice(len(ys), size=take, replace=False)
         mask[ys[pick], xs[pick]] = True
     values = np.where(mask, t, 0)
-    return AdaptationSignal("clicks", values, mask, {"clicks_per_class": clicks_per_class})
+    return AdaptationSignal("clicks", values, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +124,28 @@ def click_annotations(target_classes, clicks_per_class: int, seed: int) -> Adapt
 
 @dataclass(frozen=True)
 class CoarseGrouping:
-    group_of_fine: tuple[int, ...]  # fine class -> coarse class, surjective
+    """A map of fine classes onto coarse ones: fine class y is in coarse
+    class ``group_of_fine[y]``.
+
+    ``ConfigurationError`` unless num_coarse is an integer >= 1 and every
+    coarse class holds a fine class. group_of_fine is a vector of labels
+    in [0, num_coarse), as ``errors.need_labels`` checks them: a list,
+    tuple or array of another rank raises ``DimensionError``, one that is
+    not of integers or holds a label out of range ``LabelRangeError``. It
+    is kept as a tuple of Python ints, so the grouping stays hashable.
+    """
+
+    group_of_fine: tuple[int, ...]
     num_coarse: int
 
     def __post_init__(self):
-        seen = set(self.group_of_fine)
-        if seen != set(range(self.num_coarse)):
+        num_coarse = need_int("num_coarse", self.num_coarse, 1)
+        groups = np.asarray(self.group_of_fine)
+        groups = need_labels("group_of_fine", groups, (groups.size,), num_coarse)
+        if set(groups.tolist()) != set(range(num_coarse)):
             raise ConfigurationError("grouping must be surjective onto coarse classes")
+        object.__setattr__(self, "group_of_fine", tuple(groups.tolist()))
+        object.__setattr__(self, "num_coarse", num_coarse)
 
     @property
     def num_fine(self) -> int:
@@ -156,7 +164,7 @@ def make_coarse_grouping(K: int, C: int) -> CoarseGrouping:
     gmap = np.empty(K, dtype=np.int64)
     for c, block in enumerate(np.array_split(np.arange(K), C)):
         gmap[block] = c
-    return CoarseGrouping(tuple(int(v) for v in gmap), C)
+    return CoarseGrouping(gmap, C)
 
 
 def coarse_label(y_fine: int, grouping: CoarseGrouping) -> AdaptationSignal:
@@ -165,7 +173,7 @@ def coarse_label(y_fine: int, grouping: CoarseGrouping) -> AdaptationSignal:
     y_fine = need_labels("fine class", y_fine, (), grouping.num_fine)
     onehot = np.zeros(grouping.num_coarse)
     onehot[grouping.group_of_fine[y_fine]] = 1.0
-    return AdaptationSignal("coarse", onehot, None, {"num_coarse": grouping.num_coarse})
+    return AdaptationSignal("coarse", onehot)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +267,7 @@ def knn_coarse(
     top = np.concatenate([top, np.flatnonzero(sims == kth)[: k - len(top)]])
     labels = grouping.as_array()[index.labels[top]]
     hist = np.bincount(labels, minlength=grouping.num_coarse).astype(np.float64)
-    return AdaptationSignal("knn_coarse", hist / hist.sum(), None, {"k": k})
+    return AdaptationSignal("knn_coarse", hist / hist.sum())
 
 
 # ---------------------------------------------------------------------------

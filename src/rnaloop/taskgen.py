@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, ContractError, TrainingError, is_real, need_int, seeded
+from .errors import (ConfigurationError, ContractError, DimensionError, TrainingError, is_real, need_int,
+                     seeded)
 from .nets import Model
 
 _STREAM_SCENE = 101
@@ -263,7 +264,10 @@ def train_main(
     seed: int,
     batch_size: int = 8,
 ) -> tuple[Model, list[float]]:
-    """Minibatch SGD on the task loss; returns the model and per-epoch means."""
+    """Minibatch SGD on the task loss; returns the model and per-epoch means.
+
+    Before training, ``ContractError`` for a dataset of no images and
+    ``DimensionError`` unless its targets are one per input."""
     epochs, batch_size = need_int("epochs", epochs, 1), need_int("batch_size", batch_size, 1)
     rng = seeded(seed, _STREAM_TRAIN)
     if dataset.task_kind != model.spec.task_kind:
@@ -273,6 +277,11 @@ def train_main(
     if all(p.frozen for _, p in model.params.items()):
         raise ContractError("train_main: every parameter is frozen; call params.set_frozen(False) first")
     n = len(dataset)
+    if n == 0:
+        raise ContractError("train_main: the dataset holds no images")
+    if np.shape(dataset.targets)[:1] != (n,):
+        raise DimensionError(
+            f"train_main: {n} inputs need one target each, got targets of shape {np.shape(dataset.targets)}")
     curve: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n)

@@ -133,8 +133,9 @@ def _conv(pad):
 
 # name: (an entry as a function of one integer argument, a valid value).
 # Each refused a non-integer with ConfigurationError before numpy integers
-# were taken, except the world's counts, the two builders' seeds and
-# coarse_label's class, which ran or failed inside numpy or Python.
+# were taken, except the world's counts, the two builders' seeds,
+# coarse_label's class and CoarseGrouping's num_coarse, which ran or failed
+# inside numpy or Python.
 _ENTRIES = {
     "masked_gt_seed": (lambda v: signals.masked_gt(_TARGET, 0.1, v), 3),
     "noisy_sparse_seed": (lambda v: signals.noisy_sparse(_TARGET, 0.1, 0.02, 0.05, v), 3),
@@ -144,6 +145,7 @@ _ENTRIES = {
     "coarse_label": (lambda v: signals.coarse_label(v, signals.make_coarse_grouping(20, 5)), 7),
     "coarse_grouping_K": (lambda v: signals.make_coarse_grouping(v, 5), 20),
     "coarse_grouping_C": (lambda v: signals.make_coarse_grouping(20, v), 5),
+    "coarse_grouping_num_coarse": (lambda v: signals.CoarseGrouping((0, 1, 1), v), 2),
     "shift_severity": (lambda v: _shift(severity=v), 2),
     "shift_seed": (lambda v: _shift(seed=v), 3),
     "world_grid": (lambda v: _world(grid=v), 16),
@@ -263,6 +265,8 @@ _LABEL_ENTRIES = {
     "click_feedback": (_click_feedback, (2, 2), 3),
     "click_annotations": (lambda v: signals.click_annotations(v, 1, 0), (2, 2), None),
     "coarse_label": (lambda v: signals.coarse_label(v, signals.make_coarse_grouping(20, 5)), (), 20),
+    # one coarse class, so that any valid grouping is onto it
+    "coarse_grouping": (lambda v: signals.CoarseGrouping(v, 1), (2,), 1),
 }
 
 

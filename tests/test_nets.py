@@ -204,6 +204,94 @@ class TestController:
         assert _names(h.params) == _names(params)
         assert h.params.state_bytes() == params.state_bytes()
 
+    # The parameter layouts of the shipped controllers, as the files they
+    # wrote before their layers became data hold them.
+    PRESET_LAYOUTS = {
+        "dense_controller": [
+            ("c1.w", (8, 3, 3, 3)), ("c1.b", (8,)), ("c2.w", (16, 8, 3, 3)), ("c2.b", (16,)),
+            ("fc.w", (16, 16)), ("fc.b", (16,)), ("head.w", (16, 160)), ("head.b", (160,)),
+        ],
+        "cls_controller": [("fc.w", (25, 12)), ("fc.b", (12,)), ("head.w", (12, 80)), ("head.b", (80,))],
+    }
+
+    @pytest.mark.parametrize("preset", list(PRESET_LAYOUTS))
+    def test_param_layout_of_the_shipped_controllers(self, preset):
+        main = presets.dense_main(seed=0) if preset == "dense_controller" else presets.cls_main(seed=0)
+        h = getattr(presets, preset)(main, 1)
+        assert list(nets._param_layout(h.cspec).items()) == self.PRESET_LAYOUTS[preset]
+        assert [(n, p.value.shape) for n, p in h.params.items()] == self.PRESET_LAYOUTS[preset]
+
+    @staticmethod
+    def _reference_forward(cspec, fb, lifted):
+        """The controller pass written out op by op: the trunk (conv arch
+        only), the hidden layer and the head, then each site's gamma
+        residual and beta."""
+        h = fb
+        if cspec.arch == "conv":
+            h = ad.relu(ad.conv2d(h, lifted["c1.w"], 1, 1, bias=lifted["c1.b"]))
+            h = ad.avgpool2(h)
+            h = ad.relu(ad.conv2d(h, lifted["c2.w"], 1, 1, bias=lifted["c2.b"]))
+            h = ad.avgpool2(h)
+            h = ad.global_avg_pool(h)
+        h = ad.relu(ad.add_bias(ad.matmul(h, lifted["fc.w"]), lifted["fc.b"]))
+        raw = ad.add_bias(ad.matmul(h, lifted["head.w"]), lifted["head.b"])
+        sites, off = [], 0
+        for ch in cspec.film_channels:
+            gres = ad.slice_channels(raw, off, off + ch)
+            beta = ad.slice_channels(raw, off + ch, off + 2 * ch)
+            sites.append((ad.add(gres, ad.as_tensor(np.ones_like(gres.array))), beta))
+            off += 2 * ch
+        return sites
+
+    @pytest.mark.parametrize("preset", ["dense_controller", "cls_controller"])
+    def test_layers_give_the_written_out_pass_bit_for_bit(self, preset):
+        # outputs and parameter gradients at random non-zero parameters on
+        # a batch of three, against the pass written out above
+        main = presets.dense_main(seed=0) if preset == "dense_controller" else presets.cls_main(seed=0)
+        h = getattr(presets, preset)(main, 1)
+        rng = np.random.default_rng(12)
+        params = ad.ParamSet()
+        for name, p in h.params.items():
+            params.add(name, rng.normal(0.0, 0.3, p.value.shape))
+        h = nets.Controller(h.cspec, params)
+        in_shape = (3, h.cspec.in_channels, 32, 32) if h.cspec.arch == "conv" else (3, h.cspec.in_channels)
+        fb = rng.random(in_shape)
+        weights = [(rng.normal(size=(3, c)), rng.normal(size=(3, c))) for c in h.cspec.film_channels]
+
+        def run(forward):
+            with ad.Tape() as tape:
+                lifted = params.lift(tape)
+                sites = forward(lifted)
+                terms = [ad.sum_all(ad.mul(t, ad.as_tensor(w)))
+                         for (g, b), (wg, wb) in zip(sites, weights) for t, w in ((g, wg), (b, wb))]
+                loss = terms[0]
+                for term in terms[1:]:
+                    loss = ad.add(loss, term)
+                ad.backward(loss)
+            grads = params.grads_from(tape, lifted)
+            return [t.array.tobytes() for site in sites for t in site], {n: g.tobytes() for n, g in grads.items()}
+
+        got = run(lambda lifted: h.forward(fb, lifted=lifted).sites)
+        want = run(lambda lifted: self._reference_forward(h.cspec, ad.as_tensor(fb), lifted))
+        assert got == want
+        assert set(got[1]) == {name for name, _ in self.PRESET_LAYOUTS[preset]}
+
+    @pytest.mark.parametrize("preset, shape", [
+        pytest.param("dense_controller", (2, 3, 32), id="conv-rank3"),
+        pytest.param("dense_controller", (2, 3), id="conv-rank2"),
+        pytest.param("dense_controller", (2, 4, 32, 32), id="conv-channels"),
+        pytest.param("dense_controller", (2, 3, 6, 6), id="conv-odd_pooled_grid"),
+        pytest.param("cls_controller", (2, 25, 1, 1), id="mlp-rank4"),
+        pytest.param("cls_controller", (25,), id="mlp-rank1"),
+        pytest.param("cls_controller", (2, 24), id="mlp-width"),
+    ])
+    def test_feedback_of_another_shape_is_a_dimension_error(self, preset, shape):
+        # the first op that reads the feedback refuses it
+        main = presets.dense_main(seed=0) if preset == "dense_controller" else presets.cls_main(seed=0)
+        h = getattr(presets, preset)(main, 1)
+        with pytest.raises(DimensionError, match="conv2d|matmul|avgpool2"):
+            h.forward(np.zeros(shape))
+
     BAD_SPECS = {
         "float_film_channels": {"film_channels": (16.0, 24.0, 24.0, 16.0)},
         "zero_in_channels": {"in_channels": 0},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rnaloop import shifts, taskgen
-from rnaloop.errors import ConfigurationError
+from rnaloop.errors import ConfigurationError, DimensionError
 
 
 def laplacian_energy(img):
@@ -75,6 +75,14 @@ class TestApplyShift:
         x = np.random.default_rng(5).random((1, 16, 16))
         out = shifts.apply_shift(x, shifts.ShiftSpec("gaussian_noise", 5, seed=0))
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("shape", [(), (16,)], ids=["rank0", "rank1"])
+    @pytest.mark.parametrize("kind", shifts.KINDS)
+    def test_input_without_a_trailing_grid_rejected(self, kind, shape):
+        # pixelate and contrast raised numpy's errors on these, and blur
+        # blurred the one axis of a 1-D input twice
+        with pytest.raises(DimensionError, match=r"apply_shift: expected an input ending in \[H,W\]"):
+            shifts.apply_shift(np.full(shape, 0.5), shifts.ShiftSpec(kind, 2, seed=1))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):

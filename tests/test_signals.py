@@ -144,6 +144,27 @@ class TestCoarseGrouping:
         with pytest.raises(ConfigurationError, match="[KC] must be >= 2, as an int"):
             signals.make_coarse_grouping(K, C)
 
+    def test_array_grouping_kept_as_a_hashable_tuple_of_ints(self):
+        g = signals.CoarseGrouping(np.array([0, 1, 1], dtype=np.uint8), np.int64(2))
+        same = signals.CoarseGrouping((0, 1, 1), 2)
+        assert g == same and hash(g) == hash(same)
+        assert all(type(c) is int for c in g.group_of_fine) and type(g.num_coarse) is int
+
+    @pytest.mark.parametrize("groups, num_coarse, error, match", [
+        pytest.param((0, 1), 2.0, ConfigurationError, "num_coarse must be >= 1, as an int", id="float_count"),
+        pytest.param((0, 1.0), 2, LabelRangeError, "group_of_fine must be integer class labels", id="float_group"),
+        pytest.param((0, 2), 2, LabelRangeError, r"group_of_fine span \[0, 2\], out of range \[0, 2\)",
+                     id="group_out_of_range"),
+        pytest.param(np.int64(0), 1, DimensionError, "group_of_fine: expected labels", id="rank0"),
+        pytest.param(((0, 1), (1, 0)), 2, DimensionError, "group_of_fine: expected labels", id="rank2"),
+        pytest.param((0, 0), 2, ConfigurationError, "surjective", id="not_onto"),
+    ])
+    def test_malformed_grouping_rejected(self, groups, num_coarse, error, match):
+        # a float count raised a bare TypeError; a float group built, and
+        # coarse_label then raised a bare IndexError
+        with pytest.raises(error, match=match):
+            signals.CoarseGrouping(groups, num_coarse)
+
 
 class TestCoarseLabel:
     def test_identity_grouping_equals_fine_one_hot(self):
@@ -250,7 +271,6 @@ class TestKnnCoarse:
         sig = signals.knn_coarse(ds.inputs[9], index, 7, g)
         assert sig.values.shape == (5,)
         assert abs(sig.values.sum() - 1.0) < 1e-12
-        assert sig.meta["k"] == 7
 
     @pytest.mark.parametrize("fine", [10, 25])
     def test_grouping_of_other_class_count_rejected(self, setup, fine):

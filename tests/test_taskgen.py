@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rnaloop import nets, presets, shifts, taskgen
-from rnaloop.errors import ConfigurationError, ContractError, TrainingError
+from rnaloop.errors import ConfigurationError, ContractError, DimensionError, TrainingError
 
 
 def painter_oracle(config, shapes):
@@ -314,6 +314,25 @@ class TestTrainMain:
         before = model.params.state_bytes()
         with pytest.raises(ConfigurationError, match="(epochs|batch_size) must be >= 1, as an int"):
             taskgen.train_main(model, ds, epochs=epochs, lr=0.01, seed=0, batch_size=batch_size)
+        assert model.params.state_bytes() == before
+
+    @pytest.mark.parametrize("case, error, match", [
+        ("no_images", ContractError, "dataset holds no images"),
+        ("one_target_short", DimensionError, r"8 inputs need one target each, got targets of shape \(7,\)"),
+        ("scalar_target", DimensionError, r"8 inputs need one target each, got targets of shape \(\)"),
+    ])
+    def test_dataset_checked_before_training(self, case, error, match):
+        # no images gave (model, [nan]) and numpy's "Mean of empty slice";
+        # targets not one per input raised a bare IndexError
+        ds = taskgen.gen_classification(presets.NUM_CLASSES, 8, proto_seed=0, seed=0)
+        if case == "no_images":
+            ds = taskgen.Dataset(ds.task_kind, ds.inputs[:0], ds.targets[:0])
+        else:
+            ds = taskgen.Dataset(ds.task_kind, ds.inputs, ds.targets[:7] if case == "one_target_short" else 3)
+        model = presets.cls_main(1)
+        before = model.params.state_bytes()
+        with pytest.raises(error, match=match):
+            taskgen.train_main(model, ds, epochs=1, lr=0.01, seed=0)
         assert model.params.state_bytes() == before
 
     def test_task_mismatch_rejected(self):

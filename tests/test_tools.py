@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -275,3 +276,20 @@ def test_only_serialize_decides_the_file_format():
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "serialize.py"
              for n, line in enumerate(path.read_text().splitlines(), 1) if banned.search(line)]
     assert found == []
+
+
+def test_only_the_layer_interpreter_applies_layers_in_nets():
+    # both networks describe their layers as data and run them through
+    # nets._layer, so no other function of nets.py calls a layer's op
+    ops = {"conv2d", "matmul", "avgpool2", "global_avg_pool", "add_bias"}
+    tree = ast.parse((PACKAGE / "nets.py").read_text())
+    calls = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            calls[fn.name] = {
+                node.func.attr for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "ad"
+                and node.func.attr in ops}
+    assert calls.get("_layer") == ops
+    assert {name: found for name, found in calls.items() if found and name != "_layer"} == {}
