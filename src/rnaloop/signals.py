@@ -141,10 +141,10 @@ class CoarseGrouping:
     def __post_init__(self):
         num_coarse = need_int("num_coarse", self.num_coarse, 1)
         groups = np.asarray(self.group_of_fine)
-        groups = need_labels("group_of_fine", groups, (groups.size,), num_coarse)
-        if set(groups.tolist()) != set(range(num_coarse)):
+        groups = tuple(need_labels("group_of_fine", groups, (groups.size,), num_coarse).tolist())
+        if set(groups) != set(range(num_coarse)):
             raise ConfigurationError("grouping must be surjective onto coarse classes")
-        object.__setattr__(self, "group_of_fine", tuple(groups.tolist()))
+        object.__setattr__(self, "group_of_fine", groups)
         object.__setattr__(self, "num_coarse", num_coarse)
 
     @property

@@ -317,9 +317,11 @@ class TestTrainMain:
         assert model.params.state_bytes() == before
 
     @pytest.mark.parametrize("case, error, match", [
-        ("no_images", ContractError, "dataset holds no images"),
-        ("one_target_short", DimensionError, r"8 inputs need one target each, got targets of shape \(7,\)"),
-        ("scalar_target", DimensionError, r"8 inputs need one target each, got targets of shape \(\)"),
+        pytest.param("no_images", ContractError, "dataset holds no images", id="no_images"),
+        pytest.param("one_target_short", DimensionError,
+                     r"8 inputs need one target each, got targets of shape \(7,\)", id="one_target_short"),
+        pytest.param("scalar_target", DimensionError,
+                     r"8 inputs need one target each, got targets of shape \(\)", id="scalar_target"),
     ])
     def test_dataset_checked_before_training(self, case, error, match):
         # no images gave (model, [nan]) and numpy's "Mean of empty slice";
