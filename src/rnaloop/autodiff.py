@@ -53,8 +53,9 @@ import itertools
 import math
 import threading
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -205,13 +206,14 @@ class Tensor:
 
 
 class _Constant(Tensor):
-    """A frozen parameter's read-only value, as a constant with no tape node.
+    """A frozen set's read-only value, as a constant with no tape node.
 
     Immutable for life: nothing writes its array, and unfreezing gives the
-    parameter a new array instead of releasing this one. So ``derived``,
-    which holds what ops compute from the value alone (the tap columns of a
-    conv kernel), stays valid for as long as anything holds the constant.
-    The parameter owns it while frozen, so the cache dies with the model.
+    set new arrays instead of releasing this one. So ``derived``, which
+    holds what ops compute from the value alone (the tap columns of a conv
+    kernel), stays valid for as long as anything holds the constant. The
+    set's mapping of constants owns it while the set is frozen, so the
+    cache dies with the model.
     """
 
     __slots__ = ("derived",)
@@ -222,7 +224,7 @@ class _Constant(Tensor):
 
 
 def _derived(t: Tensor, key: str, make: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``make(t.array)``, kept on ``t`` when it is a frozen parameter's constant.
+    """``make(t.array)``, kept on ``t`` when it is a frozen set's constant.
 
     Filled lazily. Threads that race on a first fill compute equal arrays and
     ``dict.setdefault`` keeps one of them, so every caller sees the same one.
@@ -306,116 +308,104 @@ def backward(root: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Param:
-    value: np.ndarray
-    # While frozen: the read-only value as a constant tensor. State that
-    # only _freeze sets, not an argument.
-    const: _Constant | None = field(default=None, init=False)
-
-    @property
-    def frozen(self) -> bool:
-        return self.const is not None
-
-
-def _freeze(p: Param, frozen: bool) -> None:
-    """Make ``p`` an immutable constant, or writable again.
-
-    Freezing replaces the value by a read-only private copy, so no array
-    taken before, nor any view of one, can write it. Unfreezing gives the
-    parameter a writable copy and drops its constant, which with its array
-    and cache stays as it was for whoever still holds it.
-    """
-    if frozen and p.const is None:
-        p.value = p.value.copy()
-        p.value.flags.writeable = False
-        p.const = _Constant(p.value)
-    elif not frozen and p.const is not None:
-        p.value = p.value.copy()
-        p.const = None
-
-
 class ParamSet:
-    """Named parameter arrays, each frozen or not.
+    """Named parameter arrays, frozen or not as a whole.
 
-    Iteration order is insertion order and therefore deterministic. Frozen
-    parameters never receive gradients or optimizer updates, and their
-    values are read-only: an in-place write raises ``ValueError``.
+    Iteration order is insertion order and therefore deterministic. A
+    frozen set receives no gradients or optimizer updates, takes no new
+    parameter, and its values are read-only: an in-place write raises
+    ``ValueError``.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[str, Param] = {}
+        self._values: dict[str, np.ndarray] = {}
+        # While frozen: every value as a constant, in one read-only mapping.
+        # State that only set_frozen sets.
+        self._consts: MappingProxyType | None = None
 
-    def add(self, name: str, value: np.ndarray, frozen: bool = False) -> None:
-        if name in self._entries:
+    @property
+    def frozen(self) -> bool:
+        return self._consts is not None
+
+    def add(self, name: str, value: np.ndarray) -> None:
+        if self.frozen:
+            raise ContractError(f"cannot add parameter {name!r} to a frozen set; call set_frozen(False) first")
+        if name in self._values:
             raise ContractError(f"duplicate parameter name {name!r}")
-        p = Param(np.asarray(value, dtype=_F64))
-        _freeze(p, frozen)
-        self._entries[name] = p
+        self._values[name] = np.asarray(value, dtype=_F64)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._values
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     def get(self, name: str) -> np.ndarray:
-        return self._entries[name].value
+        return self._values[name]
 
-    def items(self) -> Iterable[tuple[str, Param]]:
-        return self._entries.items()
+    def items(self) -> Iterable[tuple[str, np.ndarray]]:
+        return self._values.items()
 
     def set_frozen(self, frozen: bool) -> None:
-        """Freeze every parameter, or unfreeze every one. A frozen value is
-        read-only and :meth:`lift` hands it out as a constant; unfreezing
-        gives each parameter a writable copy of its value."""
-        for p in self._entries.values():
-            _freeze(p, frozen)
+        """Freeze the set, or unfreeze it.
+
+        Freezing replaces every value by a read-only private copy, so no
+        array taken before, nor any view of one, can write it, and builds
+        the one mapping of constants that :meth:`lift` hands out while the
+        set stays frozen. Unfreezing gives every parameter a writable copy
+        and drops that mapping, which with its arrays and caches stays as it
+        was for whoever still holds it; a refreeze builds a new one.
+        """
+        if bool(frozen) == self.frozen:
+            return
+        self._values = {name: v.copy() for name, v in self._values.items()}
+        self._consts = None
+        if frozen:
+            for v in self._values.values():
+                v.flags.writeable = False
+            self._consts = MappingProxyType({name: _Constant(v) for name, v in self._values.items()})
 
     def clone(self) -> "ParamSet":
+        """A set of copies of the values, frozen if this one is."""
         out = ParamSet()
-        for name, p in self._entries.items():
-            out.add(name, p.value.copy(), p.frozen)
+        for name, v in self._values.items():
+            out.add(name, v.copy())
+        out.set_frozen(self.frozen)
         return out
 
     def count(self) -> int:
-        return sum(p.value.size for p in self._entries.values())
+        return sum(v.size for v in self._values.values())
 
     def state_bytes(self) -> bytes:
         """Concatenated little-endian values, for byte-identity checks."""
-        return b"".join(
-            p.value.astype("<f8", copy=False).tobytes() for p in self._entries.values()
-        )
+        return b"".join(v.astype("<f8", copy=False).tobytes() for v in self._values.values())
 
-    def lift(self, tape: Tape | None) -> dict[str, Tensor]:
+    def lift(self, tape: Tape | None) -> Mapping[str, Tensor]:
         """The parameters as tensors for one pass, by name.
 
-        An unfrozen parameter becomes a leaf that needs a gradient on
-        ``tape``. Every other one is a constant with no tape node: a frozen
-        parameter is its read-only constant, the same object on every call
-        while it stays frozen (ops cache what they derive from it), and an
-        unfrozen one with no tape is a plain constant.
+        A frozen set gives its read-only mapping of constants with no tape
+        node, the same object on every call while it stays frozen (ops cache
+        what they derive from a constant). An unfrozen set gives a new dict:
+        each parameter a leaf that needs a gradient on ``tape``, or with no
+        tape a plain constant.
         """
-        out = {}
-        for name, p in self._entries.items():
-            if p.const is not None:
-                out[name] = p.const
-            elif tape is None:
-                out[name] = Tensor(p.value, None)
-            else:
-                out[name] = tape.leaf(p.value)
-        return out
+        if self._consts is not None:
+            return self._consts
+        if tape is None:
+            return {name: Tensor(v, None) for name, v in self._values.items()}
+        return {name: tape.leaf(v) for name, v in self._values.items()}
 
-    def grads_from(self, tape: Tape, lifted: dict[str, Tensor]) -> dict[str, np.ndarray]:
-        """Collect gradients for the unfrozen parameters.
+    def grads_from(self, tape: Tape, lifted: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+        """Collect the parameters' gradients: none for a frozen set.
 
-        Raises if an unfrozen parameter ended up with no gradient (it was
-        never used in the recorded graph), which indicates a wiring bug.
+        Raises if a parameter of an unfrozen set ended up with no gradient
+        (it was never used in the recorded graph), which indicates a wiring
+        bug.
         """
+        if self.frozen:
+            return {}
         out = {}
-        for name, p in self._entries.items():
-            if p.frozen:
-                continue
+        for name in self._values:
             g = tape.grad(lifted[name])
             if g is None:
                 raise ContractError(f"missing gradient for unfrozen parameter {name!r}")
@@ -424,20 +414,30 @@ class ParamSet:
 
 
 def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
-    """In-place p <- p - lr*g for the unfrozen parameters.
+    """In-place p <- p - lr*g for every parameter of an unfrozen set; a
+    frozen set is left as it is.
 
     lr == 0 is an allowed null step; a negative or non-finite lr, or one
-    that is not a number, is rejected.
+    that is not a number, is rejected. Every parameter needs a gradient of
+    its own shape: ``ContractError`` if one is missing, ``DimensionError``
+    if one has another shape, both checked before any value is written, so
+    a set is stepped whole or not at all.
     """
     if not (is_real(lr) and 0 <= lr < np.inf):  # NaN fails both
         raise ContractError(f"sgd_step: learning rate must be a number, finite and >= 0, got {lr!r}")
-    for name, p in params.items():
-        if p.frozen:
-            continue
+    if params.frozen:
+        return
+    steps = []
+    for name, value in params.items():
         if name not in grads:
             raise ContractError(f"sgd_step: missing gradient for unfrozen parameter {name!r}")
-        if lr != 0.0:
-            p.value -= lr * grads[name]
+        g = np.asarray(grads[name], dtype=_F64)
+        if g.shape != value.shape:
+            raise DimensionError(f"sgd_step: gradient of {name!r} has shape {g.shape}, the parameter {value.shape}")
+        steps.append((value, g))
+    if lr != 0.0:
+        for value, g in steps:
+            value -= lr * g
 
 
 # ---------------------------------------------------------------------------
@@ -887,15 +887,22 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _need_rows(opname: str, m: int) -> None:
+    """``DegenerateSupervisionError`` when a loss would average over no rows."""
+    if m == 0:
+        raise DegenerateSupervisionError(f"{opname}: empty batch")
+
+
 def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
     """Mean -log softmax(logits)[target] over the batch.
 
-    logits: [N,K] with a length-N index vector.
+    logits: [N,K] with a length-N index vector, N >= 1.
     """
     rows = logits.array
     _need_rank(rows, 2, "softmax_cross_entropy")
     n, k = rows.shape
     t = need_labels("softmax_cross_entropy targets", target, (n,), k)
+    _need_rows("softmax_cross_entropy", n)
     p = softmax(rows, axis=1)
     loss = float(-np.log(p[np.arange(n), t]).mean())
 
@@ -951,7 +958,7 @@ def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarra
     """Marginalized cross-entropy: -log sum_{fine in group} softmax(logits)[fine].
 
     ``group_of_fine`` maps each fine class index to its coarse class.
-    logits: [N,K] with a length-N target vector.
+    logits: [N,K] with a length-N target vector, N >= 1.
     """
     rows = logits.array
     _need_rank(rows, 2, "coarse_cross_entropy")
@@ -959,6 +966,7 @@ def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarra
     # a grouping has no more coarse classes than fine ones
     gmap = need_labels("coarse_cross_entropy grouping", group_of_fine, (k,), k)
     t = need_labels("coarse_cross_entropy targets", coarse_target, (n,), gmap.max() + 1)
+    _need_rows("coarse_cross_entropy", n)
     p = softmax(rows, axis=1)
     member = gmap[None, :] == t[:, None]  # [N,K]
     if not member.any(axis=1).all():
@@ -977,7 +985,8 @@ def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarra
 def prediction_entropy(logits: Tensor) -> Tensor:
     """Mean Shannon entropy of softmax(logits) over batch/pixels.
 
-    Accepts [N,K] or [N,K,H,W]; the class axis is axis 1.
+    Accepts [N,K] or [N,K,H,W] with at least one row or pixel; the class
+    axis is axis 1.
     """
     xv = logits.array
     if xv.ndim == 2:
@@ -986,6 +995,7 @@ def prediction_entropy(logits: Tensor) -> Tensor:
         rows = xv.transpose(0, 2, 3, 1).reshape(-1, xv.shape[1])
     else:
         raise DimensionError(f"prediction_entropy: expected [N,K] or [N,K,H,W], got {xv.shape}")
+    _need_rows("prediction_entropy", rows.shape[0])
     p = softmax(rows, axis=1)
     logp = np.log(np.maximum(p, 1e-300))  # p*log p -> 0 as p -> 0
     ent = -(p * logp).sum(axis=1)
@@ -1012,9 +1022,10 @@ def bernoulli_entropy(x: Tensor) -> Tensor:
     Values are clipped to [eps, 1-eps], eps = ``_BERNOULLI_EPS``, before
     the entropy; the gradient is zero in the clipped region. Used as a
     confidence proxy for bounded dense regressions, where softmax entropy
-    is undefined.
+    is undefined. ``x`` holds at least one value.
     """
     xv, eps = x.array, _BERNOULLI_EPS
+    _need_rows("bernoulli_entropy", xv.size)
     xc = np.clip(xv, eps, 1.0 - eps)
     inside = (xv > eps) & (xv < 1.0 - eps)
     ent = -(xc * np.log(xc) + (1.0 - xc) * np.log(1.0 - xc))

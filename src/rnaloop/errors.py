@@ -25,7 +25,7 @@ class ContractError(RnaLoopError, RuntimeError):
 
 
 class DegenerateSupervisionError(RnaLoopError, ValueError):
-    """A supervision mask selects no pixels at all."""
+    """A supervision input selects nothing: an empty mask or batch."""
 
 
 class LabelRangeError(RnaLoopError, IndexError):
@@ -63,8 +63,11 @@ def need_labels(name: str, value, shape: tuple[int, ...], classes: int) -> np.nd
     """``value`` as an int64 array of class labels. ``DimensionError``
     unless its shape is ``shape``; ``LabelRangeError`` unless its dtype is
     an integer one (so not bool or float) and every entry lies in
-    [0, ``classes``). An int64 array comes back as it is, not copied."""
+    [0, ``classes``). An empty list or tuple is empty int64 labels; an
+    int64 array comes back as it is, not copied."""
     labels = np.asarray(value)
+    if isinstance(value, (list, tuple)) and labels.size == 0:
+        labels = labels.astype(np.int64)  # np.asarray([]) is float64
     if labels.shape != shape:
         raise DimensionError(f"{name}: expected labels of shape {shape}, got {labels.shape}")
     if labels.dtype.kind not in "iu":

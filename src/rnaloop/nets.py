@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import warnings
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -35,13 +35,6 @@ from .autodiff import ParamSet, Tensor
 from .errors import (ConfigurationError, ContractError, DimensionError, SerializationError, need_int,
                      seeded)
 from . import serialize
-
-# Controller size relative to the main network, for shipped configs.
-BUDGET_RANGE = (0.05, 0.20)
-
-
-class BudgetWarning(UserWarning):
-    """Controller/main parameter ratio fell outside the intended range."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +198,7 @@ class Model:
         self,
         x,
         film: FiLMParams | None = None,
-        lifted: dict[str, Tensor] | None = None,
+        lifted: Mapping[str, Tensor] | None = None,
         tape=None,
         return_acts: bool = False,
     ):
@@ -227,21 +220,23 @@ class Model:
         the next layer has run; what a backward pass needs of it lives in
         the recorded op.
 
-        A call runs on frozen weights when every lifted parameter is a
-        frozen parameter's constant (``autodiff._Constant``) and ``x`` needs
-        no gradient, as in test-time optimization and controller
-        adaptation; the ops then record nothing before the first FiLM site.
-        Per thread, the model keeps its last unmodulated pass on frozen
-        weights and one image (a batch of one, as an adaptation episode
-        runs): copies of the input, of the activations up to and including
-        the first site's layer (every layer when there are no sites) and of
-        the output, and the constants read. Passes on more than one image are
-        not kept: in index building and set-up training they are never or
-        rarely repeated, and their activations cost peak memory.
+        A call runs on frozen weights when ``x`` needs no gradient and
+        ``lifted`` is the frozen parameter set's one mapping of constants
+        (``params.lift`` of a frozen set, by the model or by the caller), as
+        in test-time optimization and controller adaptation; the ops then
+        record nothing before the first FiLM site. Per thread, the model
+        keeps its last unmodulated pass on frozen weights and one image (a
+        batch of one, as an adaptation episode runs): copies of the input,
+        of the activations up to and including the first site's layer (every
+        layer when there are no sites) and of the output, and the mapping
+        read. Passes on more than one image are not kept: in index building
+        and set-up training they are never or rarely repeated, and their
+        activations cost peak memory.
 
         A later call on frozen weights and the same thread reuses the kept
         pass when its input is byte-equal to the kept one and it reads the
-        same constant objects. A constant never changes, so that is the same
+        same mapping object. A frozen set's mapping and its constants never
+        change, and a refreeze builds a new mapping, so that is the same
         weights. On reuse an unmodulated call without ``return_acts`` gets a
         copy of the kept output; any other call resumes at the first site
         from the kept activations. Results, ``return_acts`` lists and
@@ -264,8 +259,7 @@ class Model:
         site_map = {} if film is None else {i: gb for (i, _), gb in zip(sites, film.sites)}
         layers = self.spec.layers
         keep = min(sites)[0] + 1 if sites else len(layers)
-        frozen = xt.node is None and all(
-            isinstance(t, ad._Constant) for t in lifted.values())
+        frozen = xt.node is None and self.params.frozen and lifted is self.params.lift(None)
         memo = getattr(self._memo, "last", None) if frozen else None
         # acts[i] is layer i's output if it is held (see above), else None
         acts: list[Tensor | None] = []
@@ -293,7 +287,7 @@ class Model:
         return cur
 
 
-def _layer(layer: dict, cur: Tensor, lifted: dict[str, Tensor], acts) -> Tensor:
+def _layer(layer: dict, cur: Tensor, lifted: Mapping[str, Tensor], acts) -> Tensor:
     """One layer of a spec's ``layers`` applied to ``cur``. ``lifted`` holds
     the parameters by name; ``acts`` holds the earlier layers' outputs that
     a concat reads (None for a controller, which has none)."""
@@ -323,27 +317,27 @@ class _Pass:
 
     Holds private copies of the input and the activations, so neither the
     caller of that pass nor of a later reuse can change what a reuse
-    returns, and the frozen constants the pass read. A constant is
-    immutable for life (see ``autodiff._Constant``), so a later call reads
-    the same weights exactly when it holds the same constant objects.
+    returns, and the frozen set's mapping of constants that the pass read.
+    That mapping and its constants are immutable for life (see
+    ``ParamSet.set_frozen``), so a later call reads the same weights
+    exactly when it holds the same mapping.
     """
 
     x_shape: tuple[int, ...]
     x_bytes: bytes
-    held: dict[str, Tensor]  # the constants read, by name
+    consts: Mapping[str, Tensor]  # the frozen set's constants read
     acts: list[np.ndarray]  # activations of the first len(acts) layers
     out: np.ndarray
 
     @staticmethod
-    def record(xv: np.ndarray, lifted: dict[str, Tensor], kept: list[Tensor], out: Tensor) -> "_Pass":
+    def record(xv: np.ndarray, consts: Mapping[str, Tensor], kept: list[Tensor], out: Tensor) -> "_Pass":
         acts = [a.array.copy() for a in kept]
         out_copy = acts[-1] if kept[-1] is out else out.array.copy()
-        return _Pass(xv.shape, xv.tobytes(), dict(lifted), acts, out_copy)
+        return _Pass(xv.shape, xv.tobytes(), consts, acts, out_copy)
 
-    def matches(self, xv: np.ndarray, lifted: dict[str, Tensor]) -> bool:
-        """Same input bytes, and the same constant under every held name."""
-        return (xv.shape == self.x_shape and xv.tobytes() == self.x_bytes
-                and all(lifted.get(n) is c for n, c in self.held.items()))
+    def matches(self, xv: np.ndarray, lifted: Mapping[str, Tensor]) -> bool:
+        """The same mapping of constants, and the same input bytes."""
+        return lifted is self.consts and xv.shape == self.x_shape and xv.tobytes() == self.x_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +486,8 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
     """Instantiate a controller for the main model's film sites.
 
     The head is zero-initialized so the first emitted coefficients are the
-    exact identity. Warns if the parameter budget leaves the intended
-    share of the main network. ``ConfigurationError`` unless the seed is an
-    integer >= 0.
+    exact identity. ``ConfigurationError`` unless the seed is an integer
+    >= 0.
     """
     if not main.spec.film_sites:
         raise ContractError("main model has no film sites; build it with film_k >= 1")
@@ -503,15 +496,7 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
         raise ConfigurationError(
             f"controller film channels {cspec.film_channels} != model sites {expected}"
         )
-    h = Controller(cspec, _init_params(_param_layout(cspec), seed))
-    ratio = h.params.count() / main.params.count()
-    if not (BUDGET_RANGE[0] <= ratio <= BUDGET_RANGE[1]):
-        warnings.warn(
-            f"controller/main parameter ratio {ratio:.3f} outside "
-            f"[{BUDGET_RANGE[0]}, {BUDGET_RANGE[1]}]",
-            BudgetWarning,
-        )
-    return h
+    return Controller(cspec, _init_params(_param_layout(cspec), seed))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +507,7 @@ def build_controller(cspec: ControllerSpec, main: Model, seed: int) -> Controlle
 def _save(path, kind: str, spec, params: ParamSet) -> None:
     """Store the spec's fields and the parameters as a ``kind`` file; the
     spec alone fixes the parameters' names, order and shapes."""
-    serialize.save(path, kind, dataclasses.asdict(spec), {name: p.value for name, p in params.items()})
+    serialize.save(path, kind, dataclasses.asdict(spec), dict(params.items()))
 
 
 def _load(path, kind: str, spec_cls) -> tuple:

@@ -274,7 +274,7 @@ def train_main(
         raise ConfigurationError(
             f"dataset task {dataset.task_kind!r} != model task {model.spec.task_kind!r}"
         )
-    if all(p.frozen for _, p in model.params.items()):
+    if model.params.frozen:
         raise ContractError("train_main: every parameter is frozen; call params.set_frozen(False) first")
     n = len(dataset)
     if n == 0:

@@ -341,6 +341,21 @@ class TestSoftmaxCrossEntropy:
             ad.softmax_cross_entropy(t(np.zeros((1, 4))), [4])
 
 
+@pytest.mark.parametrize("loss,shape", [
+    pytest.param(lambda x: ad.softmax_cross_entropy(x, np.zeros(0, np.int64)), (0, 4), id="softmax_ce"),
+    pytest.param(lambda x: ad.softmax_cross_entropy(x, []), (0, 4), id="softmax_ce_list"),
+    pytest.param(lambda x: ad.coarse_cross_entropy(x, [], [0, 0, 1, 1]), (0, 4), id="coarse_ce"),
+    pytest.param(ad.prediction_entropy, (0, 4), id="prediction_entropy_rows"),
+    pytest.param(ad.prediction_entropy, (2, 4, 0, 3), id="prediction_entropy_pixels"),
+    pytest.param(ad.bernoulli_entropy, (0, 1, 4, 4), id="bernoulli_entropy"),
+])
+def test_empty_batch_is_degenerate_supervision(loss, shape):
+    # each returned NaN with numpy's "Mean of empty slice" RuntimeWarning,
+    # where the masked losses refuse an empty mask
+    with pytest.raises(DegenerateSupervisionError, match="empty batch"):
+        loss(t(np.zeros(shape)))
+
+
 def test_label_out_of_range_is_a_label_range_error():
     logits = t(np.zeros((1, 4)))
     for call in (lambda: ad.softmax_cross_entropy(logits, [-1]),
@@ -618,9 +633,11 @@ class TestSgdStep:
 
     def test_frozen_unchanged_bit_exact(self):
         ps = ad.ParamSet()
-        ps.add("p", np.array([1.0, 2.0]), frozen=True)
+        ps.add("p", np.array([1.0, 2.0]))
+        ps.set_frozen(True)
         before = ps.state_bytes()
         ad.sgd_step(ps, {}, 0.1)
+        ad.sgd_step(ps, {"p": np.array([5.0, 5.0])}, 0.1)
         assert ps.state_bytes() == before
 
     def test_missing_gradient_rejected(self):
@@ -634,6 +651,39 @@ class TestSgdStep:
         ps.add("p", np.array([1.0]))
         with pytest.raises(ContractError):
             ad.sgd_step(ps, {"p": np.array([1.0])}, -0.1)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(np.array([0.1]), id="broadcast"),
+        pytest.param(np.ones((3, 3)), id="matrix"),
+        pytest.param([1.0, 2.0], id="short_list"),
+    ])
+    def test_gradient_of_another_shape_refused_before_any_write(self, bad):
+        # a (1,) gradient was broadcast over the parameter; a (3, 3) one and
+        # a list raised numpy's bare ValueError and TypeError, after the
+        # parameters before them had been stepped
+        ps = ad.ParamSet()
+        ps.add("a", np.array([1.0, 2.0, 3.0]))
+        ps.add("b", np.array([1.0, 2.0, 3.0]))
+        before = ps.state_bytes()
+        with pytest.raises(DimensionError, match=r"sgd_step: gradient of 'b' has shape"):
+            ad.sgd_step(ps, {"a": np.ones(3), "b": bad}, 0.1)
+        assert ps.state_bytes() == before
+
+    def test_missing_gradient_refused_before_any_write(self):
+        ps = ad.ParamSet()
+        ps.add("a", np.array([1.0]))
+        ps.add("b", np.array([1.0]))
+        with pytest.raises(ContractError, match="missing gradient for unfrozen parameter 'b'"):
+            ad.sgd_step(ps, {"a": np.ones(1)}, 0.1)
+        assert ps.get("a").tolist() == [1.0]
+
+    def test_list_gradient_of_the_right_shape_steps_as_an_array(self):
+        ps, twin = ad.ParamSet(), ad.ParamSet()
+        ps.add("p", np.array([1.0, 2.0, 3.0]))
+        twin.add("p", np.array([1.0, 2.0, 3.0]))
+        ad.sgd_step(ps, {"p": [0.5, 1, 2.5]}, 0.1)
+        ad.sgd_step(twin, {"p": np.array([0.5, 1.0, 2.5])}, 0.1)
+        assert ps.state_bytes() == twin.state_bytes()
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, "0.1", None])
     def test_non_finite_lr_rejected(self, lr):
@@ -670,18 +720,19 @@ class TestTapeSemantics:
         assert out.node is None
 
     def test_frozen_leaf_gets_no_grad(self):
-        ps = ad.ParamSet()
         rng = np.random.default_rng(19)
-        ps.add("w", rng.normal(size=(3, 3)), frozen=True)
-        ps.add("v", rng.normal(size=(3, 3)))
+        frozen, free = ad.ParamSet(), ad.ParamSet()
+        frozen.add("w", rng.normal(size=(3, 3)))
+        frozen.set_frozen(True)
+        free.add("v", rng.normal(size=(3, 3)))
         with ad.Tape() as tape:
-            lifted = ps.lift(tape)
-            loss = ad.sum_all(ad.matmul(lifted["w"], lifted["v"]))
+            fixed, lifted = frozen.lift(tape), free.lift(tape)
+            loss = ad.sum_all(ad.matmul(fixed["w"], lifted["v"]))
             ad.backward(loss)
-        assert tape.grad(lifted["w"]) is None
+        assert tape.grad(fixed["w"]) is None
         assert tape.grad(lifted["v"]) is not None
-        grads = ps.grads_from(tape, lifted)
-        assert set(grads) == {"v"}
+        assert frozen.grads_from(tape, fixed) == {}
+        assert set(free.grads_from(tape, lifted)) == {"v"}
 
     def test_backward_after_tape_freed_rejected(self):
         def record():
@@ -730,8 +781,7 @@ class TestFrozenParams:
         ps = self.frozen_set()
         with ad.Tape() as tape:
             a = ps.lift(tape)
-        b = ps.lift(None)
-        assert a is not b and a == b  # the same constants, in a new dict
+        assert ps.lift(None) is a  # one mapping while the set stays frozen
         assert all(t.node is None for t in a.values()) and tape.nodes == []
         assert a["w"].array is ps.get("w")
         ps.set_frozen(False)
@@ -741,26 +791,44 @@ class TestFrozenParams:
         ps.set_frozen(True)
         assert ps.lift(None)["w"] is not a["w"]
 
-    def test_partly_frozen_set(self):
-        ps = ad.ParamSet()
-        ps.add("w", np.ones(2), frozen=True)
-        ps.add("v", np.ones(2))
+    def test_frozen_lift_is_one_read_only_mapping(self):
+        ps = self.frozen_set()
+        consts = ps.lift(None)
+        assert [ps.lift(None) is consts for _ in range(3)] == [True] * 3
+        with pytest.raises(TypeError):
+            consts["w"] = ad.as_tensor(np.zeros((3, 3)))
+        with pytest.raises(TypeError):
+            del consts["v"]
+        assert list(consts) == ["w", "v"] and consts["w"].array is ps.get("w")
+        ps.set_frozen(True)  # already frozen: the same mapping
+        assert ps.lift(None) is consts
+
+    def test_unfrozen_lift_is_a_new_dict_of_leaves_or_plain_constants(self):
+        ps = self.frozen_set()
+        ps.set_frozen(False)
         with ad.Tape() as tape:
-            lifted = ps.lift(tape)
-        assert lifted["w"].node is None
-        assert lifted["v"].node is not None
-        assert lifted["w"] is ps.lift(tape)["w"]
-        assert len(tape.nodes) == 2  # one leaf for v per lift
-        with pytest.raises(ValueError):
-            ps.get("w")[0] = 2.0
-        ps.get("v")[0] = 2.0  # not frozen: writable
-        assert ps.lift(None)["v"].node is None  # no tape: a plain constant
+            a, b = ps.lift(tape), ps.lift(tape)
+        assert a is not b and len(tape.nodes) == 4  # one leaf per parameter per lift
+        assert all(t.node is not None for t in a.values())
+        assert all(t.node is None for t in ps.lift(None).values())  # no tape: plain constants
+
+    def test_add_to_a_frozen_set_refused_and_set_unchanged(self):
+        ps = self.frozen_set()
+        consts, before = ps.lift(None), ps.state_bytes()
+        with pytest.raises(ContractError, match="frozen"):
+            ps.add("u", np.ones(2))
+        assert "u" not in ps and len(ps) == 2
+        assert ps.lift(None) is consts and ps.state_bytes() == before
+        ps.set_frozen(False)
+        ps.add("u", np.ones(2))
+        assert len(ps) == 3
 
     def test_clone_of_a_frozen_set_is_frozen_and_read_only(self):
         ps = self.frozen_set()
         twin = ps.clone()
         assert twin.state_bytes() == ps.state_bytes()
-        assert all(p.frozen for _, p in twin.items())
+        assert twin.frozen
+        assert twin.lift(None) is not ps.lift(None)
         with pytest.raises(ValueError):
             twin.get("w")[0, 0] = 1.0
         assert twin.get("w") is not ps.get("w")
@@ -777,16 +845,17 @@ class TestFrozenParams:
 
     def test_arrays_taken_before_freezing_cannot_write_it(self):
         given = np.arange(4.0)
-        ps = ad.ParamSet()
+        ps, other = ad.ParamSet(), ad.ParamSet()
         ps.add("w", given)
-        ps.add("v", given, frozen=True)
+        other.add("v", given)
+        other.set_frozen(True)
         value = ps.get("w")
         view = value[1:]
         ps.set_frozen(True)
         view[0] = 9.0
         value[0] = 9.0
         given[2] = 9.0  # the caller's array stays writable and is not the parameter
-        assert ps.get("w").tolist() == ps.get("v").tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert ps.get("w").tolist() == other.get("v").tolist() == [0.0, 1.0, 2.0, 3.0]
         assert ps.lift(None)["w"].array is ps.get("w")
 
     @pytest.mark.parametrize("stride,pad,k", CONV_GRID)

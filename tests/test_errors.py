@@ -69,6 +69,16 @@ class TestLabelRule:
     def test_no_labels_pass(self):
         assert need_labels("y", np.zeros((0, 2), dtype=np.int64), (0, 2), 3).shape == (0, 2)
 
+    @pytest.mark.parametrize("value", [[], ()])
+    def test_an_empty_list_or_tuple_is_no_labels(self, value):
+        # np.asarray([]) is float64, which was refused as not integer labels
+        got = need_labels("y", value, (0,), 3)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    def test_an_empty_float_array_stays_refused(self):
+        with pytest.raises(LabelRangeError, match="integer class labels, got dtype float64"):
+            need_labels("y", np.zeros(0), (0,), 3)
+
     def test_unsigned_labels_past_int64_refused(self):
         with pytest.raises(LabelRangeError, match=r"y span \[0, 9223372036854775808\], out of range \[0, 3\)"):
             need_labels("y", np.array([0, 2**63], dtype=np.uint64), (2,), 3)

@@ -163,16 +163,6 @@ class TestController:
         ratio = h.params.count() / f.params.count()
         assert 0.05 <= ratio <= 0.20
 
-    def test_budget_warning_outside_range(self):
-        f = presets.dense_main(seed=0)
-        cspec = nets.ControllerSpec(
-            arch="conv", in_channels=3,
-            film_channels=[c for _, c in f.spec.film_sites],
-            hidden=256,
-        )
-        with pytest.warns(nets.BudgetWarning, match="ratio"):
-            nets.build_controller(cspec, f, 0)
-
     def test_head_length_arithmetic(self):
         cspec = nets.ControllerSpec(arch="conv", in_channels=3,
                                     film_channels=[8, 16, 16, 8])
@@ -219,7 +209,7 @@ class TestController:
         main = presets.dense_main(seed=0) if preset == "dense_controller" else presets.cls_main(seed=0)
         h = getattr(presets, preset)(main, 1)
         assert list(nets._param_layout(h.cspec).items()) == self.PRESET_LAYOUTS[preset]
-        assert [(n, p.value.shape) for n, p in h.params.items()] == self.PRESET_LAYOUTS[preset]
+        assert [(n, v.shape) for n, v in h.params.items()] == self.PRESET_LAYOUTS[preset]
 
     @staticmethod
     def _reference_forward(cspec, fb, lifted):
@@ -251,8 +241,8 @@ class TestController:
         h = getattr(presets, preset)(main, 1)
         rng = np.random.default_rng(12)
         params = ad.ParamSet()
-        for name, p in h.params.items():
-            params.add(name, rng.normal(0.0, 0.3, p.value.shape))
+        for name, v in h.params.items():
+            params.add(name, rng.normal(0.0, 0.3, v.shape))
         h = nets.Controller(h.cspec, params)
         in_shape = (3, h.cspec.in_channels, 32, 32) if h.cspec.arch == "conv" else (3, h.cspec.in_channels)
         fb = rng.random(in_shape)
@@ -1067,8 +1057,34 @@ class TestPassReuse:
         assert check(x, lifted=model.params.lift(None)) == 0  # a caller's lift of the same constants
         twin = model.params.clone()
         assert check(x, lifted=twin.lift(None)) == 8  # equal values, other constants
-        lifted = {n: ad.Tensor(v.value + 1e-3) for n, v in model.params.items()}
+        lifted = {n: ad.Tensor(v + 1e-3) for n, v in model.params.items()}
         assert check(x, lifted=lifted) == 8  # the weights a call reads, not the store's
+
+    def test_only_the_frozen_sets_own_mapping_is_reused(self, monkeypatch):
+        model = presets.dense_main(seed=54)
+        model.params.set_frozen(True)
+        x = np.random.default_rng(55).random((1,) + model.spec.in_shape)
+        want = model.forward(x).array.tobytes()
+        calls = self.conv_calls(monkeypatch)
+
+        def convs(**kwargs):
+            before = calls[0]
+            assert model.forward(x, **kwargs).array.tobytes() == want
+            return calls[0] - before
+
+        consts = model.params.lift(None)
+        assert convs() == 0
+        assert convs(lifted=consts) == 0  # the caller's lift is the same mapping
+        assert convs(lifted=dict(consts)) == 8  # the same constants in another dict
+        assert convs(lifted=model.params.clone().lift(None)) == 8  # a twin's constants
+        assert convs(lifted={n: ad.Tensor(v) for n, v in model.params.items()}) == 8  # plain tensors
+        assert convs() == 0  # none of them replaced the kept pass
+        model.params.set_frozen(False)
+        model.params.set_frozen(True)
+        assert model.params.lift(None) is not consts
+        assert convs() == 8  # refrozen: a new mapping, so a full pass
+        assert convs() == 0  # which is kept and reused
+        assert convs(lifted=consts) == 8  # the old mapping no longer matches
 
     def test_unfrozen_weights_are_never_reused(self, monkeypatch):
         src = presets.dense_main(seed=50)
@@ -1076,8 +1092,8 @@ class TestPassReuse:
         view = base[...]
         view.flags.writeable = False
         params = ad.ParamSet()
-        for name, p in src.params.items():
-            params.add(name, view if name == "L0.w" else p.value)
+        for name, v in src.params.items():
+            params.add(name, view if name == "L0.w" else v)
         model = nets.Model(src.spec, params)
         x = np.random.default_rng(51).random((1,) + model.spec.in_shape)
         calls = self.conv_calls(monkeypatch)

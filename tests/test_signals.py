@@ -158,6 +158,8 @@ class TestCoarseGrouping:
         pytest.param(np.int64(0), 1, DimensionError, "group_of_fine: expected labels", id="rank0"),
         pytest.param(((0, 1), (1, 0)), 2, DimensionError, "group_of_fine: expected labels", id="rank2"),
         pytest.param((0, 0), 2, ConfigurationError, "surjective", id="not_onto"),
+        pytest.param((), 1, ConfigurationError, "surjective", id="empty_tuple"),
+        pytest.param([], 1, ConfigurationError, "surjective", id="empty_list"),
     ])
     def test_malformed_grouping_rejected(self, groups, num_coarse, error, match):
         # a float count raised a bare TypeError; a float group built, and

@@ -293,3 +293,16 @@ def test_only_the_layer_interpreter_applies_layers_in_nets():
                 and node.func.attr in ops}
     assert calls.get("_layer") == ops
     assert {name: found for name, found in calls.items() if found and name != "_layer"} == {}
+
+
+def test_only_autodiff_decides_what_a_frozen_weight_is():
+    # a parameter set is frozen as a whole, and a caller tells a frozen call
+    # by the set's one mapping of constants, so no module but autodiff.py
+    # names the constant class
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "autodiff.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Name) and node.id == "_Constant")
+             or (isinstance(node, ast.Attribute) and node.attr == "_Constant")
+             or (isinstance(node, ast.alias) and node.name == "_Constant")]
+    assert found == []
