@@ -419,9 +419,10 @@ def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
 
     lr == 0 is an allowed null step; a negative or non-finite lr, or one
     that is not a number, is rejected. Every parameter needs a gradient of
-    its own shape: ``ContractError`` if one is missing, ``DimensionError``
-    if one has another shape, both checked before any value is written, so
-    a set is stepped whole or not at all.
+    its own shape and a writable value: ``ContractError`` if a gradient is
+    missing or a value read-only, ``DimensionError`` if a gradient has
+    another shape, all checked before any value is written, so a set is
+    stepped whole or not at all.
     """
     if not (is_real(lr) and 0 <= lr < np.inf):  # NaN fails both
         raise ContractError(f"sgd_step: learning rate must be a number, finite and >= 0, got {lr!r}")
@@ -434,6 +435,8 @@ def sgd_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> None:
         g = np.asarray(grads[name], dtype=_F64)
         if g.shape != value.shape:
             raise DimensionError(f"sgd_step: gradient of {name!r} has shape {g.shape}, the parameter {value.shape}")
+        if not value.flags.writeable:
+            raise ContractError(f"sgd_step: parameter {name!r} is read-only")
         steps.append((value, g))
     if lr != 0.0:
         for value, g in steps:

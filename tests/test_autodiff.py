@@ -677,6 +677,18 @@ class TestSgdStep:
             ad.sgd_step(ps, {"a": np.ones(1)}, 0.1)
         assert ps.get("a").tolist() == [1.0]
 
+    def test_read_only_value_refused_before_any_write(self):
+        # an unfrozen set may hold a read-only array; numpy refused to write
+        # it only after the parameters before it had been stepped
+        ps = ad.ParamSet()
+        ps.add("a", np.array([1.0]))
+        fixed = np.array([1.0])
+        fixed.flags.writeable = False
+        ps.add("b", fixed)
+        with pytest.raises(ContractError, match="parameter 'b' is read-only"):
+            ad.sgd_step(ps, {"a": np.ones(1), "b": np.ones(1)}, 0.1)
+        assert ps.get("a").tolist() == [1.0]
+
     def test_list_gradient_of_the_right_shape_steps_as_an_array(self):
         ps, twin = ad.ParamSet(), ad.ParamSet()
         ps.add("p", np.array([1.0, 2.0, 3.0]))
