@@ -20,6 +20,16 @@ match exactly. The masked losses take one mask form, [N,H,W]: the
 positions supervised, the same in every channel. Every loss takes its
 class labels through ``errors.need_labels``.
 
+Losses over classes take logs in log space only, on the class axis 1 of
+[N,K] rows and [N,K,H,W] maps. :func:`_log_softmax` gives softmax
+probabilities and ``logp = (z - max) - log(sum)``, finite for finite
+logits, where ``log(p)`` is -inf once a probability underflows (a logit
+gap of about 745). The three cross-entropies each mark the classes that
+count with a bool ``member`` array, a one-hot of the label or the coarse
+target's group, and call one core, :func:`_class_nll`: -logsumexp of the
+members' ``logp``, weighted and averaged. ``prediction_entropy`` reads the
+same ``logp``. Logits with no classes raise ``DimensionError``.
+
 Memory: a recorded op keeps only what its backward pass reads, in its
 node's backward closure: masks, shapes, softmax probabilities, and an
 operand of a product only when the other operand's gradient is computed.
@@ -883,17 +893,66 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _need_classes(z: np.ndarray, axis: int, opname: str) -> None:
+    """``DimensionError`` when the class axis of logits ``z`` is empty."""
+    if z.shape[axis] == 0:
+        raise DimensionError(f"{opname}: logits {z.shape} have no classes on axis {axis}")
+
+
+def _shifted_exp(z: np.ndarray, axis: int, opname: str) -> tuple[np.ndarray, np.ndarray]:
+    """``z`` minus its max over the class axis ``axis``, and exp of that:
+    the max shift of every softmax here."""
+    _need_classes(z, axis, opname)
+    zs = z - z.max(axis=axis, keepdims=True)
+    return zs, np.exp(zs)
+
+
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax on a plain array (max subtraction)."""
-    z = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(z)
+    _, e = _shifted_exp(logits, axis, "softmax")
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def _log_softmax(z: np.ndarray, opname: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, logp)`` over the class axis 1: ``p`` is ``softmax(z, axis=1)``
+    bit for bit, and ``logp = (z - max) - log(sum)``, finite for finite
+    ``z`` where ``log(p)`` is -inf once ``p`` underflows."""
+    zs, e = _shifted_exp(z, 1, opname)
+    s = e.sum(axis=1, keepdims=True)
+    return e / s, zs - np.log(s)
 
 
 def _need_rows(opname: str, m: int) -> None:
     """``DegenerateSupervisionError`` when a loss would average over no rows."""
     if m == 0:
         raise DegenerateSupervisionError(f"{opname}: empty batch")
+
+
+def _class_nll(logits: Tensor, member: np.ndarray, weight, count, opname: str) -> Tensor:
+    """The negative log-likelihood of a set of classes, the core of the three
+    cross-entropies: sum of ``weight * -log sum_{member} softmax(logits)``
+    over rows or pixels, divided by ``count``.
+
+    ``member`` is a bool array of the logits' shape that marks, on the class
+    axis 1, the classes of each row's or pixel's set; every set holds one
+    class at least. ``weight`` broadcasts against the loss of each row or
+    pixel, which keeps the class axis as one entry.
+    The log of a set's mass is the logsumexp of its members' ``logp``
+    (:func:`_log_softmax`), so the loss is finite for finite logits. The
+    gradient is ``p - q`` times ``weight * g / count``, q the softmax
+    restricted to the members; with one member q is exactly the one-hot.
+    """
+    p, logp = _log_softmax(logits.array, opname)
+    top = np.where(member, logp, -np.inf).max(axis=1, keepdims=True)
+    e = np.exp(np.where(member, logp - top, -np.inf))  # no exp off the set: it may overflow
+    s = e.sum(axis=1, keepdims=True)
+    loss = float((-(top + np.log(s)) * weight).sum() / count)
+    d = p - e / s
+
+    def bwd(g, needs):
+        return (d * ((weight * float(g)) / count),)
+
+    return _record(np.asarray(loss), (logits,), bwd, opname)
 
 
 def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
@@ -906,16 +965,7 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
     n, k = rows.shape
     t = need_labels("softmax_cross_entropy targets", target, (n,), k)
     _need_rows("softmax_cross_entropy", n)
-    p = softmax(rows, axis=1)
-    loss = float(-np.log(p[np.arange(n), t]).mean())
-
-    def bwd(g, needs):
-        gl = p.copy()
-        gl[np.arange(n), t] -= 1.0
-        gl *= float(g) / n
-        return (gl,)
-
-    return _record(np.asarray(loss), (logits,), bwd, "softmax_cross_entropy")
+    return _class_nll(logits, np.arange(k) == t[:, None], 1.0, n, "softmax_cross_entropy")
 
 
 def _need_mask(opname: str, mask, shape: tuple[int, ...]) -> tuple[np.ndarray, float]:
@@ -943,75 +993,48 @@ def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     n, k, h, w = xv.shape
     lb = need_labels("masked_cross_entropy labels", labels, (n, h, w), k)
     mk, nvalid = _need_mask("masked_cross_entropy", mask, (n, h, w))
-    p = softmax(xv, axis=1)
-    at = lb[:, None]  # each position's label, on the class axis
-    logp = np.log(np.take_along_axis(p, at, axis=1)[:, 0])
-    loss = float(-(logp * mk).sum() / nvalid)
-
-    def bwd(g, needs):
-        gl = p.copy()
-        np.put_along_axis(gl, at, np.take_along_axis(gl, at, axis=1) - 1.0, axis=1)
-        gl *= (mk[:, None] * float(g)) / nvalid
-        return (gl,)
-
-    return _record(np.asarray(loss), (logits,), bwd, "masked_cross_entropy")
+    member = np.arange(k)[:, None, None] == lb[:, None]
+    return _class_nll(logits, member, mk[:, None], nvalid, "masked_cross_entropy")
 
 
 def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarray) -> Tensor:
     """Marginalized cross-entropy: -log sum_{fine in group} softmax(logits)[fine].
 
     ``group_of_fine`` maps each fine class index to its coarse class.
-    logits: [N,K] with a length-N target vector, N >= 1.
+    logits: [N,K] with a length-N target vector, N >= 1, K >= 1.
     """
     rows = logits.array
     _need_rank(rows, 2, "coarse_cross_entropy")
     n, k = rows.shape
+    _need_classes(rows, 1, "coarse_cross_entropy")  # before the grouping's max
     # a grouping has no more coarse classes than fine ones
     gmap = need_labels("coarse_cross_entropy grouping", group_of_fine, (k,), k)
     t = need_labels("coarse_cross_entropy targets", coarse_target, (n,), gmap.max() + 1)
     _need_rows("coarse_cross_entropy", n)
-    p = softmax(rows, axis=1)
-    member = gmap[None, :] == t[:, None]  # [N,K]
+    member = gmap == t[:, None]  # [N,K]
     if not member.any(axis=1).all():
         raise ContractError("coarse_cross_entropy: empty coarse group")
-    mass = (p * member).sum(axis=1)
-    loss = float(-np.log(mass).mean())
-
-    def bwd(g, needs):
-        gl = p - p * member / mass[:, None]
-        gl *= float(g) / n
-        return (gl,)
-
-    return _record(np.asarray(loss), (logits,), bwd, "coarse_cross_entropy")
+    return _class_nll(logits, member, 1.0, n, "coarse_cross_entropy")
 
 
 def prediction_entropy(logits: Tensor) -> Tensor:
     """Mean Shannon entropy of softmax(logits) over batch/pixels.
 
     Accepts [N,K] or [N,K,H,W] with at least one row or pixel; the class
-    axis is axis 1.
+    axis is axis 1. The entropy is -sum p * logp with ``logp`` from
+    :func:`_log_softmax`, so a class whose p underflows adds 0.
     """
     xv = logits.array
-    if xv.ndim == 2:
-        rows = xv
-    elif xv.ndim == 4:
-        rows = xv.transpose(0, 2, 3, 1).reshape(-1, xv.shape[1])
-    else:
+    if xv.ndim not in (2, 4):
         raise DimensionError(f"prediction_entropy: expected [N,K] or [N,K,H,W], got {xv.shape}")
-    _need_rows("prediction_entropy", rows.shape[0])
-    p = softmax(rows, axis=1)
-    logp = np.log(np.maximum(p, 1e-300))  # p*log p -> 0 as p -> 0
-    ent = -(p * logp).sum(axis=1)
-    m = rows.shape[0]
+    m = math.prod(xv.shape[:1] + xv.shape[2:])
+    _need_rows("prediction_entropy", m)
+    p, logp = _log_softmax(xv, "prediction_entropy")
+    ent = -(p * logp).sum(axis=1, keepdims=True)
     loss = float(ent.mean())
-    shape = xv.shape
 
     def bwd(g, needs):
-        grows = -p * (logp + ent[:, None]) * (float(g) / m)
-        if len(shape) == 2:
-            return (grows,)
-        n, k, h, w = shape
-        return (grows.reshape(n, h, w, k).transpose(0, 3, 1, 2),)
+        return (-p * (logp + ent) * (float(g) / m),)
 
     return _record(np.asarray(loss), (logits,), bwd, "prediction_entropy")
 
@@ -1072,5 +1095,6 @@ def masked_l1(pred: Tensor, target: Tensor, mask) -> Tensor:
 
 def mean_l1(pred: Tensor, target) -> Tensor:
     """Plain mean absolute error (masked_l1 with a full mask)."""
+    _need_rank(pred.array, 4, "mean_l1")
     n, _, h, w = pred.shape
     return masked_l1(pred, target, np.ones((n, h, w)))

@@ -206,9 +206,10 @@ class Model:
         image is a batch of one) with [C,H,W] equal to ``spec.in_shape``.
         Any other shape raises ``DimensionError``.
 
-        ``film`` replaces each site's activation with its modulation;
-        ``ContractError`` unless it has one (gamma, beta) pair per site,
-        ``DimensionError`` (from ``ad.film``) unless each pair fits its site.
+        ``film``, a :class:`FiLMParams`, replaces each site's activation with
+        its modulation; ``ContractError`` unless it is a ``FiLMParams`` with
+        one (gamma, beta) pair per site, ``DimensionError`` (from
+        ``ad.film``) unless each pair fits its site.
         ``lifted`` reuses already-lifted parameters (training loops); when
         absent, parameters are lifted onto ``tape`` (or used as constants).
 
@@ -254,6 +255,8 @@ class Model:
         if lifted is None:
             lifted = self.params.lift(tape)
         sites = self.spec.film_sites
+        if film is not None and not isinstance(film, FiLMParams):
+            raise ContractError(f"film must be FiLMParams or None, got {type(film).__name__}")
         if film is not None and len(film) != len(sites):
             raise ContractError(f"film params carry {len(film)} sites, model declares {len(sites)}")
         site_map = {} if film is None else {i: gb for (i, _), gb in zip(sites, film.sites)}
