@@ -20,19 +20,21 @@ match exactly. The masked losses take one mask form, [N,H,W]: the
 positions supervised, the same in every channel. Every loss takes its
 class labels through ``errors.need_labels``.
 
-Losses over classes take logs in log space only, on the class axis 1 of
-[N,K] rows and [N,K,H,W] maps. :func:`_log_softmax` gives softmax
-probabilities and ``logp = (z - max) - log(sum)``, finite for finite
-logits, where ``log(p)`` is -inf once a probability underflows (a logit
-gap of about 745). The three cross-entropies each mark the classes that
-count with a bool ``member`` array, a one-hot of the label or the coarse
+Losses over classes work in log space, on the class axis 1 of [N,K] rows
+and [N,K,H,W] maps, and take no log of a probability, which is -inf once
+the probability underflows (a logit gap of about 745). :func:`_log_softmax`
+gives the probabilities and ``logp = (z - max) - log(sum)``, finite for
+finite logits. The three cross-entropies each mark the classes that count
+with a bool ``member`` array, a one-hot of the label or the coarse
 target's group, and call one core, :func:`_class_nll`: -logsumexp of the
 members' ``logp``, weighted and averaged. ``prediction_entropy`` reads the
 same ``logp``. Logits with no classes raise ``DimensionError``.
 
 Memory: a recorded op keeps only what its backward pass reads, in its
-node's backward closure: masks, shapes, softmax probabilities, and an
-operand of a product only when the other operand's gradient is computed.
+node's backward closure: masks, shapes, softmax probabilities (a
+cross-entropy keeps its gradient p - q, computed in the forward, instead),
+and an operand of a product only when the other operand's gradient is
+computed.
 A concat keeps its channel offsets, not its operands, so the maps it joins
 die when the forward drops them. A conv with a recorded kernel keeps its
 input, from which the kernel gradient rebuilds the row matrix, and not the
@@ -943,8 +945,10 @@ def _class_nll(logits: Tensor, member: np.ndarray, weight, count, opname: str) -
     restricted to the members; with one member q is exactly the one-hot.
     """
     p, logp = _log_softmax(logits.array, opname)
-    top = np.where(member, logp, -np.inf).max(axis=1, keepdims=True)
-    e = np.exp(np.where(member, logp - top, -np.inf))  # no exp off the set: it may overflow
+    # -inf off the set, where exp gives 0: logp - top there may overflow
+    lm = np.where(member, logp, -np.inf)
+    top = lm.max(axis=1, keepdims=True)
+    e = np.exp(lm - top)
     s = e.sum(axis=1, keepdims=True)
     loss = float((-(top + np.log(s)) * weight).sum() / count)
     d = p - e / s
@@ -956,7 +960,8 @@ def _class_nll(logits: Tensor, member: np.ndarray, weight, count, opname: str) -
 
 
 def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
-    """Mean -log softmax(logits)[target] over the batch.
+    """Mean -log softmax(logits)[target] over the batch, by
+    :func:`_class_nll` with the target's one-hot as the class set.
 
     logits: [N,K] with a length-N index vector, N >= 1.
     """
@@ -983,7 +988,9 @@ def _need_mask(opname: str, mask, shape: tuple[int, ...]) -> tuple[np.ndarray, f
 
 
 def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
-    """Per-pixel cross-entropy averaged over masked positions.
+    """Per-pixel cross-entropy averaged over masked positions, by
+    :func:`_class_nll` with each label's one-hot as the class set and the
+    mask as the weight.
 
     logits: [N,K,H,W]; labels/mask: [N,H,W], the mask as ``_need_mask``
     takes it; at least one position must be selected.
@@ -998,7 +1005,8 @@ def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
 
 
 def coarse_cross_entropy(logits: Tensor, coarse_target, group_of_fine: np.ndarray) -> Tensor:
-    """Marginalized cross-entropy: -log sum_{fine in group} softmax(logits)[fine].
+    """Marginalized cross-entropy: -log sum_{fine in group} softmax(logits)[fine],
+    by :func:`_class_nll` with the target's group as the class set.
 
     ``group_of_fine`` maps each fine class index to its coarse class.
     logits: [N,K] with a length-N target vector, N >= 1, K >= 1.

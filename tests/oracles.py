@@ -89,6 +89,16 @@ def softmax_ce_mp(logits, target, dps=50):
         return float(-mpmath.log(es[target] / total))
 
 
+def coarse_ce_mp(logits, members, dps=50):
+    """Group cross-entropy, -log of the softmax mass of the fine classes
+    ``members``, via mpmath extended precision."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        es = [mpmath.e ** mpmath.mpf(float(v)) for v in logits]
+        return float(-mpmath.log(mpmath.fsum(es[i] for i in members) / mpmath.fsum(es)))
+
+
 def entropy_mp(logits, dps=50):
     """Softmax entropy via mpmath extended precision."""
     import mpmath

@@ -18,6 +18,7 @@ from rnaloop.errors import (
 from oracles import (
     avgpool2_loops,
     central_fd,
+    coarse_ce_mp,
     conv2d_loops,
     entropy_mp,
     film_loops,
@@ -413,7 +414,10 @@ class TestMaskedCrossEntropy:
             out = ad.masked_cross_entropy(logits, labels, mask)
             ad.backward(out)
         loss, gl = self.meshgrid_form(x, labels, mask)
-        assert out.array.tobytes() == loss.tobytes()
+        # The gradient p - onehot keeps its bits. The loss now comes from
+        # log-softmax, not from the log of p, and stays within 1e-15 of the
+        # form's relative to it: 2 ulp on [1, 2, 1, 1], 0 on the others.
+        assert abs(out.item() - loss) <= 1e-15 * abs(loss)
         assert tape.grad(logits).tobytes() == gl.tobytes()
 
     def test_backward_keeps_no_index_grid(self):
@@ -423,11 +427,83 @@ class TestMaskedCrossEntropy:
             out = ad.masked_cross_entropy(tape.leaf(rng.normal(size=(8, 5, 32, 32))), labels,
                                           np.ones((8, 32, 32)))
             held = [c.cell_contents for c in out.node.backward_fn.__closure__]
-            ints = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
-            # the labels themselves, on the class axis, and no [N,H,W] integer array
-            assert ints and all(np.shares_memory(a, labels) for a in ints)
-            assert all(a.shape != labels.shape for a in ints)
+            arrays = [a for a in held if isinstance(a, np.ndarray)]
+            # the gradient p - onehot and the mask on the class axis: no
+            # integer or bool array, so no labels, index grid or class set
+            assert all(a.dtype == np.float64 for a in arrays)
+            assert sorted(a.shape for a in arrays) == [(8, 1, 32, 32), (8, 5, 32, 32)]
             ad.backward(out)
+
+
+# Each cross-entropy on logits [0, 1000], target class 0 (the class set {0}
+# for the coarse loss), laid out as the loss takes them.
+GAP_1000 = [
+    pytest.param(lambda x: ad.softmax_cross_entropy(x, [0]), (1, 2), id="softmax_ce"),
+    pytest.param(lambda x: ad.masked_cross_entropy(x, np.zeros((1, 1, 1), np.int64), np.ones((1, 1, 1))),
+                 (1, 2, 1, 1), id="masked_ce"),
+    pytest.param(lambda x: ad.coarse_cross_entropy(x, [0], [0, 1]), (1, 2), id="coarse_ce"),
+]
+
+
+class TestClassLossesInLogSpace:
+    @pytest.mark.parametrize("loss,shape", GAP_1000)
+    def test_a_gap_of_1000_gives_the_true_loss_and_gradient(self, loss, shape):
+        # the target's probability underflows to 0: its log was inf, and the
+        # coarse loss's backward divided by that zero mass
+        x = np.array([0.0, 1000.0]).reshape(shape)
+        with ad.Tape() as tape:
+            z = tape.leaf(x)
+            out = loss(z)
+            ad.backward(out)
+        assert out.item() == 1000.0
+        assert np.array_equal(tape.grad(z).reshape(-1), [-1.0, 1.0])
+
+    @pytest.mark.parametrize("gap", [0.0, 30.0, 700.0, 745.0, 800.0, 1500.0, 2000.0])
+    def test_coarse_loss_against_extended_precision(self, gap):
+        # group 1 sits ``gap`` below the rest, so its mass underflows past 745
+        rng = np.random.default_rng(31)
+        gmap = np.array([0, 0, 1, 1, 1, 2, 2, 3])
+        logits = rng.normal(scale=2.0, size=(4, 8)) - gap * (gmap == 1)
+        targets = [1, 0, 1, 3]
+        got = ad.coarse_cross_entropy(t(logits), targets, gmap).item()
+        ref = np.mean([coarse_ce_mp(row, np.flatnonzero(gmap == c)) for row, c in zip(logits, targets)])
+        assert abs(got - ref) <= 1e-12 * max(1.0, ref)
+
+    @pytest.mark.parametrize("name", ["softmax_ce", "masked_ce", "coarse_ce", "entropy_rows", "entropy_maps"])
+    def test_gradients_at_a_gap_near_40_match_finite_differences(self, name):
+        # class 0 sits about 40 below the three others, where p is about 1e-18
+        rng = np.random.default_rng(32)
+        offsets = np.array([-40.0, 0.0, 0.5, -1.0])
+        if name in ("masked_ce", "entropy_maps"):
+            x = rng.normal(size=(2, 4, 2, 2)) + offsets[:, None, None]
+        else:
+            x = rng.normal(size=(3, 4)) + offsets
+        labels = np.zeros((2, 2, 2), np.int64)
+        labels[1] = 2
+        mask = np.array([[[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        build = {
+            "softmax_ce": lambda z: ad.softmax_cross_entropy(z, [0, 2, 0]),
+            "masked_ce": lambda z: ad.masked_cross_entropy(z, labels, mask),
+            "coarse_ce": lambda z: ad.coarse_cross_entropy(z, [0, 1, 0], [0, 1, 1, 2]),
+            "entropy_rows": ad.prediction_entropy,
+            "entropy_maps": ad.prediction_entropy,
+        }[name]
+        with ad.Tape() as tape:
+            z = tape.leaf(x)
+            ad.backward(build(z))
+        fd = central_fd(lambda: build(t(x)).item(), x)
+        assert max_rel_err(tape.grad(z), fd) < 1e-6
+
+    @pytest.mark.parametrize("call,shape", [
+        pytest.param(ad.softmax, (2, 0), id="softmax"),
+        pytest.param(lambda z: ad.prediction_entropy(t(z)), (2, 0), id="prediction_entropy_rows"),
+        pytest.param(lambda z: ad.prediction_entropy(t(z)), (2, 0, 3, 3), id="prediction_entropy_maps"),
+        pytest.param(lambda z: ad.coarse_cross_entropy(t(z), [0, 0], []), (2, 0), id="coarse_ce"),
+    ])
+    def test_logits_with_no_classes_are_a_dimension_error(self, call, shape):
+        # each raised numpy's bare ValueError from a max over no classes
+        with pytest.raises(DimensionError, match=r"have no classes on axis"):
+            call(np.zeros(shape))
 
 
 class TestMaskedL1:
@@ -1056,6 +1132,8 @@ def _sample_cases():
         "masked_l1": (lambda a: ad.masked_l1(*a),
                       [(n(size=(2, 4, 4)), True, True), (n(size=(2, 4, 4)), True, True),
                        ((rng.random((4, 4)) < 0.5).astype(float), False, True)], 4),
+        "mean_l1": (lambda a: ad.mean_l1(*a),
+                    [(n(size=(2, 4, 4)), True, True), (n(size=(2, 4, 4)), False, True)], 4),
     }
 
 

@@ -369,6 +369,13 @@ class TestAdaptedForward:
         with pytest.raises(ContractError, match="2 sites, model declares 4"):
             f.forward(np.zeros((1, 1, 32, 32)), film=bad)
 
+    def test_film_that_is_not_film_params_rejected(self, dense_pair):
+        # a plain list of (gamma, beta) pairs raised a bare AttributeError
+        f, _ = dense_pair
+        pairs = [(np.ones(c), np.zeros(c)) for _, c in f.spec.film_sites]
+        with pytest.raises(ContractError, match="film must be FiLMParams or None, got list"):
+            f.forward(np.zeros((1, 1, 32, 32)), film=pairs)
+
     @pytest.mark.parametrize("site", [0, 3])
     @pytest.mark.parametrize("mismatch", ["channels", "gamma_vs_beta"])
     def test_site_shape_mismatch_is_a_dimension_error(self, dense_pair, site, mismatch):

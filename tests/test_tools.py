@@ -306,3 +306,18 @@ def test_only_autodiff_decides_what_a_frozen_weight_is():
              or (isinstance(node, ast.Attribute) and node.attr == "_Constant")
              or (isinstance(node, ast.alias) and node.name == "_Constant")]
     assert found == []
+
+
+def test_only_the_log_softmax_takes_class_logs():
+    # a loss over classes takes its logs from _log_softmax's logp and from
+    # the class-set core's logsumexp, never of a softmax probability, which
+    # underflows to 0 at a logit gap of about 745; bernoulli_entropy logs its
+    # clipped inputs, not a softmax
+    logs = {"log", "log1p", "log2", "log10"}
+    tree = ast.parse((PACKAGE / "autodiff.py").read_text())
+    owners = {getattr(top, "name", "<module>")
+              for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+              and node.func.attr in logs}
+    assert owners - {"bernoulli_entropy"} == {"_log_softmax", "_class_nll"}
