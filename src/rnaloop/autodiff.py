@@ -17,8 +17,16 @@ Shape discipline: every op takes batches only, with the batch on axis 0:
 broadcasting except the per-channel patterns of ``film``, the ``conv2d``
 bias and the [N,K]+[K] rows of ``add_bias``. All other operand shapes must
 match exactly. The masked losses take one mask form, [N,H,W]: the
-positions supervised, the same in every channel. Every loss takes its
-class labels through ``errors.need_labels``.
+positions supervised, the same in every channel, as bool or as numbers
+each 0 or 1; a mask never weights a position (:func:`_need_mask`). Every
+loss takes its class labels through ``errors.need_labels``.
+
+There is one configuration and no debug mode. No op checks its output
+for NaN or inf, so an untaped loss is returned as computed, but
+:func:`backward` refuses a root that is not finite before it computes any
+gradient, so a NaN or inf loss never reaches the gradients. The test suite
+wraps :func:`_record`, through which every op's output goes, and so checks
+that every op of every test gives finite values.
 
 Losses over classes work in log space, on the class axis 1 of [N,K] rows
 and [N,K,H,W] maps, and take no log of a probability, which is -inf once
@@ -88,7 +96,6 @@ __all__ = [
     "as_tensor",
     "backward",
     "sgd_step",
-    "set_debug_checks",
     "add",
     "mul",
     "add_bias",
@@ -107,28 +114,12 @@ __all__ = [
     "masked_cross_entropy",
     "coarse_cross_entropy",
     "prediction_entropy",
-    "bernoulli_entropy",
     "masked_l1",
     "mean_l1",
     "softmax",
 ]
 
 _F64 = np.float64
-
-# When enabled, every op asserts its output is finite. Cheap at desk scale;
-# the test suite turns it on globally.
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
-def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(arr)):
-        raise ContractError(f"{opname} produced non-finite values")
-
 
 _node_ids = itertools.count()
 _tls = threading.local()
@@ -259,7 +250,6 @@ def as_tensor(value) -> Tensor:
 
 
 def _record(out: np.ndarray, parents: Sequence[Tensor], backward_fn, opname: str) -> Tensor:
-    _check_finite(out, opname)
     tape = _active_tape()
     if tape is None:
         return Tensor(out, None)
@@ -277,10 +267,11 @@ def _record(out: np.ndarray, parents: Sequence[Tensor], backward_fn, opname: str
 def backward(root: Tensor) -> None:
     """Populate ``grads`` of the root's tape for every leaf ancestor of ``root``.
 
-    ``root`` must be a scalar recorded on a tape. Constants (frozen
-    parameters, plain inputs) have no node and are skipped: gradient still
-    flows *through* the ops that consume them, but their own gradients are
-    neither computed nor stored.
+    ``root`` must be a finite scalar recorded on a tape: a NaN or infinite
+    root raises ``ContractError`` before any gradient is computed. Constants
+    (frozen parameters, plain inputs) have no node and are skipped: gradient
+    still flows *through* the ops that consume them, but their own gradients
+    are neither computed nor stored.
 
     Walking the nodes in reverse, backward drops each node's closure, and
     with it what the op kept, and each intermediate gradient once that node
@@ -291,6 +282,8 @@ def backward(root: Tensor) -> None:
         raise ContractError("backward: root is not recorded on any tape")
     if root.array.shape != ():
         raise ContractError(f"backward: root must be scalar, got shape {root.array.shape}")
+    if not np.isfinite(root.array):
+        raise ContractError(f"backward: root is not finite: {root.item()}")
     t = root.node.tape
     if t is None:
         raise ContractError("backward: the root's tape no longer exists")
@@ -975,12 +968,17 @@ def softmax_cross_entropy(logits: Tensor, target) -> Tensor:
 
 def _need_mask(opname: str, mask, shape: tuple[int, ...]) -> tuple[np.ndarray, float]:
     """The [N,H,W] supervision mask of a masked loss as float64, and the
-    count of positions it selects. The mask is bool or 0/1 (a bool mask
-    gives the bits of the equal float one). ``DimensionError`` unless its
-    shape is ``shape``; ``DegenerateSupervisionError`` if it selects none."""
+    count of positions it selects. A mask selects positions and weights
+    none: it is bool, or numbers that are each 0 or 1 (a bool mask gives the
+    bits of the equal float one, with no scan of its entries).
+    ``DimensionError`` unless its shape is ``shape``; ``ContractError`` for
+    any other entry, NaN included; ``DegenerateSupervisionError`` if it
+    selects none."""
     mk = np.asarray(mask, dtype=_F64)
     if mk.shape != shape:
         raise DimensionError(f"{opname}: mask {mk.shape}, expected [N,H,W] {shape}")
+    if np.asarray(mask).dtype != bool and not np.all((mk == 0) | (mk == 1)):
+        raise ContractError(f"{opname}: mask entries must be 0 or 1, not weights")
     nvalid = mk.sum()
     if nvalid < 1:
         raise DegenerateSupervisionError(f"{opname}: empty mask")
@@ -1047,32 +1045,6 @@ def prediction_entropy(logits: Tensor) -> Tensor:
     return _record(np.asarray(loss), (logits,), bwd, "prediction_entropy")
 
 
-_BERNOULLI_EPS = 1e-4
-
-
-def bernoulli_entropy(x: Tensor) -> Tensor:
-    """Mean binary entropy of values interpreted as probabilities in [0,1].
-
-    Values are clipped to [eps, 1-eps], eps = ``_BERNOULLI_EPS``, before
-    the entropy; the gradient is zero in the clipped region. Used as a
-    confidence proxy for bounded dense regressions, where softmax entropy
-    is undefined. ``x`` holds at least one value.
-    """
-    xv, eps = x.array, _BERNOULLI_EPS
-    _need_rows("bernoulli_entropy", xv.size)
-    xc = np.clip(xv, eps, 1.0 - eps)
-    inside = (xv > eps) & (xv < 1.0 - eps)
-    ent = -(xc * np.log(xc) + (1.0 - xc) * np.log(1.0 - xc))
-    m = xv.size
-    loss = float(ent.mean())
-
-    def bwd(g, needs):
-        gx = np.where(inside, np.log((1.0 - xc) / xc), 0.0) * (float(g) / m)
-        return (gx,)
-
-    return _record(np.asarray(loss), (x,), bwd, "bernoulli_entropy")
-
-
 def masked_l1(pred: Tensor, target: Tensor, mask) -> Tensor:
     """Mean absolute error over masked positions.
 
@@ -1105,4 +1077,4 @@ def mean_l1(pred: Tensor, target) -> Tensor:
     """Plain mean absolute error (masked_l1 with a full mask)."""
     _need_rank(pred.array, 4, "mean_l1")
     n, _, h, w = pred.shape
-    return masked_l1(pred, target, np.ones((n, h, w)))
+    return masked_l1(pred, target, np.ones((n, h, w), bool))

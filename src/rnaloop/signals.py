@@ -29,6 +29,8 @@ class AdaptationSignal:
     mask: for the spatial kinds, the [H,W] bool validity mask (True where
         ``values`` holds a measurement or a click); None otherwise. Its
         consumers cast it to float64 (0.0 / 1.0) where they compute with it.
+        It selects pixels and weights none: the masked losses refuse a mask
+        entry other than 0 or 1, and take a bool mask with no scan.
     """
 
     kind: str

@@ -249,7 +249,7 @@ def task_loss(task_kind: str, pred: ad.Tensor, targets) -> ad.Tensor:
     if task_kind == "dense_regression":
         return ad.mean_l1(pred, targets)
     if task_kind == "dense_segmentation":
-        full = np.ones(targets.shape)
+        full = np.ones(targets.shape, bool)
         return ad.masked_cross_entropy(pred, targets, full)
     if task_kind == "classification":
         return ad.softmax_cross_entropy(pred, targets)
@@ -294,12 +294,12 @@ def train_main(
                 lifted = model.params.lift(tape)
                 pred = model.forward(xb, lifted=lifted)
                 loss = task_loss(dataset.task_kind, pred, yb)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainingError(
+                        f"training diverged at epoch {epoch} (lr={lr}): loss={value}"
+                    )
                 ad.backward(loss)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingError(
-                    f"training diverged at epoch {epoch} (lr={lr}): loss={value}"
-                )
             losses.append(value)
             ad.sgd_step(model.params, model.params.grads_from(tape, lifted), lr)
         curve.append(float(np.mean(losses)))

@@ -348,7 +348,6 @@ class TestSoftmaxCrossEntropy:
     pytest.param(lambda x: ad.coarse_cross_entropy(x, [], [0, 0, 1, 1]), (0, 4), id="coarse_ce"),
     pytest.param(ad.prediction_entropy, (0, 4), id="prediction_entropy_rows"),
     pytest.param(ad.prediction_entropy, (2, 4, 0, 3), id="prediction_entropy_pixels"),
-    pytest.param(ad.bernoulli_entropy, (0, 1, 4, 4), id="bernoulli_entropy"),
 ])
 def test_empty_batch_is_degenerate_supervision(loss, shape):
     # each returned NaN with numpy's "Mean of empty slice" RuntimeWarning,
@@ -385,6 +384,22 @@ def test_bool_mask_gives_the_float_mask_bits(loss):
             ad.backward(out)
         runs.append((out.array.tobytes(), tape.grad(pred).tobytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("entry", [0.5, 2.0, np.nan])
+@pytest.mark.parametrize("loss", ["masked_l1", "masked_cross_entropy"])
+def test_a_mask_entry_other_than_0_or_1_is_refused(loss, entry):
+    # a mask selects positions and weights none: 0.5 gave
+    # masked_cross_entropy a mean of log 2 over a count of 2.0, and 2.0 gave
+    # masked_l1 a weighted mean
+    mask = np.ones((1, 2, 2))
+    mask[0, 0, 1] = entry
+    if loss == "masked_l1":
+        call = lambda: ad.masked_l1(t(np.zeros((1, 1, 2, 2))), t(np.ones((1, 1, 2, 2))), mask)
+    else:
+        call = lambda: ad.masked_cross_entropy(t(np.zeros((1, 2, 2, 2))), np.zeros((1, 2, 2), int), mask)
+    with pytest.raises(ContractError, match=f"{loss}: mask entries must be 0 or 1"):
+        call()
 
 
 class TestMaskedCrossEntropy:
@@ -656,6 +671,20 @@ class TestBackward:
             y = ad.mul(xt, xt)
             with pytest.raises(ContractError):
                 ad.backward(y)
+
+    @pytest.mark.parametrize("case", ["nan_logits", "overflow"])
+    def test_non_finite_root_rejected_before_any_gradient(self, unchecked_ops, case):
+        # a NaN or inf loss gave NaN gradients with no error
+        with ad.Tape() as tape, np.errstate(over="ignore"):
+            if case == "nan_logits":
+                z = tape.leaf(np.array([[np.nan, 0.0]]))
+                loss = ad.softmax_cross_entropy(z, [0])
+            else:
+                z = tape.leaf(np.full((1, 2), 1e200))
+                loss = ad.sum_all(ad.mul(z, z))
+            with pytest.raises(ContractError, match="backward: root is not finite"):
+                ad.backward(loss)
+        assert tape.grads == {}
 
     def test_untaped_root_rejected(self):
         y = ad.sum_all(t(np.zeros(3)))
@@ -991,8 +1020,7 @@ class TestRelu:
             assert not np.signbit(out.array).any()
             assert tape.grad(xt).tobytes() == (g[: xv.size] * (xv > 0)).tobytes()
 
-    def test_non_finite_input_as_where(self, monkeypatch):
-        monkeypatch.setattr(ad, "_DEBUG_CHECKS", False)
+    def test_non_finite_input_as_where(self, unchecked_ops):
         x = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 1.0])
         out = ad.relu(ad.as_tensor(x)).array
         assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()  # NaN -> +0.0
@@ -1004,6 +1032,16 @@ class TestRelu:
         fn = out.node.backward_fn
         kept = [c.cell_contents for c in fn.__closure__ or ()]
         assert len(kept) == 1 and kept[0].dtype == bool
+
+
+def test_the_suite_checks_every_op_for_finite_output(monkeypatch):
+    # the package checks no op's output; the suite's wrap of _record does
+    big = t(np.full((1, 2), 1e200))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ContractError, match="mul produced non-finite values"):
+            ad.mul(big, big)
+        monkeypatch.setattr(ad, "_record", ad._record.__wrapped__)
+        assert np.isinf(ad.mul(big, big).array).all()
 
 
 class TestDeterminism:
@@ -1027,7 +1065,7 @@ class TestOtherOpGradients:
         "name",
         [
             "add_bias_2d", "avgpool", "upsample", "concat", "concat_4d",
-            "slice", "gap", "entropy_pix", "bernoulli", "masked_ce", "coarse_ce",
+            "slice", "gap", "entropy_pix", "masked_ce", "coarse_ce",
         ],
     )
     def test_finite_difference(self, name):
@@ -1069,10 +1107,6 @@ class TestOtherOpGradients:
         elif name == "entropy_pix":
             x = rng.normal(size=(2, 4, 3, 3))
             build = lambda xs: ad.prediction_entropy(xs[0])
-            arrs = [x]
-        elif name == "bernoulli":
-            x = rng.uniform(0.05, 0.95, size=(1, 4, 4))
-            build = lambda xs: ad.bernoulli_entropy(xs[0])
             arrs = [x]
         elif name == "masked_ce":
             x = rng.normal(size=(2, 3, 4, 4))

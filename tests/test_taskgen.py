@@ -343,18 +343,14 @@ class TestTrainMain:
         with pytest.raises(ConfigurationError):
             taskgen.train_main(model, ds, epochs=1, lr=0.01, seed=0)
 
-    def test_divergence_reports_epoch_and_lr(self):
-        from rnaloop import autodiff
-
+    def test_divergence_reports_epoch_and_lr(self, unchecked_ops):
+        # unchecked ops let the overflow reach the loss, which train_main
+        # refuses before backward would
         cfg = taskgen.SceneWorldConfig()
         ds = taskgen.gen_dense_regression(cfg, 16, seed=0)
         model = presets.dense_main(seed=0)
-        autodiff.set_debug_checks(False)  # let the overflow reach the loss
-        try:
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError, match="lr="):
-                taskgen.train_main(model, ds, epochs=5, lr=1e200, seed=0)
-        finally:
-            autodiff.set_debug_checks(True)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError, match="lr="):
+            taskgen.train_main(model, ds, epochs=5, lr=1e200, seed=0)
 
     def test_fully_frozen_model_rejected_before_training(self):
         ds = taskgen.gen_classification(presets.NUM_CLASSES, 8, proto_seed=0, seed=0)

@@ -180,6 +180,25 @@ def test_uncalled_leaves_out_dataclass_fields_that_init_does_not_take(tmp_path, 
     assert capsys.readouterr().out.split() == ["ops.Slot.__init__(shown)"]
 
 
+def test_uncalled_lists_only_the_names_a_roadmap_item_will_call(capsys):
+    # a new public name, method or default that nothing calls fails here;
+    # each one below waits for the ROADMAP item that gives it its caller
+    assert _load("uncalled").main(["uncalled.py"]) == 0
+    assert capsys.readouterr().out.split() == [
+        "autodiff.mul",  # item 4: the Meta-SGD step alpha * g
+        "autodiff.coarse_cross_entropy",  # item 4: the proxy of kNN coarse labels
+        "autodiff.prediction_entropy",  # item 2: the TENT proxy
+        "presets.seg_main",  # item 6: segmentation with clicks
+        "presets.seg_controller",  # item 6
+        "presets.control_mains",  # item 6: the densification control
+        "shifts.shifted_world",  # item 6: the cross-dataset shift
+        "signals.click_annotations",  # item 6
+        "signals.coarse_label",  # item 6: the coarse-label signal
+        "taskgen.gen_dense_segmentation",  # item 6
+        "autodiff.ParamSet.clone",  # item 2: TTO with params="all"
+    ]
+
+
 def test_code_lines_leaves_out_blanks_comments_and_docstrings_and_totals_paths(tmp_path, capsys):
     package = tmp_path / "pkg"
     package.mkdir()
@@ -311,8 +330,7 @@ def test_only_autodiff_decides_what_a_frozen_weight_is():
 def test_only_the_log_softmax_takes_class_logs():
     # a loss over classes takes its logs from _log_softmax's logp and from
     # the class-set core's logsumexp, never of a softmax probability, which
-    # underflows to 0 at a logit gap of about 745; bernoulli_entropy logs its
-    # clipped inputs, not a softmax
+    # underflows to 0 at a logit gap of about 745
     logs = {"log", "log1p", "log2", "log10"}
     tree = ast.parse((PACKAGE / "autodiff.py").read_text())
     owners = {getattr(top, "name", "<module>")
@@ -320,4 +338,4 @@ def test_only_the_log_softmax_takes_class_logs():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
               and node.func.attr in logs}
-    assert owners - {"bernoulli_entropy"} == {"_log_softmax", "_class_nll"}
+    assert owners == {"_log_softmax", "_class_nll"}
