@@ -15,11 +15,13 @@ Shape discipline: every op takes batches only, with the batch on axis 0:
 [N,C,H,W] maps and [N,K] rows. One sample is a batch of one ([1,C,H,W] or
 [1,K]); an operand of any other rank raises ``DimensionError``. There is no
 broadcasting except the per-channel patterns of ``film``, the ``conv2d``
-bias and the [N,K]+[K] rows of ``add_bias``. All other operand shapes must
-match exactly. The masked losses take one mask form, [N,H,W]: the
-positions supervised, the same in every channel, as bool or as numbers
-each 0 or 1; a mask never weights a position (:func:`_need_mask`). Every
-loss takes its class labels through ``errors.need_labels``.
+bias and the [M] bias that ``linear`` adds to its [N,M] rows. All other
+operand shapes must match exactly. Each weighted layer is one op and one
+node: ``conv2d`` and ``linear`` add their own biases. The masked losses
+take one mask form, [N,H,W]: the positions supervised, the same in every
+channel, as bool or as numbers each 0 or 1; a mask never weights a
+position (:func:`_need_mask`). Every loss takes its class labels through
+``errors.need_labels``.
 
 There is one configuration and no debug mode. No op checks its output
 for NaN or inf, so an untaped loss is returned as computed, but
@@ -51,7 +53,8 @@ once the kernel gradient has read it, before the input gradient allocates.
 :func:`backward` drops each node's closure as it reaches the node, and
 each intermediate gradient once that node has used it, so a tape goes
 through backward once and then holds the leaves' gradients only:
-``Tape.grads`` maps leaf ids to gradients.
+``Tape.grads`` maps leaf nodes to gradients. A node is its own key: it
+compares and hashes by identity, so no node carries an id.
 
 A conv goes through its batch in chunks (:func:`_chunk`), in the forward
 and in both gradients: the whole batch when its row matrix fits 1 MiB,
@@ -84,6 +87,7 @@ from .errors import (
     ContractError,
     DegenerateSupervisionError,
     DimensionError,
+    is_int,
     is_real,
     need_int,
     need_labels,
@@ -98,8 +102,7 @@ __all__ = [
     "sgd_step",
     "add",
     "mul",
-    "add_bias",
-    "matmul",
+    "linear",
     "conv2d",
     "relu",
     "avgpool2",
@@ -121,7 +124,6 @@ __all__ = [
 
 _F64 = np.float64
 
-_node_ids = itertools.count()
 _tls = threading.local()
 
 
@@ -129,9 +131,8 @@ def _active_tape() -> "Tape | None":
     return getattr(_tls, "tape", None)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Node:
-    nid: int
     # The tape owns its nodes and a node refers to it weakly, so a dropped
     # tape and its graph are freed by reference counting, with no cycle.
     tape_ref: "weakref.ref[Tape]"
@@ -152,13 +153,13 @@ class Tape:
 
     Use as a context manager; ops record onto the innermost active tape of
     the current thread. ``grads`` is populated by :func:`backward` and maps
-    the node id of each leaf that received a gradient to that gradient.
+    the node of each leaf that received a gradient to that gradient.
     Backward runs once per tape: it releases the closures it runs.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
-        self.grads: dict[int, np.ndarray] = {}
+        self.grads: dict[Node, np.ndarray] = {}
         self._spent = False
         self._prev: Tape | None = None
 
@@ -174,14 +175,12 @@ class Tape:
     def leaf(self, value: np.ndarray) -> "Tensor":
         """Register an input array as a leaf node that needs a gradient."""
         arr = np.asarray(value, dtype=_F64)
-        node = Node(next(_node_ids), weakref.ref(self), (), None)
+        node = Node(weakref.ref(self), (), None)
         self.nodes.append(node)
         return Tensor(arr, node)
 
     def grad(self, t: "Tensor") -> np.ndarray | None:
-        if t.node is None:
-            return None
-        return self.grads.get(t.node.nid)
+        return self.grads.get(t.node)
 
 
 class Tensor:
@@ -197,15 +196,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
 
-    @property
-    def node_id(self) -> int | None:
-        return None if self.node is None else self.node.nid
-
     def item(self) -> float:
         return float(self.array)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, node_id={self.node_id})"
+        return f"Tensor(shape={self.shape}, recorded={self.node is not None})"
 
 
 class _Constant(Tensor):
@@ -259,7 +254,7 @@ def _record(out: np.ndarray, parents: Sequence[Tensor], backward_fn, opname: str
     for n in pnodes:
         if n is not None and n.tape is not tape:
             raise ContractError(f"{opname}: operand recorded on a different tape")
-    node = Node(next(_node_ids), weakref.ref(tape), pnodes, backward_fn)
+    node = Node(weakref.ref(tape), pnodes, backward_fn)
     tape.nodes.append(node)
     return Tensor(out, node)
 
@@ -290,13 +285,13 @@ def backward(root: Tensor) -> None:
     if t._spent:
         raise ContractError("backward: this tape has already been through backward")
     t._spent = True
-    grads: dict[int, np.ndarray] = {root.node.nid: np.ones((), dtype=_F64)}
+    grads: dict[Node, np.ndarray] = {root.node: np.ones((), dtype=_F64)}
     for node in reversed(t.nodes):
-        g = grads.pop(node.nid, None)
+        g = grads.pop(node, None)
         fn = node.backward_fn
         if fn is None:
             if g is not None:
-                t.grads[node.nid] = g
+                t.grads[node] = g
             continue
         node.backward_fn = None
         if g is None:
@@ -304,8 +299,8 @@ def backward(root: Tensor) -> None:
         for parent, pg in zip(node.parents, fn(g, tuple(p is not None for p in node.parents))):
             if pg is None or parent is None:
                 continue
-            acc = grads.get(parent.nid)
-            grads[parent.nid] = pg if acc is None else acc + pg
+            acc = grads.get(parent)
+            grads[parent] = pg if acc is None else acc + pg
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +372,6 @@ class ParamSet:
             out.add(name, v.copy())
         out.set_frozen(self.frozen)
         return out
-
-    def count(self) -> int:
-        return sum(v.size for v in self._values.values())
 
     def state_bytes(self) -> bytes:
         """Concatenated little-endian values, for byte-identity checks."""
@@ -486,31 +478,22 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd, "mul")
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Rows plus a bias: [N,K] + [K]."""
-    xv, bv = x.array, b.array
-    if xv.ndim != 2 or bv.shape != xv.shape[1:]:
-        raise DimensionError(f"add_bias: expected [N,K] rows and a [K] bias, got {xv.shape} + {bv.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A linear layer, one node: [N,K] rows @ [K,M] weights + [M] bias,
+    numpy's ``x @ w + b`` bit for bit."""
+    xv, wv, bv = x.array, w.array, b.array
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise DimensionError(f"linear: expected [N,K] @ [K,M] + [M], got {xv.shape} @ {wv.shape} + {bv.shape}")
+    out = xv @ wv
+    out += bv
+    xv, wv = _kept_for(xv, w), _kept_for(wv, x)
 
     def bwd(g, needs):
-        return (g if needs[0] else None, g.sum(axis=0) if needs[1] else None)
+        gx = g @ wv.T if needs[0] else None
+        gw = xv.T @ g if needs[1] else None
+        return (gx, gw, g.sum(axis=0) if needs[2] else None)
 
-    return _record(xv + bv[None, :], (x, b), bwd, "add_bias")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.array, b.array
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
-    out = av @ bv
-    av, bv = _kept_for(av, b), _kept_for(bv, a)
-
-    def bwd(g, needs):
-        ga = g @ bv.T if needs[0] else None
-        gb = av.T @ g if needs[1] else None
-        return (ga, gb)
-
-    return _record(out, (a, b), bwd, "matmul")
+    return _record(out, (x, w, b), bwd, "linear")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -545,7 +528,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int, bias: Tensor | None
     """2-D cross-correlation plus an optional per-channel bias.
 
     x: [N,C,H,W]; kernel: [O,C,k,k]; bias: [O] or None. Kernel size must
-    be odd, ``stride`` 1 and ``pad`` an int in [0, k-1], and the output
+    be odd, ``stride`` the int 1 and ``pad`` an int in [0, k-1], and the output
     [N, O, H + 2*pad - k + 1, W + 2*pad - k + 1] at least one pixel;
     anything else raises ``ConfigurationError``. With a bias the result
     equals ``conv2d(x, kernel, 1, pad)`` plus ``bias[None, :, None, None]``
@@ -587,9 +570,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int, pad: int, bias: Tensor | None
             f"(shapes {xv.shape} and {wv.shape})"
         )
     pad = need_int("pad", pad, 0)
-    if stride != 1 or pad >= k or min(h, w) + 2 * pad < k:
+    if not (is_int(stride) and stride == 1) or pad >= k or min(h, w) + 2 * pad < k:
         raise ConfigurationError(
-            f"conv2d: needs stride 1, an int pad in [0, {k - 1}] and an output of at least "
+            f"conv2d: needs the int stride 1, an int pad in [0, {k - 1}] and an output of at least "
             f"one pixel; got input {h}x{w}, k={k}, stride={stride}, pad={pad}"
         )
     out = _conv_rows(xv, _derived(kernel, "taps", _tap_cols), pad,

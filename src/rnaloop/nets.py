@@ -15,10 +15,11 @@ site of the main network, the only network they adapt. A
 kind, ``gap`` (global average pooling). Each conv and linear layer of
 either sequence carries the name of its parameters ("L{index}" in a main
 network; c1, c2, fc and head in a controller), so one parameter layout
-and one layer interpreter (``_layer``) serve both networks. A
-controller's head is zero-initialized and gamma is emitted as
-1 + residual, so a freshly built controller is exactly the identity
-adaptation.
+and one layer interpreter (``_layer``) serve both networks. The
+interpreter maps each layer to one autodiff op, a conv or linear layer
+with its bias included. A controller's head is zero-initialized and
+gamma is emitted as 1 + residual, so a freshly built controller is
+exactly the identity adaptation.
 """
 
 from __future__ import annotations
@@ -291,7 +292,9 @@ class Model:
 
 
 def _layer(layer: dict, cur: Tensor, lifted: Mapping[str, Tensor], acts) -> Tensor:
-    """One layer of a spec's ``layers`` applied to ``cur``. ``lifted`` holds
+    """One layer of a spec's ``layers`` applied to ``cur``, as one autodiff
+    op: a conv is ``ad.conv2d`` and a linear layer ``ad.linear``, each
+    adding its own bias, so either records one tape node. ``lifted`` holds
     the parameters by name; ``acts`` holds the earlier layers' outputs that
     a concat reads (None for a controller, which has none)."""
     kind = layer["kind"]
@@ -311,7 +314,7 @@ def _layer(layer: dict, cur: Tensor, lifted: Mapping[str, Tensor], acts) -> Tens
     if kind == "gap":
         return ad.global_avg_pool(cur)
     name = layer["name"]  # linear
-    return ad.add_bias(ad.matmul(cur, lifted[f"{name}.w"]), lifted[f"{name}.b"])
+    return ad.linear(cur, lifted[f"{name}.w"], lifted[f"{name}.b"])
 
 
 @dataclass(slots=True)

@@ -124,22 +124,31 @@ def save(path: str | Path, kind: str, spec: dict, arrays: dict[str, np.ndarray])
     The container goes to a temporary file of its own in the target's
     directory, is flushed to disk, then renamed over the target, so
     concurrent writers to one path never share a file; the last rename wins.
+    As :func:`load` does, it raises ``ArtifactError`` if the target's
+    directory does not exist and ``SerializationError`` for any other
+    failure to write (a target that is a directory, say); either way no
+    temporary file is left behind.
     """
     path = Path(path)
     data = pack(kind, spec, arrays)
     # a fresh name and exclusive creation: no other writer opens this file,
     # and it gets the permissions a plain write would
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    f = open(tmp, "xb")
     try:
-        with f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        f = open(tmp, "xb")
+        try:
+            with f:
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except FileNotFoundError:
+        raise ArtifactError(f"no directory for artifact: {path}") from None
+    except OSError as exc:
+        raise SerializationError(f"cannot write artifact {path}: {exc}") from None
 
 
 def load(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:

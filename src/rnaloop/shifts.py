@@ -99,11 +99,9 @@ def apply_shift(x: np.ndarray, spec: ShiftSpec) -> np.ndarray:
         out = _blur_axis(_blur_axis(x, kernel, x.ndim - 2), kernel, x.ndim - 1)
     elif spec.kind == "pixelate":
         out = _pixelate(x, int(level))
-    elif spec.kind == "contrast":
+    else:  # contrast: ShiftSpec admits no other kind
         mean = x.mean(axis=(-2, -1), keepdims=True)
         out = mean + (x - mean) * level
-    else:
-        raise ConfigurationError(f"unknown shift kind {spec.kind!r}")
     return np.clip(out, 0.0, 1.0)
 
 

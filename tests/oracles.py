@@ -7,16 +7,17 @@ and shares no code with the package internals.
 import numpy as np
 
 
-def matmul_loops(a, b):
-    """Triple-loop matrix product."""
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
+def linear_loops(x, w, b):
+    """Triple-loop matrix product plus a bias per column: x @ w + b."""
+    m, k = x.shape
+    k2, n = w.shape
+    assert k == k2 and b.shape == (n,)
     out = np.zeros((m, n))
     for i in range(m):
         for j in range(n):
             for l in range(k):
-                out[i, j] += a[i, l] * b[l, j]
+                out[i, j] += x[i, l] * w[l, j]
+            out[i, j] += b[j]
     return out
 
 

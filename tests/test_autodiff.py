@@ -22,7 +22,7 @@ from oracles import (
     conv2d_loops,
     entropy_mp,
     film_loops,
-    matmul_loops,
+    linear_loops,
     max_rel_err,
     softmax_ce_mp,
     upsample2_loops,
@@ -39,27 +39,66 @@ CONV_GRID = [(1, p, k) for p in (0, 1, 2) for k in (1, 3, 5) if p < k]
 
 
 class TestMatmul:
+    """The matrix product op, ``ad.linear``: [N,K] @ [K,M] + [M]."""
+
     def test_identity(self):
         a = np.eye(2)
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(t(a), t(b))
+        out = ad.linear(t(a), t(b), t(np.zeros(2)))
         assert np.array_equal(out.array, b)
 
     def test_hand_1x1(self):
-        out = ad.matmul(t([[1.0, 2.0]]), t([[3.0], [4.0]]))
+        out = ad.linear(t([[1.0, 2.0]]), t([[3.0], [4.0]]), t([0.5]))
         assert out.array.shape == (1, 1)
-        assert out.array[0, 0] == 11.0
+        assert out.array[0, 0] == 11.5
 
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(5, 7))
         b = rng.normal(size=(7, 3))
-        out = ad.matmul(t(a), t(b)).array
-        assert np.max(np.abs(out - matmul_loops(a, b))) < 1e-12
+        bias = rng.normal(size=3)
+        out = ad.linear(t(a), t(b), t(bias)).array
+        assert np.max(np.abs(out - linear_loops(a, b, bias))) < 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+        with pytest.raises(DimensionError, match=r"\(2, 3\) @ \(2, 3\) \+ \(3,\)"):
+            ad.linear(t(np.zeros((2, 3))), t(np.zeros((2, 3))), t(np.zeros(3)))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_equals_the_numpy_composition_bitwise(self, n):
+        # the output is x @ w + b, and the gradients under an upstream r are
+        # r @ w.T, x.T @ r and r.sum(axis=0), all bit for bit
+        rng = np.random.default_rng(8)
+        x, w, b = rng.normal(size=(n, 5)), rng.normal(size=(5, 4)), rng.normal(size=4)
+        r = rng.normal(size=(n, 4))
+        with ad.Tape() as tape:
+            xt, wt, bt = (tape.leaf(a) for a in (x, w, b))
+            out = ad.linear(xt, wt, bt)
+            ad.backward(ad.sum_all(ad.mul(out, t(r))))
+        assert out.array.tobytes() == (x @ w + b).tobytes()
+        assert tape.grad(xt).tobytes() == (r @ w.T).tobytes()
+        assert tape.grad(wt).tobytes() == (x.T @ r).tobytes()
+        assert tape.grad(bt).tobytes() == r.sum(axis=0).tobytes()
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(9)
+        with ad.Tape() as tape:
+            leaves = [tape.leaf(rng.normal(size=s)) for s in ((2, 3), (3, 4), (4,))]
+            out = ad.linear(*leaves)
+        assert len(tape.nodes) == 4
+        assert out.node is tape.nodes[-1] and out.node.parents == tuple(a.node for a in leaves)
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3), (3, 4), (3,)),
+        ((2, 3), (3, 4), (1, 4)),
+        ((2, 3), (3, 4), ()),
+    ])
+    def test_bias_of_another_shape_rejected(self, shapes):
+        xv, wv, bv = (np.zeros(s) for s in shapes)
+        with pytest.raises(DimensionError, match=r"linear: expected \[N,K\] @ \[K,M\] \+ \[M\]"):
+            ad.linear(t(xv), t(wv), t(bv))
 
 
 class TestConv2d:
@@ -210,6 +249,19 @@ class TestConv2d:
         x, w = t(np.zeros((1, 1, size, size))), t(np.zeros((1, 1, k, k)))
         with pytest.raises(ConfigurationError, match="stride 1|pad must be >= 0, as an int"):
             ad.conv2d(x, w, stride, pad)
+
+    @pytest.mark.parametrize("stride", [True, 1.0], ids=["bool", "float"])
+    def test_stride_other_than_the_int_1_rejected(self, stride):
+        # equal to 1, but not an int: the rule pad follows (errors.is_int)
+        x, w = t(np.zeros((1, 1, 4, 4))), t(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ConfigurationError, match=f"needs the int stride 1.*stride={stride!r},"):
+            ad.conv2d(x, w, stride, 1)
+
+    def test_numpy_int_stride_1_accepted(self):
+        rng = np.random.default_rng(12)
+        x, w = t(rng.normal(size=(1, 2, 4, 4))), t(rng.normal(size=(3, 2, 3, 3)))
+        out = ad.conv2d(x, w, np.int64(1), 1)
+        assert out.array.tobytes() == ad.conv2d(x, w, 1, 1).array.tobytes()
 
 
 class TestResampling:
@@ -621,7 +673,7 @@ class TestBackward:
             loss = ad.sum_all(xt)
             ad.backward(loss)
         assert np.array_equal(tape.grad(xt), np.ones((3, 4)))
-        assert set(tape.grads) == {xt.node_id}
+        assert set(tape.grads) == {xt.node}
 
     def test_quadratic(self):
         x = np.random.default_rng(16).normal(size=(5,))
@@ -638,7 +690,7 @@ class TestBackward:
             hidden = ad.relu(ad.mul(a, b))
             loss = ad.sum_all(ad.add(hidden, a))
             ad.backward(loss)
-        assert set(tape.grads) == {a.node_id, b.node_id}
+        assert set(tape.grads) == {a.node, b.node}
         assert tape.grad(unused) is None and tape.grad(hidden) is None
 
     def test_second_backward_rejected(self):
@@ -700,6 +752,7 @@ class TestBackward:
             "g": 1.0 + rng.normal(scale=0.1, size=3),
             "b": rng.normal(scale=0.1, size=3),
             "wl": rng.normal(scale=0.1, size=(27, 4)),
+            "bl": rng.normal(scale=0.1, size=4),
         }
 
         def forward(lift):
@@ -707,7 +760,7 @@ class TestBackward:
             h2 = ad.film(h1, lift["g"], lift["b"])
             h3 = ad.avgpool2(h2)
             flat = ad.flatten_batch(h3)  # [1, 27]
-            logits = ad.matmul(flat, lift["wl"])  # [1, 4]
+            logits = ad.linear(flat, lift["wl"], lift["bl"])  # [1, 4]
             return ad.softmax_cross_entropy(logits, [1])
 
         with ad.Tape() as tape:
@@ -823,7 +876,7 @@ class TestTapeSemantics:
             ad.backward(l2)
         assert t1.grads == {}
         assert t2.grad(x2) is not None
-        assert x1.node_id != x2.node_id
+        assert set(t2.grads) == {x2.node} and x1.node is not x2.node
 
     def test_cross_tape_mixing_rejected(self):
         with ad.Tape() as t1:
@@ -844,7 +897,7 @@ class TestTapeSemantics:
         free.add("v", rng.normal(size=(3, 3)))
         with ad.Tape() as tape:
             fixed, lifted = frozen.lift(tape), free.lift(tape)
-            loss = ad.sum_all(ad.matmul(fixed["w"], lifted["v"]))
+            loss = ad.sum_all(ad.linear(fixed["w"], lifted["v"], t(np.zeros(3))))
             ad.backward(loss)
         assert tape.grad(fixed["w"]) is None
         assert tape.grad(lifted["v"]) is not None
@@ -1064,16 +1117,16 @@ class TestOtherOpGradients:
     @pytest.mark.parametrize(
         "name",
         [
-            "add_bias_2d", "avgpool", "upsample", "concat", "concat_4d",
+            "linear", "avgpool", "upsample", "concat", "concat_4d",
             "slice", "gap", "entropy_pix", "masked_ce", "coarse_ce",
         ],
     )
     def test_finite_difference(self, name):
         rng = np.random.default_rng(hash(name) % 2**31)
-        if name == "add_bias_2d":
-            x, b = rng.normal(size=(3, 4)), rng.normal(size=4)
-            build = lambda xs: ad.sum_all(ad.mul(ad.add_bias(xs[0], xs[1]), ad.add_bias(xs[0], xs[1])))
-            arrs = [x, b]
+        if name == "linear":
+            x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
+            build = lambda xs: ad.sum_all(ad.mul(ad.linear(*xs), ad.linear(*xs)))
+            arrs = [x, w, b]
         elif name == "avgpool":
             x = rng.normal(size=(1, 2, 4, 4))
             build = lambda xs: ad.sum_all(ad.mul(ad.avgpool2(xs[0]), ad.avgpool2(xs[0])))
@@ -1134,9 +1187,7 @@ class TestOtherOpGradients:
 def _sample_cases():
     """op name -> (call, [(array, is_leaf, gains_batch_axis)], top batched rank)
     for one sample, without a batch axis, of every op with a batched operand;
-    ``gains_batch_axis`` marks the operands that carry the batch.
-    ``add_bias_maps`` is the [C,H,W]+[C] pattern, which add_bias takes in no
-    rank."""
+    ``gains_batch_axis`` marks the operands that carry the batch."""
     rng = np.random.default_rng(40)
     n = rng.normal
     return {
@@ -1148,9 +1199,8 @@ def _sample_cases():
         "film": (lambda a: ad.film(*a), [(n(size=(3, 4, 4)), True, True), (n(size=3), True, False),
                                          (n(size=3), True, False)], 4),
         "flatten_batch": (lambda a: ad.flatten_batch(a[0]), [(n(size=(2, 3, 3)), True, True)], 4),
-        "add_bias_rows": (lambda a: ad.add_bias(*a), [(n(size=4), True, True), (n(size=4), True, False)], 2),
-        "add_bias_maps": (lambda a: ad.add_bias(*a),
-                          [(n(size=(3, 2, 2)), True, True), (n(size=3), True, False)], 4),
+        "linear": (lambda a: ad.linear(*a), [(n(size=4), True, True), (n(size=(4, 3)), True, False),
+                                             (n(size=3), True, False)], 2),
         "softmax_cross_entropy": (lambda a: ad.softmax_cross_entropy(*a),
                                   [(n(size=5), True, True), (np.int64(2), False, True)], 2),
         "coarse_cross_entropy": (lambda a: ad.coarse_cross_entropy(*a),
@@ -1190,10 +1240,11 @@ class TestOneSampleBoundary:
             call([t(a) if leaf else a for a, (_, leaf, _) in zip(args, arrays)])
 
 
-def test_add_bias_takes_rows_only():
-    x, b = np.zeros((2, 3, 4, 4)), np.zeros(3)
-    with pytest.raises(DimensionError, match="add_bias"):
-        ad.add_bias(t(x), t(b))
+def test_linear_takes_rows_only():
+    # [N,C,H,W] maps with a [C] bias: no per-channel pattern, as conv2d and film have
+    x, w, b = np.zeros((2, 3, 4, 4)), np.zeros((3, 3)), np.zeros(3)
+    with pytest.raises(DimensionError, match="linear"):
+        ad.linear(t(x), t(w), t(b))
 
 
 class TestCoarseCrossEntropy:

@@ -127,9 +127,9 @@ def test_concat_operands_die_with_the_forward_while_the_tape_lives():
 
 @pytest.mark.parametrize("op, shape, slope", [
     (lambda x: ad.mul(x, ad.as_tensor(np.full((2, 3), 2.0))), (2, 3), 2.0),
-    (lambda x: ad.matmul(x, ad.as_tensor(np.full((3, 4), 2.0))), (2, 3), 8.0),
+    (lambda x: ad.linear(x, ad.as_tensor(np.full((3, 4), 2.0)), ad.as_tensor(np.ones(4))), (2, 3), 8.0),
     (lambda x: ad.film(x, ad.as_tensor(np.full(3, 2.0)), ad.as_tensor(np.zeros(3))), (2, 3, 1, 1), 2.0),
-], ids=["mul", "matmul", "film"])
+], ids=["mul", "linear", "film"])
 def test_an_operand_only_a_constant_partner_would_read_is_not_kept(op, shape, slope):
     # the backward reads x only for its partner's gradient, and a constant
     # has none; x's own gradient still flows

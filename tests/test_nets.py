@@ -33,6 +33,10 @@ def _names(params: ad.ParamSet) -> list[str]:
     return [name for name, _ in params.items()]
 
 
+def _size(params: ad.ParamSet) -> int:
+    return sum(v.size for _, v in params.items())
+
+
 @pytest.fixture(scope="module")
 def dense_pair():
     f = presets.dense_main(seed=7)
@@ -160,7 +164,7 @@ class TestController:
 
     def test_budget_in_range(self, dense_pair):
         f, h = dense_pair
-        ratio = h.params.count() / f.params.count()
+        ratio = _size(h.params) / _size(f.params)
         assert 0.05 <= ratio <= 0.20
 
     def test_head_length_arithmetic(self):
@@ -223,8 +227,8 @@ class TestController:
             h = ad.relu(ad.conv2d(h, lifted["c2.w"], 1, 1, bias=lifted["c2.b"]))
             h = ad.avgpool2(h)
             h = ad.global_avg_pool(h)
-        h = ad.relu(ad.add_bias(ad.matmul(h, lifted["fc.w"]), lifted["fc.b"]))
-        raw = ad.add_bias(ad.matmul(h, lifted["head.w"]), lifted["head.b"])
+        h = ad.relu(ad.linear(h, lifted["fc.w"], lifted["fc.b"]))
+        raw = ad.linear(h, lifted["head.w"], lifted["head.b"])
         sites, off = [], 0
         for ch in cspec.film_channels:
             gres = ad.slice_channels(raw, off, off + ch)
@@ -279,7 +283,7 @@ class TestController:
         # the first op that reads the feedback refuses it
         main = presets.dense_main(seed=0) if preset == "dense_controller" else presets.cls_main(seed=0)
         h = getattr(presets, preset)(main, 1)
-        with pytest.raises(DimensionError, match="conv2d|matmul|avgpool2"):
+        with pytest.raises(DimensionError, match="conv2d|linear|avgpool2"):
             h.forward(np.zeros(shape))
 
     BAD_SPECS = {
@@ -496,7 +500,7 @@ class TestParamCount:
         # the classifier at grid 4: three 3x3 convs, then a 16 -> 2 linear layer
         spec = nets.ModelSpec("classification", 1, 2, 4, 0)
         convs = (8 * 1 * 9 + 8) + (16 * 8 * 9 + 16) + (16 * 16 * 9 + 16)
-        assert nets.build_main(spec, 0).params.count() == convs + 16 * 2 + 2
+        assert _size(nets.build_main(spec, 0).params) == convs + 16 * 2 + 2
 
     def test_conv_with_bias(self):
         # the UNet's eight convs (cin, cout, k), each with a bias
@@ -504,7 +508,7 @@ class TestParamCount:
         convs = [(1, 8, 3), (8, 16, 3), (16, 24, 3), (24, 32, 3),
                  (56, 24, 3), (40, 16, 3), (24, 8, 3), (8, 1, 1)]
         expected = sum(cout * cin * k * k + cout for cin, cout, k in convs)
-        assert nets.build_main(spec, 0).params.count() == expected
+        assert _size(nets.build_main(spec, 0).params) == expected
 
     def test_composite_vs_layerwise_sum(self):
         f = presets.dense_main(seed=0)
@@ -514,7 +518,7 @@ class TestParamCount:
                 expected += layer["cout"] * layer["cin"] * layer["k"] ** 2 + layer["cout"]
             elif layer["kind"] == "linear":
                 expected += layer["nin"] * layer["nout"] + layer["nout"]
-        assert f.params.count() == expected
+        assert _size(f.params) == expected
 
 
 class TestPresetInit:
@@ -549,7 +553,7 @@ class TestBudgetsAllShippedConfigs:
         fc, _ = presets.control_mains(seed=0)
         hs.append((fc, presets.dense_controller(fc, 1)))
         for main, ctrl in hs:
-            ratio = ctrl.params.count() / main.params.count()
+            ratio = _size(ctrl.params) / _size(main.params)
             assert 0.05 <= ratio <= 0.20, ratio
 
 
@@ -790,6 +794,25 @@ class TestGradientsThroughModel:
         finally:
             f.params.set_frozen(False)
         assert len(tape.nodes) == 32
+
+    def test_cls_controller_training_step_records_one_node_per_weighted_layer(self):
+        # A controller training step on the classifier, as the cls_knn set-up
+        # runs it, records the controller's 4 parameter leaves, its two
+        # linear layers and relu, per site (3) the gamma and beta slices and
+        # gamma's 1 + residual, the frozen main's 11 ops from the first site
+        # on and the loss: each linear layer, like each conv, is one node.
+        main = presets.cls_main(seed=0)
+        main.params.set_frozen(True)
+        controller = presets.cls_controller(main, 1)
+        rng = np.random.default_rng(22)
+        x = rng.random((2,) + main.spec.in_shape)
+        feedback = rng.random((2, controller.cspec.in_channels))
+        with ad.Tape() as tape:
+            lifted = controller.lift(tape)
+            film = controller.forward(feedback, lifted=lifted)
+            loss = ad.softmax_cross_entropy(main.forward(x, film=film, tape=tape), [0, 1])
+            ad.backward(loss)
+        assert len(tape.nodes) == 28
 
     def test_training_step_peak_memory(self):
         # One batch-8 UNet training step on the tape: backward frees what each

@@ -191,11 +191,27 @@ def test_failed_save_removes_its_temp_file_and_keeps_the_target(tmp_path, monkey
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(SerializationError, match="cannot write artifact .*kept.rnl: disk full"):
         serialize.save(path, "model", {"v": 2}, {})
     monkeypatch.undo()
     assert serialize.load(path, "model")[0] == {"v": 1}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.rnl"]
+
+
+def test_save_into_a_missing_directory_raises_artifact_error(tmp_path):
+    with pytest.raises(ArtifactError, match="no directory for artifact: .*absent/net.rnl"):
+        serialize.save(tmp_path / "absent" / "net.rnl", "model", {}, {})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_over_a_directory_raises_serialization_error(tmp_path):
+    # the temporary file is written, but the rename onto a directory fails
+    target = tmp_path / "net.rnl"
+    target.mkdir()
+    with pytest.raises(SerializationError, match="cannot write artifact .*net.rnl: .*Is a directory"):
+        serialize.save(target, "model", {}, {})
+    assert [p.name for p in tmp_path.iterdir()] == ["net.rnl"]
+    assert list(target.iterdir()) == []
 
 
 LOADERS = [lambda path: serialize.load(path, "model"), nets.load_model, nets.load_controller]

@@ -300,7 +300,7 @@ def test_only_serialize_decides_the_file_format():
 def test_only_the_layer_interpreter_applies_layers_in_nets():
     # both networks describe their layers as data and run them through
     # nets._layer, so no other function of nets.py calls a layer's op
-    ops = {"conv2d", "matmul", "avgpool2", "global_avg_pool", "add_bias"}
+    ops = {"conv2d", "linear", "avgpool2", "global_avg_pool"}
     tree = ast.parse((PACKAGE / "nets.py").read_text())
     calls = {}
     for fn in ast.walk(tree):
@@ -312,6 +312,16 @@ def test_only_the_layer_interpreter_applies_layers_in_nets():
                 and node.func.attr in ops}
     assert calls.get("_layer") == ops
     assert {name: found for name, found in calls.items() if found and name != "_layer"} == {}
+
+
+def test_only_shift_spec_refuses_a_shift_kind():
+    # ShiftSpec validates the kind once; apply_shift reads SEVERITY_TABLES by
+    # it, so a branch of its own for an unknown kind could never run
+    tree = ast.parse((PACKAGE / "shifts.py").read_text())
+    raisers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Raise) and "unknown shift kind" in ast.unparse(node)}
+    assert raisers == {"__post_init__"}
 
 
 def test_only_autodiff_decides_what_a_frozen_weight_is():
